@@ -1,84 +1,64 @@
 """Truncation-based equilibrium approximations for Markov chains and jump
 processes, with certified two-sided expectation bounds and weighted
-total-variation guarantees from user-supplied drift certificates."""
+total-variation guarantees from user-supplied drift certificates.
+
+The names below are loaded on first access (PEP 562), so importing
+``truncbound.cli`` loads no numerics and ``--threads`` can still cap the
+BLAS and OpenMP pools before numpy starts them.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .errors import (
-    CertificateError,
-    EnumerationLimitError,
-    IrreducibilityError,
-    ModelError,
-    NumericalError,
-    TruncboundError,
-)
-from .statespace import Partition, StateSpace, enumerate_space, explicit_k_predicate
-from .linalg import (
-    PerronEigenpair,
-    SubstochasticSolver,
-    fundamental_matrix,
-    is_irreducible,
-    perron_eigenpair,
-    solve_linear,
-    stationary_small,
-    strongly_connected_components,
-)
-from .censor import (
-    CensoredApprox,
-    ConditionedChain,
-    TauFamily,
-    TruncationWorkspace,
-    compute_G,
-    stochasticize_pf,
-    stochasticize_row,
-    tau_family,
-    tau_family_direct,
-)
-from .lyapunov import (
-    BoundInputs,
-    DriftCertificate,
-    DriftReport,
-    MomentCertificate,
-    construct_K,
-    drift_excess,
-    evaluate_certificate,
-    moment_bound,
-    moment_certificate,
-    tail_mass_bound,
-    verify_certificate,
-    verify_drift,
-)
-from .bounds import (
-    BoundReport,
-    approx_error_bound,
-    combine_signed,
-    compute_bounds,
-    delta1_bound,
-    delta2_bound,
-    ell_lower_bound,
-    kappa_upper,
-    minorization_bounds,
-    reward_interval,
-    singleton_bounds,
-    tv_bound_general,
-    tv_bound_singleton,
-    weighted_tv,
-)
-from .ctmc import (
-    JumpModel,
-    ctmc_expectation_bounds,
-    embed,
-    embedded_drift_excess,
-    stationary_reconstruction,
-    transform_reward,
-    verify_ctmc_drift,
-)
-from .models import (
-    DiscreteModel,
-    GM1Model,
-    GeometricLaw,
-    ToggleSwitchModel,
-    user_model,
-)
+_EXPORTS = {
+    "errors": (
+        "CertificateError", "EnumerationLimitError", "IrreducibilityError",
+        "ModelError", "NumericalError", "TruncboundError",
+    ),
+    "statespace": ("Partition", "StateSpace", "enumerate_space", "explicit_k_predicate"),
+    "linalg": (
+        "PerronEigenpair", "SubstochasticSolver", "fundamental_matrix", "is_irreducible",
+        "perron_eigenpair", "solve_linear", "stationary_small",
+        "strongly_connected_components",
+    ),
+    "censor": (
+        "CensoredApprox", "ConditionedChain", "TauFamily", "TruncationWorkspace",
+        "compute_G", "stochasticize_pf", "stochasticize_row", "tau_family",
+        "tau_family_direct",
+    ),
+    "lyapunov": (
+        "BoundInputs", "DriftCertificate", "DriftReport", "MomentCertificate",
+        "construct_K", "drift_excess", "evaluate_certificate", "moment_bound",
+        "moment_certificate", "tail_mass_bound", "verify_certificate", "verify_drift",
+    ),
+    "bounds": (
+        "BoundReport", "approx_error_bound", "combine_signed", "compute_bounds",
+        "delta1_bound", "delta2_bound", "ell_lower_bound", "kappa_upper",
+        "minorization_bounds", "reward_interval", "singleton_bounds", "tv_bound_general",
+        "tv_bound_singleton", "weighted_tv",
+    ),
+    "ctmc": (
+        "JumpModel", "ctmc_expectation_bounds", "embed", "embedded_drift_excess",
+        "stationary_reconstruction", "transform_reward", "verify_ctmc_drift",
+    ),
+    "models": ("DiscreteModel", "GM1Model", "GeometricLaw", "ToggleSwitchModel", "user_model"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted([*_MODULE_OF, *_EXPORTS])
+
+
+def __getattr__(name):
+    if name in _EXPORTS:
+        return importlib.import_module(f".{name}", __name__)
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

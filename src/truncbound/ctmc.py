@@ -49,7 +49,11 @@ def embed(jump: JumpModel):
     """Embedded discrete chain: R(x, y) = Q(x, y) / lambda(x), zero diagonal.
 
     The returned model carries per-state unit weights 1 / lambda so that the
-    cycle machinery accumulates holding times rather than step counts.
+    cycle machinery accumulates holding times rather than step counts.  A
+    jump model with a batch ``rate_rows(states) -> (pos, targets, rates)``
+    (each state's rates in ``rate_row`` order, same floats) also gets the
+    batch ``rows`` hook of :func:`~truncbound.statespace.enumerate_space`;
+    its exit rates add left to right, as ``row`` adds them.
     """
     from .models import DiscreteModel  # local import: models builds on ctmc too
 
@@ -63,6 +67,19 @@ def embed(jump: JumpModel):
     def unit_weights(states):
         return np.array([1.0 / jump.exit_rate(s) for s in states])
 
+    rate_rows = getattr(jump, "rate_rows", None)
+    rows = None
+    if rate_rows is not None:
+        def rows(states):
+            pos, targets, rates = rate_rows(states)
+            keep = np.flatnonzero(rates > 0.0)
+            pos, rates = pos[keep], rates[keep]
+            lam = np.bincount(pos, weights=rates, minlength=len(states))
+            if np.any(lam <= 0.0):
+                x = states[int(np.argmax(lam <= 0.0))]
+                raise ModelError(f"absorbing state {x!r}: zero exit rate")
+            return pos, [targets[j] for j in keep.tolist()], rates / lam[pos]
+
     return DiscreteModel(
         name=f"{jump.name}-embedded",
         seed=jump.seed,
@@ -71,6 +88,7 @@ def embed(jump: JumpModel):
         states_within=jump.states_within,
         rewards=dict(jump.rewards),
         unit_weights=unit_weights,
+        rows=rows,
     )
 
 

@@ -43,6 +43,7 @@ class DiscreteModel:
     rewards: dict = field(default_factory=dict)
     unit_weights: Callable | None = None
     lyapunov: object | None = None
+    rows: Callable | None = None   # optional batch form of ``row``; see enumerate_space
 
 
 def user_model(row_fn: Callable, *, seed, name: str = "user",
@@ -180,6 +181,32 @@ class GM1Model:
         if rest > 0.0:
             entries.append((0, rest))
         return entries
+
+    @cached_property
+    def _row_masses(self) -> list:
+        """Entry masses of ``row(x)`` by its number t = min(x + 1, len(beta))
+        of explicit entries: beta_0..beta_{t-1}, then the complement at 0
+        when it is positive (computed exactly as ``row`` computes it)."""
+        masses = self.beta_masses
+        table = []
+        for t in range(len(masses) + 1):
+            rest = 1.0 - math.fsum(masses[:t].tolist())
+            table.append(np.append(masses[:t], rest) if rest > 0.0 else masses[:t])
+        return table
+
+    def rows(self, states):
+        """Batch form of ``row``: the same entries, in row order, same floats."""
+        table = self._row_masses
+        top = len(table) - 1
+        targets, p = [], []
+        for x in states:
+            t = min(max(x + 1, 0), top)
+            targets += range(x + 1, x + 1 - t, -1)
+            if len(table[t]) > t:
+                targets.append(0)
+            p.append(table[t])
+        pos = np.repeat(np.arange(len(p)), [len(q) for q in p])
+        return pos, targets, np.concatenate(p)
 
     def norm(self, x) -> float:
         return float(x)
@@ -444,6 +471,22 @@ class ToggleSwitchModel:
         if x2:
             out.append(((x1, x2 - 1), self.mu * x2))
         return out
+
+    def rate_rows(self, states):
+        """Batch form of ``rate_row``: ``(pos, targets, rates)`` with each
+        state's channels in ``rate_row`` order and the same floats."""
+        s = np.asarray(states, dtype=np.int64).reshape(-1, 2)
+        x1, x2 = s[:, 0], s[:, 1]
+        every = np.arange(len(s))
+        down1 = np.flatnonzero(x1)
+        down2 = np.flatnonzero(x2)
+        pos = np.concatenate([every, every, down1, down2])
+        t1 = np.concatenate([x1 + 1, x1, x1[down1] - 1, x1[down2]])
+        t2 = np.concatenate([x2, x2 + 1, x2[down1], x2[down2] - 1])
+        f1, f2 = x1.astype(float), x2.astype(float)
+        rates = np.concatenate([self.lam / (1.0 + f2), self.lam / (1.0 + f1),
+                                self.mu * f1[down1], self.mu * f2[down2]])
+        return pos, list(zip(t1.tolist(), t2.tolist())), rates
 
     def exit_rate(self, state) -> float:
         return sum(rate for _, rate in self.rate_row(state))

@@ -25,7 +25,7 @@ from .lyapunov import (
     verify_certificate,
 )
 from .models import GM1Model, ToggleSwitchModel
-from .statespace import enumerate_space, explicit_k_predicate
+from .statespace import enumerate_space, explicit_k_predicate, repartition
 
 
 def build_model(name: str, params: dict):
@@ -78,8 +78,10 @@ def run_pipeline(model, truncation: dict, *, envelopes=("r",),
     """Run the full bound pipeline for each envelope reward.
 
     Jump-process models are embedded first; their certificates are verified
-    in generator form on the jump model itself.  Partitions are shared
-    between envelopes whose certificates designate the same return set.
+    in generator form on the jump model itself.  The truncation set is
+    enumerated once; each further return set's partition is a K-first
+    permutation of the first, and envelopes whose certificates designate the
+    same return set share one partition.
     """
     t_all = time.perf_counter()
     result = PipelineResult(model_name=model.name, truncation=dict(truncation))
@@ -98,9 +100,16 @@ def run_pipeline(model, truncation: dict, *, envelopes=("r",),
         by_return_set.setdefault(cert.return_set, []).append(env)
 
     primary_partition = None
+    part = None
     for return_set, env_group in by_return_set.items():
+        k_pred = explicit_k_predicate(return_set)
         t0 = time.perf_counter()
-        _, part = enumerate_space(chain, a_pred, explicit_k_predicate(return_set))
+        if part is None:
+            _, part = enumerate_space(chain, a_pred, k_pred)
+            result.timings["enumerate"] = time.perf_counter() - t0
+            t0 = time.perf_counter()
+        else:
+            _, part = repartition(part, k_pred)
         ws = TruncationWorkspace(part)
         result.timings[f"partition[{','.join(env_group)}]"] = time.perf_counter() - t0
         for env in env_group:

@@ -10,6 +10,7 @@ reachable in one step outside A are ever materialized.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Callable, Hashable, Sequence
 
 import numpy as np
@@ -123,85 +124,175 @@ def enumerate_space(
 
     ``k_predicate`` must imply ``a_predicate``; the set satisfying
     ``a_predicate`` must be finite and reachable from ``model.seed``.
+
+    The search expands a whole frontier at a time through the model's batch
+    row hook ``rows(states) -> (pos, targets, p)``: entry ``j`` is the
+    transition from ``states[pos[j]]`` to ``targets[j]`` with mass ``p[j]``,
+    and the entries of each state appear in the order and with the floats
+    that ``row`` gives for it (states may interleave).  Models that define
+    only ``row`` are adapted here, so both forms are validated identically:
+    masses must be finite and not below ``-ROW_SUM_TOL``, and every row must
+    sum to one within ``ROW_SUM_TOL``.  ``a_predicate`` is called once per
+    distinct state reached, not once per edge.
+
     Raises :class:`EnumerationLimitError` when the cap is exceeded and
     :class:`ModelError` for invalid rows or an empty K.
+    """
+    found, src, dst, p, exterior = _explore(model, a_predicate, cap)
+    space = _k_first_space(sorted(found), k_predicate, k_sort_key)
+    index = space._index
+    new = np.fromiter(map(index.__getitem__, found), dtype=np.intp, count=len(found))
+    boundary = [()] * space.a_size
+    for i, entries in exterior.items():
+        boundary[new[i]] = tuple(entries)
+    weigher = getattr(model, "unit_weights", None)
+    unit = np.ones(space.a_size) if weigher is None \
+        else np.asarray(weigher(space.states), dtype=float)
+    if unit.shape != (space.a_size,) or np.any(unit <= 0) or not np.all(np.isfinite(unit)):
+        raise ModelError("unit weights must be positive and finite over A")
+    return space, _partition(space, new[src], new[dst], p, tuple(boundary), unit)
+
+
+def repartition(part: Partition, k_predicate: Callable[[State], bool],
+                ) -> tuple[StateSpace, Partition]:
+    """The same truncation set partitioned over another return set.
+
+    Rows and columns of ``part``'s operator are permuted K-first and no mass
+    is recomputed, so blocks, boundary and unit weights equal those of a
+    fresh :func:`enumerate_space` with ``k_predicate`` bit for bit (up to the
+    order in which a row's repeated targets were added).
+    """
+    old = part.space
+    space = _k_first_space(sorted(old.states), k_predicate, None)
+    perm = np.fromiter(map(old.index_of, space.states), dtype=np.intp, count=space.a_size)
+    new = np.empty_like(perm)
+    new[perm] = np.arange(space.a_size)
+    full = part.full_matrix().tocoo()
+    boundary = tuple(part.boundary[i] for i in perm)
+    return space, _partition(space, new[full.row], new[full.col], full.data, boundary,
+                             part.unit[perm])
+
+
+def _row_batches(model) -> Callable:
+    """The model's batch row hook; a model with only ``row`` gets a loop over it."""
+    rows = getattr(model, "rows", None)
+    if rows is not None:
+        return rows
+    row = model.row
+
+    def rows(states):
+        pos, targets, p = [], [], []
+        for i, x in enumerate(states):
+            for y, q in row(x):
+                pos.append(i)
+                targets.append(y)
+                p.append(q)
+        return pos, targets, p
+
+    return rows
+
+
+def _check_rows(states, pos: np.ndarray, targets, p: np.ndarray) -> None:
+    """Reject the first state (in batch order) with an invalid mass or row sum."""
+    m = len(states)
+    try:
+        sums = np.bincount(pos, weights=p, minlength=m)  # adds each row in entry order
+    except ValueError:
+        sums = None
+    if sums is None or len(sums) != m or len(targets) != len(p):
+        raise ModelError("batch row hook returned entries that do not match its states")
+    # one pass for valid batches: NaN and -inf fail the minimum, +inf the sums
+    if np.abs(sums - 1.0).max() <= ROW_SUM_TOL and (not p.size or p.min() >= -ROW_SUM_TOL):
+        return
+    bad_entry = ~np.isfinite(p) | (p < -ROW_SUM_TOL)
+    bad_state = ~(np.abs(sums - 1.0) <= ROW_SUM_TOL)
+    bad_state[pos[bad_entry]] = True
+    i = int(np.argmax(bad_state))
+    entry = np.flatnonzero(bad_entry & (pos == i))
+    if entry.size:
+        raise ModelError(
+            f"invalid transition probability {float(p[entry[0]])!r} from state {states[i]!r}"
+        )
+    raise ModelError(
+        f"row of state {states[i]!r} sums to {float(sums[i])!r}, not 1 within {ROW_SUM_TOL}"
+    )
+
+
+def _explore(model, a_predicate, cap):
+    """Frontier-batched search of A.
+
+    Returns the states of A in discovery order, the within-A edges with
+    nonzero mass as discovery ids (``src``, ``dst``) and masses ``p``, each
+    row's edges in row order, and the nonzero exterior entries per source id.
     """
     seed = model.seed
     if not a_predicate(seed):
         raise ModelError("seed state does not satisfy the truncation predicate")
-    seen = {seed}
-    queue = [seed]
-    rows: dict = {}
-    pos = 0
-    while pos < len(queue):
-        x = queue[pos]
-        pos += 1
-        row = list(model.row(x))
-        total = 0.0
-        for y, p in row:
-            if not np.isfinite(p) or p < -ROW_SUM_TOL:
-                raise ModelError(f"invalid transition probability {p!r} from state {x!r}")
-            total += p
-            if a_predicate(y) and y not in seen:
-                seen.add(y)
-                if len(seen) > cap:
-                    raise EnumerationLimitError(
-                        f"enumeration cap of {cap} states exceeded; "
-                        "check the truncation predicate"
-                    )
-                queue.append(y)
-        if abs(total - 1.0) > ROW_SUM_TOL:
-            raise ModelError(
-                f"row of state {x!r} sums to {total!r}, not 1 within {ROW_SUM_TOL}"
-            )
-        rows[x] = row
+    rows = _row_batches(model)
+    ids = {seed: 0}              # states of A -> discovery id
+    found = [seed]
+    outside = set()              # states reached but rejected by a_predicate
+    src, dst, mass = [], [], []
+    exterior: dict[int, list] = {}
+    start = 0
+    while start < len(found):
+        frontier = found[start:]
+        pos, targets, p = rows(frontier)
+        pos = np.asarray(pos, dtype=np.intp)
+        p = np.asarray(p, dtype=float)
+        _check_rows(frontier, pos, targets, p)
+        d = np.fromiter(map(ids.get, targets, repeat(-1)), dtype=np.intp, count=len(p))
+        for j in np.flatnonzero(d < 0).tolist():   # new states and exits from A
+            y = targets[j]
+            i = ids.get(y)
+            if i is None and y not in outside:
+                if a_predicate(y):
+                    i = ids[y] = len(found)
+                    found.append(y)
+                    if len(found) > cap:
+                        raise EnumerationLimitError(
+                            f"enumeration cap of {cap} states exceeded; "
+                            "check the truncation predicate"
+                        )
+                else:
+                    outside.add(y)
+            if i is not None:
+                d[j] = i
+            elif p[j] != 0.0:
+                exterior.setdefault(start + int(pos[j]), []).append((y, float(p[j])))
+        src.append(pos + start)
+        dst.append(d)
+        mass.append(p)
+        start += len(frontier)
+    src, dst, p = np.concatenate(src), np.concatenate(dst), np.concatenate(mass)
+    inner = (dst >= 0) & (p != 0.0)
+    return found, src[inner], dst[inner], p[inner], exterior
 
-    k_states = sorted((s for s in seen if k_predicate(s)), key=k_sort_key)
+
+def _k_first_space(states: list, k_predicate, k_sort_key) -> StateSpace:
+    """K sorted by ``k_sort_key`` (ties in state order), then A' in state order."""
+    k_states = sorted(filter(k_predicate, states), key=k_sort_key)
     if not k_states:
         raise ModelError("return set K is empty on the enumerated truncation set")
-    for s in k_states:
-        if not a_predicate(s):
-            raise ModelError(f"K state {s!r} lies outside the truncation set")
     k_set = set(k_states)
-    a_prime = sorted(s for s in seen if s not in k_set)
-    states = tuple(k_states) + tuple(a_prime)
-    space = StateSpace(states=states, k_size=len(k_states))
+    a_prime = [s for s in states if s not in k_set]
+    return StateSpace(states=tuple(k_states) + tuple(a_prime), k_size=len(k_states))
 
-    index = {s: i for i, s in enumerate(states)}
-    n = len(states)
-    data, ri, ci = [], [], []
-    boundary: list[tuple] = [()] * n
-    for x, row in rows.items():
-        i = index[x]
-        ext = []
-        for y, p in row:
-            if p == 0.0:
-                continue
-            j = index.get(y)
-            if j is None:
-                ext.append((y, p))
-            else:
-                ri.append(i)
-                ci.append(j)
-                data.append(p)
-        if ext:
-            boundary[i] = tuple(ext)
-    P = sp.csr_matrix((data, (ri, ci)), shape=(n, n))
-    k = len(k_states)
-    weigher = getattr(model, "unit_weights", None)
-    unit = np.ones(n) if weigher is None else np.asarray(weigher(states), dtype=float)
-    if unit.shape != (n,) or np.any(unit <= 0) or not np.all(np.isfinite(unit)):
-        raise ModelError("unit weights must be positive and finite over A")
-    part = Partition(
+
+def _partition(space: StateSpace, rows, cols, data, boundary: tuple,
+               unit: np.ndarray) -> Partition:
+    """Blocks of the K-first operator given as coordinates; duplicates add."""
+    n, k = space.a_size, space.k_size
+    P = sp.csr_matrix((data, (rows, cols)), shape=(n, n))
+    return Partition(
         space=space,
         P11=P[:k, :k].tocsr(),
         P12=P[:k, k:].tocsr(),
         P21=P[k:, :k].tocsr(),
         P22=P[k:, k:].tocsr(),
-        boundary=tuple(boundary),
+        boundary=boundary,
         unit=unit,
     )
-    return space, part
 
 
 def explicit_k_predicate(k_states: Sequence[State]) -> Callable[[State], bool]:

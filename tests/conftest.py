@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from truncbound import user_model
+from truncbound import DiscreteModel, user_model
 from truncbound.lyapunov import DriftCertificate, verify_certificate
 
 
@@ -78,6 +78,44 @@ def host_model(P: np.ndarray, name: str = "host"):
         states_within=lambda rad: range(min(n, int(rad) + 1)),
         rewards={"r": lambda s: float(s), "e": lambda s: 1.0},
     )
+
+
+def batch_model(row_fn, *, seed=0, name: str = "batch"):
+    """The chain of ``row_fn`` given through the batch hook ``rows``.
+
+    Entries are laid out by rank within the row (every state's first entry,
+    then every state's second, ...), so states interleave as the hook's
+    contract allows.
+    """
+    def rows(states):
+        per_state = [list(row_fn(x)) for x in states]
+        pos, targets, p = [], [], []
+        for rank in range(max(map(len, per_state), default=0)):
+            for i, entries in enumerate(per_state):
+                if rank < len(entries):
+                    pos.append(i)
+                    targets.append(entries[rank][0])
+                    p.append(entries[rank][1])
+        return np.array(pos, dtype=np.intp), targets, np.array(p, dtype=float)
+
+    return DiscreteModel(name=name, seed=seed, row=row_fn, rows=rows)
+
+
+def model_forms(row_fn, *, seed=0):
+    """The same chain given one state at a time and through the batch hook."""
+    return [user_model(row_fn, seed=seed, name="per-state"), batch_model(row_fn, seed=seed)]
+
+
+def assert_partitions_identical(a, b) -> None:
+    """Same states, bit-identical blocks (canonical CSR), boundary and unit."""
+    assert a.space == b.space
+    for block in ("P11", "P12", "P21", "P22"):
+        x, y = getattr(a, block), getattr(b, block)
+        assert x.shape == y.shape
+        assert x.data.tobytes() == y.data.tobytes(), block
+        assert np.array_equal(x.indices, y.indices) and np.array_equal(x.indptr, y.indptr)
+    assert a.boundary == b.boundary
+    assert a.unit.tobytes() == b.unit.tobytes()
 
 
 def exact_certificate(P: np.ndarray, k: int, r: np.ndarray, model) -> "DriftCertificate":

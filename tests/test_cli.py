@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
+import truncbound
 from truncbound.cli import main
 
 
@@ -105,6 +110,54 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "n1 = 220" in out
         assert "n2 = 217" in out
+
+
+class TestThreads:
+    def test_thread_cap_is_in_the_environment_when_numpy_loads(self, tmp_path):
+        # a fresh interpreter, so numpy is not loaded yet; a meta-path hook
+        # records the thread variables at the moment numpy is first imported
+        path, _ = write_config(tmp_path)
+        script = textwrap.dedent("""
+            import json, os, sys
+            NAMES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+            seen = {}
+
+            class Watch:
+                def find_spec(self, name, path=None, target=None):
+                    if name == "numpy" and not seen:
+                        seen.update({v: os.environ.get(v) for v in NAMES})
+                    return None
+
+            sys.meta_path.insert(0, Watch())
+            from truncbound.cli import main
+            rc = main(["--threads", "3", "verify", sys.argv[1]])
+            print(json.dumps({"rc": rc, "seen": seen}))
+        """)
+        env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(truncbound.__file__))
+        done = subprocess.run([sys.executable, "-c", script, str(path)],
+                              capture_output=True, text=True, env=env, timeout=300)
+        assert done.returncode == 0, done.stderr
+        out = json.loads(done.stdout.strip().splitlines()[-1])
+        assert out["rc"] == 0
+        assert out["seen"] == {"OMP_NUM_THREADS": "3", "OPENBLAS_NUM_THREADS": "3",
+                               "MKL_NUM_THREADS": "3"}
+
+    def test_package_attributes_load_on_first_access(self):
+        script = textwrap.dedent("""
+            import sys
+            import truncbound.cli
+            assert "numpy" not in sys.modules
+            import truncbound
+            assert truncbound.models.GM1Model is truncbound.GM1Model
+            assert hasattr(truncbound, "bounds") and not hasattr(truncbound, "nosuch")
+            assert "models" in dir(truncbound) and "enumerate_space" in dir(truncbound)
+        """)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(truncbound.__file__))
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=env, timeout=300)
+        assert done.returncode == 0, done.stderr
 
 
 class TestSweep:

@@ -4,11 +4,18 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from truncbound import enumerate_space
+from truncbound import JumpModel, embed, enumerate_space
 from truncbound.errors import ModelError
 from truncbound.models import GM1Model, ToggleSwitchModel, user_model
 
-from conftest import random_stochastic
+from conftest import assert_partitions_identical, model_forms, random_stochastic
+
+
+def per_state_toggle(ts: ToggleSwitchModel):
+    """The embedded toggle switch without its batch hooks: ``row`` only."""
+    jump = JumpModel(name="toggle-per-state", seed=ts.seed, rate_row=ts.rate_row,
+                     norm=ts.norm, states_within=ts.states_within, rewards=ts.rewards)
+    return embed(jump)
 
 
 class TestGm1ServiceCounts:
@@ -159,17 +166,46 @@ class TestUserModel:
         assert np.abs(part.full_matrix().toarray().sum(axis=1) - 1.0).max() < 1e-12
 
     def test_wrapping_builtin_rows_is_bitwise_identical(self):
+        # the built-in batch hooks against their per-state rows; gm1 both
+        # below and above len(beta_masses) = 192, toggle at levels 30 and 200
         gm1 = GM1Model()
         wrapped = user_model(gm1.row, seed=0, name="gm1-wrapped")
-        _, p1 = enumerate_space(gm1, lambda s: s <= 400, lambda s: s <= 10)
-        _, p2 = enumerate_space(wrapped, lambda s: s <= 400, lambda s: s <= 10)
-        assert (p1.full_matrix() != p2.full_matrix()).nnz == 0
-        assert p1.boundary == p2.boundary
+        ts = ToggleSwitchModel(20.0, 1.0)
+        cases = [(gm1, wrapped, lambda s, top=top: s <= top, lambda s: s <= 10)
+                 for top in (50, 400)]
+        cases += [(embed(ts), per_state_toggle(ts), lambda s, lv=lv: s[0] + s[1] <= lv,
+                   lambda s: s[0] + s[1] <= 4) for lv in (30, 200)]
+        for batch, per_state, a_pred, k_pred in cases:
+            assert getattr(batch, "rows", None) is not None
+            assert getattr(per_state, "rows", None) is None
+            _, p1 = enumerate_space(batch, a_pred, k_pred)
+            _, p2 = enumerate_space(per_state, a_pred, k_pred)
+            assert_partitions_identical(p1, p2)
 
     def test_rejects_super_stochastic_row(self):
-        bad = user_model(lambda x: [(0, 0.6), (1, 0.5)], seed=0)
-        with pytest.raises(ModelError):
-            enumerate_space(bad, lambda s: True, lambda s: s == 0)
+        for bad in model_forms(lambda x: [(0, 0.6), (1, 0.5)]):
+            with pytest.raises(ModelError, match="sums to 1.1"):
+                enumerate_space(bad, lambda s: True, lambda s: s == 0)
+
+
+class TestBatchRows:
+    def test_gm1_rows_match_row_entry_for_entry(self):
+        gm1 = GM1Model()
+        n = len(gm1.beta_masses)
+        states = [0, 1, 7, n - 2, n - 1, n, n + 1, 10000, 3]
+        pos, targets, p = gm1.rows(states)
+        expected = [(i, y, q) for i, x in enumerate(states) for y, q in gm1.row(x)]
+        assert list(zip(pos.tolist(), targets, p.tolist())) == expected
+
+    def test_toggle_rows_match_row_entry_for_entry(self):
+        ts = ToggleSwitchModel(90.0, 1.0)
+        states = [(0, 0), (3, 0), (0, 5), (7, 2), (120, 80)]
+        for batch, rows in ((ts.rate_rows, ts.rate_row), (embed(ts).rows, embed(ts).row)):
+            pos, targets, p = batch(states)
+            got = {}
+            for i, y, q in zip(pos.tolist(), targets, p.tolist()):
+                got.setdefault(i, []).append((y, q))  # each state's entries in order
+            assert got == {i: list(rows(x)) for i, x in enumerate(states)}
 
 
 class TestReferenceProtocol:

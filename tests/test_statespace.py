@@ -6,18 +6,26 @@ from truncbound.censor import compute_G
 from truncbound.ctmc import embed
 from truncbound.errors import EnumerationLimitError, ModelError
 from truncbound.models import GM1Model, ToggleSwitchModel
-from truncbound.statespace import explicit_k_predicate
+from truncbound.statespace import explicit_k_predicate, repartition
 
-from conftest import exact_certificate, host_model, random_stochastic
+from conftest import (
+    assert_partitions_identical,
+    exact_certificate,
+    host_model,
+    model_forms,
+    random_stochastic,
+)
+
+
+def walk_row(x):
+    """Row of the simple reflected walk on the nonnegative integers."""
+    if x == 0:
+        return [(0, 0.5), (1, 0.5)]
+    return [(x - 1, 0.5), (x, 0.1), (x + 1, 0.4)]
 
 
 def lattice_walk(n_max=None):
-    """Simple reflected walk on the nonnegative integers."""
-    def row(x):
-        if x == 0:
-            return [(0, 0.5), (1, 0.5)]
-        return [(x - 1, 0.5), (x, 0.1), (x + 1, 0.4)]
-    return user_model(row, seed=0, name="walk", norm=lambda s: float(s))
+    return user_model(walk_row, seed=0, name="walk", norm=lambda s: float(s))
 
 
 class TestEnumerate:
@@ -93,18 +101,53 @@ class TestEnumerate:
         assert np.abs(full - 1.0).max() < 1e-12
 
     def test_invalid_row_rejected(self):
-        bad = user_model(lambda x: [(0, 0.6), (1, 0.5)], seed=0)
-        with pytest.raises(ModelError, match="sums to"):
-            enumerate_space(bad, lambda s: True, lambda s: s == 0)
+        for bad in model_forms(lambda x: [(0, 0.6), (1, 0.5)]):
+            with pytest.raises(ModelError, match="row of state 0 sums to 1.1, not 1"):
+                enumerate_space(bad, lambda s: True, lambda s: s == 0)
+
+    @pytest.mark.parametrize("form", [0, 1], ids=["per-state", "batch"])
+    @pytest.mark.parametrize("mass, shown", [(float("nan"), "nan"), (-0.5, "-0.5")])
+    def test_invalid_mass_rejected(self, form, mass, shown):
+        # the bad row is the second of the frontier {3, 4}
+        def row(x):
+            if x == 4:
+                return [(x + 1, mass), (0, 1.0 - mass)]
+            return [(x + 1, 0.25), (x + 2, 0.25), (0, 0.5)]
+
+        model = model_forms(row)[form]
+        with pytest.raises(ModelError,
+                           match=f"invalid transition probability {shown} from state 4$"):
+            enumerate_space(model, lambda s: s <= 10, lambda s: s == 0)
 
     def test_enumeration_cap(self):
-        with pytest.raises(EnumerationLimitError):
-            enumerate_space(lattice_walk(), lambda s: s <= 10_000,
-                            lambda s: s == 0, cap=100)
+        for walk in model_forms(walk_row):
+            with pytest.raises(EnumerationLimitError, match="cap of 100 states exceeded"):
+                enumerate_space(walk, lambda s: s <= 10_000, lambda s: s == 0, cap=100)
 
     def test_empty_k_rejected(self):
         with pytest.raises(ModelError, match="K is empty"):
             enumerate_space(lattice_walk(), lambda s: s <= 10, lambda s: s > 99)
+
+
+class TestRepartition:
+    @pytest.mark.parametrize("case", ["gm1", "toggle"])
+    def test_derived_partition_equals_fresh_enumeration(self, case):
+        if case == "gm1":
+            model, a_pred = GM1Model(), lambda s: s <= 2000
+            k_first, k_second = (lambda s: s <= 201), (lambda s: s <= 4)
+        else:
+            model, a_pred = embed(ToggleSwitchModel(20.0, 1.0)), lambda s: s[0] + s[1] <= 30
+            k_first = lambda s: s[0] + s[1] <= 6
+            k_second = explicit_k_predicate([(5, 0), (0, 0), (2, 3), (0, 7)])
+        _, first = enumerate_space(model, a_pred, k_first)
+        _, derived = repartition(first, k_second)
+        _, fresh = enumerate_space(model, a_pred, k_second)
+        assert_partitions_identical(derived, fresh)
+
+    def test_empty_k_rejected(self):
+        _, part = enumerate_space(lattice_walk(), lambda s: s <= 10, lambda s: s == 0)
+        with pytest.raises(ModelError, match="K is empty"):
+            repartition(part, lambda s: s > 99)
 
 
 class TestPermutationInvariance:
