@@ -33,6 +33,7 @@ from .statespace import Partition
 
 ROW_SUM_SLACK = 1e-12
 RHS_CHUNK = 256
+DIAMETER_CHUNK = 8   # rows per pass of l1_diameter: an (8, k, k) buffer
 
 
 class TauFamily:
@@ -55,6 +56,7 @@ class TauFamily:
         self.z_index = z_index
         self.denominator = denominator
         self.clamped = clamped
+        self._diameter = None
 
     @property
     def size(self) -> int:
@@ -65,14 +67,20 @@ class TauFamily:
         return self.rows @ v
 
     def l1_diameter(self) -> float:
-        """``max_{x,y} sum_z |tau_x(z) - tau_y(z)|`` (exhaustive pairwise)."""
-        k = self.size
-        if k == 1:
-            return 0.0
-        d = 0.0
-        for i in range(k):
-            d = max(d, float(np.abs(self.rows - self.rows[i]).sum(axis=1).max()))
-        return d
+        """``max_{x,y} sum_z |tau_x(z) - tau_y(z)|`` over the pairs y >= x
+        (the sum is symmetric), computed once per family."""
+        if self._diameter is None:
+            rows, k = self.rows, self.size
+            buf = np.empty((min(DIAMETER_CHUNK, k), k, k))
+            d = 0.0
+            for lo in range(0, k, DIAMETER_CHUNK):
+                hi = min(lo + DIAMETER_CHUNK, k)
+                diff = buf[: hi - lo, : k - lo]
+                np.subtract(rows[None, lo:], rows[lo:hi, None], out=diff)
+                np.abs(diff, out=diff)
+                d = max(d, float(diff.sum(axis=2).max()))
+            self._diameter = d
+        return self._diameter
 
 
 def _tau_stable(G: np.ndarray, z: int) -> TauFamily:
@@ -232,13 +240,16 @@ class TruncationWorkspace:
         if self._censored is not None:
             return self._censored
         part = self.partition
-        k = self.k_size
-        P21 = part.P21.toarray()
-        X = np.empty_like(P21)
-        for lo in range(0, k, RHS_CHUNK):
-            hi = min(lo + RHS_CHUNK, k)
-            X[:, lo:hi] = self.solver.solve(P21[:, lo:hi]) if P21.size else P21[:, lo:hi]
-        G = part.P11.toarray() + (part.P12 @ X if X.size else 0.0)
+        # only the K columns that P21 hits get a solve: the rest of
+        # (I - P22)^{-1} P21 is zero and adds nothing to P11
+        P21 = part.P21.tocsc()
+        cols = np.flatnonzero(np.diff(P21.indptr))
+        B = P21[:, cols].toarray()
+        X = np.empty_like(B)
+        for lo in range(0, len(cols), RHS_CHUNK):
+            X[:, lo:lo + RHS_CHUNK] = self.solver.solve(B[:, lo:lo + RHS_CHUNK])
+        G = part.P11.toarray()
+        G[:, cols] += part.P12 @ X
         np.clip(G, 0.0, None, out=G)  # solver noise only; true entries are nonnegative
         mass = G.sum(axis=1)
         if np.any(mass > 1.0 + ROW_SUM_SLACK):

@@ -21,11 +21,85 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import CertificateError, ModelError, NumericalError
-from .statespace import Partition
+from .statespace import Partition, _row_batches
 
 
 def _is_jump(model) -> bool:
     return hasattr(model, "rate_row")
+
+
+class _DriftTable:
+    """One-step rows of a region, laid out for exact batched drift sums.
+
+    The region's states, then their one-step targets, get one id each, and a
+    function is evaluated at most once per id.  Entries are grouped by rank
+    within their row (``row``, or ``rate_row`` of a jump process), so adding
+    them rank by rank repeats each row's left-to-right float additions.
+    """
+
+    def __init__(self, model, region):
+        self.jump = _is_jump(model)
+        region = list(region)
+        sources = list(dict.fromkeys(region))
+        self.m = m = len(sources)           # ids below m are the region's states
+        rows = _row_batches(model, "rate_row" if self.jump else "row")
+        pos, targets, w = rows(sources) if m else ((), [], ())
+        self.ids = {x: i for i, x in enumerate(sources)}
+        self.states = sources + [y for y in dict.fromkeys(targets) if y not in self.ids]
+        self.ids.update((y, i) for i, y in enumerate(self.states[m:], m))
+        self.src = np.fromiter(map(self.ids.__getitem__, region), np.intp, len(region))
+        tgt = np.fromiter(map(self.ids.__getitem__, targets), np.intp, len(targets))
+        pos = np.asarray(pos, dtype=np.intp)
+        order = np.argsort(pos, kind="stable")
+        counts = np.bincount(pos, minlength=m)
+        rank = np.arange(pos.size) - (np.cumsum(counts) - counts)[pos[order]]
+        order = order[np.argsort(rank, kind="stable")]     # by rank, then by state
+        self.pos, self.tgt = pos[order], tgt[order]
+        self.w = np.asarray(w, dtype=float)[order]
+        self.ranks = np.cumsum(np.bincount(rank)).tolist()
+        self._memo: dict = {}
+        if self.jump:
+            self.lam = self._rank_sums(self.w)  # exit rates
+
+    def _rank_sums(self, terms: np.ndarray) -> np.ndarray:
+        acc = np.zeros(self.m)
+        for lo, hi in zip([0] + self.ranks, self.ranks):  # a state occurs once per rank
+            acc[self.pos[lo:hi]] += terms[lo:hi]
+        return acc
+
+    def values(self, fn: Callable, at: np.ndarray) -> np.ndarray:
+        """``fn`` over all ids, evaluated (once) at the ids ``at``."""
+        n = len(self.states)
+        vals, done = self._memo.setdefault(fn, (np.zeros(n), np.zeros(n, dtype=bool)))
+        todo = np.unique(at[~done[at]])
+        vals[todo] = [float(fn(self.states[i])) for i in todo.tolist()]
+        done[todo] = True
+        return vals
+
+    def surplus(self, g: Callable, slack: Callable, exclude=frozenset(),
+                x: np.ndarray | None = None) -> np.ndarray:
+        """:func:`drift_excess` at the region ids ``x`` (default: the region),
+        with the same floats; not checked for finiteness."""
+        x = self.src if x is None else x
+        off = np.zeros(len(self.states), dtype=bool)
+        if exclude:
+            off[[i for i, s in enumerate(self.states) if s in exclude]] = True
+        live = np.zeros(self.m, dtype=bool)
+        live[x] = True
+        live = live[self.pos] & ~off[self.tgt]          # entries that add w * g(y)
+        subtracts = x[~off[x]] if self.jump else x       # states that subtract g(x)
+        gv = self.values(g, np.concatenate([self.tgt[live], subtracts]))
+        with np.errstate(all="ignore"):                  # Python float semantics
+            acc = self._rank_sums(np.where(live, self.w * gv[self.tgt], 0.0))[x]
+            own = np.where(off[x], 0.0, self.lam[x] * gv[x]) if self.jump else gv[x]
+            return (acc - own) + self.values(slack, x)[x]
+
+    def require_finite(self, x: np.ndarray, *surpluses) -> None:
+        """Raise at the first of the ids ``x`` where a surplus is not finite."""
+        bad = ~np.isfinite(surpluses).all(axis=0)
+        if bad.any():
+            state = self.states[x[int(np.argmax(bad))]]
+            raise NumericalError(f"drift surplus not finite at state {state!r}")
 
 
 def drift_excess(model, g: Callable, slack: Callable, x, exclude=frozenset()) -> float:
@@ -33,25 +107,13 @@ def drift_excess(model, g: Callable, slack: Callable, x, exclude=frozenset()) ->
 
     Discrete chains:  sum_{y not in K} P(x,y) g(y) - g(x) + slack(x).
     Jump processes:   sum_{y not in K} Q(x,y) g(y) + slack(x), diagonal included.
+
+    Raises :class:`NumericalError` when the surplus is not finite.
     """
-    if _is_jump(model):
-        acc = 0.0
-        lam = 0.0
-        for y, rate in model.rate_row(x):
-            lam += rate
-            if y not in exclude:
-                acc += rate * float(g(y))
-        if x not in exclude:
-            acc -= lam * float(g(x))
-        return acc + float(slack(x))
-    acc = 0.0
-    for y, p in model.row(x):
-        if y not in exclude:
-            acc += p * float(g(y))
-    gx = float(g(x))
-    if not np.isfinite(gx) or not np.isfinite(acc):
-        raise NumericalError(f"certificate function not finite at state {x!r}")
-    return acc - gx + float(slack(x))
+    table = _DriftTable(model, [x])
+    s = table.surplus(g, slack, exclude)
+    table.require_finite(table.src, s)
+    return float(s[0])
 
 
 @dataclass(frozen=True)
@@ -75,24 +137,26 @@ def verify_drift(model, g: Callable, slack: Callable, K: Sequence,
 
     ``tolerance`` is a relative slack for the equality case: certificate
     functions that solve the cycle-reward equation exactly sit on the drift
-    boundary, where roundoff makes the surplus sign arbitrary.
+    boundary, where roundoff makes the surplus sign arbitrary.  A surplus
+    that is not finite raises :class:`NumericalError`.
     """
+    table = _DriftTable(model, check_region)
+    return _verify_on(table, table.src, g, slack, K, tolerance)
+
+
+def _verify_on(table: _DriftTable, x: np.ndarray, g, slack, K, tolerance) -> DriftReport:
+    """:func:`verify_drift` at the region ids ``x`` of ``table``."""
     k_set = frozenset(K)
-    violations = []
-    worst = -np.inf
-    checked = 0
-    for x in check_region:
-        if x in k_set:
-            continue
-        checked += 1
-        surplus = drift_excess(model, g, slack, x, exclude=k_set)
-        allow = tolerance * (1.0 + abs(float(g(x))) + abs(float(slack(x))))
-        if surplus > allow:
-            violations.append(x)
-        else:
-            worst = max(worst, surplus)
-    return DriftReport(checked=checked, violations=tuple(sorted(violations)),
-                       worst_margin=float(worst))
+    x = x[np.array([table.states[i] not in k_set for i in x.tolist()], dtype=bool)]
+    s = table.surplus(g, slack, k_set, x)
+    table.require_finite(x, s)
+    allow = tolerance * (1.0 + np.abs(table.values(g, x)[x])
+                         + np.abs(table.values(slack, x)[x]))
+    over = s > allow
+    held = s[~over]
+    return DriftReport(checked=len(x),
+                       violations=tuple(sorted(table.states[i] for i in x[over].tolist())),
+                       worst_margin=float(held.max()) if held.size else -np.inf)
 
 
 def construct_K(model, g1: Callable, g2: Callable, r: Callable,
@@ -104,16 +168,16 @@ def construct_K(model, g1: Callable, g2: Callable, r: Callable,
     analytically, so the resulting K satisfies the drift assumption on its
     complement by construction.
     """
-    radius = max(n1, n2)
-    ball = list(model.states_within(radius))
-    if not ball:
+    ball = _DriftTable(model, model.states_within(max(n1, n2)))
+    if not ball.m:
         raise ModelError("empty candidate ball for return-set construction")
-    K = [
-        x for x in ball
-        if drift_excess(model, g1, r, x) > 0.0
-        or drift_excess(model, g2, lambda _: 1.0, x) > 0.0
-    ]
-    if len(K) == len(ball):
+    s1 = ball.surplus(g1, r)
+    holds = s1 <= 0.0                   # g2 is checked only where g1's drift holds
+    s2 = np.zeros_like(s1)
+    s2[holds] = ball.surplus(g2, lambda _: 1.0, x=ball.src[holds])
+    ball.require_finite(ball.src, s1, s2)
+    K = [ball.states[i] for i in ball.src[(s1 > 0.0) | (s2 > 0.0)].tolist()]
+    if len(K) == len(ball.src):
         raise CertificateError(
             "drift inequalities fail on the whole candidate ball; the supplied "
             "certificate functions cannot produce a finite return set"
@@ -179,10 +243,16 @@ def verify_certificate(model, cert: DriftCertificate, *, check_region=None,
             (cert.g_r, cert.envelope, cert.radius_r),
             (cert.g_e, lambda _: 1.0, cert.radius_e),
         ]
+    jump = _is_jump(model)
+    ball = None
+    if check_region is None or jump:
+        ball = _DriftTable(model, model.states_within(max(cert.radius_r, cert.radius_e)))
+    table = ball if check_region is None else _DriftTable(model, check_region)
     reports = []
     for g, slack, radius in pairs:
-        region = check_region if check_region is not None else model.states_within(radius)
-        rep = verify_drift(model, g, slack, cert.return_set, region, tolerance=tolerance)
+        x = table.src if check_region is not None else \
+            np.array([ball.ids[s] for s in model.states_within(radius)], dtype=np.intp)
+        rep = _verify_on(table, x, g, slack, cert.return_set, tolerance)
         reports.append(rep)
         if rep.violations:
             sample = list(rep.violations[:8])
@@ -192,8 +262,8 @@ def verify_certificate(model, cert: DriftCertificate, *, check_region=None,
             )
     if cert.single_pair:
         reports = reports * 2
-    if _is_jump(model):
-        bad = _rate_domination_violations(model, cert)
+    if jump:
+        bad = _rate_domination_violations(ball, cert)
         if bad and not cert.skip_rate_domination:
             raise CertificateError(
                 f"envelope does not dominate the exit rate at {len(bad)} states, "
@@ -211,14 +281,11 @@ def verify_certificate(model, cert: DriftCertificate, *, check_region=None,
     return replace(cert, verified=True, reports=tuple(reports))
 
 
-def _rate_domination_violations(model, cert: DriftCertificate, margin: int = 0) -> list:
-    radius = max(cert.radius_r, cert.radius_e) + margin
-    bad = []
-    for x in model.states_within(radius):
-        lam = sum(rate for _, rate in model.rate_row(x))
-        if float(cert.envelope(x)) < lam * (1.0 - 1e-12):
-            bad.append(x)
-    return bad
+def _rate_domination_violations(ball: _DriftTable, cert: DriftCertificate) -> list:
+    """Ball states whose envelope falls below the exit rate."""
+    x = ball.src
+    low = ball.values(cert.envelope, x)[x] < ball.lam[x] * (1.0 - 1e-12)
+    return [ball.states[i] for i in x[low].tolist()]
 
 
 @dataclass(frozen=True)
@@ -312,13 +379,10 @@ def moment_bound(model, g3: Callable, w: Callable, core_radius: int) -> float:
     """Equilibrium moment bound: with the drift of ``g3`` against ``w``
     certified outside the core, the stationary expectation of ``w`` is at
     most the largest drift surplus inside it."""
-    best = 0.0
-    for x in model.states_within(core_radius):
-        surplus = drift_excess(model, g3, w, x)
-        if not np.isfinite(surplus):
-            raise NumericalError(f"moment drift surplus not finite at {x!r}")
-        best = max(best, surplus)
-    return float(best)
+    table = _DriftTable(model, model.states_within(core_radius))
+    s = table.surplus(g3, w)
+    table.require_finite(table.src, s)
+    return float(s.max()) if s.size and s.max() > 0.0 else 0.0
 
 
 @dataclass(frozen=True)

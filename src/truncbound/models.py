@@ -548,10 +548,14 @@ class ToggleSwitchModel:
         # the rate above the count near the origin, decay matches it beyond),
         # so the expert flag is required; recurrence of the embedded chain is
         # carried by the linear-decay condition
+        return self._pair_certificate_on(self._pair_return_set)
+
+    @cached_property
+    def _pair_return_set(self) -> tuple:
+        """The pair certificate's return set, constructed once per model (both
+        envelopes use it)."""
         ly = self.lyapunov()
-        K = construct_K(self, ly.g1, ly.g2, ly.r, ly.n1, ly.n2)
-        return DriftCertificate.pair(K, ly.r, ly.g1, ly.g2, ly.n1, ly.n2,
-                                     skip_rate_domination=True)
+        return construct_K(self, ly.g1, ly.g2, ly.r, ly.n1, ly.n2)
 
     def unit_drift_certificate(self, return_set=None) -> DriftCertificate:
         """Constant-envelope certificate from the linear-decay function alone.
@@ -579,13 +583,9 @@ class ToggleSwitchModel:
                 else self._pair_certificate_on(return_set)
         if envelope_id == "e":
             if return_set is None:
-                return_set = construct_K(self, *self._pair_args())
+                return_set = self._pair_return_set
             return self.unit_drift_certificate(return_set)
         raise ModelError(f"unknown envelope {envelope_id!r} (use 'r' or 'e')")
-
-    def _pair_args(self):
-        ly = self.lyapunov()
-        return ly.g1, ly.g2, ly.r, ly.n1, ly.n2
 
     def _pair_certificate_on(self, return_set) -> DriftCertificate:
         ly = self.lyapunov()

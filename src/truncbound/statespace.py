@@ -173,12 +173,13 @@ def repartition(part: Partition, k_predicate: Callable[[State], bool],
                              part.unit[perm])
 
 
-def _row_batches(model) -> Callable:
-    """The model's batch row hook; a model with only ``row`` gets a loop over it."""
-    rows = getattr(model, "rows", None)
+def _row_batches(model, name: str = "row") -> Callable:
+    """The model's batch row hook ``<name>s`` (``rows``, or ``rate_rows`` of a
+    jump model); a model with only ``<name>`` gets a loop over it."""
+    rows = getattr(model, name + "s", None)
     if rows is not None:
         return rows
-    row = model.row
+    row = getattr(model, name)
 
     def rows(states):
         pos, targets, p = [], [], []

@@ -53,6 +53,27 @@ class TestVerifyDrift:
             verify_drift(gm1, lambda x: float("inf") if x > 3 else 1.0,
                          lambda x: 1.0, (), range(10))
 
+    def test_nan_surplus_of_jump_model_rejected(self):
+        # nan > allow is False, so a nan surplus used to pass as verified
+        from truncbound.errors import NumericalError
+
+        ts = ToggleSwitchModel(20.0, 1.0)
+        ly = ts.lyapunov()
+        K = construct_K(ts, ly.g1, ly.g2, ly.r, ly.n1, ly.n2)
+        g = lambda s: float("nan") if s == (20, 20) else ly.g2(s)
+        # (19, 20) is the first state of the region with (20, 20) in its row
+        with pytest.raises(NumericalError, match=r"not finite at state \(19, 20\)"):
+            verify_drift(ts, g, lambda _: 1.0, K, ts.states_within(ly.n2))
+
+    def test_non_finite_slack_rejected(self):
+        from truncbound.errors import NumericalError
+
+        gm1 = GM1Model()
+        ly = gm1.lyapunov()
+        slack = lambda x: float("nan") if x == 7 else 1.0
+        with pytest.raises(NumericalError, match="not finite at state 7"):
+            verify_drift(gm1, ly.g2, slack, (0, 1, 2, 3, 4), range(20))
+
     def test_exact_solution_has_zero_slack(self, rng):
         # the cycle-reward continuation solves the drift equation exactly
         P = random_stochastic(rng, 10)
