@@ -19,30 +19,28 @@ _EXPORTS = {
     "statespace": ("Partition", "StateSpace", "enumerate_space", "explicit_k_predicate"),
     "linalg": (
         "PerronEigenpair", "SubstochasticSolver", "fundamental_matrix", "is_irreducible",
-        "perron_eigenpair", "solve_linear", "stationary_small",
-        "strongly_connected_components",
+        "perron_eigenpair", "stationary_small", "strongly_connected_components",
     ),
     "censor": (
         "CensoredApprox", "ConditionedChain", "TauFamily", "TruncationWorkspace",
-        "compute_G", "stochasticize_pf", "stochasticize_row", "tau_family",
         "tau_family_direct",
     ),
     "lyapunov": (
-        "BoundInputs", "DriftCertificate", "DriftReport", "MomentCertificate",
-        "construct_K", "drift_excess", "evaluate_certificate", "moment_bound",
-        "moment_certificate", "tail_mass_bound", "verify_certificate", "verify_drift",
+        "BoundInputs", "DriftCertificate", "DriftReport", "construct_K", "drift_excess",
+        "evaluate_certificate", "moment_bound", "tail_mass_bound", "verify_certificate",
+        "verify_drift",
     ),
     "bounds": (
         "BoundReport", "approx_error_bound", "combine_signed", "compute_bounds",
-        "delta1_bound", "delta2_bound", "ell_lower_bound", "kappa_upper",
-        "minorization_bounds", "reward_interval", "singleton_bounds", "tv_bound_general",
-        "tv_bound_singleton", "weighted_tv",
+        "delta1_bound", "delta2_bound", "ell_lower_bound", "minorization_bounds",
+        "reward_interval", "singleton_bounds", "tv_bound_general", "tv_bound_singleton",
+        "weighted_tv",
     ),
     "ctmc": (
-        "JumpModel", "ctmc_expectation_bounds", "embed", "embedded_drift_excess",
-        "stationary_reconstruction", "transform_reward", "verify_ctmc_drift",
+        "JumpModel", "embed", "exit_rate", "stationary_reconstruction",
+        "transform_reward", "verify_ctmc_drift",
     ),
-    "models": ("DiscreteModel", "GM1Model", "GeometricLaw", "ToggleSwitchModel", "user_model"),
+    "models": ("DiscreteModel", "GM1Model", "GeometricLaw", "ToggleSwitchModel"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

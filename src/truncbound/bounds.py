@@ -26,24 +26,6 @@ from .errors import CertificateError, NumericalError
 from .lyapunov import BoundInputs
 
 
-def kappa_upper(ws: TruncationWorkspace, inputs: BoundInputs, which: str) -> np.ndarray:
-    """Upper bound on the full cycle reward over K.
-
-    ``which`` selects the envelope reward ("r") or the unit reward ("e").
-    Refuses unverified certificates: the overflow vectors are only valid
-    once the drift inequalities have been checked.
-    """
-    if not inputs.verified:
-        raise CertificateError("kappa_upper needs a verified certificate")
-    if which == "r":
-        return ws.kappa_lower(inputs.r_A * ws.unit_vec, key=f"env:{inputs.sha256}") \
-            + ws.excursion_overflow(inputs.h1_A)
-    if which == "e":
-        return ws.kappa_lower(ws.unit_vec, key="__unit__") \
-            + ws.excursion_overflow(inputs.h2_A)
-    raise ValueError("which must be 'r' or 'e'")
-
-
 def singleton_bounds(kl_r: np.ndarray, ku_r: np.ndarray,
                      kl_e: np.ndarray, ku_e: np.ndarray) -> tuple[float, float]:
     """Two-sided bounds on the equilibrium expectation for K = {z}."""
@@ -209,8 +191,8 @@ def compute_bounds(ws: TruncationWorkspace, inputs: BoundInputs, *,
     unit = ws.unit_vec
     kl_r = ws.kappa_lower(inputs.r_A * unit, key=f"env:{inputs.sha256}")
     kl_e = ws.kappa_lower(unit, key="__unit__")
-    beta1 = ws.excursion_overflow(inputs.h1_A)
-    beta2 = ws.excursion_overflow(inputs.h2_A)
+    beta1 = ws.kappa_lower(inputs.h1_A)
+    beta2 = ws.kappa_lower(inputs.h2_A)
     if not inputs.verified:
         raise CertificateError("bounds require a verified certificate")
     ku_r = kl_r + beta1
@@ -292,8 +274,8 @@ def reward_interval(ws: TruncationWorkspace, inputs: BoundInputs,
         raise CertificateError("reward is not dominated by the certificate envelope")
     unit = ws.unit_vec
     kl_e = ws.kappa_lower(unit, key="__unit__")
-    ku_e = kl_e + ws.excursion_overflow(inputs.h2_A)
-    beta1 = ws.excursion_overflow(inputs.h1_A)
+    ku_e = kl_e + ws.kappa_lower(inputs.h2_A)
+    beta1 = ws.kappa_lower(inputs.h1_A)
     tau = ws.censored().tau
 
     def part_bounds(w_A: np.ndarray) -> tuple[float, float]:

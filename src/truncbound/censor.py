@@ -147,10 +147,6 @@ class CensoredApprox:
     G: np.ndarray
     row_mass: np.ndarray            # n(x) = sum_y G(x, y)
 
-    @property
-    def min_return_mass(self) -> float:
-        return float(self.row_mass.min())
-
     @cached_property
     def row_normalized(self) -> tuple[np.ndarray, np.ndarray]:
         """Row-normalized stochasticization ``P2 = G / n`` with its stationary vector."""
@@ -219,7 +215,9 @@ class TruncationWorkspace:
     def kappa_lower(self, w_A: np.ndarray, key: str | None = None) -> np.ndarray:
         """Within-A part of the expected reward per K-cycle:
         ``w1 + P12 (I - P22)^{-1} w2`` over K.  Cheap lower bound for the
-        full cycle reward; exact when A covers the whole space."""
+        full cycle reward; exact when A covers the whole space.  Applied to
+        a boundary overflow h it bounds the per-state reward mass the
+        truncation cannot see."""
         if key is not None and key in self._kappa_cache:
             return self._kappa_cache[key]
         w1, w2 = self._split(np.asarray(w_A, dtype=float))
@@ -227,14 +225,6 @@ class TruncationWorkspace:
         if key is not None:
             self._kappa_cache[key] = out
         return out
-
-    def excursion_overflow(self, h_A: np.ndarray) -> np.ndarray:
-        """Per-state bound on the reward mass the truncation cannot see:
-        ``h1 + P12 (I - P22)^{-1} h2`` over K, from a boundary-overflow h."""
-        return self.kappa_lower(h_A)
-
-    def censored_matrix(self) -> np.ndarray:
-        return self.censored().G
 
     def censored(self) -> CensoredApprox:
         if self._censored is not None:
@@ -407,31 +397,3 @@ def _closed_components(M: sp.csr_matrix, n_comp: int, labels: np.ndarray) -> lis
         if c not in outflow:
             closed.append(c)
     return closed
-
-
-def compute_G(partition: Partition) -> np.ndarray:
-    """One-shot censored matrix for a partition (workspace-free convenience)."""
-    return TruncationWorkspace(partition).censored_matrix()
-
-
-def stochasticize_row(G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row-normalize a substochastic censored matrix; returns (P2, pi2)."""
-    ca = CensoredApprox(G=np.asarray(G, dtype=float), row_mass=np.asarray(G).sum(axis=1))
-    return ca.row_normalized
-
-
-def stochasticize_pf(G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalue-twist a substochastic censored matrix; returns (P1, pi1)."""
-    ca = CensoredApprox(G=np.asarray(G, dtype=float), row_mass=np.asarray(G).sum(axis=1))
-    return ca.perron_normalized
-
-
-def tau_family(G: np.ndarray, z_star: int | None = None) -> TauFamily:
-    """Mixture family of a raw censored matrix via the deleted-state path.
-
-    ``z_star`` defaults to the row of largest mass (ties to the lowest index).
-    """
-    G = np.asarray(G, dtype=float)
-    mass = G.sum(axis=1)
-    z = int(np.argmax(mass)) if z_star is None else int(z_star)
-    return _tau_stable(G, z)

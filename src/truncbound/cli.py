@@ -160,18 +160,17 @@ def cmd_run(cfg: dict, outdir: str) -> int:
 
 
 def cmd_verify(cfg: dict, outdir: str) -> int:
-    from .pipeline import verify_only
+    from .pipeline import verified_certificates
 
     envelopes, _ = _bounds_options(cfg)
     model = _build(cfg)
     ly = model.lyapunov()
     radii = {k: getattr(ly, k) for k in ("n1", "n2", "n3") if hasattr(ly, k)}
-    summary = verify_only(model, envelopes=envelopes,
-                          explicit_return_set=_return_set(cfg))
+    certs = verified_certificates(model, envelopes, _return_set(cfg))
     for name, value in radii.items():
         print(f"{name} = {value}")
-    for env, info in summary.items():
-        print(f"[{env}] k* = {info['k_star']:g}  |K| = {info['k_size']}  verified")
+    for env, (cert, k_star) in certs.items():
+        print(f"[{env}] k* = {k_star:g}  |K| = {len(cert.return_set)}  verified")
     return 0
 
 

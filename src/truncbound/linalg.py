@@ -22,6 +22,7 @@ DENSE_SOLVE_THRESHOLD = 64
 
 SOLVE_RESIDUAL_TOL = 1e-9
 STATIONARY_RESIDUAL_TOL = 1e-10
+FUNDAMENTAL_RESIDUAL_TOL = 1e-9
 PERRON_TOL = 1e-12
 PERRON_MAX_ITER = 1_000_000
 
@@ -41,12 +42,11 @@ class SubstochasticSolver:
     columnwise and raises :class:`NumericalError` on failure.
     """
 
-    def __init__(self, M, *, residual_tol: float = SOLVE_RESIDUAL_TOL):
+    def __init__(self, M):
         n = M.shape[0]
         if M.shape[0] != M.shape[1]:
             raise ValueError("square block required")
         self.n = n
-        self.residual_tol = residual_tol
         if n == 0:
             self._mode = "empty"
             self._A = sp.csr_matrix((0, 0))
@@ -92,7 +92,7 @@ class SubstochasticSolver:
         rn = np.max(np.abs(R), axis=0)
         bn = np.max(np.abs(B), axis=0)
         xn = np.max(np.abs(X), axis=0)
-        tol = self.residual_tol * np.maximum(bn, self.operator_norm * xn)
+        tol = SOLVE_RESIDUAL_TOL * np.maximum(bn, self.operator_norm * xn)
         # all-zero columns solve to all-zero exactly
         bad = rn > np.maximum(tol, 0.0)
         if np.any(bad):
@@ -118,12 +118,7 @@ class SubstochasticSolver:
         return X[:, 0] if single else X
 
 
-def solve_linear(M, rhs, *, residual_tol: float = SOLVE_RESIDUAL_TOL) -> np.ndarray:
-    """Solve ``(I - M) x = rhs`` for substochastic ``M`` (spectral radius < 1)."""
-    return SubstochasticSolver(M, residual_tol=residual_tol).solve(rhs)
-
-
-def stationary_small(P, *, residual_tol: float = STATIONARY_RESIDUAL_TOL) -> np.ndarray:
+def stationary_small(P) -> np.ndarray:
     """Stationary row vector of an irreducible stochastic matrix.
 
     Replaces one (redundant) balance equation of ``pi (I - P) = 0`` with the
@@ -156,8 +151,9 @@ def stationary_small(P, *, residual_tol: float = STATIONARY_RESIDUAL_TOL) -> np.
         )
     pi = pi / pi.sum()
     resid = np.max(np.abs(pi @ P - pi))
-    if resid > residual_tol:
-        raise NumericalError(f"stationary residual {resid:.3e} exceeds {residual_tol:.1e}")
+    if resid > STATIONARY_RESIDUAL_TOL:
+        raise NumericalError(
+            f"stationary residual {resid:.3e} exceeds {STATIONARY_RESIDUAL_TOL:.1e}")
     return pi
 
 
@@ -220,7 +216,7 @@ def perron_eigenpair(G, *, tol: float = PERRON_TOL,
     return PerronEigenpair(lam, nu, h)
 
 
-def fundamental_matrix(P1, pi1: np.ndarray, *, residual_tol: float = 1e-9) -> np.ndarray:
+def fundamental_matrix(P1, pi1: np.ndarray) -> np.ndarray:
     """Fundamental matrix ``(I - P1 + Pi1)^{-1}`` of an irreducible stochastic P1.
 
     ``Pi1`` stacks ``pi1`` in every row.  Note the deviation matrix uses the
@@ -235,8 +231,9 @@ def fundamental_matrix(P1, pi1: np.ndarray, *, residual_tol: float = 1e-9) -> np
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"fundamental-matrix factorization failed: {exc}") from exc
     resid = np.max(np.abs(F @ A - np.eye(n)))
-    if resid > residual_tol:
-        raise NumericalError(f"fundamental-matrix residual {resid:.3e} exceeds {residual_tol:.1e}")
+    if resid > FUNDAMENTAL_RESIDUAL_TOL:
+        raise NumericalError(f"fundamental-matrix residual {resid:.3e} "
+                             f"exceeds {FUNDAMENTAL_RESIDUAL_TOL:.1e}")
     return F
 
 

@@ -21,11 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import CertificateError, ModelError, NumericalError
-from .statespace import Partition, _row_batches
-
-
-def _is_jump(model) -> bool:
-    return hasattr(model, "rate_row")
+from .statespace import Partition, _rate_batches, _row_batches, is_jump
 
 
 class _DriftTable:
@@ -38,12 +34,14 @@ class _DriftTable:
     """
 
     def __init__(self, model, region):
-        self.jump = _is_jump(model)
+        self.jump = is_jump(model)
         region = list(region)
         sources = list(dict.fromkeys(region))
         self.m = m = len(sources)           # ids below m are the region's states
-        rows = _row_batches(model, "rate_row" if self.jump else "row")
-        pos, targets, w = rows(sources) if m else ((), [], ())
+        if self.jump:
+            pos, targets, w, self.lam = _rate_batches(model)(sources)  # lam: exit rates
+        else:
+            pos, targets, w = _row_batches(model)(sources) if m else ((), [], ())
         self.ids = {x: i for i, x in enumerate(sources)}
         self.states = sources + [y for y in dict.fromkeys(targets) if y not in self.ids]
         self.ids.update((y, i) for i, y in enumerate(self.states[m:], m))
@@ -58,8 +56,6 @@ class _DriftTable:
         self.w = np.asarray(w, dtype=float)[order]
         self.ranks = np.cumsum(np.bincount(rank)).tolist()
         self._memo: dict = {}
-        if self.jump:
-            self.lam = self._rank_sums(self.w)  # exit rates
 
     def _rank_sums(self, terms: np.ndarray) -> np.ndarray:
         acc = np.zeros(self.m)
@@ -196,11 +192,8 @@ class DriftCertificate:
     ``max(r, 1)``.  ``skip_rate_domination`` is the expert escape hatch for
     jump processes whose envelope does not dominate the exit rates (the
     ratio identity still holds; positive recurrence of the embedded chain is
-    then uncertified).
-
-    ``h_r`` / ``h_e`` optionally supply analytic upper bounds on the exterior
-    overflow for models whose rows cannot be summed exactly; by default the
-    overflow is computed with equality from the boundary rows.
+    then uncertified).  Rows have finite support, so the exterior overflows
+    are computed with equality from the boundary rows.
     """
 
     return_set: tuple
@@ -211,8 +204,6 @@ class DriftCertificate:
     radius_e: int
     single_pair: bool = False
     skip_rate_domination: bool = False
-    h_r: Callable | None = None
-    h_e: Callable | None = None
     verified: bool = False
     reports: tuple = ()
 
@@ -243,7 +234,7 @@ def verify_certificate(model, cert: DriftCertificate, *, check_region=None,
             (cert.g_r, cert.envelope, cert.radius_r),
             (cert.g_e, lambda _: 1.0, cert.radius_e),
         ]
-    jump = _is_jump(model)
+    jump = is_jump(model)
     ball = None
     if check_region is None or jump:
         ball = _DriftTable(model, model.states_within(max(cert.radius_r, cert.radius_e)))
@@ -300,7 +291,6 @@ class BoundInputs:
     h2_A: np.ndarray
     verified: bool
     sha256: str = ""
-    skip_rate_domination: bool = False
 
 
 def evaluate_certificate(cert: DriftCertificate, partition: Partition,
@@ -317,11 +307,8 @@ def evaluate_certificate(cert: DriftCertificate, partition: Partition,
     if len(cert.return_set) != partition.k_size:
         raise CertificateError("certificate return set does not match the partition")
     r_A = partition.evaluate(cert.envelope)
-    h1 = _overflow(partition, cert.g_r, cert.h_r)
-    if cert.single_pair and cert.h_e is cert.h_r:
-        h2 = h1
-    else:
-        h2 = _overflow(partition, cert.g_r if cert.single_pair else cert.g_e, cert.h_e)
+    h1 = partition.boundary_overflow(cert.g_r)
+    h2 = h1 if cert.single_pair else partition.boundary_overflow(cert.g_e)
     payload = certificate_payload(cert, partition, r_A, h1, h2)
     sha = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
     return BoundInputs(
@@ -331,22 +318,7 @@ def evaluate_certificate(cert: DriftCertificate, partition: Partition,
         h2_A=h2,
         verified=True,
         sha256=sha,
-        skip_rate_domination=cert.skip_rate_domination,
     )
-
-
-def _overflow(partition: Partition, g: Callable, bound_fn: Callable | None) -> np.ndarray:
-    """Exterior overflow vector: exact from the boundary rows, or the
-    model-supplied upper bound (checked against the exact value where the
-    row support allows)."""
-    exact = partition.boundary_overflow(g)
-    if bound_fn is None:
-        return exact
-    h = partition.evaluate(bound_fn)
-    slack = 1e-12 * (1.0 + np.abs(exact))
-    if np.any(h < exact - slack):
-        raise CertificateError("supplied overflow bound falls below the exact overflow")
-    return h
 
 
 def certificate_payload(cert: DriftCertificate, partition: Partition,
@@ -383,25 +355,6 @@ def moment_bound(model, g3: Callable, w: Callable, core_radius: int) -> float:
     s = table.surplus(g3, w)
     table.require_finite(table.src, s)
     return float(s.max()) if s.size and s.max() > 0.0 else 0.0
-
-
-@dataclass(frozen=True)
-class MomentCertificate:
-    """A certified stationary moment: E w <= bound, with the core radius the
-    numerical scan covered (drift holds analytically beyond it)."""
-
-    bound: float
-    core_radius: int
-
-    def tail_bound(self, level: float) -> float:
-        """Guaranteed stationary mass of ``{w < level}``."""
-        return tail_mass_bound(self.bound, level)
-
-
-def moment_certificate(model, g3: Callable, w: Callable,
-                       core_radius: int) -> MomentCertificate:
-    return MomentCertificate(bound=moment_bound(model, g3, w, core_radius),
-                             core_radius=int(core_radius))
 
 
 def tail_mass_bound(moment_c: float, level: float) -> float:

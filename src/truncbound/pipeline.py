@@ -18,14 +18,9 @@ from .bounds import BoundReport, compute_bounds
 from .censor import TruncationWorkspace
 from .ctmc import embed
 from .errors import ModelError
-from .lyapunov import (
-    DriftCertificate,
-    certificate_payload,
-    evaluate_certificate,
-    verify_certificate,
-)
+from .lyapunov import DriftCertificate, evaluate_certificate, verify_certificate
 from .models import GM1Model, ToggleSwitchModel
-from .statespace import enumerate_space, explicit_k_predicate, repartition
+from .statespace import enumerate_space, explicit_k_predicate, is_jump, repartition
 
 
 def build_model(name: str, params: dict):
@@ -63,7 +58,6 @@ class PipelineResult:
     runs: dict = field(default_factory=dict)           # envelope id -> EnvelopeRun
     distribution_states: list = field(default_factory=list)
     distribution_mass: np.ndarray | None = None
-    certificate_payloads: dict = field(default_factory=dict)
     timings: dict = field(default_factory=dict)
 
     def report(self, envelope_id: str) -> BoundReport:
@@ -73,8 +67,7 @@ class PipelineResult:
 def run_pipeline(model, truncation: dict, *, envelopes=("r",),
                  stochasticization: str = "row",
                  explicit_return_set=None,
-                 with_distribution: bool = True,
-                 with_payloads: bool = False) -> PipelineResult:
+                 with_distribution: bool = True) -> PipelineResult:
     """Run the full bound pipeline for each envelope reward.
 
     Jump-process models are embedded first; their certificates are verified
@@ -86,17 +79,11 @@ def run_pipeline(model, truncation: dict, *, envelopes=("r",),
     t_all = time.perf_counter()
     result = PipelineResult(model_name=model.name, truncation=dict(truncation))
     a_pred = truncation_predicate(model, truncation)
-    is_jump = hasattr(model, "rate_row")
-    chain = embed(model) if is_jump else model
+    chain = embed(model) if is_jump(model) else model
 
-    certs = {}
-    for env in envelopes:
-        rs = tuple(explicit_return_set) if explicit_return_set is not None else None
-        cert = model.certificate_for_envelope(env, return_set=rs)
-        certs[env] = verify_certificate(model, cert)
-
+    certs = verified_certificates(model, envelopes, explicit_return_set)
     by_return_set: dict[tuple, list[str]] = {}
-    for env, cert in certs.items():
+    for env, (cert, _) in certs.items():
         by_return_set.setdefault(cert.return_set, []).append(env)
 
     primary_partition = None
@@ -113,13 +100,12 @@ def run_pipeline(model, truncation: dict, *, envelopes=("r",),
         ws = TruncationWorkspace(part)
         result.timings[f"partition[{','.join(env_group)}]"] = time.perf_counter() - t0
         for env in env_group:
-            cert = certs[env]
+            cert, k_star = certs[env]
             inputs = evaluate_certificate(cert, part, envelope_id=env)
             report = compute_bounds(ws, inputs, stochasticization=stochasticization,
                                     reward_id=env)
             report.provenance["model"] = model.name
             report.provenance["truncation"] = dict(truncation)
-            k_star = max(model.norm(s) for s in cert.return_set)
             result.runs[env] = EnvelopeRun(
                 envelope_id=env,
                 certificate=cert,
@@ -127,10 +113,6 @@ def run_pipeline(model, truncation: dict, *, envelopes=("r",),
                 k_size=len(cert.return_set),
                 k_star=k_star,
             )
-            if with_payloads:
-                result.certificate_payloads[env] = certificate_payload(
-                    cert, part, inputs.r_A, inputs.h1_A, inputs.h2_A
-                )
         if primary_partition is None or envelopes[0] in env_group:
             primary_partition = (ws, part)
 
@@ -148,22 +130,17 @@ def run_pipeline(model, truncation: dict, *, envelopes=("r",),
     return result
 
 
-def verify_only(model, *, envelopes=("r",), explicit_return_set=None) -> dict:
-    """Certificate construction and verification without any linear algebra.
+def verified_certificates(model, envelopes, explicit_return_set) -> dict:
+    """Construct and verify each envelope's certificate, without any linear
+    algebra (a jump process is checked in generator form).
 
-    Returns the per-envelope return-set summary (size, largest norm, radii).
+    ``explicit_return_set`` (or None for each model's designed one) is used
+    for every envelope.  Maps each envelope id to ``(certificate, k_star)``,
+    where ``k_star`` is the largest norm in the certificate's return set.
     """
+    rs = tuple(explicit_return_set) if explicit_return_set is not None else None
     out = {}
     for env in envelopes:
-        rs = tuple(explicit_return_set) if explicit_return_set is not None else None
-        cert = model.certificate_for_envelope(env, return_set=rs)
-        cert = verify_certificate(model, cert)
-        out[env] = {
-            "k_size": len(cert.return_set),
-            "k_star": max(model.norm(s) for s in cert.return_set),
-            "radius_envelope": cert.radius_r,
-            "radius_unit": cert.radius_e,
-            "single_pair": cert.single_pair,
-            "verified": cert.verified,
-        }
+        cert = verify_certificate(model, model.certificate_for_envelope(env, return_set=rs))
+        out[env] = cert, max(model.norm(s) for s in cert.return_set)
     return out

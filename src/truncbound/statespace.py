@@ -49,9 +49,6 @@ class StateSpace:
         idx = self._index.get(state)
         return idx is not None and idx < self.k_size
 
-    def in_a(self, state: State) -> bool:
-        return state in self._index
-
     @property
     def _index(self) -> dict:
         d = self.__dict__.get("_index_cache")
@@ -59,9 +56,6 @@ class StateSpace:
             d = {s: i for i, s in enumerate(self.states)}
             object.__setattr__(self, "_index_cache", d)
         return d
-
-    def k_states(self) -> tuple:
-        return self.states[: self.k_size]
 
 
 @dataclass
@@ -118,7 +112,6 @@ def enumerate_space(
     k_predicate: Callable[[State], bool],
     *,
     cap: int = DEFAULT_ENUMERATION_CAP,
-    k_sort_key: Callable[[State], object] | None = None,
 ) -> tuple[StateSpace, Partition]:
     """Breadth-first enumeration of A from the model seed, with block partition.
 
@@ -139,7 +132,7 @@ def enumerate_space(
     :class:`ModelError` for invalid rows or an empty K.
     """
     found, src, dst, p, exterior = _explore(model, a_predicate, cap)
-    space = _k_first_space(sorted(found), k_predicate, k_sort_key)
+    space = _k_first_space(sorted(found), k_predicate)
     index = space._index
     new = np.fromiter(map(index.__getitem__, found), dtype=np.intp, count=len(found))
     boundary = [()] * space.a_size
@@ -163,7 +156,7 @@ def repartition(part: Partition, k_predicate: Callable[[State], bool],
     order in which a row's repeated targets were added).
     """
     old = part.space
-    space = _k_first_space(sorted(old.states), k_predicate, None)
+    space = _k_first_space(sorted(old.states), k_predicate)
     perm = np.fromiter(map(old.index_of, space.states), dtype=np.intp, count=space.a_size)
     new = np.empty_like(perm)
     new[perm] = np.arange(space.a_size)
@@ -189,6 +182,38 @@ def _row_batches(model, name: str = "row") -> Callable:
                 targets.append(y)
                 p.append(q)
         return pos, targets, p
+
+    return rows
+
+
+def is_jump(model) -> bool:
+    """A model is a jump process iff it defines ``rate_row``; its batch form
+    ``rate_rows`` is optional, as ``rows`` is for ``row``."""
+    return hasattr(model, "rate_row")
+
+
+def _rate_batches(jump) -> Callable:
+    """The jump model's rate rows, checked, with their exit rates:
+    ``states -> (pos, targets, rates, exit_rates)``.
+
+    Every rate must be finite and nonnegative and every exit rate positive;
+    each state's rates add left to right in entry order.
+    """
+    rate_rows = _row_batches(jump, "rate_row")
+
+    def rows(states):
+        pos, targets, rates = rate_rows(states)
+        pos = np.asarray(pos, dtype=np.intp)
+        rates = np.asarray(rates, dtype=float)
+        bad = ~((rates >= 0.0) & (rates < np.inf))
+        if bad.any():
+            j = int(np.argmax(bad))
+            raise ModelError(f"invalid rate {float(rates[j])!r} out of state {states[pos[j]]!r}")
+        lam = np.bincount(pos, weights=rates, minlength=len(states))
+        if np.any(lam <= 0.0):
+            x = states[int(np.argmax(lam <= 0.0))]
+            raise ModelError(f"absorbing state {x!r}: zero exit rate")
+        return pos, targets, rates, lam
 
     return rows
 
@@ -270,9 +295,9 @@ def _explore(model, a_predicate, cap):
     return found, src[inner], dst[inner], p[inner], exterior
 
 
-def _k_first_space(states: list, k_predicate, k_sort_key) -> StateSpace:
-    """K sorted by ``k_sort_key`` (ties in state order), then A' in state order."""
-    k_states = sorted(filter(k_predicate, states), key=k_sort_key)
+def _k_first_space(states: list, k_predicate) -> StateSpace:
+    """K, then A', each in the order of the sorted ``states``."""
+    k_states = list(filter(k_predicate, states))
     if not k_states:
         raise ModelError("return set K is empty on the enumerated truncation set")
     k_set = set(k_states)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from truncbound import DiscreteModel, user_model
+from truncbound import DiscreteModel
 from truncbound.lyapunov import DriftCertificate, verify_certificate
 
 
@@ -68,12 +68,21 @@ def kappa_oracle(P: np.ndarray, k: int, w: np.ndarray) -> tuple[np.ndarray, np.n
     return w[:k] + P[:k, k:] @ eta, eta
 
 
+def upper_cycle_rewards(ws, inputs) -> tuple[np.ndarray, np.ndarray]:
+    """Upper bounds on the full cycle rewards of the envelope and of the unit
+    reward over K: within-A part plus the overflow beyond A, as
+    ``compute_bounds`` adds them."""
+    unit = ws.unit_vec
+    return (ws.kappa_lower(inputs.r_A * unit) + ws.kappa_lower(inputs.h1_A),
+            ws.kappa_lower(unit) + ws.kappa_lower(inputs.h2_A))
+
+
 def host_model(P: np.ndarray, name: str = "host"):
     n = P.shape[0]
-    return user_model(
-        lambda x: [(j, float(P[x, j])) for j in range(n) if P[x, j] != 0.0],
-        seed=0,
+    return DiscreteModel(
         name=name,
+        seed=0,
+        row=lambda x: [(j, float(P[x, j])) for j in range(n) if P[x, j] != 0.0],
         norm=lambda s: float(s),
         states_within=lambda rad: range(min(n, int(rad) + 1)),
         rewards={"r": lambda s: float(s), "e": lambda s: 1.0},
@@ -103,7 +112,8 @@ def batch_model(row_fn, *, seed=0, name: str = "batch"):
 
 def model_forms(row_fn, *, seed=0):
     """The same chain given one state at a time and through the batch hook."""
-    return [user_model(row_fn, seed=seed, name="per-state"), batch_model(row_fn, seed=seed)]
+    return [DiscreteModel(name="per-state", seed=seed, row=row_fn),
+            batch_model(row_fn, seed=seed)]
 
 
 def assert_partitions_identical(a, b) -> None:

@@ -9,7 +9,6 @@ from truncbound.bounds import (
     delta1_bound,
     delta2_bound,
     ell_lower_bound,
-    kappa_upper,
     minorization_bounds,
     reward_interval,
     singleton_bounds,
@@ -28,6 +27,7 @@ from conftest import (
     kappa_oracle,
     random_stochastic,
     stationary_power,
+    upper_cycle_rewards,
 )
 
 
@@ -46,7 +46,7 @@ class TestKappaUpper:
     def test_full_space_upper_equals_lower(self, rng):
         P, model, ws, inputs = setup_host(rng)
         kl = ws.kappa_lower(inputs.r_A * ws.unit_vec)
-        assert np.abs(kappa_upper(ws, inputs, "r") - kl).max() < 1e-12
+        assert np.abs(upper_cycle_rewards(ws, inputs)[0] - kl).max() < 1e-12
 
     def test_hand_three_state_host(self):
         # A = {0, 1}, K = {0}; state 2 outside A with hand-set certificate
@@ -73,7 +73,7 @@ class TestKappaUpper:
         h10 = P[0, 2] * eta_r[1]
         h11 = P[1, 2] * eta_r[1]
         expect = kl_r + h10 + P[0, 1] / (1 - P[1, 1]) * h11
-        got = kappa_upper(ws, inputs, "r")
+        got, _ = upper_cycle_rewards(ws, inputs)
         assert got[0] == pytest.approx(expect, rel=1e-12)
         # and the exact-certificate construction reproduces the full truth
         kap_r, _ = kappa_oracle(P, 1, r)
@@ -84,7 +84,7 @@ class TestKappaUpper:
         from dataclasses import replace
 
         with pytest.raises(CertificateError):
-            kappa_upper(ws, replace(inputs, verified=False), "r")
+            compute_bounds(ws, replace(inputs, verified=False))
 
 
 class TestSingletonBounds:
@@ -92,8 +92,7 @@ class TestSingletonBounds:
         P, model, ws, inputs = setup_host(rng, n=10, k=1)
         kl_r = ws.kappa_lower(inputs.r_A)
         kl_e = ws.kappa_lower(np.ones(10))
-        ku_r = kappa_upper(ws, inputs, "r")
-        ku_e = kappa_upper(ws, inputs, "e")
+        ku_r, ku_e = upper_cycle_rewards(ws, inputs)
         lo, hi = singleton_bounds(kl_r, ku_r, kl_e, ku_e)
         pir = stationary_power(P) @ np.arange(10.0)
         assert lo == pytest.approx(pir, abs=1e-10)
@@ -102,7 +101,7 @@ class TestSingletonBounds:
     def test_unit_reward_brackets_one(self, rng):
         P, model, ws, inputs = setup_host(rng, n=10, k=1, a=8)
         kl_e = ws.kappa_lower(np.ones(8))
-        ku_e = kappa_upper(ws, inputs, "e")
+        _, ku_e = upper_cycle_rewards(ws, inputs)
         lo, hi = singleton_bounds(kl_e, ku_e, kl_e, ku_e)
         assert lo <= 1.0 <= hi
 
@@ -156,8 +155,7 @@ class TestMinorizationBounds:
         P, model, ws, inputs = setup_host(rng, n=10, k=1, a=8)
         kl_r = ws.kappa_lower(inputs.r_A[:8])
         kl_e = ws.kappa_lower(np.ones(8))
-        ku_r = kappa_upper(ws, inputs, "r")
-        ku_e = kappa_upper(ws, inputs, "e")
+        ku_r, ku_e = upper_cycle_rewards(ws, inputs)
         tau = ws.censored().tau
         assert minorization_bounds(tau, kl_r, ku_r, kl_e, ku_e) == \
             singleton_bounds(kl_r, ku_r, kl_e, ku_e)
@@ -166,8 +164,7 @@ class TestMinorizationBounds:
         P, model, ws, inputs = setup_host(rng, n=14, k=4)
         kl_r = ws.kappa_lower(inputs.r_A)
         kl_e = ws.kappa_lower(np.ones(14))
-        ku_r = kappa_upper(ws, inputs, "r")
-        ku_e = kappa_upper(ws, inputs, "e")
+        ku_r, ku_e = upper_cycle_rewards(ws, inputs)
         lo, hi = minorization_bounds(ws.censored().tau, kl_r, ku_r, kl_e, ku_e)
         pir = stationary_power(P) @ np.arange(14.0)
         assert hi - lo < 1e-9

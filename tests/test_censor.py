@@ -29,7 +29,7 @@ class TestCensoredMatrix:
     def test_matches_dense_schur_complement(self, rng):
         P = random_stochastic(rng, 12)
         ws = workspace_for(P, 3)
-        G = ws.censored_matrix()
+        G = ws.censored().G
         assert np.abs(G - censored_matrix_oracle(P, 3)).max() < 1e-12
 
     def test_no_middle_transitions_truncates_series(self):
@@ -42,12 +42,12 @@ class TestCensoredMatrix:
         ])
         ws = workspace_for(P, 2)
         expected = P[:2, :2] + P[:2, 2:] @ P[2:, :2]
-        assert np.abs(ws.censored_matrix() - expected).max() < 1e-15
+        assert np.abs(ws.censored().G - expected).max() < 1e-15
 
     def test_k_equals_a(self, rng):
         P = random_stochastic(rng, 8)
         ws = workspace_for(P, 5, a=5)
-        assert np.abs(ws.censored_matrix() - P[:5, :5]).max() == 0.0
+        assert np.abs(ws.censored().G - P[:5, :5]).max() == 0.0
 
     def test_row_normalized_recovers_censored_stationary(self, rng):
         P = random_stochastic(rng, 12)
@@ -67,7 +67,7 @@ class TestCensoredMatrix:
         P[3, 2] = 0.9  # remaining 0.1 exits A
         part = partition_from_matrix(P[np.ix_([0, 2, 1, 3], [0, 2, 1, 3])], 2)
         with pytest.raises(IrreducibilityError):
-            TruncationWorkspace(part).censored_matrix()
+            TruncationWorkspace(part).censored().G
 
     @given(seed=st.integers(0, 5_000))
     @settings(max_examples=25, deadline=None)
@@ -83,7 +83,7 @@ class TestCensoredMatrix:
                 enumerate_space(host_model(P), lambda s, a=a: s < a,
                                 lambda s: s < k)[1],
                 require_irreducible=False,
-            ).censored_matrix()
+            ).censored().G
             assert (G <= exact + 1e-12).all()
             if prev is not None:
                 assert (prev <= G + 1e-12).all()

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from truncbound import TruncationWorkspace, enumerate_space
+from truncbound.bounds import compute_bounds, reward_interval
 from truncbound.ctmc import (
     JumpModel,
-    ctmc_expectation_bounds,
     embed,
+    exit_rate,
     stationary_reconstruction,
     transform_reward,
     verify_ctmc_drift,
@@ -34,6 +35,25 @@ def jump_from_matrix(Q: np.ndarray, name="ctmc-host"):
     )
 
 
+class ToggleWithRate(ToggleSwitchModel):
+    """toggle(20, 1) with one extra rate ``rate`` from (3, 3) to (2, 4), in
+    both ``rate_row`` and ``rate_rows``."""
+
+    def __init__(self, rate):
+        super().__init__(20.0, 1.0)
+        self.extra = rate
+
+    def rate_row(self, state):
+        out = super().rate_row(state)
+        return out + [((2, 4), self.extra)] if state == (3, 3) else out
+
+    def rate_rows(self, states):
+        pos, targets, rates = super().rate_rows(states)
+        at = [i for i, s in enumerate(states) if tuple(s) == (3, 3)]
+        return (np.append(pos, at).astype(np.intp), targets + [(2, 4)] * len(at),
+                np.append(rates, [self.extra] * len(at)))
+
+
 def stationary_rate_oracle(Q: np.ndarray) -> np.ndarray:
     """Direct dense solve of nu Q = 0 with unit mass."""
     n = Q.shape[0]
@@ -52,7 +72,7 @@ class TestEmbedding:
         chain = embed(jm)
         assert chain.row(0) == [(1, 1.0)]
         assert chain.row(1) == [(0, 1.0)]
-        assert jm.exit_rate(0) == 1.0 and jm.exit_rate(1) == 2.0
+        assert exit_rate(jm, 0) == 1.0 and exit_rate(jm, 1) == 2.0
 
     def test_birth_death_recovers_rate_stationary(self, rng):
         rates_up = rng.random(4) + 0.5
@@ -88,6 +108,18 @@ class TestEmbedding:
         with pytest.raises(ModelError, match="absorbing"):
             chain.row(1)
 
+    @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf], ids=["negative", "nan", "inf"])
+    @pytest.mark.parametrize("form", ["per-state", "batch"])
+    def test_invalid_rate_rejected(self, form, bad):
+        m = ToggleWithRate(bad)
+        if form == "per-state":
+            m = JumpModel(name="bad-per-state", seed=m.seed, rate_row=m.rate_row,
+                          norm=m.norm, states_within=m.states_within, rewards=m.rewards)
+        with pytest.raises(ModelError, match=r"state \(3, 3\)"):
+            enumerate_space(embed(m), lambda s: s[0] + s[1] <= 30, lambda s: s == (0, 0))
+        with pytest.raises(ModelError, match=r"state \(3, 3\)"):
+            exit_rate(m, (3, 3))
+
     def test_unit_weights_are_holding_times(self):
         Q = np.array([[-1.0, 1.0], [2.0, -2.0]])
         chain = embed(jump_from_matrix(Q))
@@ -99,20 +131,21 @@ class TestRewardTransform:
     def test_exit_rate_transforms_to_one(self):
         Q = np.array([[-3.0, 3.0], [0.5, -0.5]])
         jm = jump_from_matrix(Q)
-        f = transform_reward(jm.exit_rate, jm.exit_rate)
+        rate = lambda x: exit_rate(jm, x)
+        f = transform_reward(rate, rate)
         assert f(0) == pytest.approx(1.0) and f(1) == pytest.approx(1.0)
 
     def test_zero_stays_zero(self):
         Q = np.array([[-3.0, 3.0], [0.5, -0.5]])
         jm = jump_from_matrix(Q)
-        f = transform_reward(lambda x: 0.0, jm.exit_rate)
+        f = transform_reward(lambda x: 0.0, lambda x: exit_rate(jm, x))
         assert f(0) == 0.0
 
     def test_toggle_balance_point_value(self):
         ts = ToggleSwitchModel(20.0, 1.0)
-        f = transform_reward(lambda s: float(s[0] + s[1]), ts.exit_rate)
+        f = transform_reward(lambda s: float(s[0] + s[1]), lambda s: exit_rate(ts, s))
         # at (4,4): total count 8, exit rate 2*20/5 + 8 = 16
-        assert ts.exit_rate((4, 4)) == pytest.approx(16.0)
+        assert exit_rate(ts, (4, 4)) == pytest.approx(16.0)
         assert f((4, 4)) == pytest.approx(0.5)
 
 
@@ -166,7 +199,7 @@ class TestCtmcBounds:
         a = n if a is None else a
         k = 2
         # exact certificate for the embedded chain with envelope r
-        lam = np.array([jm.exit_rate(x) for x in range(n)])
+        lam = np.array([exit_rate(jm, x) for x in range(n)])
         R = Q / lam[:, None]
         np.fill_diagonal(R, 0.0)
         r = np.arange(float(n)) + lam  # dominates exit rates
@@ -189,7 +222,7 @@ class TestCtmcBounds:
         Q, jm, ws, inputs, r = self._setup(rng)
         nu = stationary_rate_oracle(Q)
         f = np.arange(float(Q.shape[0]))
-        lo, hi = ctmc_expectation_bounds(ws, inputs, f)
+        lo, hi = reward_interval(ws, inputs, f)
         truth = float(nu @ f)
         assert hi - lo < 1e-8
         assert lo - 1e-9 <= truth <= hi + 1e-9
@@ -197,19 +230,19 @@ class TestCtmcBounds:
     def test_exit_rate_reward_brackets_oracle(self, rng):
         Q, jm, ws, inputs, r = self._setup(rng)
         nu = stationary_rate_oracle(Q)
-        lam = np.array([jm.exit_rate(x) for x in range(Q.shape[0])])
-        lo, hi = ctmc_expectation_bounds(ws, inputs, lam)
+        lam = np.array([exit_rate(jm, x) for x in range(Q.shape[0])])
+        lo, hi = reward_interval(ws, inputs, lam)
         truth = float(nu @ lam)
         assert lo - 1e-9 <= truth <= hi + 1e-9
 
     def test_zero_reward_brackets_zero(self, rng):
         Q, jm, ws, inputs, r = self._setup(rng)
-        lo, hi = ctmc_expectation_bounds(ws, inputs, np.zeros(Q.shape[0]))
+        lo, hi = reward_interval(ws, inputs, np.zeros(Q.shape[0]))
         assert lo <= 0.0 <= hi
 
     def test_report_for_envelope(self, rng):
         Q, jm, ws, inputs, r = self._setup(rng, a=5)
-        rep = ctmc_expectation_bounds(ws, inputs)
+        rep = compute_bounds(ws, inputs)
         nu = stationary_rate_oracle(Q)
         truth = float(nu @ r)
         assert rep.lower <= truth <= rep.upper

@@ -96,6 +96,8 @@ def random_rows(rng, n, jump):
         if not jump:
             w -= 0.1 * rng.random(size)         # the kernel does not validate masses
         rows[x] = [(int(y), float(v)) for y, v in zip(targets, w) if not (jump and y == x)]
+        if jump and not rows[x]:
+            rows[x] = [((x + 1) % (n + 3), 1.0)]  # every state of a jump process is left
     return rows
 
 

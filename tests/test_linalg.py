@@ -5,10 +5,10 @@ from hypothesis import strategies as st
 
 from truncbound.errors import NumericalError, ReducibleMatrixError
 from truncbound.linalg import (
+    SubstochasticSolver,
     fundamental_matrix,
     is_irreducible,
     perron_eigenpair,
-    solve_linear,
     stationary_small,
     strongly_connected_components,
 )
@@ -25,15 +25,16 @@ def random_substochastic(rng, n, scale=0.9):
 class TestSolveLinear:
     def test_zero_matrix_is_identity_system(self):
         v = np.array([3.0, -1.0, 0.5])
-        assert np.array_equal(solve_linear(np.zeros((3, 3)), v), v)
+        assert np.array_equal(SubstochasticSolver(np.zeros((3, 3))).solve(v), v)
 
     def test_scalar_geometric_series(self):
-        assert solve_linear(np.array([[0.5]]), np.array([1.0]))[0] == pytest.approx(2.0)
+        x = SubstochasticSolver(np.array([[0.5]])).solve(np.array([1.0]))
+        assert x[0] == pytest.approx(2.0)
 
     def test_matches_truncated_neumann_series(self, rng):
         M = random_substochastic(rng, 20, scale=0.9)
         e = np.ones(20)
-        x = solve_linear(M, e)
+        x = SubstochasticSolver(M).solve(e)
         # partial sums of M^k e; tail below 1e-12 at this depth since ||M|| <= 0.9
         acc = np.zeros(20)
         term = e.copy()
@@ -45,14 +46,14 @@ class TestSolveLinear:
     def test_multiple_rhs_and_transpose(self, rng):
         M = random_substochastic(rng, 10)
         B = rng.random((10, 3))
-        X = solve_linear(M, B)
+        X = SubstochasticSolver(M).solve(B)
         assert np.abs((np.eye(10) - M) @ X - B).max() < 1e-10
 
     def test_singular_system_raises(self):
         # row-stochastic M makes I - M singular
         M = np.array([[0.0, 1.0], [1.0, 0.0]])
         with pytest.raises(NumericalError):
-            solve_linear(M, np.ones(2))
+            SubstochasticSolver(M).solve(np.ones(2))
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
@@ -60,7 +61,7 @@ class TestSolveLinear:
         r = np.random.default_rng(seed)
         n = int(r.integers(2, 30))
         M = random_substochastic(r, n, scale=float(r.uniform(0.2, 0.95)))
-        x = solve_linear(M, r.random(n))
+        x = SubstochasticSolver(M).solve(r.random(n))
         assert x.min() > -1e-12
 
 

@@ -23,6 +23,7 @@ from conftest import (
     kappa_oracle,
     random_stochastic,
     stationary_power,
+    upper_cycle_rewards,
 )
 
 
@@ -224,12 +225,11 @@ class TestCertificate:
             _, part = enumerate_space(model, lambda s, a=a: s < a, lambda s: s < 3)
             ws = TruncationWorkspace(part)
             inputs = evaluate_certificate(cert, part)
-            from truncbound.bounds import kappa_upper
-
+            ku_r, ku_e = upper_cycle_rewards(ws, inputs)
             kap_r, _ = kappa_oracle(P, 3, r)
             kap_e, _ = kappa_oracle(P, 3, np.ones(11))
-            assert np.abs(kappa_upper(ws, inputs, "r") - kap_r).max() < 1e-9
-            assert np.abs(kappa_upper(ws, inputs, "e") - kap_e).max() < 1e-9
+            assert np.abs(ku_r - kap_r).max() < 1e-9
+            assert np.abs(ku_e - kap_e).max() < 1e-9
 
     def test_single_pair_mode(self, rng):
         P = random_stochastic(rng, 9)
@@ -266,29 +266,3 @@ class TestCertificate:
         _, part = enumerate_space(model, lambda s: s < 8, lambda s: s < 3)
         with pytest.raises(CertificateError, match="return set"):
             evaluate_certificate(cert, part)
-
-    def test_bounded_overflow_mode(self, rng):
-        # a model-supplied overflow bound (here 2x the exact one) widens the
-        # interval but keeps it valid; an under-estimate is rejected
-        from dataclasses import replace
-
-        from truncbound.bounds import compute_bounds
-
-        P = random_stochastic(rng, 10)
-        model = host_model(P)
-        r = np.arange(10.0)
-        cert = exact_certificate(P, 3, r, model)
-        _, part = enumerate_space(model, lambda s: s < 8, lambda s: s < 3)
-        exact_h1 = part.boundary_overflow(cert.g_r)
-        lookup = {part.space.state_of(i): 2.0 * exact_h1[i] for i in range(8)}
-        padded = replace(cert, h_r=lambda s: lookup[s])
-        ws = TruncationWorkspace(part)
-        rep_exact = compute_bounds(ws, evaluate_certificate(cert, part))
-        ws2 = TruncationWorkspace(part)
-        rep_padded = compute_bounds(ws2, evaluate_certificate(padded, part))
-        pir = stationary_power(P) @ r
-        assert rep_padded.lower <= pir <= rep_padded.upper
-        assert rep_padded.upper >= rep_exact.upper
-        under = replace(cert, h_r=lambda s: 0.5 * lookup[s] / 2.0 * 0.5)
-        with pytest.raises(CertificateError, match="below the exact"):
-            evaluate_certificate(under, part)

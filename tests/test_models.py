@@ -4,15 +4,17 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from truncbound import JumpModel, embed, enumerate_space
+from truncbound import JumpModel, embed, enumerate_space, exit_rate
 from truncbound.errors import ModelError
-from truncbound.models import GM1Model, ToggleSwitchModel, user_model
+from truncbound.models import DiscreteModel, GM1Model, ToggleSwitchModel
 
 from conftest import assert_partitions_identical, model_forms, random_stochastic
+from gm1_reference import reference_distribution
 
 
 def per_state_toggle(ts: ToggleSwitchModel):
-    """The embedded toggle switch without its batch hooks: ``row`` only."""
+    """The embedded toggle switch without ``rate_rows``: its rows come from a
+    loop over ``rate_row``."""
     jump = JumpModel(name="toggle-per-state", seed=ts.seed, rate_row=ts.rate_row,
                      norm=ts.norm, states_within=ts.states_within, rewards=ts.rewards)
     return embed(jump)
@@ -109,11 +111,11 @@ class TestGm1Lyapunov:
 class TestToggleSwitch:
     def test_origin_exit_rate(self):
         ts = ToggleSwitchModel(20.0, 1.0)
-        assert ts.exit_rate((0, 0)) == pytest.approx(40.0)
+        assert exit_rate(ts, (0, 0)) == pytest.approx(40.0)
 
     def test_balance_point_exit_rate(self):
         ts = ToggleSwitchModel(20.0, 1.0)
-        assert ts.exit_rate((4, 4)) == pytest.approx(2 * 20 / 5 + 8)
+        assert exit_rate(ts, (4, 4)) == pytest.approx(2 * 20 / 5 + 8)
 
     def test_balance_points(self):
         assert ToggleSwitchModel(20.0, 1.0).x_star == pytest.approx(4.0)
@@ -125,7 +127,7 @@ class TestToggleSwitch:
             s = (int(rng.integers(0, 40)), int(rng.integers(0, 40)))
             rates = ts.rate_row(s)
             assert all(r >= 0 for _, r in rates)
-            assert sum(r for _, r in rates) == pytest.approx(ts.exit_rate(s))
+            assert sum(r for _, r in rates) == pytest.approx(exit_rate(ts, s))
 
     def test_boundary_channels_vanish(self):
         ts = ToggleSwitchModel(20.0, 1.0)
@@ -157,9 +159,9 @@ class TestToggleSwitch:
 class TestUserModel:
     def test_wraps_random_host(self, rng):
         P = random_stochastic(rng, 12)
-        model = user_model(
-            lambda x: [(j, float(P[x, j])) for j in range(12) if P[x, j]],
-            seed=0,
+        model = DiscreteModel(
+            name="user", seed=0,
+            row=lambda x: [(j, float(P[x, j])) for j in range(12) if P[x, j]],
         )
         space, part = enumerate_space(model, lambda s: True, lambda s: s < 3)
         assert space.a_size == 12
@@ -169,15 +171,14 @@ class TestUserModel:
         # the built-in batch hooks against their per-state rows; gm1 both
         # below and above len(beta_masses) = 192, toggle at levels 30 and 200
         gm1 = GM1Model()
-        wrapped = user_model(gm1.row, seed=0, name="gm1-wrapped")
+        wrapped = DiscreteModel(name="gm1-wrapped", seed=0, row=gm1.row)
+        assert wrapped.rows is None
         ts = ToggleSwitchModel(20.0, 1.0)
         cases = [(gm1, wrapped, lambda s, top=top: s <= top, lambda s: s <= 10)
                  for top in (50, 400)]
         cases += [(embed(ts), per_state_toggle(ts), lambda s, lv=lv: s[0] + s[1] <= lv,
                    lambda s: s[0] + s[1] <= 4) for lv in (30, 200)]
         for batch, per_state, a_pred, k_pred in cases:
-            assert getattr(batch, "rows", None) is not None
-            assert getattr(per_state, "rows", None) is None
             _, p1 = enumerate_space(batch, a_pred, k_pred)
             _, p2 = enumerate_space(per_state, a_pred, k_pred)
             assert_partitions_identical(p1, p2)
@@ -198,20 +199,34 @@ class TestBatchRows:
         assert list(zip(pos.tolist(), targets, p.tolist())) == expected
 
     def test_toggle_rows_match_row_entry_for_entry(self):
+        # rate_rows against rate_row; the embedded chain, through rate_rows
+        # and through a loop over rate_row, against each rate divided by the
+        # state's rates summed left to right, and 1 / that sum as unit weight
         ts = ToggleSwitchModel(90.0, 1.0)
         states = [(0, 0), (3, 0), (0, 5), (7, 2), (120, 80)]
-        for batch, rows in ((ts.rate_rows, ts.rate_row), (embed(ts).rows, embed(ts).row)):
+        exit_rates = []
+        for x in states:
+            lam = 0.0
+            for _, r in ts.rate_row(x):
+                lam += r
+            exit_rates.append(lam)
+        embedded_row = lambda x: [(y, r / exit_rates[states.index(x)]) for y, r in ts.rate_row(x)]
+        cases = [(ts.rate_rows, ts.rate_row)]
+        cases += [(chain.rows, embedded_row) for chain in (embed(ts), per_state_toggle(ts))]
+        for batch, rows in cases:
             pos, targets, p = batch(states)
             got = {}
             for i, y, q in zip(pos.tolist(), targets, p.tolist()):
                 got.setdefault(i, []).append((y, q))  # each state's entries in order
             assert got == {i: list(rows(x)) for i, x in enumerate(states)}
+        for chain in (embed(ts), per_state_toggle(ts)):
+            assert chain.unit_weights(states).tobytes() == (1.0 / np.array(exit_rates)).tobytes()
 
 
 class TestReferenceProtocol:
     def test_reference_matches_geometric_law(self):
         gm1 = GM1Model()
-        ref = gm1.reference_distribution(10000, 4)
+        ref = reference_distribution(gm1, 10000, 4)
         law = gm1.exact_geometric()
         geo = law.masses(10001)
         gap = float(np.abs(ref - geo).sum() + law.tail(10001))

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from truncbound import TruncationWorkspace, enumerate_space, user_model
-from truncbound.censor import compute_G
+from truncbound import DiscreteModel, TruncationWorkspace, enumerate_space
 from truncbound.ctmc import embed
 from truncbound.errors import EnumerationLimitError, ModelError
 from truncbound.models import GM1Model, ToggleSwitchModel
@@ -10,7 +9,6 @@ from truncbound.statespace import explicit_k_predicate, repartition
 
 from conftest import (
     assert_partitions_identical,
-    exact_certificate,
     host_model,
     model_forms,
     random_stochastic,
@@ -25,7 +23,7 @@ def walk_row(x):
 
 
 def lattice_walk(n_max=None):
-    return user_model(walk_row, seed=0, name="walk", norm=lambda s: float(s))
+    return DiscreteModel(name="walk", seed=0, row=walk_row, norm=lambda s: float(s))
 
 
 class TestEnumerate:
@@ -150,31 +148,10 @@ class TestRepartition:
             repartition(part, lambda s: s > 99)
 
 
-class TestPermutationInvariance:
-    def test_k_order_does_not_move_bounds(self, rng):
-        from truncbound.bounds import compute_bounds
-        from truncbound.lyapunov import evaluate_certificate
-
-        P = random_stochastic(rng, 10)
-        model = host_model(P)
-        r = np.arange(10.0)
-        results = []
-        for key in (None, lambda s: -s):
-            space, part = enumerate_space(model, lambda s: s < 8,
-                                          lambda s: s < 3, k_sort_key=key)
-            ws = TruncationWorkspace(part)
-            cert = exact_certificate(P, 3, r, model)
-            inputs = evaluate_certificate(cert, part)
-            rep = compute_bounds(ws, inputs)
-            results.append((rep.lower, rep.upper, rep.tv_bound, rep.approx))
-        a, b = results
-        assert np.abs(np.array(a) - np.array(b)).max() < 1e-10
-
-
 class TestBlockExtremes:
     def test_k_equals_a_gives_empty_middle(self, rng):
         P = random_stochastic(rng, 6)
         space, part = enumerate_space(host_model(P), lambda s: s < 4, lambda s: s < 4)
         assert part.a_prime_size == 0
-        G = compute_G(part)
+        G = TruncationWorkspace(part).censored().G
         assert np.abs(G - P[:4, :4]).max() == 0.0
