@@ -185,18 +185,12 @@ def compute_bounds(ws: TruncationWorkspace, inputs: BoundInputs, *,
     """
     if stochasticization not in ("row", "perron"):
         raise ValueError("stochasticization must be 'row' or 'perron'")
+    if not inputs.verified:
+        raise CertificateError("bounds require a verified certificate")
     timings: dict[str, float] = {}
 
     t0 = time.perf_counter()
-    unit = ws.unit_vec
-    kl_r = ws.kappa_lower(inputs.r_A * unit, key=f"env:{inputs.sha256}")
-    kl_e = ws.kappa_lower(unit, key="__unit__")
-    beta1 = ws.kappa_lower(inputs.h1_A)
-    beta2 = ws.kappa_lower(inputs.h2_A)
-    if not inputs.verified:
-        raise CertificateError("bounds require a verified certificate")
-    ku_r = kl_r + beta1
-    ku_e = kl_e + beta2
+    kl_r, kl_e, beta1, beta2, ku_r, ku_e = ws.cycle_rewards(inputs)
     timings["cycle_rewards"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -266,20 +260,23 @@ def compute_bounds(ws: TruncationWorkspace, inputs: BoundInputs, *,
 def reward_interval(ws: TruncationWorkspace, inputs: BoundInputs,
                     f_A: np.ndarray) -> tuple[float, float]:
     """Certified interval for the equilibrium expectation of a reward with
-    |f| dominated by the certificate envelope; mixed signs are split into
-    positive and negative parts and the part intervals combined."""
+    |f| dominated by the certificate envelope.  ``f_A`` must be finite with
+    shape ``(|A|,)`` (else ``ValueError``).  A query costs one solve: the
+    positive and negative parts of ``f`` are its columns, and the part
+    intervals are combined; the cycle rewards come from the workspace."""
     if not inputs.verified:
         raise CertificateError("reward intervals require a verified certificate")
+    f_A = np.asarray(f_A, dtype=float)
+    if f_A.shape != ws.unit_vec.shape:
+        raise ValueError(f"reward over A: expected shape {ws.unit_vec.shape}, got {f_A.shape}")
+    if not np.isfinite(f_A).all():
+        raise ValueError("reward must be finite")
     if np.any(np.abs(f_A) > inputs.r_A * (1 + 1e-12) + 1e-15):
         raise CertificateError("reward is not dominated by the certificate envelope")
-    unit = ws.unit_vec
-    kl_e = ws.kappa_lower(unit, key="__unit__")
-    ku_e = kl_e + ws.kappa_lower(inputs.h2_A)
-    beta1 = ws.kappa_lower(inputs.h1_A)
+    _, kl_e, beta1, _, _, ku_e = ws.cycle_rewards(inputs)
     tau = ws.censored().tau
 
-    def part_bounds(w_A: np.ndarray) -> tuple[float, float]:
-        kl_w = ws.kappa_lower(w_A * unit)
+    def part_bounds(kl_w: np.ndarray) -> tuple[float, float]:
         ku_w = kl_w + beta1
         if ws.k_size == 1:
             return singleton_bounds(kl_w, ku_w, kl_e, ku_e)
@@ -287,9 +284,10 @@ def reward_interval(ws: TruncationWorkspace, inputs: BoundInputs,
 
     pos = np.clip(f_A, 0.0, None)
     neg = np.clip(-f_A, 0.0, None)
-    if not neg.any():
-        return part_bounds(pos)
-    if not pos.any():
-        lo, hi = part_bounds(neg)
-        return -hi, -lo
-    return combine_signed(part_bounds(pos), part_bounds(neg))
+    parts = [w for w in (pos, neg) if w.any()] or [pos]
+    kl = ws.kappa_lower(np.column_stack(parts) * ws.unit_vec[:, None])
+    intervals = [part_bounds(kl_w) for kl_w in kl.T]
+    if len(parts) == 2:
+        return combine_signed(*intervals)
+    lo, hi = intervals[0]
+    return (lo, hi) if parts[0] is pos else (-hi, -lo)

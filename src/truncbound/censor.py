@@ -197,7 +197,7 @@ class TruncationWorkspace:
         self.partition = partition
         self.solver = SubstochasticSolver(partition.P22)
         self.require_irreducible = require_irreducible
-        self._kappa_cache: dict = {}
+        self._cycle_rewards: dict = {}   # BoundInputs -> its cycle rewards
         self._censored: CensoredApprox | None = None
 
     @property
@@ -208,23 +208,36 @@ class TruncationWorkspace:
     def unit_vec(self) -> np.ndarray:
         return self.partition.unit
 
-    def _split(self, w_A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        k = self.k_size
-        return w_A[:k], w_A[k:]
-
-    def kappa_lower(self, w_A: np.ndarray, key: str | None = None) -> np.ndarray:
+    def kappa_lower(self, w_A: np.ndarray) -> np.ndarray:
         """Within-A part of the expected reward per K-cycle:
-        ``w1 + P12 (I - P22)^{-1} w2`` over K.  Cheap lower bound for the
-        full cycle reward; exact when A covers the whole space.  Applied to
-        a boundary overflow h it bounds the per-state reward mass the
-        truncation cannot see."""
-        if key is not None and key in self._kappa_cache:
-            return self._kappa_cache[key]
-        w1, w2 = self._split(np.asarray(w_A, dtype=float))
-        out = w1 + self.partition.P12 @ self.solver.solve(w2)
-        if key is not None:
-            self._kappa_cache[key] = out
-        return out
+        ``w1 + P12 (I - P22)^{-1} w2`` over K, for a reward over A or for each
+        column of an ``(|A|, m)`` array.  Cheap lower bound for the full cycle
+        reward; exact when A covers the whole space.  Applied to a boundary
+        overflow h it bounds the per-state reward mass the truncation cannot
+        see."""
+        w, k = np.asarray(w_A, dtype=float), self.k_size
+        return w[:k] + self.partition.P12 @ self.solver.solve(w[k:])
+
+    @cached_property
+    def _unit_cycle_reward(self) -> np.ndarray:
+        """``kappa_lower`` of the unit reward, solved once per workspace."""
+        return self.kappa_lower(self.unit_vec)
+
+    def cycle_rewards(self, inputs) -> tuple[np.ndarray, ...]:
+        """``(kl_r, kl_e, beta1, beta2, ku_r, ku_e)`` of a ``BoundInputs``:
+        ``kappa_lower`` of the envelope, the unit reward, ``h1`` and ``h2``,
+        and the upper cycle rewards ``ku = kl + beta``; solved once per
+        workspace and instance, and read-only, as every query shares them."""
+        cr = self._cycle_rewards.get(inputs)
+        if cr is None:
+            kl_r = self.kappa_lower(inputs.r_A * self.unit_vec)
+            kl_e = self._unit_cycle_reward
+            beta1, beta2 = self.kappa_lower(inputs.h1_A), self.kappa_lower(inputs.h2_A)
+            cr = self._cycle_rewards[inputs] = (
+                kl_r, kl_e, beta1, beta2, kl_r + beta1, kl_e + beta2)
+            for v in cr:
+                v.flags.writeable = False
+        return cr
 
     def censored(self) -> CensoredApprox:
         if self._censored is not None:
@@ -261,7 +274,7 @@ class TruncationWorkspace:
         """Ratio approximation of the equilibrium expectation of ``w``."""
         u = self.unit_vec
         num = float(pi_K @ self.kappa_lower(w_A * u))
-        den = float(pi_K @ self.kappa_lower(u, key="__unit__"))
+        den = float(pi_K @ self._unit_cycle_reward)
         return num / den
 
     def approx_distribution(self, pi_K: np.ndarray) -> np.ndarray:

@@ -279,11 +279,13 @@ def _rate_domination_violations(ball: _DriftTable, cert: DriftCertificate) -> li
     return [ball.states[i] for i in x[low].tolist()]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundInputs:
     """Certificate evaluated over a concrete partition: the vectors the bound
     assembly consumes.  ``r_A`` is the raw envelope; ``h1_A``/``h2_A`` are the
-    exact exterior overflows of the two certificate functions."""
+    exact exterior overflows of the two certificate functions.  The vectors
+    are read-only copies and an instance equals only itself, so workspaces
+    cache cycle rewards per instance; ``sha256`` is provenance only."""
 
     envelope_id: str
     r_A: np.ndarray
@@ -291,6 +293,12 @@ class BoundInputs:
     h2_A: np.ndarray
     verified: bool
     sha256: str = ""
+
+    def __post_init__(self):
+        for name in ("r_A", "h1_A", "h2_A"):
+            v = np.array(getattr(self, name), dtype=float)
+            v.flags.writeable = False
+            object.__setattr__(self, name, v)
 
 
 def evaluate_certificate(cert: DriftCertificate, partition: Partition,

@@ -70,11 +70,10 @@ def kappa_oracle(P: np.ndarray, k: int, w: np.ndarray) -> tuple[np.ndarray, np.n
 
 def upper_cycle_rewards(ws, inputs) -> tuple[np.ndarray, np.ndarray]:
     """Upper bounds on the full cycle rewards of the envelope and of the unit
-    reward over K: within-A part plus the overflow beyond A, as
-    ``compute_bounds`` adds them."""
-    unit = ws.unit_vec
-    return (ws.kappa_lower(inputs.r_A * unit) + ws.kappa_lower(inputs.h1_A),
-            ws.kappa_lower(unit) + ws.kappa_lower(inputs.h2_A))
+    reward over K (within-A part plus the overflow beyond A), as the
+    workspace gives them to ``compute_bounds`` and ``reward_interval``."""
+    *_, ku_r, ku_e = ws.cycle_rewards(inputs)
+    return ku_r, ku_e
 
 
 def host_model(P: np.ndarray, name: str = "host"):
@@ -174,6 +173,28 @@ def partition_from_matrix(P_A: np.ndarray, k: int):
         boundary=tuple(boundary),
         unit=np.ones(n),
     )
+
+
+@pytest.fixture(scope="session")
+def toggle60():
+    """toggle(20, 1) on the simplex of level 60 (|A| = 1,891, |K| = 98): the
+    partition and the evaluated ``r`` and ``e`` certificates, which share
+    one return set."""
+    import warnings
+
+    from truncbound import ctmc, lyapunov, statespace
+    from truncbound.models import ToggleSwitchModel
+
+    ts = ToggleSwitchModel(20.0, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # r does not dominate the exit rate
+        certs = {env: lyapunov.verify_certificate(ts, ts.certificate_for_envelope(env))
+                 for env in ("r", "e")}
+    _, part = statespace.enumerate_space(
+        ctmc.embed(ts), lambda s: s[0] + s[1] <= 60,
+        statespace.explicit_k_predicate(certs["r"].return_set))
+    return part, {env: lyapunov.evaluate_certificate(cert, part, envelope_id=env)
+                  for env, cert in certs.items()}
 
 
 @pytest.fixture

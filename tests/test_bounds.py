@@ -1,3 +1,6 @@
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -18,7 +21,7 @@ from truncbound.bounds import (
 )
 from truncbound.censor import CensoredApprox
 from truncbound.errors import CertificateError
-from truncbound.lyapunov import evaluate_certificate
+from truncbound.lyapunov import BoundInputs, evaluate_certificate
 from truncbound.models import GM1Model
 
 from conftest import (
@@ -334,3 +337,65 @@ class TestBoundReport:
         d1.pop("timings"), d2.pop("timings")
         assert json.loads(json.dumps(d1)) == json.loads(json.dumps(d2))
         assert d1["provenance"]["certificate_sha256"] == inputs.sha256
+
+
+def _interval_fields(report):
+    return report.lower, report.upper, report.approx, report.tv_bound
+
+
+class TestCycleRewardCache:
+    """Cycle rewards cached on a workspace belong to one ``BoundInputs``:
+    an equal fingerprint must not hand them to another envelope."""
+
+    @pytest.mark.parametrize("how", ["default-sha", "replace"])
+    def test_scaled_envelope_not_served_stale(self, toggle60, how):
+        part, inputs = toggle60
+        ev = inputs["r"]
+        if how == "default-sha":   # both fingerprints are ""
+            first = BoundInputs("r", ev.r_A, ev.h1_A, ev.h2_A, True)
+            second = BoundInputs("r", 0.5 * ev.r_A, ev.h1_A, ev.h2_A, True)
+        else:                      # replace keeps the fingerprint
+            first, second = ev, replace(ev, r_A=0.5 * ev.r_A)
+        assert first.sha256 == second.sha256
+        ws = TruncationWorkspace(part)
+        rep1 = compute_bounds(ws, first)
+        rep2 = compute_bounds(ws, second)
+        fresh = compute_bounds(TruncationWorkspace(part), second)
+        assert _interval_fields(rep2) == _interval_fields(fresh)
+        assert rep2.upper < 0.6 * rep1.upper
+
+    def test_vectors_are_read_only_copies(self, toggle60):
+        _, inputs = toggle60
+        ev = inputs["r"]
+        r = ev.r_A.copy()
+        bi = BoundInputs("r", r, ev.h1_A, ev.h2_A, True)
+        r *= 0.5
+        assert np.array_equal(bi.r_A, ev.r_A)
+        for name in ("r_A", "h1_A", "h2_A"):
+            with pytest.raises(ValueError):
+                getattr(bi, name)[0] = 1.0
+
+
+class TestRewardShape:
+    """``reward_interval`` takes one finite value per state of A."""
+
+    @pytest.mark.parametrize("form", ["length-1", "column", "short", "long", "0-d"])
+    def test_wrong_shape_rejected(self, toggle60, form):
+        part, inputs = toggle60
+        a = part.a_size
+        f = {"length-1": np.array([0.5]), "column": np.full((a, 1), 0.5),
+             "short": np.full(a - 1, 0.5), "long": np.full(a + 1, 0.5),
+             "0-d": np.array(0.5)}[form]
+        ws = TruncationWorkspace(part)
+        msg = f"expected shape ({a},), got {f.shape}"
+        with pytest.raises(ValueError, match=re.escape(msg)):
+            reward_interval(ws, inputs["e"], f)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, toggle60, bad):
+        part, inputs = toggle60
+        f = np.full(part.a_size, 0.5)
+        f[7] = bad
+        ws = TruncationWorkspace(part)
+        with pytest.raises(ValueError, match="reward must be finite"):
+            reward_interval(ws, inputs["e"], f)
