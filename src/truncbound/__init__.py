@@ -22,8 +22,7 @@ _EXPORTS = {
         "perron_eigenpair", "stationary_small", "strongly_connected_components",
     ),
     "censor": (
-        "CensoredApprox", "ConditionedChain", "TauFamily", "TruncationWorkspace",
-        "tau_family_direct",
+        "CensoredApprox", "TauFamily", "TruncationWorkspace", "tau_family_direct",
     ),
     "lyapunov": (
         "BoundInputs", "DriftCertificate", "DriftReport", "construct_K", "drift_excess",

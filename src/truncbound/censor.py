@@ -13,12 +13,10 @@ it and from inexpensive solves against the same (I - P22) factorization.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import IrreducibilityError, ModelError, NumericalError
 from .linalg import (
@@ -27,7 +25,6 @@ from .linalg import (
     is_irreducible,
     perron_eigenpair,
     stationary_small,
-    strongly_connected_components,
 )
 from .statespace import Partition
 
@@ -179,17 +176,6 @@ class CensoredApprox:
         return _tau_stable(self.G, z)
 
 
-@dataclass
-class ConditionedChain:
-    """Dynamics conditioned on returning to K before exiting A."""
-
-    u: np.ndarray                    # P_x(return to K before exit), x in A
-    s_prime: np.ndarray              # A-indices with u > 0
-    s_closed: np.ndarray             # A-indices of the closed class containing K
-    R: sp.csr_matrix                 # transition matrix over s_prime
-    pi3: np.ndarray                  # stationary of R on the closed class, over all of A
-
-
 class TruncationWorkspace:
     """Shared factorizations and caches for one (K, A) partition."""
 
@@ -279,134 +265,14 @@ class TruncationWorkspace:
 
     def approx_distribution(self, pi_K: np.ndarray) -> np.ndarray:
         """Induced equilibrium approximation over A (zero off A by construction)."""
-        part = self.partition
-        k = self.k_size
-        rhs = np.asarray(pi_K @ part.P12.toarray()) if part.P12.shape[1] else np.zeros(0)
-        v = self.solver.solve(rhs, transpose=True) if rhs.size else rhs
+        v = self.solver.solve(self.partition.P12.T @ pi_K, transpose=True)
         eta = np.concatenate([pi_K, v]) * self.unit_vec
         total = eta.sum()
         if total <= 0.0:
             raise NumericalError("degenerate occupation mass in approx_distribution")
         return eta / total
 
-    def exit_approximation(self, z_state) -> np.ndarray:
-        """Occupation-before-exit approximation seeded at ``z``.
-
-        Solves ``nu (I - H) = delta_z`` with H the whole within-A block and
-        normalizes.  With a singleton return set K = {z} this coincides with
-        ``approx_distribution`` exactly.
-        """
-        part = self.partition
-        z = part.space.index_of(z_state)
-        H = part.full_matrix()
-        solver = SubstochasticSolver(H)
-        delta = np.zeros(part.a_size)
-        delta[z] = 1.0
-        nu = solver.solve(delta, transpose=True)
-        nu = nu * self.unit_vec
-        total = nu.sum()
-        if total <= 0.0:
-            raise NumericalError("exit approximation has nonpositive total mass")
-        return nu / total
-
-    def return_probability(self) -> np.ndarray:
-        """``u(x) = P_x(return to K before exiting A)`` over all of A."""
-        part = self.partition
-        ones_k = np.ones(self.k_size)
-        u2 = self.solver.solve(np.asarray(part.P21 @ ones_k)) if part.a_prime_size else np.zeros(0)
-        u1 = np.asarray(part.P11 @ ones_k) + (np.asarray(part.P12 @ u2) if u2.size else 0.0)
-        return np.concatenate([u1, u2])
-
-    def conditioned_chain(self) -> ConditionedChain:
-        """Chain conditioned on K-return before exit, with its stationary law."""
-        part = self.partition
-        u = self.return_probability()
-        sel = np.flatnonzero(u > 0.0)
-        pos = {int(i): j for j, i in enumerate(sel)}
-        k = self.k_size
-        P = part.full_matrix()[sel, :].tocoo()
-        data, ri, ci = [], [], []
-        for i, j, p in zip(P.row, P.col, P.data):
-            gi = int(sel[i])
-            jj = int(j)
-            if jj < k:
-                # K states sit at the front of A and have u > 0 whenever the
-                # censored matrix is irreducible, so pos[jj] exists
-                ri.append(int(i))
-                ci.append(pos[jj])
-                data.append(p / u[gi])
-            elif jj in pos:
-                ri.append(int(i))
-                ci.append(pos[jj])
-                data.append(p * u[jj] / u[gi])
-        R = sp.csr_matrix((data, (ri, ci)), shape=(len(sel), len(sel)))
-        n_comp, labels = strongly_connected_components(R)
-        closed = _closed_components(R, n_comp, labels)
-        k_labels = {int(labels[pos[i]]) for i in range(k)}
-        closed_with_k = [c for c in closed if c in k_labels]
-        if len(closed_with_k) != 1 or k_labels - set(closed_with_k):
-            raise IrreducibilityError(
-                "conditioned chain does not have a single closed class containing K"
-            )
-        cls = closed_with_k[0]
-        members = np.flatnonzero(labels == cls)
-        Rc = R[np.ix_(members, members)].tocsr()
-        pi = stationary_small(Rc)
-        pi3 = np.zeros(part.a_size)
-        pi3[sel[members]] = pi
-        return ConditionedChain(
-            u=u,
-            s_prime=sel,
-            s_closed=sel[members],
-            R=R,
-            pi3=pi3,
-        )
-
-    def communicating_classes(self) -> dict:
-        """Diagnostic decomposition of the censored matrix into communicating
-        classes with closed/transient labels; warns when more than one closed
-        class is present (the underlying chain is then likely reducible)."""
-        if self._censored is not None:
-            G = self._censored.G
-        else:
-            # run without the irreducibility gate: this op is the diagnostic;
-            # a reducible result must not be cached for the certified paths
-            saved = self.require_irreducible
-            self.require_irreducible = False
-            try:
-                G = self.censored().G
-            finally:
-                self.require_irreducible = saved
-                if saved and not is_irreducible(G):
-                    self._censored = None
-        n_comp, labels = strongly_connected_components(G)
-        closed = _closed_components(sp.csr_matrix(G), n_comp, labels)
-        if len(closed) > 1:
-            warnings.warn(
-                f"censored matrix has {len(closed)} closed communicating classes; "
-                "the underlying chain appears reducible",
-                stacklevel=2,
-            )
-        return {
-            "n_components": n_comp,
-            "labels": labels,
-            "closed": sorted(closed),
-            "transient": sorted(set(range(n_comp)) - set(closed)),
-        }
-
     def fundamental(self) -> np.ndarray:
         P1, pi1 = self.censored().perron_normalized
         return fundamental_matrix(P1, pi1)
 
-
-def _closed_components(M: sp.csr_matrix, n_comp: int, labels: np.ndarray) -> list[int]:
-    closed = []
-    coo = M.tocoo()
-    outflow = set()
-    for i, j, v in zip(coo.row, coo.col, coo.data):
-        if v != 0.0 and labels[i] != labels[j]:
-            outflow.add(int(labels[i]))
-    for c in range(n_comp):
-        if c not in outflow:
-            closed.append(c)
-    return closed

@@ -48,9 +48,11 @@ def _load_config(path: str) -> dict:
             cfg = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    for section in ("model", "truncation"):
-        if section not in cfg:
-            raise ConfigError(f"config missing required section {section!r}")
+    if not isinstance(cfg, dict) or not {"model", "truncation"} <= cfg.keys():
+        raise ConfigError(f"config {path} needs a 'model' and a 'truncation' section")
+    for section in ("model", "truncation", "return_set", "bounds", "output"):
+        if not isinstance(cfg.get(section, {}), dict):
+            raise ConfigError(f"config section {section!r} must be an object")
     model = cfg["model"]
     if "name" not in model:
         raise ConfigError("config model section needs a 'name'")
@@ -64,16 +66,26 @@ def _outdir(cfg: dict, override: str | None) -> str:
     return out
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _build(cfg: dict):
     from .pipeline import build_model
 
-    return build_model(cfg["model"]["name"], cfg["model"].get("params", {}))
+    params = cfg["model"].get("params", {})
+    if not isinstance(params, dict) or not all(map(_is_number, params.values())):
+        raise ConfigError("model.params must map parameter names to numbers")
+    try:
+        return build_model(cfg["model"]["name"], params)
+    except TypeError as exc:   # a keyword the model's constructor does not take
+        raise ConfigError(f"bad model.params: {exc}") from exc
 
 
 def _bounds_options(cfg: dict) -> tuple[list, str]:
     bounds = cfg.get("bounds", {})
-    envelopes = list(bounds.get("rewards", ["r"]))
-    if not envelopes:
+    envelopes = bounds.get("rewards", ["r"])
+    if not isinstance(envelopes, list) or not envelopes:
         raise ConfigError("bounds.rewards must name at least one reward")
     for env in envelopes:
         if env not in ("r", "e"):
@@ -97,43 +109,48 @@ def _return_set(cfg: dict):
     raise ConfigError(f"unknown return_set mode {mode!r}")
 
 
-def _truncation_schedule(cfg: dict) -> list[dict]:
+def _size(v) -> int:
+    if isinstance(v, float) and v.is_integer():
+        v = int(v)
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise ConfigError(f"truncation sizes must be integers, got {v!r}")
+    return v
+
+
+def _truncation_schedule(cfg: dict, *, prefer_size: bool = False) -> list[dict]:
+    """The schedule's truncations, else the one of ``max``/``level``;
+    ``prefer_size`` takes ``max``/``level`` over the schedule."""
     trunc = cfg["truncation"]
     kind = trunc.get("kind")
     if kind not in ("range", "simplex"):
         raise ConfigError("truncation.kind must be 'range' or 'simplex'")
     size_key = "max" if kind == "range" else "level"
-    if "schedule" in trunc:
-        schedule = trunc["schedule"]
-        if not isinstance(schedule, list) or not schedule:
+    if size_key in trunc and (prefer_size or "schedule" not in trunc):
+        sizes = [trunc[size_key]]
+    elif "schedule" in trunc:
+        sizes = trunc["schedule"]
+        if not isinstance(sizes, list) or not sizes:
             raise ConfigError("truncation.schedule must be a nonempty list")
-        return [{"kind": kind, size_key: int(v)} for v in schedule]
-    if size_key not in trunc:
+    else:
         raise ConfigError(f"truncation needs '{size_key}' or 'schedule'")
-    return [{"kind": kind, size_key: int(trunc[size_key])}]
+    return [{"kind": kind, size_key: _size(v)} for v in sizes]
 
 
 def _single_truncation(cfg: dict) -> dict:
-    trunc = cfg["truncation"]
-    size_key = "max" if trunc.get("kind") == "range" else "level"
-    if size_key in trunc:
-        return {"kind": trunc["kind"], size_key: int(trunc[size_key])}
-    return _truncation_schedule(cfg)[0]
+    return _truncation_schedule(cfg, prefer_size=True)[0]
 
 
-def _state_json(s):
-    return list(s) if isinstance(s, tuple) else s
-
-
-def cmd_run(cfg: dict, outdir: str) -> int:
+def cmd_run(cfg: dict, override: str | None) -> int:
     from . import __version__
+    from .lyapunov import _state_key
     from .pipeline import run_pipeline
 
     envelopes, stoch = _bounds_options(cfg)
+    truncation, return_set = _single_truncation(cfg), _return_set(cfg)
     model = _build(cfg)
-    result = run_pipeline(model, _single_truncation(cfg), envelopes=envelopes,
-                          stochasticization=stoch,
-                          explicit_return_set=_return_set(cfg))
+    outdir = _outdir(cfg, override)
+    result = run_pipeline(model, truncation, envelopes=envelopes,
+                          stochasticization=stoch, explicit_return_set=return_set)
     doc = {
         "library_version": __version__,
         "model": result.model_name,
@@ -142,7 +159,7 @@ def cmd_run(cfg: dict, outdir: str) -> int:
         "return_sets": {env: {"k_size": run.k_size, "k_star": run.k_star}
                         for env, run in result.runs.items()},
         "distribution": {
-            "states": [_state_json(s) for s in result.distribution_states],
+            "states": [_state_key(s) for s in result.distribution_states],
             "probability": result.distribution_mass.tolist()
             if result.distribution_mass is not None else [],
         },
@@ -159,14 +176,16 @@ def cmd_run(cfg: dict, outdir: str) -> int:
     return 0
 
 
-def cmd_verify(cfg: dict, outdir: str) -> int:
+def cmd_verify(cfg: dict, override: str | None) -> int:
     from .pipeline import verified_certificates
 
     envelopes, _ = _bounds_options(cfg)
+    return_set = _return_set(cfg)
     model = _build(cfg)
+    _outdir(cfg, override)
     ly = model.lyapunov()
     radii = {k: getattr(ly, k) for k in ("n1", "n2", "n3") if hasattr(ly, k)}
-    certs = verified_certificates(model, envelopes, _return_set(cfg))
+    certs = verified_certificates(model, envelopes, return_set)
     for name, value in radii.items():
         print(f"{name} = {value}")
     for env, (cert, k_star) in certs.items():
@@ -174,20 +193,19 @@ def cmd_verify(cfg: dict, outdir: str) -> int:
     return 0
 
 
-def cmd_sweep(cfg: dict, outdir: str) -> int:
+def cmd_sweep(cfg: dict, override: str | None) -> int:
     from .pipeline import run_pipeline
 
     envelopes, stoch = _bounds_options(cfg)
-    schedule = _truncation_schedule(cfg)
-    if len(schedule) < 1:
-        raise ConfigError("sweep needs a truncation schedule")
+    schedule, return_set = _truncation_schedule(cfg), _return_set(cfg)
     model = _build(cfg)
+    outdir = _outdir(cfg, override)
     rows = []
     prev_tv = {env: None for env in envelopes}
     for trunc in schedule:
         result = run_pipeline(model, trunc, envelopes=envelopes,
                               stochasticization=stoch,
-                              explicit_return_set=_return_set(cfg),
+                              explicit_return_set=return_set,
                               with_distribution=False)
         size_key = "max" if trunc["kind"] == "range" else "level"
         row = {
@@ -238,14 +256,9 @@ def main(argv=None) -> int:
 
     try:
         cfg = _load_config(args.config)
-        outdir = _outdir(cfg, args.output_dir)
-        if args.command == "run":
-            return cmd_run(cfg, outdir)
-        if args.command == "verify":
-            return cmd_verify(cfg, outdir)
-        if args.command == "sweep":
-            return cmd_sweep(cfg, outdir)
-        raise ConfigError(f"unknown command {args.command!r}")
+        command = {"run": cmd_run, "verify": cmd_verify, "sweep": cmd_sweep}[args.command]
+        # each command makes the output directory once the config has parsed
+        return command(cfg, args.output_dir)
     except (ConfigError, ModelError, EnumerationLimitError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -7,18 +7,14 @@ them; residual checks therefore raise instead of warning.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
-import scipy.linalg
+# scipy.sparse loads first, as it did from censor.py: the first scipy
+# subpackage to load sets numpy's submodule import order and with it set-up time
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
 
 from .errors import NumericalError, ReducibleMatrixError
-
-# Systems smaller than this are solved densely; sparse LU wins above it.
-DENSE_SOLVE_THRESHOLD = 64
 
 SOLVE_RESIDUAL_TOL = 1e-9
 STATIONARY_RESIDUAL_TOL = 1e-10
@@ -34,7 +30,8 @@ def _as_dense(M) -> np.ndarray:
 
 
 class SubstochasticSolver:
-    """Factorization of ``(I - M)`` for a strictly substochastic block ``M``.
+    """Sparse LU factorization of ``(I - M)`` for a strictly substochastic
+    block ``M``, dense or sparse, of any size.
 
     The factorization is computed once and is immutable afterwards; repeated
     right-hand sides reuse it.  ``solve`` certifies the residual
@@ -50,17 +47,6 @@ class SubstochasticSolver:
         if n == 0:
             self._mode = "empty"
             self._A = sp.csr_matrix((0, 0))
-        elif n < DENSE_SOLVE_THRESHOLD:
-            self._mode = "dense"
-            A = np.eye(n) - _as_dense(M)
-            self._A = A
-            try:
-                with warnings.catch_warnings():
-                    # exact singularity surfaces through the residual guard
-                    warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-                    self._lu = scipy.linalg.lu_factor(A)
-            except scipy.linalg.LinAlgError as exc:
-                raise NumericalError(f"(I - M) factorization failed: {exc}") from exc
         else:
             self._mode = "sparse"
             A = (sp.identity(n, format="csc") - sp.csc_matrix(M)).tocsc()
@@ -80,11 +66,6 @@ class SubstochasticSolver:
                 row_sums = np.asarray(np.abs(self._A).sum(axis=1)).ravel()
                 self._norm_A = float(row_sums.max())
         return self._norm_A
-
-    def _raw_solve(self, B: np.ndarray, trans: bool) -> np.ndarray:
-        if self._mode == "dense":
-            return scipy.linalg.lu_solve(self._lu, B, trans=1 if trans else 0)
-        return self._lu.solve(B, trans="T" if trans else "N")
 
     def _check(self, X: np.ndarray, B: np.ndarray, trans: bool) -> None:
         A = self._A
@@ -111,7 +92,7 @@ class SubstochasticSolver:
         B = b[:, None] if single else b
         if not np.all(np.isfinite(B)):
             raise NumericalError("non-finite right-hand side")
-        X = self._raw_solve(B, transpose)
+        X = self._lu.solve(B, trans="T" if transpose else "N")
         if not np.all(np.isfinite(X)):
             raise NumericalError("singular-to-working-precision (I - M) system")
         self._check(X, B, transpose)
@@ -119,29 +100,23 @@ class SubstochasticSolver:
 
 
 def stationary_small(P) -> np.ndarray:
-    """Stationary row vector of an irreducible stochastic matrix.
+    """Stationary row vector of a small irreducible stochastic matrix.
 
     Replaces one (redundant) balance equation of ``pi (I - P) = 0`` with the
-    normalization ``sum(pi) = 1`` and solves the resulting nonsingular system.
+    normalization ``sum(pi) = 1`` and solves the resulting nonsingular system
+    densely; a sparse ``P`` is densified first.
     """
     n = P.shape[0]
     if n == 1:
         return np.ones(1)
-    if sp.issparse(P) and n >= DENSE_SOLVE_THRESHOLD:
-        A = (sp.identity(n, format="lil") - sp.csr_matrix(P).T).tolil()
-        A[n - 1, :] = np.ones(n)
-        b = np.zeros(n)
-        b[n - 1] = 1.0
-        pi = spla.spsolve(sp.csc_matrix(A), b)
-    else:
-        A = np.eye(n) - _as_dense(P).T
-        A[n - 1, :] = 1.0
-        b = np.zeros(n)
-        b[n - 1] = 1.0
-        try:
-            pi = np.linalg.solve(A, b)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"stationary solve failed: {exc}") from exc
+    A = np.eye(n) - _as_dense(P).T
+    A[n - 1, :] = 1.0
+    b = np.zeros(n)
+    b[n - 1] = 1.0
+    try:
+        pi = np.linalg.solve(A, b)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"stationary solve failed: {exc}") from exc
     if not np.all(np.isfinite(pi)):
         raise NumericalError("stationary solve produced non-finite entries")
     if np.any(pi <= 0.0):

@@ -218,10 +218,11 @@ class DriftCertificate:
                    single_pair=True, **kw)
 
 
-def verify_certificate(model, cert: DriftCertificate, *, check_region=None,
+def verify_certificate(model, cert: DriftCertificate, *,
                        tolerance: float = 0.0) -> DriftCertificate:
     """Re-verify the finite region of a certificate; returns a verified copy.
 
+    Each drift inequality is checked on the model's ball of its own radius.
     Raises :class:`CertificateError` listing violations when the check fails.
     For jump models with a non-dominating envelope (r < exit rate somewhere)
     an error is raised unless the expert flag is set on the certificate.
@@ -234,16 +235,11 @@ def verify_certificate(model, cert: DriftCertificate, *, check_region=None,
             (cert.g_r, cert.envelope, cert.radius_r),
             (cert.g_e, lambda _: 1.0, cert.radius_e),
         ]
-    jump = is_jump(model)
-    ball = None
-    if check_region is None or jump:
-        ball = _DriftTable(model, model.states_within(max(cert.radius_r, cert.radius_e)))
-    table = ball if check_region is None else _DriftTable(model, check_region)
+    ball = _DriftTable(model, model.states_within(max(cert.radius_r, cert.radius_e)))
     reports = []
     for g, slack, radius in pairs:
-        x = table.src if check_region is not None else \
-            np.array([ball.ids[s] for s in model.states_within(radius)], dtype=np.intp)
-        rep = _verify_on(table, x, g, slack, cert.return_set, tolerance)
+        x = np.array([ball.ids[s] for s in model.states_within(radius)], dtype=np.intp)
+        rep = _verify_on(ball, x, g, slack, cert.return_set, tolerance)
         reports.append(rep)
         if rep.violations:
             sample = list(rep.violations[:8])
@@ -253,7 +249,7 @@ def verify_certificate(model, cert: DriftCertificate, *, check_region=None,
             )
     if cert.single_pair:
         reports = reports * 2
-    if jump:
+    if ball.jump:
         bad = _rate_domination_violations(ball, cert)
         if bad and not cert.skip_rate_domination:
             raise CertificateError(

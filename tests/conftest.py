@@ -68,6 +68,17 @@ def kappa_oracle(P: np.ndarray, k: int, w: np.ndarray) -> tuple[np.ndarray, np.n
     return w[:k] + P[:k, k:] @ eta, eta
 
 
+def exit_oracle(P_A: np.ndarray) -> np.ndarray:
+    """Occupation before exit from A, seeded at index 0: ``nu (I - P_A) =
+    delta_0`` solved densely and normalised.  With K = {0} it is the induced
+    law ``approx_distribution(1)`` of a chain with unit holding times."""
+    n = P_A.shape[0]
+    delta = np.zeros(n)
+    delta[0] = 1.0
+    nu = np.linalg.solve((np.eye(n) - P_A).T, delta)
+    return nu / nu.sum()
+
+
 def upper_cycle_rewards(ws, inputs) -> tuple[np.ndarray, np.ndarray]:
     """Upper bounds on the full cycle rewards of the envelope and of the unit
     reward over K (within-A part plus the overflow beyond A), as the
@@ -139,7 +150,7 @@ def exact_certificate(P: np.ndarray, k: int, r: np.ndarray, model) -> "DriftCert
     g1 = lambda x: 0.0 if x < k else float(eta_r[x - k])
     g2 = lambda x: 0.0 if x < k else float(eta_e[x - k])
     cert = DriftCertificate.pair(tuple(range(k)), lambda x: float(r[x]), g1, g2, n, n)
-    return verify_certificate(model, cert, check_region=range(n), tolerance=1e-9)
+    return verify_certificate(model, cert, tolerance=1e-9)
 
 
 def measured_weighted_tv(p: np.ndarray, q: np.ndarray, envelope: np.ndarray) -> float:

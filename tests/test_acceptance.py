@@ -23,6 +23,7 @@ from truncbound.pipeline import run_pipeline
 from conftest import (
     censored_matrix_oracle,
     exact_certificate,
+    exit_oracle,
     host_model,
     random_rate_matrix,
     random_stochastic,
@@ -191,11 +192,11 @@ def test_criterion_4_oracle_equivalence_suite():
         if weighted_tv(dist_t, pi, r) > rep_t.tv_bound:
             fails.append((seed, "d-strict"))
 
-        # (e) singleton exit approximation coincides with the induced law
+        # (e) with K = {0} the induced law is the occupation before exit
         _, part_z = enumerate_space(model, lambda s, a=a: s < a, lambda s: s == 0)
         ws_z = TruncationWorkspace(part_z)
-        gap = np.abs(ws_z.approx_distribution(np.ones(1))
-                     - ws_z.exit_approximation(0)).max()
+        exit_law = exit_oracle(P[:a, :a])[list(part_z.space.states)]
+        gap = np.abs(ws_z.approx_distribution(np.ones(1)) - exit_law).max()
         if gap > 1e-11:
             fails.append((seed, "e"))
 

@@ -69,7 +69,7 @@ class TestKappaUpper:
         g1 = lambda x: 0.0 if x == 0 else float(eta_r[x - 1])
         g2 = lambda x: 0.0 if x == 0 else float(eta_e[x - 1])
         cert = DriftCertificate.pair((0,), lambda x: float(r[x]), g1, g2, 3, 3)
-        cert = verify_certificate(model, cert, check_region=range(3), tolerance=1e-9)
+        cert = verify_certificate(model, cert, tolerance=1e-9)
         inputs = evaluate_certificate(cert, part)
         # by hand: kl(r) = r0 + P01 (I-P11)^{-1} r1 ; h1 = P(.,2) g1(2)
         kl_r = r[0] + P[0, 1] * r[1] / (1 - P[1, 1])

@@ -9,6 +9,7 @@ from truncbound.models import GM1Model
 
 from conftest import (
     censored_matrix_oracle,
+    exit_oracle,
     host_model,
     partition_from_matrix,
     random_stochastic,
@@ -60,14 +61,20 @@ class TestCensoredMatrix:
     def test_reducible_censored_matrix_raises(self):
         # inside A, state 2's lobe never returns to state 0's lobe, so the
         # censored matrix is block-triangular (reducible)
-        P = np.zeros((4, 4))
-        P[0, 1] = 1.0
-        P[1, 0], P[1, 2] = 0.5, 0.5
-        P[2, 3] = 1.0
-        P[3, 2] = 0.9  # remaining 0.1 exits A
-        part = partition_from_matrix(P[np.ix_([0, 2, 1, 3], [0, 2, 1, 3])], 2)
-        with pytest.raises(IrreducibilityError):
-            TruncationWorkspace(part).censored().G
+        triangular = np.zeros((4, 4))
+        triangular[0, 1] = 1.0
+        triangular[1, 0], triangular[1, 2] = 0.5, 0.5
+        triangular[2, 3] = 1.0
+        triangular[3, 2] = 0.9  # remaining 0.1 exits A
+        # two disjoint 2-cycles: the censored matrix is block-diagonal, with
+        # two closed classes
+        diagonal = np.zeros((4, 4))
+        diagonal[0, 1] = diagonal[1, 0] = 1.0
+        diagonal[2, 3] = diagonal[3, 2] = 1.0
+        for P in (triangular, diagonal):
+            part = partition_from_matrix(P[np.ix_([0, 2, 1, 3], [0, 2, 1, 3])], 2)
+            with pytest.raises(IrreducibilityError):
+                TruncationWorkspace(part).censored().G
 
     @given(seed=st.integers(0, 5_000))
     @settings(max_examples=25, deadline=None)
@@ -197,12 +204,15 @@ class TestApproximations:
 
 
 class TestExitApproximation:
+    """With a singleton return set K = {z}, the induced law is the
+    occupation-before-exit approximation seeded at z."""
+
     def test_single_state_truncation(self):
         P = np.array([[0.6, 0.4], [1.0, 0.0]])
         model = host_model(P)
         _, part = enumerate_space(model, lambda s: s == 0, lambda s: s == 0)
         ws = TruncationWorkspace(part, require_irreducible=False)
-        assert ws.exit_approximation(0).tolist() == [1.0]
+        assert ws.approx_distribution(np.ones(1)).tolist() == [1.0]
 
     def test_matches_dense_oracle_on_three_state_host(self):
         P = np.array([
@@ -211,62 +221,16 @@ class TestExitApproximation:
             [0.4, 0.4, 0.2],
         ])
         ws = workspace_for(P, 1, a=2)
-        got = ws.exit_approximation(0)
-        H = P[:2, :2]
-        nu = np.linalg.solve((np.eye(2) - H).T, np.array([1.0, 0.0]))
-        assert np.abs(got - nu / nu.sum()).max() < 1e-13
+        got = ws.approx_distribution(np.ones(1))
+        assert np.abs(got - exit_oracle(P[:2, :2])).max() < 1e-13
 
     def test_gm1_singleton_equivalence(self):
         gm1 = GM1Model()
         _, part = enumerate_space(gm1, lambda s: s <= 500, lambda s: s == 0)
         ws = TruncationWorkspace(part)
         dist = ws.approx_distribution(np.ones(1))
-        exit_dist = ws.exit_approximation(0)
-        assert np.abs(dist - exit_dist).max() < 1e-12
-
-
-class TestConditionedChain:
-    def test_full_space_is_identity_conditioning(self, rng):
-        P = random_stochastic(rng, 8)
-        ws = workspace_for(P, 2)
-        cc = ws.conditioned_chain()
-        assert np.abs(cc.u - 1.0).max() < 1e-12
-        assert np.abs(cc.R.toarray() - P).max() < 1e-12
-        assert np.abs(cc.pi3 - stationary_power(P)).max() < 1e-10
-
-    def test_k_equals_a_row_normalizes_into_k(self):
-        # 5-state hand-checkable host, A = K = {0, 1}
-        P = np.array([
-            [0.2, 0.3, 0.5, 0.0, 0.0],
-            [0.4, 0.1, 0.0, 0.3, 0.2],
-            [1.0, 0.0, 0.0, 0.0, 0.0],
-            [0.0, 1.0, 0.0, 0.0, 0.0],
-            [0.5, 0.5, 0.0, 0.0, 0.0],
-        ])
-        ws = workspace_for(P, 2, a=2)
-        cc = ws.conditioned_chain()
-        # u(0) = 0.5, u(1) = 0.5; R = P[:2,:2] / u
-        assert np.abs(cc.u - [0.5, 0.5]).max() < 1e-14
-        expected_R = np.array([[0.4, 0.6], [0.8, 0.2]])
-        assert np.abs(cc.R.toarray() - expected_R).max() < 1e-14
-        pi_hand = stationary_power(expected_R)
-        assert np.abs(cc.pi3[:2] - pi_hand).max() < 1e-12
-
-    def test_gm1_within_tv_bound_of_reference(self):
-        from truncbound.bounds import compute_bounds
-        from truncbound.lyapunov import evaluate_certificate, verify_certificate
-
-        gm1 = GM1Model()
-        cert = verify_certificate(gm1, gm1.unit_drift_certificate())
-        _, part = enumerate_space(gm1, lambda s: s <= 500,
-                                  lambda s: s in set(cert.return_set))
-        ws = TruncationWorkspace(part)
-        rep = compute_bounds(ws, evaluate_certificate(cert, part, envelope_id="e"))
-        cc = ws.conditioned_chain()
-        law = gm1.exact_geometric()
-        ref = np.asarray(law.masses(501), dtype=float)
-        measured = np.abs(cc.pi3 - ref).sum() + float(law.tail(501))
-        assert measured <= max(rep.tv_bound, 1e-12)
+        oracle = exit_oracle(part.full_matrix().toarray())
+        assert np.abs(dist - oracle).max() < 1e-12
 
 
 class TestTauFamily:
@@ -300,54 +264,6 @@ class TestTauFamily:
         G = np.array([[0.6, 0.6], [0.6, 0.6]])  # row sums 1.2
         with pytest.raises(NumericalError):
             CensoredApprox(G=G, row_mass=G.sum(axis=1)).tau
-
-
-class TestCommunicatingClasses:
-    def test_irreducible_single_class(self, rng):
-        P = random_stochastic(rng, 9)
-        report = workspace_for(P, 3).communicating_classes()
-        assert report["n_components"] == 1
-        assert report["closed"] == [0]
-
-    def test_two_closed_classes_warn(self):
-        # two disjoint 2-cycles: the censored matrix is block-diagonal, the
-        # signature of a reducible underlying chain
-        P = np.zeros((4, 4))
-        P[0, 1] = P[1, 0] = 1.0
-        P[2, 3] = P[3, 2] = 1.0
-        part = partition_from_matrix(P[np.ix_([0, 2, 1, 3], [0, 2, 1, 3])], 2)
-        ws = TruncationWorkspace(part, require_irreducible=False)
-        with pytest.warns(UserWarning, match="closed communicating classes"):
-            report = ws.communicating_classes()
-        assert len(report["closed"]) == 2
-
-    def test_transient_class_detected(self):
-        P = np.array([
-            [0.5, 0.25, 0.25],
-            [0.0, 0.5, 0.5],
-            [0.0, 0.5, 0.5],
-        ])
-        model = host_model(P)
-        _, part = enumerate_space(model, lambda s: True, lambda s: True)
-        ws = TruncationWorkspace(part, require_irreducible=False)
-        report = ws.communicating_classes()
-        assert len(report["closed"]) == 1
-        assert len(report["transient"]) == 1
-
-    def test_diagnostic_does_not_disarm_the_certified_path(self):
-        # running the diagnostic first must not cache a reducible censored
-        # matrix past the irreducibility gate
-        P = np.zeros((4, 4))
-        P[0, 1] = 1.0
-        P[1, 0], P[1, 2] = 0.5, 0.5
-        P[2, 3] = 1.0
-        P[3, 2] = 0.9
-        part = partition_from_matrix(P[np.ix_([0, 2, 1, 3], [0, 2, 1, 3])], 2)
-        ws = TruncationWorkspace(part)  # gate on
-        report = ws.communicating_classes()
-        assert report["n_components"] > 1
-        with pytest.raises(IrreducibilityError):
-            ws.censored()
 
 
 class TestConvergence:

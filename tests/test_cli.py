@@ -56,10 +56,31 @@ class TestRun:
 
         assert strip(doc1) == strip(doc2)
 
-    def test_malformed_config_exits_1_without_outputs(self, tmp_path, capsys):
-        path = tmp_path / "bad.json"
-        path.write_text("{\"model\": {}}")
-        assert main(["run", str(path)]) == 1
+    @pytest.mark.parametrize("command, overrides", [
+        pytest.param("run", {"model": {}, "truncation": None, "return_set": None,
+                             "bounds": None, "output": None}, id="no-model-name"),
+        pytest.param("run", {"truncation": {"kind": "range", "max": "ten"}},
+                     id="max-not-integer"),
+        pytest.param("run", {"truncation": {"kind": "range", "max": 400.5}},
+                     id="max-fraction"),
+        pytest.param("run", {"model": {"name": "toggle", "params": {"lam": 20.0, "mu": 1.0}},
+                             "truncation": {"kind": "simplex", "level": "ten"}},
+                     id="level-not-integer"),
+        pytest.param("sweep", {"truncation": {"kind": "range", "schedule": [250, "x"]}},
+                     id="schedule-entry-not-integer"),
+        pytest.param("run", {"model": {"name": "gm1", "params": {"bb": 2.0}}},
+                     id="unknown-param"),
+        pytest.param("verify", {"model": {"name": "toggle", "params": {"lam": "20", "mu": 1.0}}},
+                     id="param-not-number"),
+        pytest.param("run", {"bounds": {"rewards": "re"}}, id="rewards-not-list"),
+        pytest.param("run", {"bounds": "r"}, id="bounds-not-object"),
+        pytest.param("sweep", {"return_set": "lyapunov"}, id="return-set-not-object"),
+    ])
+    def test_malformed_config_exits_1_without_outputs(self, tmp_path, capsys,
+                                                      command, overrides):
+        path, _ = write_config(tmp_path, **overrides)
+        assert main([command, str(path)]) == 1
+        assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_unparseable_json_exits_1(self, tmp_path):

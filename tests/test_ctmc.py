@@ -212,7 +212,7 @@ class TestCtmcBounds:
         g2 = lambda x: 0.0 if x < k else float(eta_e[x - k])
         cert = DriftCertificate.pair(tuple(range(k)), lambda x: float(r[x]),
                                      g1, g2, n, n)
-        cert = verify_certificate(jm, cert, check_region=range(n), tolerance=1e-9)
+        cert = verify_certificate(jm, cert, tolerance=1e-9)
         _, part = enumerate_space(chain, lambda s: s < a, lambda s: s < k)
         ws = TruncationWorkspace(part)
         inputs = evaluate_certificate(cert, part)

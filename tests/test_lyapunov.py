@@ -237,7 +237,7 @@ class TestCertificate:
         _, eta = kappa_oracle(P, 2, np.maximum(np.arange(9.0), 1.0))
         g = lambda x: 0.0 if x < 2 else float(eta[x - 2])
         cert = DriftCertificate.single((0, 1), lambda x: float(x), g, 9)
-        cert = verify_certificate(model, cert, check_region=range(9), tolerance=1e-9)
+        cert = verify_certificate(model, cert, tolerance=1e-9)
         assert cert.verified and cert.single_pair
         _, part = enumerate_space(model, lambda s: s < 7, lambda s: s < 2)
         inputs = evaluate_certificate(cert, part)

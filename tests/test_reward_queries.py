@@ -3,7 +3,7 @@ solved once per workspace, and each ``reward_interval`` call makes one solve
 whose columns are the reward's positive and negative parts.
 
 The reference below is the per-vector assembly that solved every vector on
-its own; on the sparse path the intervals must match it bit for bit.
+its own; the intervals must match it bit for bit.
 """
 
 import numpy as np
@@ -20,7 +20,7 @@ from truncbound.bounds import (
     reward_interval,
     singleton_bounds,
 )
-from truncbound.linalg import DENSE_SOLVE_THRESHOLD, SubstochasticSolver
+from truncbound.linalg import SubstochasticSolver
 from truncbound.lyapunov import evaluate_certificate
 
 from conftest import exact_certificate, host_model, random_stochastic
@@ -146,7 +146,7 @@ class TestSolveCounts:
 class TestBitIdentity:
     def test_sparse_two_column_solve_equals_one_column_solves(self):
         rng = np.random.default_rng(5)
-        n = 4 * DENSE_SOLVE_THRESHOLD
+        n = 256
         M = sp.random(n, n, density=0.05, random_state=rng, format="csr")
         M = sp.diags(0.95 / np.maximum(np.asarray(M.sum(axis=1)).ravel(), 1.0)) @ M
         solver = SubstochasticSolver(M)
@@ -175,8 +175,8 @@ class TestBitIdentity:
     @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 4),
            cut=st.integers(0, 4), extra=st.integers(0, 12))
     def test_sparse_host_intervals_match_reference(self, seed, k, cut, extra):
-        # |A \ K| >= DENSE_SOLVE_THRESHOLD: the sparse path
-        n = DENSE_SOLVE_THRESHOLD + k + cut + extra
+        # a sparse host with |A \ K| >= 64
+        n = 64 + k + cut + extra
         ws, ref_ws, inputs, rewards = _host_case(seed, n, k, n - cut, zeros=0.4)
         for f in rewards:
             assert reward_interval(ws, inputs, f) == reference_interval(ref_ws, inputs, f)
@@ -185,17 +185,11 @@ class TestBitIdentity:
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(4, 20),
            k=st.integers(1, 3), cut=st.integers(0, 2))
     def test_dense_host_intervals_match_reference(self, seed, n, k, cut):
-        # dense LU: a two-column solve may round differently from two
-        # one-column solves, so only one-signed rewards are bit-identical;
-        # a full P keeps the censored matrix irreducible on small hosts
+        # a small host with a full P, which keeps its censored matrix
+        # irreducible; mixed-sign rewards are bit-identical too
         ws, ref_ws, inputs, rewards = _host_case(seed, n, k, max(k + 1, n - cut), zeros=0.0)
-        scale = float(inputs.r_A.max())
         for f in rewards:
-            got, ref = reward_interval(ws, inputs, f), reference_interval(ref_ws, inputs, f)
-            if (f >= 0).all() or (f <= 0).all():
-                assert got == ref
-            else:
-                assert got == pytest.approx(ref, rel=0.0, abs=1e-12 * scale)
+            assert reward_interval(ws, inputs, f) == reference_interval(ref_ws, inputs, f)
 
 
 def _host_case(seed, n, k, a, zeros):
