@@ -19,7 +19,7 @@ _EXPORTS = {
     "statespace": ("Partition", "StateSpace", "enumerate_space", "explicit_k_predicate"),
     "linalg": (
         "PerronEigenpair", "SubstochasticSolver", "fundamental_matrix", "is_irreducible",
-        "perron_eigenpair", "stationary_small", "strongly_connected_components",
+        "perron_eigenpair", "stationary_small",
     ),
     "censor": (
         "CensoredApprox", "TauFamily", "TruncationWorkspace", "tau_family_direct",
@@ -30,15 +30,11 @@ _EXPORTS = {
         "verify_drift",
     ),
     "bounds": (
-        "BoundReport", "approx_error_bound", "combine_signed", "compute_bounds",
-        "delta1_bound", "delta2_bound", "ell_lower_bound", "minorization_bounds",
-        "reward_interval", "singleton_bounds", "tv_bound_general", "tv_bound_singleton",
-        "weighted_tv",
+        "BoundReport", "combine_signed", "compute_bounds", "delta1_bound", "delta2_bound",
+        "ell_lower_bound", "minorization_bounds", "reward_interval", "tv_bound_general",
+        "tv_bound_singleton",
     ),
-    "ctmc": (
-        "JumpModel", "embed", "exit_rate", "stationary_reconstruction",
-        "transform_reward", "verify_ctmc_drift",
-    ),
+    "ctmc": ("JumpModel", "embed", "exit_rate", "stationary_reconstruction"),
     "models": ("DiscreteModel", "GM1Model", "GeometricLaw", "ToggleSwitchModel"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -4,17 +4,16 @@ verified drift certificate.
 
 Bound shapes (all per return-cycle):
 
-* singleton return set:  kl(r)/ku(e) <= pi r <= ku(r)/kl(e);
-* general return set: the same ratios extremized over the mixture family of
-  normalized ``(I - G)^{-1}`` rows, which contains every stationary vector
-  compatible with the minorization G <= true return matrix;
+* expectation: the cycle ratios kl(r)/ku(e) <= pi r <= ku(r)/kl(e),
+  extremized over the mixture family of normalized ``(I - G)^{-1}`` rows,
+  which contains every stationary vector compatible with the minorization
+  G <= true return matrix; a singleton return set is the one-row case;
 * weighted total variation: twice the ratio-perturbation estimate built from
   the overflow weights, plus a stationary-gap term for non-singleton K.
 """
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
 
@@ -23,22 +22,15 @@ import numpy as np
 from . import __version__ as _pkg_version
 from .censor import TauFamily, TruncationWorkspace
 from .errors import CertificateError, NumericalError
+from .linalg import fundamental_matrix
 from .lyapunov import BoundInputs
-
-
-def singleton_bounds(kl_r: np.ndarray, ku_r: np.ndarray,
-                     kl_e: np.ndarray, ku_e: np.ndarray) -> tuple[float, float]:
-    """Two-sided bounds on the equilibrium expectation for K = {z}."""
-    if len(kl_r) != 1:
-        raise ValueError("singleton bounds require a one-state return set")
-    lower = float(kl_r[0] / ku_e[0])
-    upper = float(ku_r[0] / kl_e[0])
-    return lower, upper
 
 
 def minorization_bounds(tau: TauFamily, kl_r: np.ndarray, ku_r: np.ndarray,
                         kl_e: np.ndarray, ku_e: np.ndarray) -> tuple[float, float]:
-    """Bounds that extremize the cycle ratios over the mixture family."""
+    """Bounds that extremize the cycle ratios over the mixture family; for
+    K = {z} the family is the point mass and they are ``kl_r/ku_e``,
+    ``ku_r/kl_e`` at z."""
     den_hi = tau.dot(ku_e)
     den_lo = tau.dot(kl_e)
     if np.any(den_hi <= 0.0) or np.any(den_lo <= 0.0):
@@ -46,19 +38,6 @@ def minorization_bounds(tau: TauFamily, kl_r: np.ndarray, ku_r: np.ndarray,
     lower = float(tau.dot(kl_r).min() / den_hi.max())
     upper = float(tau.dot(ku_r).max() / den_lo.min())
     return lower, upper
-
-
-def approx_error_bound(lower: float, upper: float, *, stochasticization: str) -> float:
-    """Certified bound on |approximation - truth| for the row-normalized
-    approximation: the width of the minorization interval, which brackets
-    both quantities.  Invalid for the eigenvalue-twisted stochasticization,
-    whose stationary vector may fall outside the mixture family."""
-    if stochasticization != "row":
-        raise CertificateError(
-            "approximation-error bound is only certified for the row-normalized "
-            "stochasticization"
-        )
-    return max(0.0, float(upper - lower))
 
 
 def tv_bound_singleton(beta1_z: float, beta2_z: float, kl_e_z: float,
@@ -122,12 +101,6 @@ def tv_bound_general(pi_i: np.ndarray, beta1: np.ndarray, beta2: np.ndarray,
     return 2.0 * eps
 
 
-def weighted_tv(p: np.ndarray, q: np.ndarray, envelope: np.ndarray) -> float:
-    """Exact weighted total-variation distance on a common finite support:
-    the supremum over |f| <= envelope of the expectation gap."""
-    return float(np.abs(p - q) @ envelope)
-
-
 def combine_signed(pos: tuple[float, float], neg: tuple[float, float]) -> tuple[float, float]:
     """Interval for E[f+ - f-] from intervals for the two parts."""
     return pos[0] - neg[1], pos[1] - neg[0]
@@ -170,18 +143,15 @@ class BoundReport:
             "provenance": self.provenance,
         }
 
-    def to_json(self, **kw) -> str:
-        return json.dumps(self.to_dict(), **kw)
-
 
 def compute_bounds(ws: TruncationWorkspace, inputs: BoundInputs, *,
                    stochasticization: str = "row",
                    reward_id: str = "r") -> BoundReport:
     """Full bound assembly for the certificate's envelope reward.
 
-    Produces the approximation, the two-sided expectation bounds (singleton
-    route when K is a singleton, mixture route otherwise), the matching
-    stationary-gap estimate, and the weighted total-variation guarantee.
+    Produces the approximation, the two-sided expectation bounds over the
+    mixture family, the matching stationary-gap estimate, and the weighted
+    total-variation guarantee (the sharper singleton form when |K| = 1).
     """
     if stochasticization not in ("row", "perron"):
         raise ValueError("stochasticization must be 'row' or 'perron'")
@@ -209,19 +179,18 @@ def compute_bounds(ws: TruncationWorkspace, inputs: BoundInputs, *,
     timings["mixture_family"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
+    lower, upper = minorization_bounds(tau, kl_r, ku_r, kl_e, ku_e)
     if k == 1:
-        lower, upper = singleton_bounds(kl_r, ku_r, kl_e, ku_e)
         delta_i = 0.0
         tv = tv_bound_singleton(float(beta1[0]), float(beta2[0]), float(kl_e[0]), approx)
         method = "singleton"
         certified = True
     else:
-        lower, upper = minorization_bounds(tau, kl_r, ku_r, kl_e, ku_e)
         if stochasticization == "row":
             delta_i = delta2_bound(tau)
         else:
-            P1, _ = ca.perron_normalized
-            delta_i = delta1_bound(P1, ca.G, ws.fundamental())
+            P1, pi1 = ca.perron_normalized
+            delta_i = delta1_bound(P1, ca.G, fundamental_matrix(P1, pi1))
         ell = ell_lower_bound(tau, kl_e)
         tv = tv_bound_general(pi_i, beta1, beta2, approx, delta_i, ku_r, ku_e, ell)
         method = "minorization"
@@ -276,17 +245,11 @@ def reward_interval(ws: TruncationWorkspace, inputs: BoundInputs,
     _, kl_e, beta1, _, _, ku_e = ws.cycle_rewards(inputs)
     tau = ws.censored().tau
 
-    def part_bounds(kl_w: np.ndarray) -> tuple[float, float]:
-        ku_w = kl_w + beta1
-        if ws.k_size == 1:
-            return singleton_bounds(kl_w, ku_w, kl_e, ku_e)
-        return minorization_bounds(tau, kl_w, ku_w, kl_e, ku_e)
-
     pos = np.clip(f_A, 0.0, None)
     neg = np.clip(-f_A, 0.0, None)
     parts = [w for w in (pos, neg) if w.any()] or [pos]
     kl = ws.kappa_lower(np.column_stack(parts) * ws.unit_vec[:, None])
-    intervals = [part_bounds(kl_w) for kl_w in kl.T]
+    intervals = [minorization_bounds(tau, kl_w, kl_w + beta1, kl_e, ku_e) for kl_w in kl.T]
     if len(parts) == 2:
         return combine_signed(*intervals)
     lo, hi = intervals[0]

@@ -21,7 +21,6 @@ import numpy as np
 from .errors import IrreducibilityError, ModelError, NumericalError
 from .linalg import (
     SubstochasticSolver,
-    fundamental_matrix,
     is_irreducible,
     perron_eigenpair,
     stationary_small,
@@ -160,8 +159,7 @@ class CensoredApprox:
     @cached_property
     def perron_normalized(self) -> tuple[np.ndarray, np.ndarray]:
         """Eigenvalue-twisted stochasticization ``P1(x,y) = G(x,y) h(y) / (lam h(x))``."""
-        pe = perron_eigenpair(self.G)
-        lam, nu, h = pe.value, pe.left, pe.right
+        lam, nu, h = perron_eigenpair(self.G)
         P1 = self.G * h[None, :] / (lam * h[:, None])
         pi1 = nu * h
         pi1 = pi1 / pi1.sum()
@@ -213,11 +211,14 @@ class TruncationWorkspace:
         """``(kl_r, kl_e, beta1, beta2, ku_r, ku_e)`` of a ``BoundInputs``:
         ``kappa_lower`` of the envelope, the unit reward, ``h1`` and ``h2``,
         and the upper cycle rewards ``ku = kl + beta``; solved once per
-        workspace and instance, and read-only, as every query shares them."""
+        workspace and instance, and read-only, as every query shares them.
+        An envelope that is 1 on all of A is the unit reward: its ``kl_r``
+        is ``kl_e``."""
         cr = self._cycle_rewards.get(inputs)
         if cr is None:
-            kl_r = self.kappa_lower(inputs.r_A * self.unit_vec)
             kl_e = self._unit_cycle_reward
+            kl_r = kl_e if np.all(inputs.r_A == 1.0) \
+                else self.kappa_lower(inputs.r_A * self.unit_vec)
             beta1, beta2 = self.kappa_lower(inputs.h1_A), self.kappa_lower(inputs.h2_A)
             cr = self._cycle_rewards[inputs] = (
                 kl_r, kl_e, beta1, beta2, kl_r + beta1, kl_e + beta2)
@@ -271,8 +272,3 @@ class TruncationWorkspace:
         if total <= 0.0:
             raise NumericalError("degenerate occupation mass in approx_distribution")
         return eta / total
-
-    def fundamental(self) -> np.ndarray:
-        P1, pi1 = self.censored().perron_normalized
-        return fundamental_matrix(P1, pi1)
-

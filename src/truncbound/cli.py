@@ -182,7 +182,6 @@ def cmd_verify(cfg: dict, override: str | None) -> int:
     envelopes, _ = _bounds_options(cfg)
     return_set = _return_set(cfg)
     model = _build(cfg)
-    _outdir(cfg, override)
     ly = model.lyapunov()
     radii = {k: getattr(ly, k) for k in ("n1", "n2", "n3") if hasattr(ly, k)}
     certs = verified_certificates(model, envelopes, return_set)
@@ -257,7 +256,7 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args.config)
         command = {"run": cmd_run, "verify": cmd_verify, "sweep": cmd_sweep}[args.command]
-        # each command makes the output directory once the config has parsed
+        # run and sweep make the output directory once the config has parsed
         return command(cfg, args.output_dir)
     except (ConfigError, ModelError, EnumerationLimitError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -1,10 +1,11 @@
 """Markov jump processes via their embedded discrete chain.
 
 The jump process with rate rows Q is analyzed entirely through the embedded
-chain R(x, y) = Q(x, y) / lambda(x) together with the reward transform
-w -> w / lambda.  Equilibrium expectations of the jump process are cycle
-ratios of transformed rewards of the embedded chain, so every discrete
-bound applies verbatim after the transform; no uniformization is needed.
+chain R(x, y) = Q(x, y) / lambda(x), whose unit weights 1 / lambda carry the
+reward transform w -> w / lambda.  Equilibrium expectations of the jump
+process are cycle ratios of transformed rewards of the embedded chain, so
+every discrete bound applies verbatim after the transform; no
+uniformization is needed.
 """
 
 from __future__ import annotations
@@ -14,8 +15,6 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .errors import ModelError
-from .lyapunov import DriftReport, verify_drift
 from .statespace import _rate_batches
 
 
@@ -76,32 +75,6 @@ def embed(jump):
         unit_weights=lambda states: 1.0 / rate_rows(states)[3],
         rows=rows,
     )
-
-
-def transform_reward(f: Callable, exit_rate: Callable) -> Callable:
-    """Reward transform w -> w / lambda for the embedded chain."""
-    return lambda x: float(f(x)) / float(exit_rate(x))
-
-
-def verify_ctmc_drift(jump: JumpModel, g: Callable, slack: Callable,
-                      K, check_region) -> DriftReport:
-    """Drift check in generator form, cross-checked against the embedded form.
-
-    The generator inequality sum_{y notin K} Q(x,y) g(y) <= -slack(x) and the
-    embedded inequality sum_{y notin K} R(x,y) g(y) <= g(x) - slack(x)/lambda(x)
-    are algebraically equivalent; both are evaluated and must flag the same
-    states.
-    """
-    report_q = verify_drift(jump, g, slack, K, check_region)
-    embedded = embed(jump)
-    slack_t = transform_reward(slack, lambda x: exit_rate(jump, x))
-    report_r = verify_drift(embedded, g, slack_t, K, check_region)
-    if report_q.violations != report_r.violations:
-        raise ModelError(
-            "generator-form and embedded-form drift checks disagree: "
-            f"{len(report_q.violations)} vs {len(report_r.violations)} violations"
-        )
-    return report_q
 
 
 def stationary_reconstruction(pi_embedded: np.ndarray, exit_rates: np.ndarray) -> np.ndarray:

@@ -7,6 +7,8 @@ them; residual checks therefore raise instead of warning.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 # scipy.sparse loads first, as it did from censor.py: the first scipy
 # subpackage to load sets numpy's submodule import order and with it set-up time
@@ -132,18 +134,15 @@ def stationary_small(P) -> np.ndarray:
     return pi
 
 
-class PerronEigenpair:
+class PerronEigenpair(NamedTuple):
     """Dominant eigenvalue with positive left/right eigenvectors.
 
     Normalized so that ``sum(nu * h) = 1``.
     """
 
-    __slots__ = ("value", "left", "right")
-
-    def __init__(self, value: float, left: np.ndarray, right: np.ndarray):
-        self.value = value
-        self.left = left
-        self.right = right
+    value: float
+    left: np.ndarray
+    right: np.ndarray
 
 
 def perron_eigenpair(G, *, tol: float = PERRON_TOL,
@@ -212,14 +211,9 @@ def fundamental_matrix(P1, pi1: np.ndarray) -> np.ndarray:
     return F
 
 
-def strongly_connected_components(M) -> tuple[int, np.ndarray]:
-    """Number of strongly connected components and per-state labels of ``M > 0``."""
+def is_irreducible(M) -> bool:
+    """Whether the graph of ``M``'s stored entries is strongly connected."""
     A = sp.csr_matrix(M) if not sp.issparse(M) else M.tocsr()
     structure = sp.csr_matrix((np.ones_like(A.data), A.indices, A.indptr), shape=A.shape)
-    n_comp, labels = connected_components(structure, directed=True, connection="strong")
-    return int(n_comp), labels
-
-
-def is_irreducible(M) -> bool:
-    n_comp, _ = strongly_connected_components(M)
+    n_comp, _ = connected_components(structure, directed=True, connection="strong")
     return n_comp == 1

@@ -29,6 +29,11 @@ from .lyapunov import DriftCertificate, construct_K
 BETA_MASS_CUTOFF = 1e-300
 
 
+def _check_envelope(envelope_id: str) -> None:
+    if envelope_id not in ("r", "e"):
+        raise ModelError(f"unknown envelope {envelope_id!r} (use 'r' or 'e')")
+
+
 @dataclass(frozen=True)
 class DiscreteModel:
     """Generic discrete-chain model.
@@ -267,33 +272,22 @@ class GM1Model:
             r=lambda x: float(x),
         )
 
-    def drift_certificate(self, return_set=None) -> DriftCertificate:
-        """Certificate for the envelope r(x) = x with the designed return set."""
+    def certificate_for_envelope(self, envelope_id: str,
+                                 return_set=None) -> DriftCertificate:
+        """Benchmark protocol: the count envelope r(x) = x uses the
+        quadratic/linear pair with its return set; the constant envelope
+        (plain total variation) uses the linear function alone with the
+        (much smaller) set its violations define."""
+        _check_envelope(envelope_id)
         ly = self.lyapunov()
-        if return_set is None:
-            return_set = construct_K(self, ly.g1, ly.g2, ly.r, ly.n1, ly.n2)
-        return DriftCertificate.pair(return_set, ly.r, ly.g1, ly.g2, ly.n1, ly.n2)
-
-    def unit_drift_certificate(self, return_set=None) -> DriftCertificate:
-        """Single-pair certificate for the constant envelope (plain total
-        variation): the linear drift function alone, with the smaller return
-        set its violations define."""
-        ly = self.lyapunov()
+        if envelope_id == "r":
+            if return_set is None:
+                return_set = construct_K(self, ly.g1, ly.g2, ly.r, ly.n1, ly.n2)
+            return DriftCertificate.pair(return_set, ly.r, ly.g1, ly.g2, ly.n1, ly.n2)
         one = lambda x: 1.0
         if return_set is None:
             return_set = construct_K(self, ly.g2, ly.g2, one, ly.n2, ly.n2)
         return DriftCertificate.single(return_set, one, ly.g2, ly.n2)
-
-    def certificate_for_envelope(self, envelope_id: str,
-                                 return_set=None) -> DriftCertificate:
-        """Benchmark protocol: the count envelope uses the quadratic/linear
-        pair with its return set; the constant envelope uses the linear
-        function alone with the (much smaller) set its violations define."""
-        if envelope_id == "r":
-            return self.drift_certificate(return_set)
-        if envelope_id == "e":
-            return self.unit_drift_certificate(return_set)
-        raise ModelError(f"unknown envelope {envelope_id!r} (use 'r' or 'e')")
 
 
 # ---------------------------------------------------------------------------
@@ -404,21 +398,6 @@ class ToggleSwitchModel:
         w = lambda s: float(s[0] + s[1]) ** 2
         return g3, w, n3
 
-    @property
-    def imported_moment_bound(self) -> dict | None:
-        """External semidefinite-programming moment bound for the (20, 1)
-        configuration, taken as given input data."""
-        if (self.lam, self.mu) == (20.0, 1.0):
-            return {"reward": "(x1+x2)^6", "bound": 1.8e7}
-        return None
-
-    def drift_certificate(self) -> DriftCertificate:
-        # the count envelope never dominates the exit rate (synthesis pushes
-        # the rate above the count near the origin, decay matches it beyond),
-        # so the expert flag is required; recurrence of the embedded chain is
-        # carried by the linear-decay condition
-        return self._pair_certificate_on(self._pair_return_set)
-
     @cached_property
     def _pair_return_set(self) -> tuple:
         """The pair certificate's return set, constructed once per model (both
@@ -426,37 +405,24 @@ class ToggleSwitchModel:
         ly = self.lyapunov()
         return construct_K(self, ly.g1, ly.g2, ly.r, ly.n1, ly.n2)
 
-    def unit_drift_certificate(self, return_set=None) -> DriftCertificate:
-        """Constant-envelope certificate from the linear-decay function alone.
-
-        Pass the pair certificate's return set to reuse one partition for
-        both envelopes (the pair set contains every violation of the
-        linear-decay drift, so the inequality still holds off it).  The
-        constant envelope cannot dominate the exit rates, so the expert flag
-        is pre-set; the cycle identity stays valid regardless.
-        """
-        ly = self.lyapunov()
-        one = lambda s: 1.0
-        if return_set is None:
-            return_set = construct_K(self, ly.g2, ly.g2, one, ly.n2, ly.n2)
-        return DriftCertificate.single(return_set, one, ly.g2, ly.n2,
-                                       skip_rate_domination=True)
-
     def certificate_for_envelope(self, envelope_id: str,
                                  return_set=None) -> DriftCertificate:
-        """Benchmark protocol: both envelopes share the pair-designed return
-        set (it contains every violation of the linear-decay drift, so the
-        single-function certificate verifies on its complement too)."""
-        if envelope_id == "r":
-            return self.drift_certificate() if return_set is None \
-                else self._pair_certificate_on(return_set)
-        if envelope_id == "e":
-            if return_set is None:
-                return_set = self._pair_return_set
-            return self.unit_drift_certificate(return_set)
-        raise ModelError(f"unknown envelope {envelope_id!r} (use 'r' or 'e')")
-
-    def _pair_certificate_on(self, return_set) -> DriftCertificate:
+        """Benchmark protocol: the count envelope uses the quadratic/linear
+        pair, the constant envelope the linear-decay function alone.  Both
+        share the pair-designed return set by default (it contains every
+        violation of the linear-decay drift, so the single-function
+        certificate verifies on its complement too)."""
+        # neither envelope dominates the exit rate (synthesis pushes the rate
+        # above the count near the origin, decay matches it beyond), so the
+        # expert flag is required; recurrence of the embedded chain is
+        # carried by the linear-decay condition, and the cycle identity stays
+        # valid regardless
+        _check_envelope(envelope_id)
         ly = self.lyapunov()
-        return DriftCertificate.pair(return_set, ly.r, ly.g1, ly.g2, ly.n1,
-                                     ly.n2, skip_rate_domination=True)
+        if return_set is None:
+            return_set = self._pair_return_set
+        if envelope_id == "r":
+            return DriftCertificate.pair(return_set, ly.r, ly.g1, ly.g2, ly.n1, ly.n2,
+                                         skip_rate_domination=True)
+        return DriftCertificate.single(return_set, lambda s: 1.0, ly.g2, ly.n2,
+                                       skip_rate_domination=True)

@@ -7,7 +7,16 @@ oracles share code paths with the library machinery they check.
 
 from __future__ import annotations
 
-import numpy as np
+import os
+
+# one BLAS thread, as in the benchmark (perfbench/run.py): dense LAPACK
+# results then do not depend on the thread count, and the acceptance suite
+# can compare them with the benchmark's recorded answers bit for bit.  Set
+# before numpy loads, which is the first time it reads these.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import numpy as np  # noqa: E402
 import pytest
 
 from truncbound import DiscreteModel
@@ -154,6 +163,8 @@ def exact_certificate(P: np.ndarray, k: int, r: np.ndarray, model) -> "DriftCert
 
 
 def measured_weighted_tv(p: np.ndarray, q: np.ndarray, envelope: np.ndarray) -> float:
+    """Exact weighted total-variation distance on a common finite support:
+    the supremum over |f| <= envelope of the expectation gap."""
     return float(np.abs(p - q) @ envelope)
 
 

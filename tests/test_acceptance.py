@@ -4,13 +4,15 @@ Each criterion prints one PASS/FAIL line (visible with ``pytest -s``); a
 criterion fails loudly through its assertions otherwise.
 """
 
+import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from truncbound import TruncationWorkspace, enumerate_space, tau_family_direct
-from truncbound.bounds import compute_bounds, weighted_tv
+from truncbound.bounds import compute_bounds
 from truncbound.ctmc import stationary_reconstruction
 from truncbound.lyapunov import (
     construct_K,
@@ -25,6 +27,7 @@ from conftest import (
     exact_certificate,
     exit_oracle,
     host_model,
+    measured_weighted_tv,
     random_rate_matrix,
     random_stochastic,
     stationary_power,
@@ -32,9 +35,22 @@ from conftest import (
 from gm1_reference import reference_distribution
 
 
+BENCHMARK_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+
+
 def _line(num, name, ok):
     print(f"\nACCEPTANCE {num} ({name}): {'PASS' if ok else 'FAIL'}")
     return ok
+
+
+def _recorded(workload: str, reports: dict) -> bool:
+    """Whether ``reports`` (envelope id -> BoundReport) give the benchmark's
+    recorded full-size answers for ``workload`` bit for bit; BLAS runs on one
+    thread in both (see conftest)."""
+    want = json.loads(BENCHMARK_REFERENCE.read_text())["full"][workload]["reports"]
+    return reports.keys() == want.keys() and all(
+        {key: getattr(reports[env], key) for key in fields} == fields
+        for env, fields in want.items())
 
 
 @pytest.fixture(scope="module")
@@ -101,6 +117,7 @@ def test_criterion_2_gm1_certified_accuracy(gm1_runs):
     geo = law.masses(10001)
     measured = float(np.abs(ref - geo).sum() + law.tail(10001))
     checks["measured <= computed bound"] = measured <= rep_e.tv_bound
+    checks["r, e as benchmark recorded"] = _recorded("gm1-ref", {"r": rep_r, "e": rep_e})
 
     assert _line(2, "queue certified accuracy", all(checks.values())), checks
 
@@ -125,6 +142,8 @@ def test_criterion_3_toggle_certified_accuracy():
                            envelopes=("r", "e"))
     checks["ts90 plain tv < 1e-11"] = r90.report("e").tv_bound < 1e-11
     checks["ts90 weighted tv < 1e-9"] = r90.report("r").tv_bound < 1e-9
+    checks["ts90 r, e as benchmark recorded"] = \
+        _recorded("toggle90", {env: r90.report(env) for env in ("r", "e")})
 
     checks["runtime < 30 min"] = time.perf_counter() - t0 < 1800
     assert _line(3, "toggle-switch certified accuracy", all(checks.values())), checks
@@ -166,7 +185,7 @@ def test_criterion_4_oracle_equivalence_suite():
             fails.append((seed, "c-full"))
         # (d) full-space TV bound dominates the (noise-level) measured TV
         dist = ws.approx_distribution(pi2)
-        if weighted_tv(dist, pi, r) > rep_full.tv_bound + 1e-11:
+        if measured_weighted_tv(dist, pi, r) > rep_full.tv_bound + 1e-11:
             fails.append((seed, "d-full"))
 
         # strict truncation: the smallest A whose censored matrix is still
@@ -189,7 +208,7 @@ def test_criterion_4_oracle_equivalence_suite():
             fails.append((seed, "c-strict"))
         dist_t = np.zeros(n)
         dist_t[:a] = ws_t.approx_distribution(ws_t.censored().row_normalized[1])
-        if weighted_tv(dist_t, pi, r) > rep_t.tv_bound:
+        if measured_weighted_tv(dist_t, pi, r) > rep_t.tv_bound:
             fails.append((seed, "d-strict"))
 
         # (e) with K = {0} the induced law is the occupation before exit

@@ -6,7 +6,6 @@ import pytest
 
 from truncbound import TruncationWorkspace, enumerate_space
 from truncbound.bounds import (
-    approx_error_bound,
     combine_signed,
     compute_bounds,
     delta1_bound,
@@ -14,13 +13,12 @@ from truncbound.bounds import (
     ell_lower_bound,
     minorization_bounds,
     reward_interval,
-    singleton_bounds,
     tv_bound_general,
     tv_bound_singleton,
-    weighted_tv,
 )
 from truncbound.censor import CensoredApprox
 from truncbound.errors import CertificateError
+from truncbound.linalg import fundamental_matrix
 from truncbound.lyapunov import BoundInputs, evaluate_certificate
 from truncbound.models import GM1Model
 
@@ -28,6 +26,7 @@ from conftest import (
     exact_certificate,
     host_model,
     kappa_oracle,
+    measured_weighted_tv,
     random_stochastic,
     stationary_power,
     upper_cycle_rewards,
@@ -93,19 +92,17 @@ class TestKappaUpper:
 class TestSingletonBounds:
     def test_exact_certificate_degenerates_to_truth(self, rng):
         P, model, ws, inputs = setup_host(rng, n=10, k=1)
-        kl_r = ws.kappa_lower(inputs.r_A)
-        kl_e = ws.kappa_lower(np.ones(10))
-        ku_r, ku_e = upper_cycle_rewards(ws, inputs)
-        lo, hi = singleton_bounds(kl_r, ku_r, kl_e, ku_e)
+        rep = compute_bounds(ws, inputs)
         pir = stationary_power(P) @ np.arange(10.0)
-        assert lo == pytest.approx(pir, abs=1e-10)
-        assert hi == pytest.approx(pir, abs=1e-10)
+        assert rep.method == "singleton"
+        assert rep.lower == pytest.approx(pir, abs=1e-10)
+        assert rep.upper == pytest.approx(pir, abs=1e-10)
 
     def test_unit_reward_brackets_one(self, rng):
         P, model, ws, inputs = setup_host(rng, n=10, k=1, a=8)
         kl_e = ws.kappa_lower(np.ones(8))
         _, ku_e = upper_cycle_rewards(ws, inputs)
-        lo, hi = singleton_bounds(kl_e, ku_e, kl_e, ku_e)
+        lo, hi = minorization_bounds(ws.censored().tau, kl_e, ku_e, kl_e, ku_e)
         assert lo <= 1.0 <= hi
 
     def test_gm1_singleton_contains_geometric_mean(self):
@@ -155,13 +152,18 @@ class TestSingletonBounds:
 
 class TestMinorizationBounds:
     def test_singleton_reduction_is_bitwise(self, rng):
+        # with K = {z} the mixture bounds are the closed-form singleton
+        # ratios kl(r)/ku(e) and ku(r)/kl(e), bit for bit
         P, model, ws, inputs = setup_host(rng, n=10, k=1, a=8)
-        kl_r = ws.kappa_lower(inputs.r_A[:8])
-        kl_e = ws.kappa_lower(np.ones(8))
-        ku_r, ku_e = upper_cycle_rewards(ws, inputs)
-        tau = ws.censored().tau
-        assert minorization_bounds(tau, kl_r, ku_r, kl_e, ku_e) == \
-            singleton_bounds(kl_r, ku_r, kl_e, ku_e)
+        fresh = TruncationWorkspace(ws.partition)
+        kl_r = fresh.kappa_lower(inputs.r_A * fresh.unit_vec)
+        kl_e = fresh.kappa_lower(fresh.unit_vec)
+        ku_r = kl_r + fresh.kappa_lower(inputs.h1_A)
+        ku_e = kl_e + fresh.kappa_lower(inputs.h2_A)
+        rep = compute_bounds(ws, inputs)
+        assert rep.method == "singleton"
+        assert rep.lower == kl_r[0] / ku_e[0]
+        assert rep.upper == ku_r[0] / kl_e[0]
 
     def test_full_space_degenerate_interval(self, rng):
         P, model, ws, inputs = setup_host(rng, n=14, k=4)
@@ -185,16 +187,16 @@ class TestMinorizationBounds:
 
 class TestApproxErrorBound:
     def test_width_and_refusal(self, rng):
+        # the row route's interval brackets both the approximation and the
+        # truth, so its width bounds the approximation error; the perron
+        # route's stationary vector may leave the mixture family, and its
+        # report is not certified
         P, model, ws, inputs = setup_host(rng, n=11, k=3, a=9)
         rep = compute_bounds(ws, inputs)
-        width = approx_error_bound(rep.lower, rep.upper, stochasticization="row")
         pir = stationary_power(P) @ np.arange(11.0)
-        assert abs(rep.approx - pir) <= width
-        with pytest.raises(CertificateError):
-            approx_error_bound(rep.lower, rep.upper, stochasticization="perron")
-
-    def test_degenerate_interval_gives_zero(self):
-        assert approx_error_bound(2.5, 2.5, stochasticization="row") == 0.0
+        assert rep.certified
+        assert abs(rep.approx - pir) <= rep.upper - rep.lower
+        assert not compute_bounds(ws, inputs, stochasticization="perron").certified
 
 
 class TestTvBounds:
@@ -215,7 +217,7 @@ class TestTvBounds:
             pi = stationary_power(P)
             dist = np.zeros(n)
             dist[:9] = ws.approx_distribution(ws.censored().row_normalized[1])
-            meas = weighted_tv(dist, pi, np.arange(float(n)))
+            meas = measured_weighted_tv(dist, pi, np.arange(float(n)))
             assert meas <= rep.tv_bound + 1e-11
 
     def test_general_zero_inputs_give_zero(self):
@@ -233,7 +235,7 @@ class TestTvBounds:
             pi = stationary_power(P)
             dist = np.zeros(n)
             dist[:a] = ws.approx_distribution(ws.censored().row_normalized[1])
-            meas = weighted_tv(dist, pi, np.arange(float(n)))
+            meas = measured_weighted_tv(dist, pi, np.arange(float(n)))
             assert meas <= rep.tv_bound + 1e-11
 
     def test_perron_route_dominates_measured(self, rng):
@@ -245,7 +247,7 @@ class TestTvBounds:
             pi = stationary_power(P)
             dist = np.zeros(12)
             dist[:9] = ws.approx_distribution(ws.censored().perron_normalized[1])
-            meas = weighted_tv(dist, pi, np.arange(12.0))
+            meas = measured_weighted_tv(dist, pi, np.arange(12.0))
             assert meas <= rep.tv_bound + 1e-11
 
     def test_ell_guard(self):
@@ -297,7 +299,7 @@ class TestDeltas:
             P1, pi1 = ca.perron_normalized
             pi = stationary_power(P)
             pi_k = pi[:k] / pi[:k].sum()
-            bound = delta1_bound(P1, ca.G, ws.fundamental())
+            bound = delta1_bound(P1, ca.G, fundamental_matrix(P1, pi1))
             assert np.abs(pi1 - pi_k).sum() <= bound + 1e-11
 
 

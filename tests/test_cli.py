@@ -120,6 +120,16 @@ class TestVerify:
         assert "k* = 201" in out
         assert "k* = 4" in out
 
+    def test_creates_no_output_directory(self, tmp_path, capsys):
+        # verify writes nothing, so neither the configured directory nor an
+        # --output-dir override is created
+        path, _ = write_config(tmp_path)
+        override = tmp_path / "override"
+        assert main(["verify", str(path), "--output-dir", str(override)]) == 0
+        assert main(["verify", str(path)]) == 0
+        assert not override.exists()
+        assert not (tmp_path / "out").exists()
+
     def test_toggle_verify(self, tmp_path, capsys):
         path, _ = write_config(
             tmp_path,

@@ -8,14 +8,13 @@ from truncbound.ctmc import (
     embed,
     exit_rate,
     stationary_reconstruction,
-    transform_reward,
-    verify_ctmc_drift,
 )
 from truncbound.errors import ModelError
 from truncbound.lyapunov import (
     DriftCertificate,
     evaluate_certificate,
     verify_certificate,
+    verify_drift,
 )
 from truncbound.models import ToggleSwitchModel
 
@@ -128,25 +127,28 @@ class TestEmbedding:
 
 
 class TestRewardTransform:
+    """The transform w -> w / lambda is the partition's unit weights: a
+    workspace multiplies every reward over A by ``unit_vec``."""
+
     def test_exit_rate_transforms_to_one(self):
         Q = np.array([[-3.0, 3.0], [0.5, -0.5]])
         jm = jump_from_matrix(Q)
-        rate = lambda x: exit_rate(jm, x)
-        f = transform_reward(rate, rate)
-        assert f(0) == pytest.approx(1.0) and f(1) == pytest.approx(1.0)
+        _, part = enumerate_space(embed(jm), lambda s: True, lambda s: s == 0)
+        rate = np.array([exit_rate(jm, x) for x in part.space.states])
+        assert rate * part.unit == pytest.approx(np.ones(2))
 
     def test_zero_stays_zero(self):
         Q = np.array([[-3.0, 3.0], [0.5, -0.5]])
-        jm = jump_from_matrix(Q)
-        f = transform_reward(lambda x: 0.0, lambda x: exit_rate(jm, x))
-        assert f(0) == 0.0
+        _, part = enumerate_space(embed(jump_from_matrix(Q)), lambda s: True,
+                                  lambda s: s == 0)
+        ws = TruncationWorkspace(part)
+        assert not ws.kappa_lower(np.zeros(2) * ws.unit_vec).any()
 
     def test_toggle_balance_point_value(self):
         ts = ToggleSwitchModel(20.0, 1.0)
-        f = transform_reward(lambda s: float(s[0] + s[1]), lambda s: exit_rate(ts, s))
         # at (4,4): total count 8, exit rate 2*20/5 + 8 = 16
         assert exit_rate(ts, (4, 4)) == pytest.approx(16.0)
-        assert f((4, 4)) == pytest.approx(0.5)
+        assert 8.0 * embed(ts).unit_weights([(4, 4)])[0] == pytest.approx(0.5)
 
 
 class TestCtmcDrift:
@@ -154,14 +156,14 @@ class TestCtmcDrift:
         ts = ToggleSwitchModel(20.0, 1.0)
         ly = ts.lyapunov()
         region = [s for s in ts.states_within(75) if 60 <= s[0] + s[1]]
-        rep = verify_ctmc_drift(ts, ly.g1, ly.r, (), region)
+        rep = verify_drift(ts, ly.g1, ly.r, (), region)
         assert rep.verified
 
     def test_toggle90_unit_drift_holds_beyond_design_radius(self):
         ts = ToggleSwitchModel(90.0, 1.0)
         ly = ts.lyapunov()
         region = [s for s in ts.states_within(240) if 217 <= s[0] + s[1]]
-        rep = verify_ctmc_drift(ts, ly.g2, lambda s: 1.0, (), region)
+        rep = verify_drift(ts, ly.g2, lambda s: 1.0, (), region)
         assert rep.verified
 
     def test_generator_and_embedded_forms_agree(self, rng):
@@ -169,9 +171,13 @@ class TestCtmcDrift:
         jm = jump_from_matrix(Q)
         g = lambda x: float(x * x + 1)
         slack = lambda x: float(x)
-        # whatever the outcome, both forms must flag identical states
-        rep = verify_ctmc_drift(jm, g, slack, (0,), range(7))
-        assert isinstance(rep.violations, tuple)
+        # the generator inequality sum_{y notin K} Q(x,y) g(y) <= -slack(x)
+        # and the embedded one sum_{y notin K} R(x,y) g(y) <= g(x) -
+        # slack(x)/lambda(x) are equivalent: both flag the same states
+        slack_embedded = lambda x: slack(x) / exit_rate(jm, x)
+        rep_q = verify_drift(jm, g, slack, (0,), range(7))
+        rep_r = verify_drift(embed(jm), g, slack_embedded, (0,), range(7))
+        assert rep_q.violations == rep_r.violations
 
     def test_exact_solution_zero_slack(self):
         # hand 3-state chain; g solving the generator equation exactly
@@ -186,7 +192,7 @@ class TestCtmcDrift:
         B = Q[1:, 1:]
         g_tail = np.linalg.solve(-B, r[1:])
         g = lambda x: 0.0 if x == 0 else float(g_tail[x - 1])
-        rep = verify_ctmc_drift(jm, g, lambda x: float(r[x]), (0,), range(3))
+        rep = verify_drift(jm, g, lambda x: float(r[x]), (0,), range(3))
         assert rep.verified
         assert abs(rep.worst_margin) < 1e-12
 

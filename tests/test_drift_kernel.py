@@ -179,14 +179,13 @@ def test_verify_and_construct_equal_reference_on_random_models(seed, jump, batch
 # -- the built-in models ------------------------------------------------------
 
 def _certificates(model):
-    if isinstance(model, GM1Model):
-        ly = model.lyapunov()
-        one = lambda x: 1.0
-        return [(model.drift_certificate(), (ly.g1, ly.g2, ly.r, ly.n1, ly.n2)),
-                (model.unit_drift_certificate(), (ly.g2, ly.g2, one, ly.n2, ly.n2))]
+    # gm1's constant envelope has its own return set; toggle's shares the pair's
     ly = model.lyapunov()
-    return [(model.certificate_for_envelope(env), (ly.g1, ly.g2, ly.r, ly.n1, ly.n2))
-            for env in ("r", "e")]
+    pair_args = (ly.g1, ly.g2, ly.r, ly.n1, ly.n2)
+    unit_args = (ly.g2, ly.g2, lambda x: 1.0, ly.n2, ly.n2) \
+        if isinstance(model, GM1Model) else pair_args
+    return [(model.certificate_for_envelope("r"), pair_args),
+            (model.certificate_for_envelope("e"), unit_args)]
 
 
 @pytest.mark.parametrize("model", [GM1Model(), ToggleSwitchModel(20.0, 1.0),

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,7 +11,6 @@ from truncbound.linalg import (
     is_irreducible,
     perron_eigenpair,
     stationary_small,
-    strongly_connected_components,
 )
 
 from conftest import random_stochastic, stationary_power
@@ -164,20 +164,17 @@ class TestFundamentalMatrix:
 
 class TestSCC:
     def test_identity_three_components(self):
-        n, _ = strongly_connected_components(np.eye(3))
-        assert n == 3
+        assert not is_irreducible(np.eye(3))
 
     def test_cycle_is_one_component(self):
         P = np.roll(np.eye(4), 1, axis=1)
-        n, _ = strongly_connected_components(P)
-        assert n == 1
         assert is_irreducible(P)
+        assert is_irreducible(sp.csr_matrix(P))
 
     def test_block_diagonal_two_components(self):
         P = np.zeros((4, 4))
         P[:2, :2] = [[0.5, 0.5], [0.5, 0.5]]
         P[2:, 2:] = [[0.0, 1.0], [1.0, 0.0]]
-        n, labels = strongly_connected_components(P)
-        assert n == 2
-        assert labels[0] == labels[1] and labels[2] == labels[3]
         assert not is_irreducible(P)
+        P[1, 2] = P[3, 0] = 0.5     # a link each way joins the two blocks
+        assert is_irreducible(P)

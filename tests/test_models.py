@@ -102,9 +102,9 @@ class TestGm1Lyapunov:
         from truncbound.lyapunov import verify_certificate
 
         gm1 = GM1Model()
-        pair = verify_certificate(gm1, gm1.drift_certificate())
+        pair = verify_certificate(gm1, gm1.certificate_for_envelope("r"))
         assert pair.verified and len(pair.return_set) == 202
-        unit = verify_certificate(gm1, gm1.unit_drift_certificate())
+        unit = verify_certificate(gm1, gm1.certificate_for_envelope("e"))
         assert unit.verified and unit.return_set == (0, 1, 2, 3, 4)
 
 
@@ -144,12 +144,6 @@ class TestToggleSwitch:
     def test_moment_route_radius(self):
         _, _, n3 = ToggleSwitchModel(90.0, 1.0).moment_data(alpha=4.0)
         assert n3 == 293
-
-    def test_imported_moment_bound_only_for_small_variant(self):
-        assert ToggleSwitchModel(20.0, 1.0).imported_moment_bound == {
-            "reward": "(x1+x2)^6", "bound": 1.8e7,
-        }
-        assert ToggleSwitchModel(90.0, 1.0).imported_moment_bound is None
 
     def test_low_balance_point_rejected(self):
         with pytest.raises(ModelError, match="1/2"):

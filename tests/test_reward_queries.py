@@ -18,7 +18,6 @@ from truncbound.bounds import (
     compute_bounds,
     minorization_bounds,
     reward_interval,
-    singleton_bounds,
 )
 from truncbound.linalg import SubstochasticSolver
 from truncbound.lyapunov import evaluate_certificate
@@ -38,8 +37,8 @@ def reference_interval(ws, inputs, f_A):
     def part_bounds(w_A):
         kl_w = ws.kappa_lower(w_A * unit)
         ku_w = kl_w + beta1
-        if ws.k_size == 1:
-            return singleton_bounds(kl_w, ku_w, kl_e, ku_e)
+        if ws.k_size == 1:   # the closed-form singleton ratios
+            return float(kl_w[0] / ku_e[0]), float(ku_w[0] / kl_e[0])
         return minorization_bounds(tau, kl_w, ku_w, kl_e, ku_e)
 
     pos = np.clip(f_A, 0.0, None)
@@ -106,13 +105,13 @@ class TestSolveCounts:
 
     def test_unit_reward_solved_once_per_workspace(self, toggle60, solve_log):
         # the cycle length kl(e) is solved once for both certificates and
-        # approx_expectation; e's envelope, the unit reward too, once more
+        # approx_expectation, and e's envelope, the unit reward too, reuses it
         part, inputs = toggle60
         ws = TruncationWorkspace(part)
         reports = [compute_bounds(ws, inputs[env]) for env in ("r", "e", "r", "e")]
         pi_k = ws.censored().row_normalized[1]
         ws.approx_expectation(pi_k, inputs["r"].r_A)
-        assert unit_solves(solve_log, ws) == 2
+        assert unit_solves(solve_log, ws) == 1
         assert reports[1].approx == pytest.approx(1.0)
 
     def test_repeated_bounds_reuse_cycle_rewards(self, toggle60, solve_log):
@@ -132,6 +131,7 @@ class TestSolveCounts:
         for env in ("r", "e"):
             cr, ev = ws.cycle_rewards(inputs[env]), inputs[env]
             assert cr is ws.cycle_rewards(ev)
+            assert (cr[0] is cr[1]) == (env == "e")   # e's envelope is the unit reward
             kl_r = fresh.kappa_lower(ev.r_A * fresh.unit_vec)
             kl_e = fresh.kappa_lower(fresh.unit_vec)
             beta1, beta2 = fresh.kappa_lower(ev.h1_A), fresh.kappa_lower(ev.h2_A)
