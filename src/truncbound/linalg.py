@@ -69,10 +69,14 @@ class SubstochasticSolver:
                 self._norm_A = float(row_sums.max())
         return self._norm_A
 
-    def _check(self, X: np.ndarray, B: np.ndarray, trans: bool) -> None:
+    def _check(self, X: np.ndarray, B: np.ndarray, trans: bool) -> np.ndarray:
+        """Raise unless every column's residual is within tolerance; returns
+        the residual norms ``max |(I - M) x - b|`` by column."""
         A = self._A
-        R = (A.T @ X if trans else A @ X) - B
-        rn = np.max(np.abs(R), axis=0)
+        R = A.T @ X if trans else A @ X
+        R -= B                                  # in place: no more n x m temporaries
+        np.abs(R, out=R)
+        rn = R.max(axis=0)
         bn = np.max(np.abs(B), axis=0)
         xn = np.max(np.abs(X), axis=0)
         tol = SOLVE_RESIDUAL_TOL * np.maximum(bn, self.operator_norm * xn)
@@ -84,6 +88,7 @@ class SubstochasticSolver:
                 f"residual check failed for (I - M) solve: column {worst}, "
                 f"residual {rn[worst]:.3e} > tol {tol[worst]:.3e}"
             )
+        return rn
 
     def solve(self, b, *, transpose: bool = False) -> np.ndarray:
         """Solve ``(I - M) x = b`` (or the transposed system)."""

@@ -15,6 +15,8 @@ from __future__ import annotations
 import hashlib
 import json
 import warnings
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -67,19 +69,25 @@ class _DriftTable:
         """``fn`` over all ids, evaluated (once) at the ids ``at``."""
         n = len(self.states)
         vals, done = self._memo.setdefault(fn, (np.zeros(n), np.zeros(n, dtype=bool)))
-        todo = np.unique(at[~done[at]])
+        need = np.zeros(n, dtype=bool)
+        need[at] = True
+        todo = np.flatnonzero(need & ~done)
         vals[todo] = [float(fn(self.states[i])) for i in todo.tolist()]
         done[todo] = True
         return vals
+
+    def mask(self, states) -> np.ndarray:
+        """True at the ids of those of ``states`` that the table holds."""
+        on = np.zeros(len(self.states), dtype=bool)
+        on[[self.ids[s] for s in states if s in self.ids]] = True
+        return on
 
     def surplus(self, g: Callable, slack: Callable, exclude=frozenset(),
                 x: np.ndarray | None = None) -> np.ndarray:
         """:func:`drift_excess` at the region ids ``x`` (default: the region),
         with the same floats; not checked for finiteness."""
         x = self.src if x is None else x
-        off = np.zeros(len(self.states), dtype=bool)
-        if exclude:
-            off[[i for i, s in enumerate(self.states) if s in exclude]] = True
+        off = self.mask(exclude)
         live = np.zeros(self.m, dtype=bool)
         live[x] = True
         live = live[self.pos] & ~off[self.tgt]          # entries that add w * g(y)
@@ -98,6 +106,60 @@ class _DriftTable:
             raise NumericalError(f"drift surplus not finite at state {state!r}")
 
 
+def unit(_) -> float:
+    """The constant reward 1.  One function object for every certificate, so
+    a shared drift table evaluates it once per state."""
+    return 1.0
+
+
+class _Stage:
+    """An open certificate stage: its model and the drift table it shares."""
+
+    def __init__(self, model):
+        self.model = model
+        self.table: _DriftTable | None = None
+
+
+# a context variable, so each thread sees only the stage it opened
+_stage: ContextVar[_Stage | None] = ContextVar("truncbound_drift_stage", default=None)
+
+
+@contextmanager
+def drift_stage(model):
+    """Share one drift table among the drift checks on ``model`` made inside
+    the block, so each certificate function is evaluated once per state.
+
+    Every check still reads only the states of its own region.  The table
+    is dropped when the block exits.
+    """
+    token = _stage.set(_Stage(model))
+    try:
+        yield
+    finally:
+        _stage.reset(token)
+
+
+def _table_for(model, region) -> tuple[_DriftTable, np.ndarray]:
+    """A drift table over ``region`` and the ids of the region's states in it.
+
+    Inside a :func:`drift_stage` on ``model`` this is the stage's table when
+    its rows cover the region; otherwise a table over the region, which
+    becomes the stage's table.  Outside a stage every call builds its own.
+    """
+    region = list(region)
+    stage = _stage.get()
+    if stage is None or stage.model is not model:
+        table = _DriftTable(model, region)
+        return table, table.src
+    table = stage.table
+    if table is not None:
+        x = np.fromiter((table.ids.get(s, table.m) for s in region), np.intp, len(region))
+        if (x < table.m).all():
+            return table, x
+    table = stage.table = _DriftTable(model, region)
+    return table, table.src
+
+
 def drift_excess(model, g: Callable, slack: Callable, x, exclude=frozenset()) -> float:
     """One-step drift surplus at ``x``; nonpositive means the inequality holds.
 
@@ -106,9 +168,9 @@ def drift_excess(model, g: Callable, slack: Callable, x, exclude=frozenset()) ->
 
     Raises :class:`NumericalError` when the surplus is not finite.
     """
-    table = _DriftTable(model, [x])
-    s = table.surplus(g, slack, exclude)
-    table.require_finite(table.src, s)
+    table, at = _table_for(model, [x])
+    s = table.surplus(g, slack, exclude, at)
+    table.require_finite(at, s)
     return float(s[0])
 
 
@@ -136,14 +198,14 @@ def verify_drift(model, g: Callable, slack: Callable, K: Sequence,
     boundary, where roundoff makes the surplus sign arbitrary.  A surplus
     that is not finite raises :class:`NumericalError`.
     """
-    table = _DriftTable(model, check_region)
-    return _verify_on(table, table.src, g, slack, K, tolerance)
+    table, x = _table_for(model, check_region)
+    return _verify_on(table, x, g, slack, K, tolerance)
 
 
 def _verify_on(table: _DriftTable, x: np.ndarray, g, slack, K, tolerance) -> DriftReport:
     """:func:`verify_drift` at the region ids ``x`` of ``table``."""
     k_set = frozenset(K)
-    x = x[np.array([table.states[i] not in k_set for i in x.tolist()], dtype=bool)]
+    x = x[~table.mask(k_set)[x]]
     s = table.surplus(g, slack, k_set, x)
     table.require_finite(x, s)
     allow = tolerance * (1.0 + np.abs(table.values(g, x)[x])
@@ -164,16 +226,16 @@ def construct_K(model, g1: Callable, g2: Callable, r: Callable,
     analytically, so the resulting K satisfies the drift assumption on its
     complement by construction.
     """
-    ball = _DriftTable(model, model.states_within(max(n1, n2)))
-    if not ball.m:
+    table, x = _table_for(model, model.states_within(max(n1, n2)))
+    if not x.size:
         raise ModelError("empty candidate ball for return-set construction")
-    s1 = ball.surplus(g1, r)
+    s1 = table.surplus(g1, r, x=x)
     holds = s1 <= 0.0                   # g2 is checked only where g1's drift holds
     s2 = np.zeros_like(s1)
-    s2[holds] = ball.surplus(g2, lambda _: 1.0, x=ball.src[holds])
-    ball.require_finite(ball.src, s1, s2)
-    K = [ball.states[i] for i in ball.src[(s1 > 0.0) | (s2 > 0.0)].tolist()]
-    if len(K) == len(ball.src):
+    s2[holds] = table.surplus(g2, unit, x=x[holds])
+    table.require_finite(x, s1, s2)
+    K = [table.states[i] for i in x[(s1 > 0.0) | (s2 > 0.0)].tolist()]
+    if len(K) == x.size:
         raise CertificateError(
             "drift inequalities fail on the whole candidate ball; the supplied "
             "certificate functions cannot produce a finite return set"
@@ -228,18 +290,22 @@ def verify_certificate(model, cert: DriftCertificate, *,
     an error is raised unless the expert flag is set on the certificate.
     """
     if cert.single_pair:
-        slack_r = lambda x: max(float(cert.envelope(x)), 1.0)
+        # max(1.0, 1.0) is 1.0: the unit envelope is its own slack
+        slack_r = unit if cert.envelope is unit else \
+            lambda x: max(float(cert.envelope(x)), 1.0)
         pairs = [(cert.g_r, slack_r, max(cert.radius_r, cert.radius_e))]
     else:
         pairs = [
             (cert.g_r, cert.envelope, cert.radius_r),
-            (cert.g_e, lambda _: 1.0, cert.radius_e),
+            (cert.g_e, unit, cert.radius_e),
         ]
-    ball = _DriftTable(model, model.states_within(max(cert.radius_r, cert.radius_e)))
+    top = max(cert.radius_r, cert.radius_e)
+    table, ball = _table_for(model, model.states_within(top))
     reports = []
     for g, slack, radius in pairs:
-        x = np.array([ball.ids[s] for s in model.states_within(radius)], dtype=np.intp)
-        rep = _verify_on(ball, x, g, slack, cert.return_set, tolerance)
+        x = ball if radius == top else \
+            np.array([table.ids[s] for s in model.states_within(radius)], dtype=np.intp)
+        rep = _verify_on(table, x, g, slack, cert.return_set, tolerance)
         reports.append(rep)
         if rep.violations:
             sample = list(rep.violations[:8])
@@ -249,8 +315,8 @@ def verify_certificate(model, cert: DriftCertificate, *,
             )
     if cert.single_pair:
         reports = reports * 2
-    if ball.jump:
-        bad = _rate_domination_violations(ball, cert)
+    if table.jump:
+        bad = _rate_domination_violations(table, ball, cert)
         if bad and not cert.skip_rate_domination:
             raise CertificateError(
                 f"envelope does not dominate the exit rate at {len(bad)} states, "
@@ -268,11 +334,11 @@ def verify_certificate(model, cert: DriftCertificate, *,
     return replace(cert, verified=True, reports=tuple(reports))
 
 
-def _rate_domination_violations(ball: _DriftTable, cert: DriftCertificate) -> list:
-    """Ball states whose envelope falls below the exit rate."""
-    x = ball.src
-    low = ball.values(cert.envelope, x)[x] < ball.lam[x] * (1.0 - 1e-12)
-    return [ball.states[i] for i in x[low].tolist()]
+def _rate_domination_violations(table: _DriftTable, x: np.ndarray,
+                                cert: DriftCertificate) -> list:
+    """States among the ids ``x`` whose envelope falls below the exit rate."""
+    low = table.values(cert.envelope, x)[x] < table.lam[x] * (1.0 - 1e-12)
+    return [table.states[i] for i in x[low].tolist()]
 
 
 @dataclass(frozen=True, eq=False)
@@ -355,9 +421,9 @@ def moment_bound(model, g3: Callable, w: Callable, core_radius: int) -> float:
     """Equilibrium moment bound: with the drift of ``g3`` against ``w``
     certified outside the core, the stationary expectation of ``w`` is at
     most the largest drift surplus inside it."""
-    table = _DriftTable(model, model.states_within(core_radius))
-    s = table.surplus(g3, w)
-    table.require_finite(table.src, s)
+    table, x = _table_for(model, model.states_within(core_radius))
+    s = table.surplus(g3, w, x=x)
+    table.require_finite(x, s)
     return float(s.max()) if s.size and s.max() > 0.0 else 0.0
 
 

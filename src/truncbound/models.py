@@ -24,7 +24,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .errors import ModelError
-from .lyapunov import DriftCertificate, construct_K
+from .lyapunov import DriftCertificate, construct_K, unit
 
 BETA_MASS_CUTOFF = 1e-300
 
@@ -119,6 +119,7 @@ class GM1Model:
         self.name = f"gm1(mu={mu:g},b={b:g})"
         self.seed = 0
         self.rewards = {"r": lambda x: float(x), "e": lambda x: 1.0}
+        self._lyapunov: dict = {}      # (c1, c2, c3) -> GM1Lyapunov
 
     # -- service-count distribution -----------------------------------------
 
@@ -239,6 +240,14 @@ class GM1Model:
 
     def lyapunov(self, c1: float = 300.0, c2: float = 300.0,
                  c3: float = 300.0) -> GM1Lyapunov:
+        """Drift data for the given coefficients, built once per model: every
+        call returns the same functions, so drift checks share their values."""
+        key = (c1, c2, c3)
+        if key not in self._lyapunov:
+            self._lyapunov[key] = self._build_lyapunov(c1, c2, c3)
+        return self._lyapunov[key]
+
+    def _build_lyapunov(self, c1: float, c2: float, c3: float) -> GM1Lyapunov:
         ev = self.service_count_moment(1)
         ev2 = self.service_count_moment(2)
         ev3 = self.service_count_moment(3)
@@ -284,10 +293,9 @@ class GM1Model:
             if return_set is None:
                 return_set = construct_K(self, ly.g1, ly.g2, ly.r, ly.n1, ly.n2)
             return DriftCertificate.pair(return_set, ly.r, ly.g1, ly.g2, ly.n1, ly.n2)
-        one = lambda x: 1.0
         if return_set is None:
-            return_set = construct_K(self, ly.g2, ly.g2, one, ly.n2, ly.n2)
-        return DriftCertificate.single(return_set, one, ly.g2, ly.n2)
+            return_set = construct_K(self, ly.g2, ly.g2, unit, ly.n2, ly.n2)
+        return DriftCertificate.single(return_set, unit, ly.g2, ly.n2)
 
 
 # ---------------------------------------------------------------------------
@@ -364,6 +372,12 @@ class ToggleSwitchModel:
                 yield (x1, s - x1)
 
     def lyapunov(self) -> ToggleLyapunov:
+        """Drift data, built once per model: every call returns the same
+        functions, so drift checks share their values."""
+        return self._lyapunov
+
+    @cached_property
+    def _lyapunov(self) -> ToggleLyapunov:
         lam, mu, xs = self.lam, self.mu, self.x_star
         c0 = 2 * lam
         c1 = 1 + 2 * lam + 2 * mu * (2 * xs + 1)
@@ -424,5 +438,5 @@ class ToggleSwitchModel:
         if envelope_id == "r":
             return DriftCertificate.pair(return_set, ly.r, ly.g1, ly.g2, ly.n1, ly.n2,
                                          skip_rate_domination=True)
-        return DriftCertificate.single(return_set, lambda s: 1.0, ly.g2, ly.n2,
+        return DriftCertificate.single(return_set, unit, ly.g2, ly.n2,
                                        skip_rate_domination=True)

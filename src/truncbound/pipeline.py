@@ -18,7 +18,7 @@ from .bounds import BoundReport, compute_bounds
 from .censor import TruncationWorkspace
 from .ctmc import embed
 from .errors import ModelError
-from .lyapunov import DriftCertificate, evaluate_certificate, verify_certificate
+from .lyapunov import DriftCertificate, drift_stage, evaluate_certificate, verify_certificate
 from .models import GM1Model, ToggleSwitchModel
 from .statespace import enumerate_space, explicit_k_predicate, is_jump, repartition
 
@@ -132,7 +132,8 @@ def run_pipeline(model, truncation: dict, *, envelopes=("r",),
 
 def verified_certificates(model, envelopes, explicit_return_set) -> dict:
     """Construct and verify each envelope's certificate, without any linear
-    algebra (a jump process is checked in generator form).
+    algebra (a jump process is checked in generator form).  All drift checks
+    share one drift table, which is released before this returns.
 
     ``explicit_return_set`` (or None for each model's designed one) is used
     for every envelope.  Maps each envelope id to ``(certificate, k_star)``,
@@ -140,7 +141,8 @@ def verified_certificates(model, envelopes, explicit_return_set) -> dict:
     """
     rs = tuple(explicit_return_set) if explicit_return_set is not None else None
     out = {}
-    for env in envelopes:
-        cert = verify_certificate(model, model.certificate_for_envelope(env, return_set=rs))
-        out[env] = cert, max(model.norm(s) for s in cert.return_set)
+    with drift_stage(model):
+        for env in envelopes:
+            cert = verify_certificate(model, model.certificate_for_envelope(env, return_set=rs))
+            out[env] = cert, max(model.norm(s) for s in cert.return_set)
     return out

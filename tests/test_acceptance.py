@@ -122,6 +122,16 @@ def test_criterion_2_gm1_certified_accuracy(gm1_runs):
     assert _line(2, "queue certified accuracy", all(checks.values())), checks
 
 
+@pytest.mark.xfail(strict=True, reason="rounding is not yet enclosed: the certified r "
+                   "interval lies 1.3e-9 below the exact mean")
+def test_gm1_exact_mean_is_certified(gm1_runs):
+    gm1, pair, _ = gm1_runs
+    rep = pair.report("r")
+    exact = float(gm1.exact_geometric().mean())     # 133.16712406432046
+    assert rep.lower <= exact <= rep.upper
+    assert abs(rep.approx - exact) <= rep.tv_bound
+
+
 def test_criterion_3_toggle_certified_accuracy():
     checks = {}
     t0 = time.perf_counter()

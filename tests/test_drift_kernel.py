@@ -210,7 +210,8 @@ def test_certificates_equal_reference(model):
             assert bits(rep.worst_margin) == bits(worst)
         if hasattr(model, "rate_row"):
             ball = _DriftTable(model, model.states_within(max(cert.radius_r, cert.radius_e)))
-            assert _rate_domination_violations(ball, cert) == ref_rate_domination(model, cert)
+            assert _rate_domination_violations(ball, ball.src, cert) \
+                == ref_rate_domination(model, cert)
 
 
 def test_moment_bound_equals_reference():

@@ -65,6 +65,31 @@ class TestSolveLinear:
         assert x.min() > -1e-12
 
 
+class TestResidualCheck:
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_perturbed_solution_fails_naming_its_column(self, rng, transpose):
+        solver = SubstochasticSolver(sp.csr_matrix(random_substochastic(rng, 30)))
+        B = rng.random((30, 4))
+        X = solver.solve(B, transpose=transpose)
+        X[7, 2] += 1e-3
+        with pytest.raises(NumericalError, match="column 2,"):
+            solver._check(X, B, transpose)
+
+    @given(seed=st.integers(0, 10_000))
+    @settings(max_examples=30, deadline=None)
+    def test_residual_norms_equal_the_out_of_place_expression(self, seed):
+        r = np.random.default_rng(seed)
+        n, m = int(r.integers(1, 40)), int(r.integers(1, 6))
+        M = random_substochastic(r, n) * (r.random((n, n)) < 0.3)
+        solver = SubstochasticSolver(sp.csr_matrix(M))
+        B = r.standard_normal((n, m))
+        A = solver._A
+        for transpose in (False, True):
+            X = solver.solve(B, transpose=transpose)
+            want = np.max(np.abs((A.T @ X if transpose else A @ X) - B), axis=0)
+            assert solver._check(X, B, transpose).tobytes() == want.tobytes()
+
+
 class TestStationarySmall:
     def test_two_state_swap(self):
         pi = stationary_small(np.array([[0.0, 1.0], [1.0, 0.0]]))

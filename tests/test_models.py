@@ -150,6 +150,15 @@ class TestToggleSwitch:
             ToggleSwitchModel(0.5, 1.0)
 
 
+@pytest.mark.parametrize("env", ["r", "e"])
+@pytest.mark.parametrize("model", [GM1Model(), ToggleSwitchModel(20.0, 1.0)],
+                         ids=["gm1", "toggle20"])
+def test_certificate_functions_are_built_once(model, env):
+    # one object per function, so a shared drift table evaluates each once
+    a, b = model.certificate_for_envelope(env), model.certificate_for_envelope(env)
+    assert a.envelope is b.envelope and a.g_r is b.g_r and a.g_e is b.g_e
+
+
 class TestUserModel:
     def test_wraps_random_host(self, rng):
         P = random_stochastic(rng, 12)
