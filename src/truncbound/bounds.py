@@ -145,9 +145,9 @@ class BoundReport:
 
 
 def compute_bounds(ws: TruncationWorkspace, inputs: BoundInputs, *,
-                   stochasticization: str = "row",
-                   reward_id: str = "r") -> BoundReport:
-    """Full bound assembly for the certificate's envelope reward.
+                   stochasticization: str = "row") -> BoundReport:
+    """Full bound assembly for the certificate's envelope reward, which the
+    report names by its envelope id.
 
     Produces the approximation, the two-sided expectation bounds over the
     mixture family, the matching stationary-gap estimate, and the weighted
@@ -204,7 +204,7 @@ def compute_bounds(ws: TruncationWorkspace, inputs: BoundInputs, *,
         raise NumericalError(f"non-finite bound report entries: {scalars}")
 
     return BoundReport(
-        reward_id=reward_id,
+        reward_id=inputs.envelope_id,
         method=method,
         stochasticization=stochasticization,
         lower=lower,
@@ -248,7 +248,8 @@ def reward_interval(ws: TruncationWorkspace, inputs: BoundInputs,
     pos = np.clip(f_A, 0.0, None)
     neg = np.clip(-f_A, 0.0, None)
     parts = [w for w in (pos, neg) if w.any()] or [pos]
-    kl = ws.kappa_lower(np.column_stack(parts) * ws.unit_vec[:, None])
+    # one contiguous column per part: the solve's residual check reduces by column
+    kl = ws.kappa_lower((np.array(parts) * ws.unit_vec).T)
     intervals = [minorization_bounds(tau, kl_w, kl_w + beta1, kl_e, ku_e) for kl_w in kl.T]
     if len(parts) == 2:
         return combine_signed(*intervals)

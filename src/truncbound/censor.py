@@ -46,10 +46,8 @@ class TauFamily:
     in double precision and all rows coincide).
     """
 
-    def __init__(self, rows: np.ndarray, z_index: int, denominator: float,
-                 clamped: bool):
+    def __init__(self, rows: np.ndarray, denominator: float, clamped: bool):
         self.rows = rows
-        self.z_index = z_index
         self.denominator = denominator
         self.clamped = clamped
         self._diameter = None
@@ -82,7 +80,7 @@ class TauFamily:
 def _tau_stable(G: np.ndarray, z: int) -> TauFamily:
     k = G.shape[0]
     if k == 1:
-        return TauFamily(np.ones((1, 1)), 0, float(1.0 - G[0, 0]), False)
+        return TauFamily(np.ones((1, 1)), float(1.0 - G[0, 0]), False)
     keep = np.array([i for i in range(k) if i != z])
     Ghat = G[np.ix_(keep, keep)]
     try:
@@ -119,7 +117,7 @@ def _tau_stable(G: np.ndarray, z: int) -> TauFamily:
     rows = S / sums[:, None]
     np.clip(rows, 0.0, None, out=rows)
     rows /= rows.sum(axis=1)[:, None]
-    return TauFamily(rows, z, D, clamped)
+    return TauFamily(rows, D, clamped)
 
 
 def tau_family_direct(G: np.ndarray) -> np.ndarray:

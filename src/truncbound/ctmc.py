@@ -15,6 +15,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
+from .models import DiscreteModel
 from .statespace import _rate_batches
 
 
@@ -34,7 +35,6 @@ class JumpModel:
     rate_row: Callable[[object], Iterable[tuple[object, float]]]
     norm: Callable[[object], float]
     states_within: Callable[[float], Iterable]
-    rewards: dict
 
 
 def exit_rate(jump, x) -> float:
@@ -51,8 +51,6 @@ def embed(jump):
     one state.  The unit weights 1 / lambda make the cycle machinery
     accumulate holding times rather than step counts.
     """
-    from .models import DiscreteModel  # local import: models builds on ctmc too
-
     rate_rows = _rate_batches(jump)
 
     def rows(states):
@@ -71,7 +69,6 @@ def embed(jump):
         row=row,
         norm=jump.norm,
         states_within=jump.states_within,
-        rewards=dict(jump.rewards),
         unit_weights=lambda states: 1.0 / rate_rows(states)[3],
         rows=rows,
     )

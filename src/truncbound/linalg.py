@@ -7,6 +7,7 @@ them; residual checks therefore raise instead of warning.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -23,12 +24,6 @@ STATIONARY_RESIDUAL_TOL = 1e-10
 FUNDAMENTAL_RESIDUAL_TOL = 1e-9
 PERRON_TOL = 1e-12
 PERRON_MAX_ITER = 1_000_000
-
-
-def _as_dense(M) -> np.ndarray:
-    if sp.issparse(M):
-        return M.toarray()
-    return np.asarray(M, dtype=float)
 
 
 class SubstochasticSolver:
@@ -57,17 +52,12 @@ class SubstochasticSolver:
                 self._lu = spla.splu(A)
             except RuntimeError as exc:
                 raise NumericalError(f"sparse LU of (I - M) failed: {exc}") from exc
-        self._norm_A = None
 
-    @property
+    @cached_property
     def operator_norm(self) -> float:
-        if self._norm_A is None:
-            if self._mode == "empty":
-                self._norm_A = 1.0
-            else:
-                row_sums = np.asarray(np.abs(self._A).sum(axis=1)).ravel()
-                self._norm_A = float(row_sums.max())
-        return self._norm_A
+        if self._mode == "empty":
+            return 1.0
+        return float(np.asarray(np.abs(self._A).sum(axis=1)).ravel().max())
 
     def _check(self, X: np.ndarray, B: np.ndarray, trans: bool) -> np.ndarray:
         """Raise unless every column's residual is within tolerance; returns
@@ -77,8 +67,8 @@ class SubstochasticSolver:
         R -= B                                  # in place: no more n x m temporaries
         np.abs(R, out=R)
         rn = R.max(axis=0)
-        bn = np.max(np.abs(B), axis=0)
-        xn = np.max(np.abs(X), axis=0)
+        bn = np.maximum(B.max(axis=0), -B.min(axis=0))   # max |.| without an |B| copy
+        xn = np.maximum(X.max(axis=0), -X.min(axis=0))
         tol = SOLVE_RESIDUAL_TOL * np.maximum(bn, self.operator_norm * xn)
         # all-zero columns solve to all-zero exactly
         bad = rn > np.maximum(tol, 0.0)
@@ -111,12 +101,12 @@ def stationary_small(P) -> np.ndarray:
 
     Replaces one (redundant) balance equation of ``pi (I - P) = 0`` with the
     normalization ``sum(pi) = 1`` and solves the resulting nonsingular system
-    densely; a sparse ``P`` is densified first.
+    densely.
     """
     n = P.shape[0]
     if n == 1:
         return np.ones(1)
-    A = np.eye(n) - _as_dense(P).T
+    A = np.eye(n) - P.T
     A[n - 1, :] = 1.0
     b = np.zeros(n)
     b[n - 1] = 1.0
@@ -150,15 +140,13 @@ class PerronEigenpair(NamedTuple):
     right: np.ndarray
 
 
-def perron_eigenpair(G, *, tol: float = PERRON_TOL,
-                     max_iter: int = PERRON_MAX_ITER) -> PerronEigenpair:
+def perron_eigenpair(A: np.ndarray) -> PerronEigenpair:
     """Perron root and positive eigenvectors of an irreducible nonnegative matrix.
 
-    Power iteration on ``G + I``; the unit shift breaks periodicity so the
+    Power iteration on ``A + I``; the unit shift breaks periodicity so the
     iteration converges for every irreducible nonnegative matrix.  The
     Rayleigh-quotient estimate of the shifted root is un-shifted at the end.
     """
-    A = _as_dense(G)
     n = A.shape[0]
     if np.any(A < 0):
         raise ValueError("nonnegative matrix required")
@@ -170,18 +158,18 @@ def perron_eigenpair(G, *, tol: float = PERRON_TOL,
     S = A + np.eye(n)
     h = np.full(n, 1.0 / n)
     nu = np.full(n, 1.0 / n)
-    for _ in range(max_iter):
+    for _ in range(PERRON_MAX_ITER):
         h_new = S @ h
         nu_new = nu @ S
         h_new /= h_new.sum()
         nu_new /= nu_new.sum()
         delta = np.abs(h_new - h).sum() + np.abs(nu_new - nu).sum()
         h, nu = h_new, nu_new
-        if delta < tol:
+        if delta < PERRON_TOL:
             break
     else:
         raise NumericalError(
-            f"power iteration did not converge within {max_iter} iterations"
+            f"power iteration did not converge within {PERRON_MAX_ITER} iterations"
         )
     lam = float(nu @ A @ h) / float(nu @ h)
     # scale: sum(nu * h) = 1
@@ -195,14 +183,13 @@ def perron_eigenpair(G, *, tol: float = PERRON_TOL,
     return PerronEigenpair(lam, nu, h)
 
 
-def fundamental_matrix(P1, pi1: np.ndarray) -> np.ndarray:
+def fundamental_matrix(P1: np.ndarray, pi1: np.ndarray) -> np.ndarray:
     """Fundamental matrix ``(I - P1 + Pi1)^{-1}`` of an irreducible stochastic P1.
 
     ``Pi1`` stacks ``pi1`` in every row.  Note the deviation matrix uses the
     matrix P1 itself (not the host chain's transition matrix): the group
     inverse it encodes is the one paired with ``pi1``.
     """
-    P1 = _as_dense(P1)
     n = P1.shape[0]
     A = np.eye(n) - P1 + np.outer(np.ones(n), pi1)
     try:

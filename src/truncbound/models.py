@@ -17,7 +17,7 @@ bounds, so the whole pipeline runs on them out of the box.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable
 
@@ -27,6 +27,8 @@ from .errors import ModelError
 from .lyapunov import DriftCertificate, construct_K, unit
 
 BETA_MASS_CUTOFF = 1e-300
+GM1_COEFFICIENTS = (300.0, 300.0, 300.0)   # c1, c2, c3 of the queue's g1, g2, g3
+TOGGLE_MOMENT_ALPHA = 4.0                  # g3 = alpha * g1 on the toggle's moment route
 
 
 def _check_envelope(envelope_id: str) -> None:
@@ -43,8 +45,8 @@ class DiscreteModel:
     :func:`~truncbound.statespace.enumerate_space`.  Rows are validated (sums
     within 1e-12 of one) during enumeration.  The other hooks are what the
     pipeline needs: the seed of the enumeration, a norm for radius scans,
-    the states within a radius, named rewards, and per-state unit weights
-    (holding times; ones when omitted).
+    the states within a radius, and per-state unit weights (holding times;
+    ones when omitted).
     """
 
     name: str
@@ -52,7 +54,6 @@ class DiscreteModel:
     row: Callable[[object], Iterable[tuple[object, float]]]
     norm: Callable[[object], float] | None = None
     states_within: Callable[[float], Iterable] | None = None
-    rewards: dict = field(default_factory=dict)
     unit_weights: Callable | None = None
     rows: Callable | None = None
 
@@ -66,9 +67,6 @@ class GM1Lyapunov:
     """Drift data for the queue model: quadratic/linear certificate pair for
     the envelope r(x) = x, and a quartic function for the cubic moment."""
 
-    c1: float
-    c2: float
-    c3: float
     n1: int
     n2: int
     n3: int
@@ -118,8 +116,6 @@ class GM1Model:
         self.b = float(b)
         self.name = f"gm1(mu={mu:g},b={b:g})"
         self.seed = 0
-        self.rewards = {"r": lambda x: float(x), "e": lambda x: 1.0}
-        self._lyapunov: dict = {}      # (c1, c2, c3) -> GM1Lyapunov
 
     # -- service-count distribution -----------------------------------------
 
@@ -238,16 +234,14 @@ class GM1Model:
 
     # -- drift certificate data ------------------------------------------------
 
-    def lyapunov(self, c1: float = 300.0, c2: float = 300.0,
-                 c3: float = 300.0) -> GM1Lyapunov:
-        """Drift data for the given coefficients, built once per model: every
-        call returns the same functions, so drift checks share their values."""
-        key = (c1, c2, c3)
-        if key not in self._lyapunov:
-            self._lyapunov[key] = self._build_lyapunov(c1, c2, c3)
-        return self._lyapunov[key]
+    def lyapunov(self) -> GM1Lyapunov:
+        """Drift data, built once per model: every call returns the same
+        functions, so drift checks share their values."""
+        return self._lyapunov
 
-    def _build_lyapunov(self, c1: float, c2: float, c3: float) -> GM1Lyapunov:
+    @cached_property
+    def _lyapunov(self) -> GM1Lyapunov:
+        c1, c2, c3 = GM1_COEFFICIENTS
         ev = self.service_count_moment(1)
         ev2 = self.service_count_moment(2)
         ev3 = self.service_count_moment(3)
@@ -261,10 +255,9 @@ class GM1Model:
             raise ModelError("certificate coefficients too small for this load")
         n1 = math.ceil(c1 * e1m2 / drift1)
         n2 = math.ceil(math.sqrt(c2 * ev3 / drift2))
+        # the leading drift term is negative: drift2 > 0 forces ev - 1 > 1 / c2,
+        # so with c3 = c2, a3 = 1 - 4 c3 (ev - 1) < -3
         a3 = 4 * c3 * (1 - ev) + 1
-        if a3 >= 0:
-            raise ModelError("moment coefficient too small: leading drift term "
-                             "is not negative")
         a2, a1, a0 = 6 * c3 * e1m2, 4 * c3 * e1m3, c3 * e1m4
         root_bound = math.ceil(1 + max(abs(a2 / a3), abs(a1 / a3), abs(a0 / a3)))
         n3 = root_bound
@@ -273,7 +266,7 @@ class GM1Model:
             # radius at or past the root bound certifies the tail
             n3 = 1803
         return GM1Lyapunov(
-            c1=c1, c2=c2, c3=c3, n1=n1, n2=n2, n3=n3,
+            n1=n1, n2=n2, n3=n3,
             g1=lambda x: c1 * float(x) ** 2,
             g2=lambda x: c2 * float(x),
             g3=lambda x: c3 * float(x) ** 4,
@@ -332,7 +325,6 @@ class ToggleSwitchModel:
         self.x_star = x_star
         self.name = f"toggle({lam:g},{mu:g})"
         self.seed = (0, 0)
-        self.rewards = {"r": lambda s: float(s[0] + s[1]), "e": lambda s: 1.0}
 
     def rate_row(self, state):
         x1, x2 = state
@@ -392,11 +384,13 @@ class ToggleSwitchModel:
             r=lambda s: float(s[0] + s[1]),
         )
 
-    def moment_data(self, alpha: float = 4.0):
-        """Quartic-free moment route: g3 = alpha * g1 against w = (x1+x2)^2.
+    def moment_data(self):
+        """Quartic-free moment route: g3 = alpha * g1 against w = (x1+x2)^2,
+        with alpha = ``TOGGLE_MOMENT_ALPHA``.
 
         Returns (g3, w, n3).  Requires alpha * mu > 1 so the quadratic decay
         dominates the reward."""
+        alpha = TOGGLE_MOMENT_ALPHA
         lam, mu, xs = self.lam, self.mu, self.x_star
         c0 = 2 * lam
         c1 = 1 + 2 * lam + 2 * mu * (2 * xs + 1)
@@ -404,7 +398,7 @@ class ToggleSwitchModel:
         c3 = 1.0
         lead = alpha * c2 / 2 - c3
         if lead <= 0:
-            raise ModelError("alpha too small for the quadratic moment route")
+            raise ModelError("decay rate too small for the quadratic moment route")
         n3 = math.ceil((alpha * c1 + math.sqrt((alpha * c1) ** 2
                                                + 4 * lead * alpha * c0)) / (2 * lead))
         ly = self.lyapunov()

@@ -3,8 +3,8 @@
 This is the programmatic core of the command-line driver and of the
 benchmark reproductions: given a model, a truncation choice and a list of
 envelope rewards, it constructs and verifies the certificates, enumerates
-one partition per distinct return set, and assembles the bound reports
-plus the induced equilibrium approximation.
+the truncation set once and repartitions it for each further return set,
+and assembles the bound reports plus the induced equilibrium approximation.
 """
 
 from __future__ import annotations
@@ -74,7 +74,8 @@ def run_pipeline(model, truncation: dict, *, envelopes=("r",),
     in generator form on the jump model itself.  The truncation set is
     enumerated once; each further return set's partition is a K-first
     permutation of the first, and envelopes whose certificates designate the
-    same return set share one partition.
+    same return set share one partition.  The distribution comes from the
+    partition of the first envelope's return set.
     """
     t_all = time.perf_counter()
     result = PipelineResult(model_name=model.name, truncation=dict(truncation))
@@ -102,8 +103,7 @@ def run_pipeline(model, truncation: dict, *, envelopes=("r",),
         for env in env_group:
             cert, k_star = certs[env]
             inputs = evaluate_certificate(cert, part, envelope_id=env)
-            report = compute_bounds(ws, inputs, stochasticization=stochasticization,
-                                    reward_id=env)
+            report = compute_bounds(ws, inputs, stochasticization=stochasticization)
             report.provenance["model"] = model.name
             report.provenance["truncation"] = dict(truncation)
             result.runs[env] = EnvelopeRun(
@@ -113,7 +113,7 @@ def run_pipeline(model, truncation: dict, *, envelopes=("r",),
                 k_size=len(cert.return_set),
                 k_star=k_star,
             )
-        if primary_partition is None or envelopes[0] in env_group:
+        if primary_partition is None:    # the first group holds envelopes[0]
             primary_partition = (ws, part)
 
     if with_distribution and primary_partition is not None:

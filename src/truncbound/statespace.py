@@ -9,7 +9,8 @@ reachable in one step outside A are ever materialized.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import repeat
 from typing import Callable, Hashable, Sequence
 
@@ -35,27 +36,16 @@ class StateSpace:
     def a_size(self) -> int:
         return len(self.states)
 
-    @property
-    def a_prime_size(self) -> int:
-        return len(self.states) - self.k_size
-
     def index_of(self, state: State) -> int:
         return self._index[state]
-
-    def state_of(self, index: int) -> State:
-        return self.states[index]
 
     def in_k(self, state: State) -> bool:
         idx = self._index.get(state)
         return idx is not None and idx < self.k_size
 
-    @property
+    @cached_property
     def _index(self) -> dict:
-        d = self.__dict__.get("_index_cache")
-        if d is None:
-            d = {s: i for i, s in enumerate(self.states)}
-            object.__setattr__(self, "_index_cache", d)
-        return d
+        return {s: i for i, s in enumerate(self.states)}
 
 
 @dataclass
@@ -73,7 +63,7 @@ class Partition:
     P21: sp.csr_matrix
     P22: sp.csr_matrix
     boundary: tuple
-    unit: np.ndarray = field(default=None)  # per-state "time" weight; ones for DTMC rows
+    unit: np.ndarray    # per-state "time" weight; ones for DTMC rows
 
     @property
     def k_size(self) -> int:
@@ -82,10 +72,6 @@ class Partition:
     @property
     def a_size(self) -> int:
         return self.space.a_size
-
-    @property
-    def a_prime_size(self) -> int:
-        return self.space.a_prime_size
 
     def evaluate(self, fn: Callable[[State], float]) -> np.ndarray:
         """Evaluate a state function on all of A in dense-index order."""

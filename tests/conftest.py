@@ -104,7 +104,6 @@ def host_model(P: np.ndarray, name: str = "host"):
         row=lambda x: [(j, float(P[x, j])) for j in range(n) if P[x, j] != 0.0],
         norm=lambda s: float(s),
         states_within=lambda rad: range(min(n, int(rad) + 1)),
-        rewards={"r": lambda s: float(s), "e": lambda s: 1.0},
     )
 
 

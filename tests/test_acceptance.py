@@ -84,7 +84,7 @@ def test_criterion_1_lyapunov_constants():
     ly90 = ts90.lyapunov()
     checks["ts90 n1"] = ly90.n1 == 220
     checks["ts90 n2"] = ly90.n2 == 217
-    g3, w, n3 = ts90.moment_data(alpha=4.0)
+    g3, w, n3 = ts90.moment_data()
     checks["ts90 n3"] = n3 == 293
     c_ts = moment_bound(ts90, g3, w, n3)
     # the exact constant is 16403.48...; published to three significant

@@ -340,6 +340,11 @@ class TestBoundReport:
         assert json.loads(json.dumps(d1)) == json.loads(json.dumps(d2))
         assert d1["provenance"]["certificate_sha256"] == inputs.sha256
 
+    def test_reward_is_the_certificate_envelope(self, toggle60):
+        part, inputs = toggle60
+        rep = compute_bounds(TruncationWorkspace(part), inputs["e"])
+        assert (rep.reward_id, rep.envelope_id) == ("e", "e")
+
 
 def _interval_fields(report):
     return report.lower, report.upper, report.approx, report.tv_bound

@@ -30,7 +30,6 @@ def jump_from_matrix(Q: np.ndarray, name="ctmc-host"):
                             if j != x and Q[x, j] != 0.0],
         norm=lambda s: float(s),
         states_within=lambda rad: range(min(n, int(rad) + 1)),
-        rewards={"r": lambda s: float(s), "e": lambda s: 1.0},
     )
 
 
@@ -113,7 +112,7 @@ class TestEmbedding:
         m = ToggleWithRate(bad)
         if form == "per-state":
             m = JumpModel(name="bad-per-state", seed=m.seed, rate_row=m.rate_row,
-                          norm=m.norm, states_within=m.states_within, rewards=m.rewards)
+                          norm=m.norm, states_within=m.states_within)
         with pytest.raises(ModelError, match=r"state \(3, 3\)"):
             enumerate_space(embed(m), lambda s: s[0] + s[1] <= 30, lambda s: s == (0, 0))
         with pytest.raises(ModelError, match=r"state \(3, 3\)"):

@@ -220,7 +220,7 @@ def test_moment_bound_equals_reference():
     want = max([0.0] + [ref_drift_excess(gm1, ly.g3, ly.w, x) for x in range(301)])
     assert bits(moment_bound(gm1, ly.g3, ly.w, 300)) == bits(want)
     ts = ToggleSwitchModel(90.0, 1.0)
-    g3, w, _ = ts.moment_data(alpha=4.0)
+    g3, w, _ = ts.moment_data()
     want = max([0.0] + [ref_drift_excess(ts, g3, w, x) for x in ts.states_within(120)])
     assert bits(moment_bound(ts, g3, w, 120)) == bits(want)
 
@@ -228,7 +228,7 @@ def test_moment_bound_equals_reference():
 def test_row_only_jump_model_uses_the_rate_row_adapter():
     ts = ToggleSwitchModel(20.0, 1.0)
     row_only = JumpModel(name="t", seed=(0, 0), rate_row=ts.rate_row, norm=ts.norm,
-                         states_within=ts.states_within, rewards={})
+                         states_within=ts.states_within)
     ly = ts.lyapunov()
     region = list(ts.states_within(30))
     a = _DriftTable(ts, region).surplus(ly.g1, ly.r, frozenset([(4, 4), (5, 4)]))
@@ -304,7 +304,7 @@ def brute_diameter(rows):
 def test_l1_diameter_equals_brute_force(k, rng):
     rows = rng.random((k, k)) ** 3
     rows /= rows.sum(axis=1)[:, None]
-    fam = TauFamily(rows, 0, 0.5, False)
+    fam = TauFamily(rows, 0.5, False)
     d = fam.l1_diameter()
     assert bits(d) == bits(loop_diameter(rows)) == bits(brute_diameter(rows))
     fam.rows = np.zeros_like(rows)                # computed once per family

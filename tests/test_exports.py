@@ -1,9 +1,12 @@
 """The package's public surface: every exported name resolves, so a stale
-entry in ``truncbound._EXPORTS`` fails here rather than on first use, and
-every exported name is used by the package itself or documented."""
+entry in ``truncbound._EXPORTS`` fails here rather than on first use,
+every exported name is used by the package itself or documented, and the
+library's settable values are exactly the listed ones."""
 
 import ast
+import dataclasses
 import importlib
+import inspect
 import re
 from pathlib import Path
 
@@ -69,3 +72,80 @@ def test_every_export_is_used_or_documented():
             and name not in TEST_REFERENCES]
     assert not idle, f"exported but neither used in src/ nor documented: {idle}"
     assert all(name in truncbound.__all__ for name in TEST_REFERENCES)
+
+
+LIBRARY_MODULES = ("bounds", "censor", "ctmc", "linalg", "lyapunov", "models", "pipeline",
+                   "statespace")
+# every value a caller can set and leave unset: an option added or removed
+# must be added to or removed from this list, and its length is the tracked count
+SETTABLE_VALUES = [
+    "bounds.BoundReport.provenance",
+    "bounds.BoundReport.timings",
+    "bounds.compute_bounds.stochasticization",
+    "censor.TruncationWorkspace.require_irreducible",
+    "linalg.SubstochasticSolver.solve.transpose",
+    "lyapunov.BoundInputs.sha256",
+    "lyapunov.DriftCertificate.reports",
+    "lyapunov.DriftCertificate.single_pair",
+    "lyapunov.DriftCertificate.skip_rate_domination",
+    "lyapunov.DriftCertificate.verified",
+    "lyapunov.drift_excess.exclude",
+    "lyapunov.evaluate_certificate.envelope_id",
+    "lyapunov.verify_certificate.tolerance",
+    "lyapunov.verify_drift.tolerance",
+    "models.DiscreteModel.norm",
+    "models.DiscreteModel.rows",
+    "models.DiscreteModel.states_within",
+    "models.DiscreteModel.unit_weights",
+    "models.GM1Model.b",
+    "models.GM1Model.certificate_for_envelope.return_set",
+    "models.GM1Model.mu",
+    "models.ToggleSwitchModel.certificate_for_envelope.return_set",
+    "pipeline.PipelineResult.distribution_mass",
+    "pipeline.PipelineResult.distribution_states",
+    "pipeline.PipelineResult.runs",
+    "pipeline.PipelineResult.timings",
+    "pipeline.run_pipeline.envelopes",
+    "pipeline.run_pipeline.explicit_return_set",
+    "pipeline.run_pipeline.stochasticization",
+    "pipeline.run_pipeline.with_distribution",
+    "statespace.enumerate_space.cap",
+]
+
+
+def _defaulted(prefix: str, fn) -> list:
+    return [f"{prefix}.{p.name}" for p in inspect.signature(fn).parameters.values()
+            if p.default is not p.empty]
+
+
+def _settable_values(module_name: str) -> list:
+    """``module.name.param`` of each public parameter with a default (an
+    ``__init__``'s under its class) and each dataclass field with a default."""
+    module = importlib.import_module(f"truncbound.{module_name}")
+    out = []
+    for name, obj in vars(module).items():
+        if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+            continue
+        prefix = f"{module_name}.{name}"
+        if inspect.isfunction(obj):
+            out += _defaulted(prefix, obj)
+        if not inspect.isclass(obj):
+            continue
+        dataclass = dataclasses.is_dataclass(obj)
+        if dataclass:
+            out += [f"{prefix}.{f.name}" for f in dataclasses.fields(obj)
+                    if f.default is not dataclasses.MISSING
+                    or f.default_factory is not dataclasses.MISSING]
+        for attr, fn in vars(obj).items():
+            fn = getattr(fn, "__func__", fn)          # classmethods and staticmethods
+            if attr == "__init__" and not dataclass:
+                out += _defaulted(prefix, fn)
+            elif not attr.startswith("_") and inspect.isfunction(fn):
+                out += _defaulted(f"{prefix}.{attr}", fn)
+    return out
+
+
+def test_settable_values_are_the_listed_ones():
+    found = sorted(v for m in LIBRARY_MODULES for v in _settable_values(m))
+    assert found == SETTABLE_VALUES
+    assert len(SETTABLE_VALUES) == 31

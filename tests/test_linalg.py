@@ -4,6 +4,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from truncbound import linalg
 from truncbound.errors import NumericalError, ReducibleMatrixError
 from truncbound.linalg import (
     SubstochasticSolver,
@@ -151,10 +152,11 @@ class TestPerron:
         pe = perron_eigenpair(np.array([[0.0, 0.7], [0.7, 0.0]]))
         assert pe.value == pytest.approx(0.7, abs=1e-10)
 
-    def test_iteration_cap_raises(self, rng):
+    def test_iteration_cap_raises(self, rng, monkeypatch):
         G = rng.random((12, 12)) * 0.5 + 0.01
+        monkeypatch.setattr(linalg, "PERRON_MAX_ITER", 1)
         with pytest.raises(NumericalError, match="converge"):
-            perron_eigenpair(G, max_iter=1)
+            perron_eigenpair(G)
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=25, deadline=None)

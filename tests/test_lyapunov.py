@@ -173,7 +173,7 @@ class TestMomentBound:
 
     def test_toggle_90_published_constant(self):
         ts = ToggleSwitchModel(90.0, 1.0)
-        g3, w, n3 = ts.moment_data(alpha=4.0)
+        g3, w, n3 = ts.moment_data()
         assert n3 == 293
         c = moment_bound(ts, g3, w, n3)
         # published to three significant figures (16.4e3)

@@ -16,7 +16,7 @@ def per_state_toggle(ts: ToggleSwitchModel):
     """The embedded toggle switch without ``rate_rows``: its rows come from a
     loop over ``rate_row``."""
     jump = JumpModel(name="toggle-per-state", seed=ts.seed, rate_row=ts.rate_row,
-                     norm=ts.norm, states_within=ts.states_within, rewards=ts.rewards)
+                     norm=ts.norm, states_within=ts.states_within)
     return embed(jump)
 
 
@@ -96,7 +96,7 @@ class TestGm1Lyapunov:
 
     def test_coefficients_must_beat_the_load(self):
         with pytest.raises(ModelError):
-            GM1Model().lyapunov(c1=50.0)   # 2 c1 (EV-1) < 1
+            GM1Model(b=2.001).lyapunov()   # near-critical load: 2 c1 (EV-1) < 1
 
     def test_certificates_verify(self):
         from truncbound.lyapunov import verify_certificate
@@ -142,7 +142,7 @@ class TestToggleSwitch:
                 ToggleSwitchModel(90.0, 1.0).lyapunov().n2) == (220, 217)
 
     def test_moment_route_radius(self):
-        _, _, n3 = ToggleSwitchModel(90.0, 1.0).moment_data(alpha=4.0)
+        _, _, n3 = ToggleSwitchModel(90.0, 1.0).moment_data()
         assert n3 == 293
 
     def test_low_balance_point_rejected(self):

@@ -18,7 +18,9 @@ def without_timings(report) -> dict:
 
 
 class TestSharedEnumeration:
-    def test_envelopes_share_one_enumeration_and_match_single_runs(self, monkeypatch):
+    @pytest.mark.parametrize("envelopes", [["r", "e"], ["e", "r"]], ids=["r-first", "e-first"])
+    def test_envelopes_share_one_enumeration_and_match_single_runs(self, envelopes,
+                                                                   monkeypatch):
         calls = []
         enumerate_space = pipeline.enumerate_space
 
@@ -29,16 +31,17 @@ class TestSharedEnumeration:
         gm1 = GM1Model()
         truncation = {"kind": "range", "max": 2000}
         monkeypatch.setattr(pipeline, "enumerate_space", counted)
-        both = run_pipeline(gm1, truncation, envelopes=["r", "e"])
+        both = run_pipeline(gm1, truncation, envelopes=envelopes)
         assert len(calls) == 1
         # r and e have different return sets (|K| = 202 and 5)
         assert set(both.timings) == {"enumerate", "partition[r]", "partition[e]",
                                      "distribution", "total"}
-        for env in ("r", "e"):
+        for env in envelopes:
             single = run_pipeline(gm1, truncation, envelopes=[env])
             assert without_timings(both.report(env)) == without_timings(single.report(env))
-            if env == "r":
+            if env == envelopes[0]:   # the distribution is the first envelope's
                 assert both.distribution_mass.tobytes() == single.distribution_mass.tobytes()
+                assert both.distribution_states == single.distribution_states
 
 
 def tables_built(monkeypatch) -> list:

@@ -32,7 +32,7 @@ class TestEnumerate:
             lattice_walk(), lambda s: s <= 10, lambda s: s <= 2
         )
         assert space.k_size == 3
-        assert space.a_prime_size == 8
+        assert space.a_size - space.k_size == 8
         assert part.P11.shape == (3, 3)
         assert part.P22.shape == (8, 8)
 
@@ -49,13 +49,13 @@ class TestEnumerate:
             gm1, lambda s: s <= 10000, lambda s: s <= 201
         )
         assert space.k_size == 202
-        assert space.a_prime_size == 9799
+        assert space.a_size - space.k_size == 9799
 
     def test_round_trip_indexing(self, rng):
         P = random_stochastic(rng, 12)
         space, _ = enumerate_space(host_model(P), lambda s: True, lambda s: s < 4)
         for i in range(space.a_size):
-            assert space.index_of(space.state_of(i)) == i
+            assert space.index_of(space.states[i]) == i
 
     def test_k_block_leads_and_is_sorted(self):
         ts = ToggleSwitchModel(20.0, 1.0)
@@ -73,7 +73,7 @@ class TestEnumerate:
         ext = [(i, e) for i, e in enumerate(part.boundary) if e]
         assert len(ext) == 1
         i, entries = ext[0]
-        assert space.state_of(i) == 500
+        assert space.states[i] == 500
         assert entries == ((501, pytest.approx(gm1.beta(0))),)
 
     def test_boundary_rows_toggle_level(self):
@@ -82,7 +82,7 @@ class TestEnumerate:
             embed(ts), lambda s: s[0] + s[1] <= 30, lambda s: s == (0, 0)
         )
         for i, entries in enumerate(part.boundary):
-            s = space.state_of(i)
+            s = space.states[i]
             if s[0] + s[1] == 30:
                 assert len(entries) == 2  # both synthesis channels leave A
             else:
@@ -152,6 +152,6 @@ class TestBlockExtremes:
     def test_k_equals_a_gives_empty_middle(self, rng):
         P = random_stochastic(rng, 6)
         space, part = enumerate_space(host_model(P), lambda s: s < 4, lambda s: s < 4)
-        assert part.a_prime_size == 0
+        assert part.a_size - part.k_size == 0
         G = TruncationWorkspace(part).censored().G
         assert np.abs(G - P[:4, :4]).max() == 0.0
