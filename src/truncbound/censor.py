@@ -28,7 +28,7 @@ from .linalg import (
 from .statespace import Partition
 
 ROW_SUM_SLACK = 1e-12
-RHS_CHUNK = 256
+RHS_CHUNK = 64       # right-hand sides per censored solve
 DIAMETER_CHUNK = 8   # rows per pass of l1_diameter: an (8, k, k) buffer
 
 
@@ -229,15 +229,14 @@ class TruncationWorkspace:
             return self._censored
         part = self.partition
         # only the K columns that P21 hits get a solve: the rest of
-        # (I - P22)^{-1} P21 is zero and adds nothing to P11
+        # (I - P22)^{-1} P21 is zero and adds nothing to P11; they are solved
+        # a chunk at a time, so no dense |A'| x |K| array is ever held
         P21 = part.P21.tocsc()
         cols = np.flatnonzero(np.diff(P21.indptr))
-        B = P21[:, cols].toarray()
-        X = np.empty_like(B)
-        for lo in range(0, len(cols), RHS_CHUNK):
-            X[:, lo:lo + RHS_CHUNK] = self.solver.solve(B[:, lo:lo + RHS_CHUNK])
         G = part.P11.toarray()
-        G[:, cols] += part.P12 @ X
+        for lo in range(0, len(cols), RHS_CHUNK):
+            c = cols[lo:lo + RHS_CHUNK]
+            G[:, c] += part.P12 @ self.solver.solve(P21[:, c].toarray())
         np.clip(G, 0.0, None, out=G)  # solver noise only; true entries are nonnegative
         mass = G.sum(axis=1)
         if np.any(mass > 1.0 + ROW_SUM_SLACK):

@@ -24,6 +24,7 @@ STATIONARY_RESIDUAL_TOL = 1e-10
 FUNDAMENTAL_RESIDUAL_TOL = 1e-9
 PERRON_TOL = 1e-12
 PERRON_MAX_ITER = 1_000_000
+CHECK_COLUMNS = 16   # residual columns formed at once by the solve check
 
 
 class SubstochasticSolver:
@@ -62,11 +63,16 @@ class SubstochasticSolver:
     def _check(self, X: np.ndarray, B: np.ndarray, trans: bool) -> np.ndarray:
         """Raise unless every column's residual is within tolerance; returns
         the residual norms ``max |(I - M) x - b|`` by column."""
-        A = self._A
-        R = A.T @ X if trans else A @ X
-        R -= B                                  # in place: no more n x m temporaries
-        np.abs(R, out=R)
-        rn = R.max(axis=0)
+        A = self._A.T if trans else self._A
+        # a block of columns at a time: the product copies its (Fortran-ordered)
+        # operand to C order, so it and R never grow past n x CHECK_COLUMNS
+        rn = np.empty(X.shape[1])
+        for lo in range(0, X.shape[1], CHECK_COLUMNS):
+            hi = lo + CHECK_COLUMNS
+            R = A @ X[:, lo:hi]
+            R -= B[:, lo:hi]
+            np.abs(R, out=R)
+            rn[lo:hi] = R.max(axis=0)
         bn = np.maximum(B.max(axis=0), -B.min(axis=0))   # max |.| without an |B| copy
         xn = np.maximum(X.max(axis=0), -X.min(axis=0))
         tol = SOLVE_RESIDUAL_TOL * np.maximum(bn, self.operator_norm * xn)

@@ -10,6 +10,7 @@ and assembles the bound reports plus the induced equilibrium approximation.
 from __future__ import annotations
 
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,6 +77,18 @@ def run_pipeline(model, truncation: dict, *, envelopes=("r",),
     permutation of the first, and envelopes whose certificates designate the
     same return set share one partition.  The distribution comes from the
     partition of the first envelope's return set.
+
+    The bounds of each return set but the last are computed on one worker
+    thread, in submission order, while this thread partitions and
+    factorizes the next return set: the solves release the GIL, the
+    partitioning and the ordering inside the LU mostly hold it.  The last
+    return set's bounds are computed here, as nothing is left to prepare;
+    a run with one return set starts no thread.  Every workspace is used by
+    one thread at a time and every quantity comes from the same call on the
+    same data as a serial run, so reports do not depend on the overlap.
+    Errors surface in serial order: a failure here is raised only after the
+    jobs submitted before it have been collected.  ``timings`` stages may
+    therefore overlap.
     """
     t_all = time.perf_counter()
     result = PipelineResult(model_name=model.name, truncation=dict(truncation))
@@ -87,42 +100,59 @@ def run_pipeline(model, truncation: dict, *, envelopes=("r",),
     for env, (cert, _) in certs.items():
         by_return_set.setdefault(cert.return_set, []).append(env)
 
-    primary_partition = None
-    part = None
-    for return_set, env_group in by_return_set.items():
-        k_pred = explicit_k_predicate(return_set)
-        t0 = time.perf_counter()
-        if part is None:
-            _, part = enumerate_space(chain, a_pred, k_pred)
-            result.timings["enumerate"] = time.perf_counter() - t0
-            t0 = time.perf_counter()
-        else:
-            _, part = repartition(part, k_pred)
-        ws = TruncationWorkspace(part)
-        result.timings[f"partition[{','.join(env_group)}]"] = time.perf_counter() - t0
-        for env in env_group:
-            cert, k_star = certs[env]
-            inputs = evaluate_certificate(cert, part, envelope_id=env)
-            report = compute_bounds(ws, inputs, stochasticization=stochasticization)
-            report.provenance["model"] = model.name
-            report.provenance["truncation"] = dict(truncation)
-            result.runs[env] = EnvelopeRun(
-                envelope_id=env,
-                certificate=cert,
-                report=report,
-                k_size=len(cert.return_set),
-                k_star=k_star,
-            )
-        if primary_partition is None:    # the first group holds envelopes[0]
-            primary_partition = (ws, part)
+    last = len(by_return_set) - 1
+    submitted = []                    # (envelope id, future report) on the worker
+    inline = []                       # (envelope id, report) of the last return set
+    primary = None                    # the first group's workspace: it holds envelopes[0]
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        try:
+            part = None
+            for i, (return_set, env_group) in enumerate(by_return_set.items()):
+                k_pred = explicit_k_predicate(return_set)
+                t0 = time.perf_counter()
+                if part is None:
+                    _, part = enumerate_space(chain, a_pred, k_pred)
+                    result.timings["enumerate"] = time.perf_counter() - t0
+                    t0 = time.perf_counter()
+                else:
+                    _, part = repartition(part, k_pred)
+                ws = TruncationWorkspace(part)
+                if i == 0:
+                    primary = ws
+                result.timings[f"partition[{','.join(env_group)}]"] = time.perf_counter() - t0
+                for env in env_group:
+                    inputs = evaluate_certificate(certs[env][0], part, envelope_id=env)
+                    if i < last:
+                        submitted.append((env, worker.submit(
+                            compute_bounds, ws, inputs, stochasticization=stochasticization)))
+                    else:       # nothing is left to prepare: no need for the worker
+                        inline.append((env, compute_bounds(
+                            ws, inputs, stochasticization=stochasticization)))
+        except Exception:
+            for _, job in submitted:    # an earlier job's error came first serially
+                job.result()
+            raise
+        reports = [(env, job.result()) for env, job in submitted] + inline
 
-    if with_distribution and primary_partition is not None:
-        ws, part = primary_partition
+    for env, report in reports:
+        report.provenance["model"] = model.name
+        report.provenance["truncation"] = dict(truncation)
+        cert, k_star = certs[env]
+        result.runs[env] = EnvelopeRun(
+            envelope_id=env,
+            certificate=cert,
+            report=report,
+            k_size=len(cert.return_set),
+            k_star=k_star,
+        )
+
+    if with_distribution and primary is not None:
         t0 = time.perf_counter()
-        _, pi_k = ws.censored().row_normalized if stochasticization == "row" \
-            else ws.censored().perron_normalized
-        dist = ws.approx_distribution(pi_k)
-        result.distribution_states = list(part.space.states)
+        censored = primary.censored()
+        _, pi_k = censored.row_normalized if stochasticization == "row" \
+            else censored.perron_normalized
+        dist = primary.approx_distribution(pi_k)
+        result.distribution_states = list(primary.partition.space.states)
         result.distribution_mass = dist
         result.timings["distribution"] = time.perf_counter() - t0
 

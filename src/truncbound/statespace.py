@@ -129,7 +129,9 @@ def enumerate_space(
         else np.asarray(weigher(space.states), dtype=float)
     if unit.shape != (space.a_size,) or np.any(unit <= 0) or not np.all(np.isfinite(unit)):
         raise ModelError("unit weights must be positive and finite over A")
-    return space, _partition(space, new[src], new[dst], p, tuple(boundary), unit)
+    n = space.a_size
+    P = sp.csr_matrix((p, (new[src], new[dst])), shape=(n, n))   # duplicates add
+    return space, _partition(space, P, tuple(boundary), unit)
 
 
 def repartition(part: Partition, k_predicate: Callable[[State], bool],
@@ -144,12 +146,13 @@ def repartition(part: Partition, k_predicate: Callable[[State], bool],
     old = part.space
     space = _k_first_space(sorted(old.states), k_predicate)
     perm = np.fromiter(map(old.index_of, space.states), dtype=np.intp, count=space.a_size)
-    new = np.empty_like(perm)
+    P = part.full_matrix()[perm]          # rows in the new order
+    new = np.empty_like(perm, dtype=P.indices.dtype)
     new[perm] = np.arange(space.a_size)
-    full = part.full_matrix().tocoo()
+    P.indices = new[P.indices]            # and the columns
+    P.sort_indices()
     boundary = tuple(part.boundary[i] for i in perm)
-    return space, _partition(space, new[full.row], new[full.col], full.data, boundary,
-                             part.unit[perm])
+    return space, _partition(space, P, boundary, part.unit[perm])
 
 
 def _row_batches(model, name: str = "row") -> Callable:
@@ -291,11 +294,10 @@ def _k_first_space(states: list, k_predicate) -> StateSpace:
     return StateSpace(states=tuple(k_states) + tuple(a_prime), k_size=len(k_states))
 
 
-def _partition(space: StateSpace, rows, cols, data, boundary: tuple,
+def _partition(space: StateSpace, P: sp.csr_matrix, boundary: tuple,
                unit: np.ndarray) -> Partition:
-    """Blocks of the K-first operator given as coordinates; duplicates add."""
-    n, k = space.a_size, space.k_size
-    P = sp.csr_matrix((data, (rows, cols)), shape=(n, n))
+    """Blocks of the K-first operator ``P`` (canonical CSR)."""
+    k = space.k_size
     return Partition(
         space=space,
         P11=P[:k, :k].tocsr(),

@@ -8,6 +8,7 @@ oracles share code paths with the library machinery they check.
 from __future__ import annotations
 
 import os
+import threading
 
 # one BLAS thread, as in the benchmark (perfbench/run.py): dense LAPACK
 # results then do not depend on the thread count, and the acceptance suite
@@ -216,6 +217,16 @@ def toggle60():
         statespace.explicit_k_predicate(certs["r"].return_set))
     return part, {env: lyapunov.evaluate_certificate(cert, part, envelope_id=env)
                   for env, cert in certs.items()}
+
+
+@pytest.fixture(autouse=True)
+def no_thread_left_running():
+    """Fail a test that leaves more live threads than it found, such as an
+    executor that an error path never shut down."""
+    before = set(threading.enumerate())
+    yield
+    left = [t.name for t in threading.enumerate() if t not in before]
+    assert not left, f"threads left running: {left}"
 
 
 @pytest.fixture

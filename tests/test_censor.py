@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from truncbound import TruncationWorkspace, enumerate_space, tau_family_direct
+from truncbound import TruncationWorkspace, censor, enumerate_space, tau_family_direct
 from truncbound.errors import IrreducibilityError, ModelError, NumericalError
 from truncbound.models import GM1Model
 
@@ -95,6 +95,14 @@ class TestCensoredMatrix:
             if prev is not None:
                 assert (prev <= G + 1e-12).all()
             prev = G
+
+    @pytest.mark.parametrize("chunk", [1, 7])
+    def test_chunked_solves_give_the_same_bits(self, toggle60, chunk, monkeypatch):
+        # toggle60's P21 hits 43 of its |K| = 98 columns: one default chunk
+        part, _ = toggle60
+        want = TruncationWorkspace(part).censored().G
+        monkeypatch.setattr(censor, "RHS_CHUNK", chunk)
+        assert TruncationWorkspace(part).censored().G.tobytes() == want.tobytes()
 
 
 class TestStochasticizations:

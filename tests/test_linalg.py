@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -89,6 +91,23 @@ class TestResidualCheck:
             X = solver.solve(B, transpose=transpose)
             want = np.max(np.abs((A.T @ X if transpose else A @ X) - B), axis=0)
             assert solver._check(X, B, transpose).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_check_holds_less_than_one_more_solution(self, transpose):
+        # the solve returns X in Fortran order; a product over all its columns
+        # at once would copy X to C order and hold R besides: twice X
+        n, m = 20_000, 64
+        M = sp.diags([np.full(n - 1, 0.3), np.full(n - 1, 0.4)], [-1, 1], format="csr")
+        solver = SubstochasticSolver(M)
+        B = np.random.default_rng(5).random((n, m))
+        X = solver.solve(B, transpose=transpose)
+        tracemalloc.start()
+        try:
+            solver._check(X, B, transpose)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < X.nbytes
 
 
 class TestStationarySmall:

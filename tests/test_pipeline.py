@@ -1,3 +1,4 @@
+import threading
 import warnings
 import weakref
 
@@ -42,6 +43,85 @@ class TestSharedEnumeration:
             if env == envelopes[0]:   # the distribution is the first envelope's
                 assert both.distribution_mass.tobytes() == single.distribution_mass.tobytes()
                 assert both.distribution_states == single.distribution_states
+
+
+GM1_2000 = {"kind": "range", "max": 2000}
+
+
+class WorkerFailure(Exception):
+    pass
+
+
+class MainFailure(Exception):
+    pass
+
+
+class TestOverlap:
+    def test_next_partition_is_built_while_bounds_run(self, monkeypatch):
+        # r's bounds wait until the main thread repartitions for e: a serial
+        # pipeline would time out here
+        repartitioned = threading.Event()
+        compute_bounds, repartition = pipeline.compute_bounds, pipeline.repartition
+        on_main = {}
+
+        def waiting(ws, inputs, **kwargs):
+            on_main[inputs.envelope_id] = threading.current_thread() is threading.main_thread()
+            if inputs.envelope_id == "r":
+                assert repartitioned.wait(timeout=60)
+            return compute_bounds(ws, inputs, **kwargs)
+
+        def signalling(*args):
+            out = repartition(*args)
+            repartitioned.set()
+            return out
+
+        monkeypatch.setattr(pipeline, "compute_bounds", waiting)
+        monkeypatch.setattr(pipeline, "repartition", signalling)
+        result = run_pipeline(GM1Model(), GM1_2000, envelopes=["r", "e"])
+        assert list(result.runs) == ["r", "e"]
+        # the last return set's bounds have nothing to overlap with
+        assert on_main == {"r": False, "e": True}
+
+    def test_one_return_set_starts_no_thread(self, monkeypatch):
+        threads = threading.active_count()
+        seen = []
+        compute_bounds = pipeline.compute_bounds
+
+        def counting(*args, **kwargs):
+            seen.append(threading.active_count())
+            return compute_bounds(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "compute_bounds", counting)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)   # toggle: rate domination
+            run_pipeline(ToggleSwitchModel(20.0, 1.0), {"kind": "simplex", "level": 40},
+                         envelopes=["r", "e"])
+        assert seen == [threads, threads]
+
+    @pytest.mark.parametrize("bounds_fail", [True, False])
+    def test_errors_surface_in_serial_order(self, bounds_fail, monkeypatch):
+        # serially, r's bounds come before e's partition: their error wins
+        compute_bounds = pipeline.compute_bounds
+
+        def failing(ws, inputs, **kwargs):
+            if bounds_fail and inputs.envelope_id == "r":
+                raise WorkerFailure("r")
+            return compute_bounds(ws, inputs, **kwargs)
+
+        def broken(*args):
+            raise MainFailure("e")
+
+        monkeypatch.setattr(pipeline, "compute_bounds", failing)
+        monkeypatch.setattr(pipeline, "repartition", broken)
+        with pytest.raises(WorkerFailure if bounds_fail else MainFailure):
+            run_pipeline(GM1Model(), GM1_2000, envelopes=["r", "e"])
+
+    @pytest.mark.parametrize("envelopes", [["r", "e"], ["e", "r"]], ids=["r-first", "e-first"])
+    def test_repeated_runs_give_identical_reports(self, envelopes):
+        runs = [run_pipeline(GM1Model(), GM1_2000, envelopes=envelopes) for _ in range(2)]
+        for env in envelopes:
+            assert without_timings(runs[0].report(env)) == without_timings(runs[1].report(env))
+        assert runs[0].distribution_mass.tobytes() == runs[1].distribution_mass.tobytes()
 
 
 def tables_built(monkeypatch) -> list:
