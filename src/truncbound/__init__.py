@@ -21,9 +21,7 @@ _EXPORTS = {
         "PerronEigenpair", "SubstochasticSolver", "fundamental_matrix", "is_irreducible",
         "perron_eigenpair", "stationary_small",
     ),
-    "censor": (
-        "CensoredApprox", "TauFamily", "TruncationWorkspace", "tau_family_direct",
-    ),
+    "censor": ("CensoredApprox", "TauFamily", "TruncationWorkspace"),
     "lyapunov": (
         "BoundInputs", "DriftCertificate", "DriftReport", "construct_K", "drift_excess",
         "evaluate_certificate", "moment_bound", "tail_mass_bound", "verify_certificate",
@@ -34,7 +32,7 @@ _EXPORTS = {
         "ell_lower_bound", "minorization_bounds", "reward_interval", "tv_bound_general",
         "tv_bound_singleton",
     ),
-    "ctmc": ("JumpModel", "embed", "exit_rate", "stationary_reconstruction"),
+    "ctmc": ("JumpModel", "embed", "exit_rate"),
     "models": ("DiscreteModel", "GM1Model", "GeometricLaw", "ToggleSwitchModel"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

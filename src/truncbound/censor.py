@@ -13,6 +13,7 @@ it and from inexpensive solves against the same (I - P22) factorization.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -28,8 +29,47 @@ from .linalg import (
 from .statespace import Partition
 
 ROW_SUM_SLACK = 1e-12
-RHS_CHUNK = 64       # right-hand sides per censored solve
-DIAMETER_CHUNK = 8   # rows per pass of l1_diameter: an (8, k, k) buffer
+# right-hand sides per censored solve block; narrow blocks keep each lane's
+# dense |A'| x 8 temporaries small enough for the allocator to reuse them
+RHS_CHUNK = 8
+# rows per pass of l1_diameter: each of the two lanes holds a (2, k, k) buffer
+DIAMETER_CHUNK = 2
+
+
+def _two_lanes(fn, items) -> list:
+    """``[fn(item) for item in items]``, computed on two lanes: the caller
+    runs the even-indexed items and one helper thread the odd-indexed ones,
+    each lane in item order.  Only worth it where ``fn`` spends its time in
+    native code that releases the GIL.
+
+    Each lane stops at its own first failure; the failure with the lowest
+    item index is raised, which is the one a serial loop raises, as every
+    item before it has succeeded.  The helper is joined before this returns.
+    """
+    items = list(items)
+    out = [None] * len(items)
+    failed = {}                         # item index -> exception
+
+    def lane(first):
+        for i in range(first, len(items), 2):
+            try:
+                out[i] = fn(items[i])
+            except BaseException as exc:    # re-raised below, on the caller
+                failed[i] = exc
+                return
+
+    helper = None
+    if len(items) > 1:
+        helper = threading.Thread(target=lane, args=(1,), name="truncbound-lane")
+        helper.start()
+    try:
+        lane(0)
+    finally:
+        if helper is not None:
+            helper.join()
+    if failed:
+        raise failed[min(failed)]
+    return out
 
 
 class TauFamily:
@@ -62,18 +102,25 @@ class TauFamily:
 
     def l1_diameter(self) -> float:
         """``max_{x,y} sum_z |tau_x(z) - tau_y(z)|`` over the pairs y >= x
-        (the sum is symmetric), computed once per family."""
+        (the sum is symmetric), computed once per family, a block of rows at
+        a time on two lanes; each lane reuses its own buffer."""
         if self._diameter is None:
             rows, k = self.rows, self.size
-            buf = np.empty((min(DIAMETER_CHUNK, k), k, k))
-            d = 0.0
-            for lo in range(0, k, DIAMETER_CHUNK):
+            bufs = [np.empty((min(DIAMETER_CHUNK, k), k, k)) for _ in range(2)]
+
+            def block(job):
+                buf, lo = job
                 hi = min(lo + DIAMETER_CHUNK, k)
                 diff = buf[: hi - lo, : k - lo]
                 np.subtract(rows[None, lo:], rows[lo:hi, None], out=diff)
                 np.abs(diff, out=diff)
-                d = max(d, float(diff.sum(axis=2).max()))
-            self._diameter = d
+                return float(diff.sum(axis=2).max())
+
+            # item j runs on lane j % 2, so items of one lane share its buffer
+            starts = range(0, k, DIAMETER_CHUNK)
+            self._diameter = max(_two_lanes(block, [(bufs[j % 2], lo)
+                                                    for j, lo in enumerate(starts)]),
+                                 default=0.0)
         return self._diameter
 
 
@@ -118,20 +165,6 @@ def _tau_stable(G: np.ndarray, z: int) -> TauFamily:
     np.clip(rows, 0.0, None, out=rows)
     rows /= rows.sum(axis=1)[:, None]
     return TauFamily(rows, D, clamped)
-
-
-def tau_family_direct(G: np.ndarray) -> np.ndarray:
-    """Reference path: normalized rows of a dense ``(I - G)^{-1}``.
-
-    Only trustworthy when ``I - G`` is well conditioned; used for
-    cross-validation of the deleted-state path.
-    """
-    k = G.shape[0]
-    M = np.linalg.inv(np.eye(k) - G)
-    sums = M.sum(axis=1)
-    if np.any(sums <= 0.0):
-        raise NumericalError("direct (I - G)^{-1} has a nonpositive row sum")
-    return M / sums[:, None]
 
 
 @dataclass
@@ -230,13 +263,16 @@ class TruncationWorkspace:
         part = self.partition
         # only the K columns that P21 hits get a solve: the rest of
         # (I - P22)^{-1} P21 is zero and adds nothing to P11; they are solved
-        # a chunk at a time, so no dense |A'| x |K| array is ever held
+        # a block at a time on two lanes, so no dense |A'| x |K| array is
+        # ever held, and each block is added into its own columns of G
         P21 = part.P21.tocsc()
         cols = np.flatnonzero(np.diff(P21.indptr))
+        blocks = [cols[lo:lo + RHS_CHUNK] for lo in range(0, len(cols), RHS_CHUNK)]
         G = part.P11.toarray()
-        for lo in range(0, len(cols), RHS_CHUNK):
-            c = cols[lo:lo + RHS_CHUNK]
-            G[:, c] += part.P12 @ self.solver.solve(P21[:, c].toarray())
+        products = _two_lanes(
+            lambda c: part.P12 @ self.solver.solve(P21[:, c].toarray()), blocks)
+        for c, product in zip(blocks, products):
+            G[:, c] += product
         np.clip(G, 0.0, None, out=G)  # solver noise only; true entries are nonnegative
         mass = G.sum(axis=1)
         if np.any(mass > 1.0 + ROW_SUM_SLACK):

@@ -142,7 +142,6 @@ def _single_truncation(cfg: dict) -> dict:
 
 def cmd_run(cfg: dict, override: str | None) -> int:
     from . import __version__
-    from .lyapunov import _state_key
     from .pipeline import run_pipeline
 
     envelopes, stoch = _bounds_options(cfg)
@@ -159,7 +158,8 @@ def cmd_run(cfg: dict, override: str | None) -> int:
         "return_sets": {env: {"k_size": run.k_size, "k_star": run.k_star}
                         for env, run in result.runs.items()},
         "distribution": {
-            "states": [_state_key(s) for s in result.distribution_states],
+            "states": [list(s) if isinstance(s, tuple) else s
+                       for s in result.distribution_states],
             "probability": result.distribution_mass.tolist()
             if result.distribution_mass is not None else [],
         },

@@ -72,10 +72,3 @@ def embed(jump):
         unit_weights=lambda states: 1.0 / rate_rows(states)[3],
         rows=rows,
     )
-
-
-def stationary_reconstruction(pi_embedded: np.ndarray, exit_rates: np.ndarray) -> np.ndarray:
-    """Jump-process stationary law from the embedded chain's stationary law:
-    reweight by holding times 1/lambda and renormalize."""
-    nu = pi_embedded / exit_rates
-    return nu / nu.sum()

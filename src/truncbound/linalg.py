@@ -7,7 +7,6 @@ them; residual checks therefore raise instead of warning.
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -45,20 +44,17 @@ class SubstochasticSolver:
         if n == 0:
             self._mode = "empty"
             self._A = sp.csr_matrix((0, 0))
+            self.operator_norm = 1.0
         else:
             self._mode = "sparse"
             A = (sp.identity(n, format="csc") - sp.csc_matrix(M)).tocsc()
             self._A = A.tocsr()
+            # set here, not on first use: concurrent solves read it in _check
+            self.operator_norm = float(np.asarray(np.abs(self._A).sum(axis=1)).ravel().max())
             try:
                 self._lu = spla.splu(A)
             except RuntimeError as exc:
                 raise NumericalError(f"sparse LU of (I - M) failed: {exc}") from exc
-
-    @cached_property
-    def operator_norm(self) -> float:
-        if self._mode == "empty":
-            return 1.0
-        return float(np.asarray(np.abs(self._A).sum(axis=1)).ravel().max())
 
     def _check(self, X: np.ndarray, B: np.ndarray, trans: bool) -> np.ndarray:
         """Raise unless every column's residual is within tolerance; returns

@@ -13,7 +13,6 @@ support (they are the only place the complement of A ever enters).
 from __future__ import annotations
 
 import hashlib
-import json
 import warnings
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -379,42 +378,30 @@ def evaluate_certificate(cert: DriftCertificate, partition: Partition,
     r_A = partition.evaluate(cert.envelope)
     h1 = partition.boundary_overflow(cert.g_r)
     h2 = h1 if cert.single_pair else partition.boundary_overflow(cert.g_e)
-    payload = certificate_payload(cert, partition, r_A, h1, h2)
-    sha = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
     return BoundInputs(
         envelope_id=envelope_id,
         r_A=r_A,
         h1_A=h1,
         h2_A=h2,
         verified=True,
-        sha256=sha,
+        sha256=_fingerprint(cert, partition, r_A, h1, h2),
     )
 
 
-def certificate_payload(cert: DriftCertificate, partition: Partition,
-                        r_A: np.ndarray, h1: np.ndarray, h2: np.ndarray) -> dict:
-    """JSON-compatible record of the certificate over A, for replayable runs."""
-    space = partition.space
+def _fingerprint(cert: DriftCertificate, partition: Partition,
+                 r_A: np.ndarray, h1: np.ndarray, h2: np.ndarray) -> str:
+    """sha256 of the certificate over A: its radii, ``single_pair`` and
+    return set, the states of A in index order, and the bytes of the
+    envelope, both certificate functions and both overflows over A, each
+    array after its dtype and shape."""
     g1_A = partition.evaluate(cert.g_r)
     g2_A = g1_A if cert.single_pair else partition.evaluate(cert.g_e)
-    return {
-        "kind": "drift-certificate",
-        "radii": {"envelope": cert.radius_r, "unit": cert.radius_e},
-        "single_pair": cert.single_pair,
-        "return_set": [_state_key(s) for s in cert.return_set],
-        "states": [_state_key(s) for s in space.states],
-        "envelope": r_A.tolist(),
-        "g_envelope": g1_A.tolist(),
-        "g_unit": g2_A.tolist(),
-        "h_envelope": h1.tolist(),
-        "h_unit": h2.tolist(),
-    }
-
-
-def _state_key(s):
-    if isinstance(s, tuple):
-        return list(s)
-    return s
+    digest = hashlib.sha256(repr((cert.radius_r, cert.radius_e, cert.single_pair,
+                                  cert.return_set, partition.space.states)).encode())
+    for v in (r_A, g1_A, g2_A, h1, h2):
+        digest.update(f"{v.dtype.str}{v.shape}".encode())
+        digest.update(np.ascontiguousarray(v))
+    return digest.hexdigest()
 
 
 def moment_bound(model, g3: Callable, w: Callable, core_radius: int) -> float:

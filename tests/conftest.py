@@ -21,6 +21,7 @@ import numpy as np  # noqa: E402
 import pytest
 
 from truncbound import DiscreteModel
+from truncbound.errors import NumericalError
 from truncbound.lyapunov import DriftCertificate, verify_certificate
 
 
@@ -86,6 +87,25 @@ def exit_oracle(P_A: np.ndarray) -> np.ndarray:
     delta = np.zeros(n)
     delta[0] = 1.0
     nu = np.linalg.solve((np.eye(n) - P_A).T, delta)
+    return nu / nu.sum()
+
+
+def tau_family_direct(G: np.ndarray) -> np.ndarray:
+    """Normalized rows of a dense ``(I - G)^{-1}``: the mixture family without
+    the deleted-state reformulation, trustworthy only when ``I - G`` is well
+    conditioned."""
+    k = G.shape[0]
+    M = np.linalg.inv(np.eye(k) - G)
+    sums = M.sum(axis=1)
+    if np.any(sums <= 0.0):
+        raise NumericalError("direct (I - G)^{-1} has a nonpositive row sum")
+    return M / sums[:, None]
+
+
+def stationary_reconstruction(pi_embedded: np.ndarray, exit_rates: np.ndarray) -> np.ndarray:
+    """Jump-process stationary law from the embedded chain's stationary law:
+    reweight by holding times 1/lambda and renormalize."""
+    nu = pi_embedded / exit_rates
     return nu / nu.sum()
 
 

@@ -4,6 +4,7 @@ Each criterion prints one PASS/FAIL line (visible with ``pytest -s``); a
 criterion fails loudly through its assertions otherwise.
 """
 
+import csv
 import json
 import time
 from pathlib import Path
@@ -11,13 +12,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from truncbound import TruncationWorkspace, enumerate_space, tau_family_direct
-from truncbound.bounds import compute_bounds
-from truncbound.ctmc import stationary_reconstruction
+from truncbound import TruncationWorkspace, cli, enumerate_space, explicit_k_predicate
+from truncbound.bounds import compute_bounds, reward_interval
+from truncbound.ctmc import embed
 from truncbound.lyapunov import (
     construct_K,
     evaluate_certificate,
     moment_bound,
+    verify_certificate,
 )
 from truncbound.models import GM1Model, ToggleSwitchModel
 from truncbound.pipeline import run_pipeline
@@ -31,11 +33,15 @@ from conftest import (
     random_rate_matrix,
     random_stochastic,
     stationary_power,
+    stationary_reconstruction,
+    tau_family_direct,
 )
 from gm1_reference import reference_distribution
 
 
-BENCHMARK_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+ROOT = Path(__file__).resolve().parents[1]
+BENCHMARK_REFERENCE = ROOT / "perfbench" / "reference.json"
+CONFIGS = ROOT / "configs"
 
 
 def _line(num, name, ok):
@@ -43,14 +49,20 @@ def _line(num, name, ok):
     return ok
 
 
-def _recorded(workload: str, reports: dict) -> bool:
-    """Whether ``reports`` (envelope id -> BoundReport) give the benchmark's
-    recorded full-size answers for ``workload`` bit for bit; BLAS runs on one
-    thread in both (see conftest)."""
-    want = json.loads(BENCHMARK_REFERENCE.read_text())["full"][workload]["reports"]
-    return reports.keys() == want.keys() and all(
-        {key: getattr(reports[env], key) for key in fields} == fields
-        for env, fields in want.items())
+def _fields(reports: dict) -> dict:
+    """envelope id -> BoundReport, in the form the benchmark records."""
+    return {env: {key: getattr(rep, key) for key in ("lower", "upper", "approx", "tv_bound")}
+            for env, rep in reports.items()}
+
+
+def _recorded(workload: str, got: dict) -> bool:
+    """Whether ``got`` is the benchmark's recorded full-size answer for
+    ``workload`` bit for bit: ``{"reports": ...}`` for a run, ``{"rows":
+    ...}`` for the sweep, ``{"indicators": ...}`` for the marginals.  Floats
+    are compared by their shortest repr, which round-trips every bit; BLAS
+    runs on one thread in both (see conftest)."""
+    want = json.loads(BENCHMARK_REFERENCE.read_text())["full"][workload]
+    return json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
 
 
 @pytest.fixture(scope="module")
@@ -117,7 +129,8 @@ def test_criterion_2_gm1_certified_accuracy(gm1_runs):
     geo = law.masses(10001)
     measured = float(np.abs(ref - geo).sum() + law.tail(10001))
     checks["measured <= computed bound"] = measured <= rep_e.tv_bound
-    checks["r, e as benchmark recorded"] = _recorded("gm1-ref", {"r": rep_r, "e": rep_e})
+    checks["r, e as benchmark recorded"] = \
+        _recorded("gm1-ref", {"reports": _fields({"r": rep_r, "e": rep_e})})
 
     assert _line(2, "queue certified accuracy", all(checks.values())), checks
 
@@ -153,10 +166,39 @@ def test_criterion_3_toggle_certified_accuracy():
     checks["ts90 plain tv < 1e-11"] = r90.report("e").tv_bound < 1e-11
     checks["ts90 weighted tv < 1e-9"] = r90.report("r").tv_bound < 1e-9
     checks["ts90 r, e as benchmark recorded"] = \
-        _recorded("toggle90", {env: r90.report(env) for env in ("r", "e")})
+        _recorded("toggle90", {"reports": _fields({env: r90.report(env) for env in ("r", "e")})})
 
     checks["runtime < 30 min"] = time.perf_counter() - t0 < 1800
     assert _line(3, "toggle-switch certified accuracy", all(checks.values())), checks
+
+
+def test_toggle20_sweep_and_marginals_as_benchmark_recorded(tmp_path):
+    """The two toggle20 workloads the benchmark checks, with its inputs: the
+    sweep's rows through the CLI, and the 2 x 201 marginal indicators'
+    intervals on one workspace for the ``e`` envelope at level 200."""
+    config = CONFIGS / "toggle20.json"
+    with pytest.warns(UserWarning, match="exit rate"):
+        assert cli.main(["sweep", str(config), "--output-dir", str(tmp_path)]) == 0
+    with open(tmp_path / json.loads(config.read_text())["output"]["csv"], newline="") as fh:
+        rows = [{"truncation": int(row["truncation"]),
+                 **{env: {key: float(row[f"{env}_{key}"])
+                          for key in ("lower", "upper", "approx", "tv_bound")}
+                    for env in ("r", "e")}}
+                for row in csv.DictReader(fh)]
+    assert [row["truncation"] for row in rows] == [50, 100, 150, 200]
+    assert _recorded("toggle20-sweep", {"rows": rows})
+
+    ts = ToggleSwitchModel(20.0, 1.0)
+    with pytest.warns(UserWarning, match="exit rate"):
+        cert = verify_certificate(ts, ts.certificate_for_envelope("e"))
+    _, part = enumerate_space(embed(ts), lambda s: s[0] + s[1] <= 200,
+                              explicit_k_predicate(cert.return_set))
+    ws = TruncationWorkspace(part)
+    inputs = evaluate_certificate(cert, part, envelope_id="e")
+    counts = np.array(part.space.states)
+    intervals = [list(reward_interval(ws, inputs, (counts[:, species] == j).astype(float)))
+                 for species in (0, 1) for j in range(201)]
+    assert _recorded("toggle20-marginals", {"indicators": intervals})
 
 
 def test_criterion_4_oracle_equivalence_suite():

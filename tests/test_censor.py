@@ -1,9 +1,12 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from truncbound import TruncationWorkspace, censor, enumerate_space, tau_family_direct
+from truncbound import TruncationWorkspace, censor, enumerate_space
 from truncbound.errors import IrreducibilityError, ModelError, NumericalError
 from truncbound.models import GM1Model
 
@@ -14,6 +17,7 @@ from conftest import (
     partition_from_matrix,
     random_stochastic,
     stationary_power,
+    tau_family_direct,
 )
 
 
@@ -96,13 +100,77 @@ class TestCensoredMatrix:
                 assert (prev <= G + 1e-12).all()
             prev = G
 
-    @pytest.mark.parametrize("chunk", [1, 7])
+    @pytest.mark.parametrize("chunk", [1, 7, 8, 42, 64])
     def test_chunked_solves_give_the_same_bits(self, toggle60, chunk, monkeypatch):
-        # toggle60's P21 hits 43 of its |K| = 98 columns: one default chunk
+        # toggle60's P21 hits 43 of its |K| = 98 columns: 6 default blocks;
+        # 42 leaves one column for the helper, 64 gives the caller all of them
         part, _ = toggle60
         want = TruncationWorkspace(part).censored().G
         monkeypatch.setattr(censor, "RHS_CHUNK", chunk)
         assert TruncationWorkspace(part).censored().G.tobytes() == want.tobytes()
+
+    def test_repeated_builds_give_the_same_bits(self, toggle60):
+        part, _ = toggle60
+        want = TruncationWorkspace(part).censored().G.tobytes()
+        assert all(TruncationWorkspace(part).censored().G.tobytes() == want
+                   for _ in range(20))
+
+    @pytest.mark.parametrize("failing, raised", [({1, 2}, 1), ({2}, 2), ({0, 5}, 0)])
+    def test_solve_errors_surface_in_serial_order(self, toggle60, failing, raised):
+        # blocks alternate between the caller (even) and the helper (odd)
+        part, _ = toggle60
+        P21 = part.P21.tocsc()
+        cols = np.flatnonzero(np.diff(P21.indptr))
+        block_of = {P21[:, cols[lo:lo + censor.RHS_CHUNK]].toarray().tobytes(): j
+                    for j, lo in enumerate(range(0, len(cols), censor.RHS_CHUNK))}
+        assert len(block_of) == 6
+        ws = TruncationWorkspace(part)
+        real = ws.solver.solve
+
+        def solve(b, **kw):
+            j = block_of[b.tobytes()]
+            if j in failing:
+                raise NumericalError(f"block {j}")
+            return real(b, **kw)
+
+        ws.solver.solve = solve
+        with pytest.raises(NumericalError, match=f"^block {raised}$"):
+            ws.censored()
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7])
+def test_two_lanes_returns_results_in_item_order(n):
+    lanes = []
+
+    def fn(i):
+        lanes.append((i, threading.get_ident()))
+        return i * i
+
+    assert censor._two_lanes(fn, range(n)) == [i * i for i in range(n)]
+    on_caller = {i for i, ident in lanes if ident == threading.get_ident()}
+    assert on_caller == set(range(0, n, 2))
+
+
+def test_two_lanes_under_contention():
+    # four callers at once, eight threads on fewer cores, switching often:
+    # every caller still gets its own results, in order
+    results = {}
+
+    def caller(c):
+        results[c] = censor._two_lanes(lambda i: (c, i, sum(range(i))), range(300))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=caller, args=(c,)) for c in range(4)]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers)
+    assert results == {c: [(c, i, sum(range(i))) for i in range(300)] for c in range(4)}
 
 
 class TestStochasticizations:

@@ -3,12 +3,7 @@ import pytest
 
 from truncbound import TruncationWorkspace, enumerate_space
 from truncbound.bounds import compute_bounds, reward_interval
-from truncbound.ctmc import (
-    JumpModel,
-    embed,
-    exit_rate,
-    stationary_reconstruction,
-)
+from truncbound.ctmc import JumpModel, embed, exit_rate
 from truncbound.errors import ModelError
 from truncbound.lyapunov import (
     DriftCertificate,
@@ -18,7 +13,7 @@ from truncbound.lyapunov import (
 )
 from truncbound.models import ToggleSwitchModel
 
-from conftest import random_rate_matrix, stationary_power
+from conftest import random_rate_matrix, stationary_power, stationary_reconstruction
 
 
 def jump_from_matrix(Q: np.ndarray, name="ctmc-host"):

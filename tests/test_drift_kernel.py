@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from truncbound import TruncationWorkspace, enumerate_space, explicit_k_predicate
+from truncbound import TruncationWorkspace, censor, enumerate_space, explicit_k_predicate
 from truncbound.censor import RHS_CHUNK, TauFamily
 from truncbound.ctmc import JumpModel, embed
 from truncbound.errors import CertificateError
@@ -300,12 +300,16 @@ def brute_diameter(rows):
     return max(float(np.abs(a - b).sum()) for a in rows for b in rows)
 
 
-@pytest.mark.parametrize("k", [1, 8, 13, 150])
-def test_l1_diameter_equals_brute_force(k, rng):
+@pytest.mark.parametrize("k", [1, 2, 3, 8, 13, 150])
+def test_l1_diameter_equals_brute_force(k, rng, monkeypatch):
     rows = rng.random((k, k)) ** 3
     rows /= rows.sum(axis=1)[:, None]
-    fam = TauFamily(rows, 0.5, False)
-    d = fam.l1_diameter()
-    assert bits(d) == bits(loop_diameter(rows)) == bits(brute_diameter(rows))
-    fam.rows = np.zeros_like(rows)                # computed once per family
-    assert bits(fam.l1_diameter()) == bits(d)
+    want = bits(loop_diameter(rows))
+    assert bits(brute_diameter(rows)) == want
+    for chunk in (1, 2, 8):                       # row blocks per pass, split over two lanes
+        monkeypatch.setattr(censor, "DIAMETER_CHUNK", chunk)
+        fam = TauFamily(rows, 0.5, False)
+        d = fam.l1_diameter()
+        assert bits(d) == want, chunk
+        fam.rows = np.zeros_like(rows)            # computed once per family
+        assert bits(fam.l1_diameter()) == bits(d)

@@ -1,13 +1,12 @@
-import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from truncbound import TruncationWorkspace, enumerate_space
+from truncbound import TruncationWorkspace, enumerate_space, lyapunov
 from truncbound.errors import CertificateError
 from truncbound.lyapunov import (
     DriftCertificate,
-    certificate_payload,
     construct_K,
     evaluate_certificate,
     moment_bound,
@@ -243,21 +242,47 @@ class TestCertificate:
         inputs = evaluate_certificate(cert, part)
         assert np.array_equal(inputs.h1_A, inputs.h2_A)
 
-    def test_payload_roundtrip_and_hash_stability(self, rng):
+    def test_fingerprint_is_stable_and_covers_every_input(self, rng):
         P = random_stochastic(rng, 10)
         model = host_model(P)
-        r = np.arange(10.0)
-        cert = exact_certificate(P, 2, r, model)
+        cert = exact_certificate(P, 2, np.arange(10.0), model)
         _, part = enumerate_space(model, lambda s: s < 8, lambda s: s < 2)
-        inputs1 = evaluate_certificate(cert, part)
-        inputs2 = evaluate_certificate(cert, part)
-        assert inputs1.sha256 == inputs2.sha256
-        payload = certificate_payload(cert, part, inputs1.r_A, inputs1.h1_A,
-                                      inputs1.h2_A)
-        restored = json.loads(json.dumps(payload))
-        assert restored["radii"] == {"envelope": 10, "unit": 10}
-        assert len(restored["g_envelope"]) == part.a_size
-        assert restored["return_set"] == [0, 1]
+        inputs = evaluate_certificate(cert, part)
+        assert evaluate_certificate(cert, part).sha256 == inputs.sha256
+        args = (inputs.r_A, inputs.h1_A, inputs.h2_A)
+        base = lyapunov._fingerprint(cert, part, *args)
+        assert base == inputs.sha256
+
+        def bumped(v, i=3):
+            w = v.copy()
+            w[i] = np.nextafter(w[i], np.inf)     # one bit of one entry
+            return w
+
+        states = part.space.states
+        swapped = states[:2] + (states[3], states[2]) + states[4:]
+        g_r, g_e = cert.g_r, cert.g_e
+        variants = {
+            "radius_r": (replace(cert, radius_r=11), part, *args),
+            "radius_e": (replace(cert, radius_e=11), part, *args),
+            "return_set": (replace(cert, return_set=(0, 2)), part, *args),
+            "state order": (cert, replace(part, space=replace(part.space, states=swapped)),
+                            *args),
+            "r_A": (cert, part, bumped(args[0]), *args[1:]),
+            "h1": (cert, part, args[0], bumped(args[1], 7), args[2]),
+            "h2": (cert, part, *args[:2], bumped(args[2], 7)),
+            "g_r": (replace(cert, g_r=lambda x: g_r(x) + (x == 5)), part, *args),
+            "g_e": (replace(cert, g_e=lambda x: g_e(x) + (x == 5)), part, *args),
+            "array split": (cert, part, args[0], args[1][:-1], np.append(args[1][-1:], args[2])),
+        }
+        seen = {"base": base}
+        for name, variant in variants.items():
+            sha = lyapunov._fingerprint(*variant)
+            assert sha not in seen.values(), name
+            seen[name] = sha
+        # single_pair alone: the same function for g_r and g_e, flag on or off
+        shared = replace(cert, g_e=g_r)
+        assert lyapunov._fingerprint(shared, part, *args) != \
+            lyapunov._fingerprint(replace(shared, single_pair=True), part, *args)
 
     def test_certificate_partition_mismatch(self, rng):
         P = random_stochastic(rng, 9)
