@@ -7,13 +7,18 @@ for the timing fields.
 
 The config format is documented in docs/config.schema.json; reports follow
 docs/report.schema.json and sweep CSVs are plot-ready (one row per
-truncation size).
+truncation size).  A sweep certifies once and explores its largest
+truncation once, cutting every level from it (``range`` and ``simplex``
+sizes are nested): an error while exploring that level (the cap, an
+invalid row) surfaces before any level's bounds, and the first row's
+``time_total`` includes these shared stages.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import os
 import sys
@@ -157,23 +162,46 @@ def cmd_run(cfg: dict, override: str | None) -> int:
         "reports": {env: run.report.to_dict() for env, run in result.runs.items()},
         "return_sets": {env: {"k_size": run.k_size, "k_star": run.k_star}
                         for env, run in result.runs.items()},
-        "distribution": {
-            "states": [list(s) if isinstance(s, tuple) else s
-                       for s in result.distribution_states],
-            "probability": result.distribution_mass.tolist()
-            if result.distribution_mass is not None else [],
-        },
+        "distribution": {"states": result.distribution_states,
+                         "probability": result.distribution_mass},
         "timings": result.timings,
     }
     path = os.path.join(outdir, cfg.get("output", {}).get("report", "report.json"))
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
+        _dump_report(doc, fh)
     print(f"report written to {path}")
     for env, run in result.runs.items():
         rep = run.report
         print(f"  [{env}] approx={rep.approx:.12g}  interval=[{rep.lower:.12g}, "
               f"{rep.upper:.12g}]  tv_bound={rep.tv_bound:.3e}")
     return 0
+
+
+def _dump_report(doc: dict, fh) -> None:
+    """``json.dump(doc, fh, indent=1)``, for a doc whose distribution holds its
+    states as given (tuples for lists) and its mass as an array or None.
+    Finite masses and integer states, or integer tuples of one length, are
+    joined in C rather than by json's pure-Python indent encoder."""
+    import numpy as np
+
+    states, mass = doc["distribution"]["states"], doc["distribution"]["probability"]
+    mass = np.zeros(0) if mass is None else mass
+    widths = {len(s) if type(s) is tuple else None for s in states}
+    parts = itertools.chain.from_iterable(s if type(s) is tuple else (s,) for s in states)
+    if len(widths) > 1 or set(map(type, parts)) - {int} or not np.isfinite(mass).all():
+        json.dump({**doc, "distribution": {
+            "states": [list(s) if isinstance(s, tuple) else s for s in states],
+            "probability": mass.tolist()}}, fh, indent=1)
+        return
+    width = widths.pop() if widths else None
+    state = "%d" if width is None else "[]" if not width else \
+        "[\n" + ",\n".join(["    %d"] * width) + "\n   ]"
+    text = json.dumps({**doc, "distribution": {"states": "@S@", "probability": "@P@"}}, indent=1)
+    for mark, items in (("@S@", map(state.__mod__, states)),
+                        ("@P@", map(float.__repr__, mass.tolist()))):
+        joined = ",\n   ".join(items)
+        text = text.replace(f'"{mark}"', f"[\n   {joined}\n  ]" if joined else "[]", 1)
+    fh.write(text)
 
 
 def cmd_verify(cfg: dict, override: str | None) -> int:
@@ -193,7 +221,8 @@ def cmd_verify(cfg: dict, override: str | None) -> int:
 
 
 def cmd_sweep(cfg: dict, override: str | None) -> int:
-    from .pipeline import run_pipeline
+    from .errors import NumericalError
+    from .pipeline import run_sweep
 
     envelopes, stoch = _bounds_options(cfg)
     schedule, return_set = _truncation_schedule(cfg), _return_set(cfg)
@@ -201,11 +230,9 @@ def cmd_sweep(cfg: dict, override: str | None) -> int:
     outdir = _outdir(cfg, override)
     rows = []
     prev_tv = {env: None for env in envelopes}
-    for trunc in schedule:
-        result = run_pipeline(model, trunc, envelopes=envelopes,
-                              stochasticization=stoch,
-                              explicit_return_set=return_set,
-                              with_distribution=False)
+    results = run_sweep(model, schedule, envelopes=envelopes, stochasticization=stoch,
+                        explicit_return_set=return_set, with_distribution=False)
+    for trunc, result in zip(schedule, results):
         size_key = "max" if trunc["kind"] == "range" else "level"
         row = {
             "truncation": trunc[size_key],
@@ -213,16 +240,12 @@ def cmd_sweep(cfg: dict, override: str | None) -> int:
         }
         for env, run in result.runs.items():
             rep = run.report
-            row[f"{env}_lower"] = rep.lower
-            row[f"{env}_upper"] = rep.upper
-            row[f"{env}_approx"] = rep.approx
-            row[f"{env}_tv_bound"] = rep.tv_bound
-            row[f"{env}_time_censored"] = rep.timings.get("censored_matrix", 0.0)
-            row[f"{env}_time_mixture"] = rep.timings.get("mixture_family", 0.0)
-            row[f"{env}_time_bounds"] = rep.timings.get("bounds", 0.0)
+            for key in ("lower", "upper", "approx", "tv_bound"):
+                row[f"{env}_{key}"] = getattr(rep, key)
+            for key, stage in (("censored", "censored_matrix"),
+                               ("mixture", "mixture_family"), ("bounds", "bounds")):
+                row[f"{env}_time_{key}"] = rep.timings.get(stage, 0.0)
             if prev_tv[env] is not None and rep.tv_bound > prev_tv[env] + MONOTONE_SLACK:
-                from .errors import NumericalError
-
                 raise NumericalError(
                     f"tv bound for {env!r} increased along the schedule: "
                     f"{prev_tv[env]:.6e} -> {rep.tv_bound:.6e}"

@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import CertificateError, ModelError, NumericalError
-from .statespace import Partition, _rate_batches, _row_batches, is_jump
+from .statespace import Partition, _rate_batches, _row_batches, _values, is_jump
 
 
 class _DriftTable:
@@ -56,7 +56,7 @@ class _DriftTable:
         self.pos, self.tgt = pos[order], tgt[order]
         self.w = np.asarray(w, dtype=float)[order]
         self.ranks = np.cumsum(np.bincount(rank)).tolist()
-        self._memo: dict = {}
+        self.table = self.states, {}
 
     def _rank_sums(self, terms: np.ndarray) -> np.ndarray:
         acc = np.zeros(self.m)
@@ -66,14 +66,7 @@ class _DriftTable:
 
     def values(self, fn: Callable, at: np.ndarray) -> np.ndarray:
         """``fn`` over all ids, evaluated (once) at the ids ``at``."""
-        n = len(self.states)
-        vals, done = self._memo.setdefault(fn, (np.zeros(n), np.zeros(n, dtype=bool)))
-        need = np.zeros(n, dtype=bool)
-        need[at] = True
-        todo = np.flatnonzero(need & ~done)
-        vals[todo] = [float(fn(self.states[i])) for i in todo.tolist()]
-        done[todo] = True
-        return vals
+        return _values(self.table, fn, at)
 
     def mask(self, states) -> np.ndarray:
         """True at the ids of those of ``states`` that the table holds."""
@@ -368,12 +361,8 @@ def evaluate_certificate(cert: DriftCertificate, partition: Partition,
     boundary rows) and fingerprint it for provenance."""
     if not cert.verified:
         raise CertificateError("certificate must be verified before evaluation")
-    for x in cert.return_set:
-        if not partition.space.in_k(x):
-            raise CertificateError(
-                f"certificate return set does not match the partition (state {x!r})"
-            )
-    if len(cert.return_set) != partition.k_size:
+    if len(cert.return_set) != partition.k_size \
+            or not set(partition.space.states[:partition.k_size]).issuperset(cert.return_set):
         raise CertificateError("certificate return set does not match the partition")
     r_A = partition.evaluate(cert.envelope)
     h1 = partition.boundary_overflow(cert.g_r)
@@ -396,8 +385,10 @@ def _fingerprint(cert: DriftCertificate, partition: Partition,
     array after its dtype and shape."""
     g1_A = partition.evaluate(cert.g_r)
     g2_A = g1_A if cert.single_pair else partition.evaluate(cert.g_e)
-    digest = hashlib.sha256(repr((cert.radius_r, cert.radius_e, cert.single_pair,
-                                  cert.return_set, partition.space.states)).encode())
+    # the repr of the tuple of these five, with the states' part encoded once
+    # per state space
+    head = repr((cert.radius_r, cert.radius_e, cert.single_pair, cert.return_set))
+    digest = hashlib.sha256(f"{head[:-1]}, {partition.space.states_repr})".encode())
     for v in (r_A, g1_A, g2_A, h1, h2):
         digest.update(f"{v.dtype.str}{v.shape}".encode())
         digest.update(np.ascontiguousarray(v))

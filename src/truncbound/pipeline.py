@@ -2,8 +2,8 @@
 
 This is the programmatic core of the command-line driver and of the
 benchmark reproductions: given a model, a truncation choice and a list of
-envelope rewards, it constructs and verifies the certificates, enumerates
-the truncation set once and repartitions it for each further return set,
+envelope rewards, it constructs and verifies the certificates, explores the
+truncation set once (a sweep, its largest set) and cuts and repartitions it,
 and assembles the bound reports plus the induced equilibrium approximation.
 """
 
@@ -21,7 +21,8 @@ from .ctmc import embed
 from .errors import ModelError
 from .lyapunov import DriftCertificate, drift_stage, evaluate_certificate, verify_certificate
 from .models import GM1Model, ToggleSwitchModel
-from .statespace import enumerate_space, explicit_k_predicate, is_jump, repartition
+from .statespace import (DEFAULT_ENUMERATION_CAP, cut, explicit_k_predicate, explore, is_jump,
+                         repartition)
 
 
 def build_model(name: str, params: dict):
@@ -73,10 +74,11 @@ def run_pipeline(model, truncation: dict, *, envelopes=("r",),
 
     Jump-process models are embedded first; their certificates are verified
     in generator form on the jump model itself.  The truncation set is
-    enumerated once; each further return set's partition is a K-first
-    permutation of the first, and envelopes whose certificates designate the
-    same return set share one partition.  The distribution comes from the
-    partition of the first envelope's return set.
+    explored once and cut over the first return set; each further return
+    set's partition is a K-first permutation of the first, and envelopes
+    whose certificates designate the same return set share one partition.
+    The distribution comes from the partition of the first envelope's
+    return set.
 
     The bounds of each return set but the last are computed on one worker
     thread, in submission order, while this thread partitions and
@@ -90,32 +92,61 @@ def run_pipeline(model, truncation: dict, *, envelopes=("r",),
     jobs submitted before it have been collected.  ``timings`` stages may
     therefore overlap.
     """
+    return next(run_sweep(model, [truncation], envelopes=envelopes,
+                          stochasticization=stochasticization,
+                          explicit_return_set=explicit_return_set,
+                          with_distribution=with_distribution))
+
+
+def run_sweep(model, truncations: list, *, envelopes, stochasticization: str,
+              explicit_return_set, with_distribution: bool):
+    """:func:`run_pipeline`'s result for each of the nested ``truncations``,
+    in order, from a generator.  It verifies the certificates and explores
+    the largest set once, before the first result, whose ``timings`` carry
+    both stages (the exploration under ``enumerate``); each level is cut
+    from that exploration, and levels run one after the other."""
     t_all = time.perf_counter()
-    result = PipelineResult(model_name=model.name, truncation=dict(truncation))
-    a_pred = truncation_predicate(model, truncation)
+    timings: dict = {}
+    a_preds = [truncation_predicate(model, t) for t in truncations]
     chain = embed(model) if is_jump(model) else model
 
     certs = verified_certificates(model, envelopes, explicit_return_set)
     by_return_set: dict[tuple, list[str]] = {}
     for env, (cert, _) in certs.items():
         by_return_set.setdefault(cert.return_set, []).append(env)
+    timings["certificates"] = time.perf_counter() - t_all
 
+    t0 = time.perf_counter()
+    sizes = [t.get("max", t.get("level")) for t in truncations]
+    exploration = explore(chain, a_preds[sizes.index(max(sizes))], cap=DEFAULT_ENUMERATION_CAP)
+    for level, (truncation, a_pred) in enumerate(zip(truncations, a_preds)):
+        _, part = cut(exploration, a_pred, explicit_k_predicate(next(iter(by_return_set))))
+        if level == len(truncations) - 1:
+            del exploration           # and its entry stream: no level is left to cut
+        timings["enumerate"] = time.perf_counter() - t0
+        result = PipelineResult(model_name=model.name, truncation=dict(truncation),
+                                timings=timings)
+        _bound(result, part, certs, by_return_set, stochasticization, with_distribution)
+        del part                      # a level's partitions end with its bounds
+        timings["total"] = time.perf_counter() - t_all
+        yield result
+        t_all = t0 = time.perf_counter()
+        timings = {}
+
+
+def _bound(result: PipelineResult, part, certs: dict, by_return_set: dict,
+           stochasticization: str, with_distribution: bool) -> None:
+    """Bounds on ``part`` (over the first return set) and its repartitions."""
     last = len(by_return_set) - 1
     submitted = []                    # (envelope id, future report) on the worker
     inline = []                       # (envelope id, report) of the last return set
     primary = None                    # the first group's workspace: it holds envelopes[0]
     with ThreadPoolExecutor(max_workers=1) as worker:
         try:
-            part = None
             for i, (return_set, env_group) in enumerate(by_return_set.items()):
-                k_pred = explicit_k_predicate(return_set)
                 t0 = time.perf_counter()
-                if part is None:
-                    _, part = enumerate_space(chain, a_pred, k_pred)
-                    result.timings["enumerate"] = time.perf_counter() - t0
-                    t0 = time.perf_counter()
-                else:
-                    _, part = repartition(part, k_pred)
+                if i > 0:
+                    _, part = repartition(part, explicit_k_predicate(return_set))
                 ws = TruncationWorkspace(part)
                 if i == 0:
                     primary = ws
@@ -135,16 +166,10 @@ def run_pipeline(model, truncation: dict, *, envelopes=("r",),
         reports = [(env, job.result()) for env, job in submitted] + inline
 
     for env, report in reports:
-        report.provenance["model"] = model.name
-        report.provenance["truncation"] = dict(truncation)
+        report.provenance["model"] = result.model_name
+        report.provenance["truncation"] = dict(result.truncation)
         cert, k_star = certs[env]
-        result.runs[env] = EnvelopeRun(
-            envelope_id=env,
-            certificate=cert,
-            report=report,
-            k_size=len(cert.return_set),
-            k_star=k_star,
-        )
+        result.runs[env] = EnvelopeRun(env, cert, report, len(cert.return_set), k_star)
 
     if with_distribution and primary is not None:
         t0 = time.perf_counter()
@@ -155,9 +180,6 @@ def run_pipeline(model, truncation: dict, *, envelopes=("r",),
         result.distribution_states = list(primary.partition.space.states)
         result.distribution_mass = dist
         result.timings["distribution"] = time.perf_counter() - t0
-
-    result.timings["total"] = time.perf_counter() - t_all
-    return result
 
 
 def verified_certificates(model, envelopes, explicit_return_set) -> dict:

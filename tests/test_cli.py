@@ -4,9 +4,14 @@ import subprocess
 import sys
 import textwrap
 
+import io
+import warnings
+
+import numpy as np
 import pytest
 
 import truncbound
+from truncbound import cli
 from truncbound.cli import main
 
 
@@ -107,6 +112,60 @@ class TestRun:
         monkeypatch.setenv("TRUNCBOUND_OUTDIR", str(override))
         assert main(["run", str(path)]) == 0
         assert (override / "report.json").exists()
+
+
+def report_doc(result) -> dict:
+    """A ``cmd_run``-shaped report doc, distribution as the writer takes it."""
+    return {"model": result.model_name, "truncation": result.truncation,
+            "reports": {env: run.report.to_dict() for env, run in result.runs.items()},
+            "distribution": {"states": result.distribution_states,
+                             "probability": result.distribution_mass},
+            "timings": result.timings}
+
+
+def json_form(doc) -> dict:
+    dist = doc["distribution"]
+    mass = dist["probability"]
+    return {**doc, "distribution": {
+        "states": [list(s) if isinstance(s, tuple) else s for s in dist["states"]],
+        "probability": [] if mass is None else mass.tolist()}}
+
+
+class TestReportWriter:
+    @pytest.mark.parametrize("case", ["gm1", "toggle", "non-finite", "bool", "ragged",
+                                      "empty"])
+    def test_bytes_equal_indented_json_dump(self, case):
+        from truncbound.models import GM1Model, ToggleSwitchModel
+        from truncbound.pipeline import run_pipeline
+
+        if case == "gm1":
+            doc = report_doc(run_pipeline(GM1Model(), {"kind": "range", "max": 300},
+                                          envelopes=["r", "e"]))
+        elif case == "toggle":
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)   # rate domination
+                doc = report_doc(run_pipeline(ToggleSwitchModel(20.0, 1.0),
+                                              {"kind": "simplex", "level": 40}))
+        else:
+            states, mass = {
+                "non-finite": ([(0, 1), (2, 3), (4, 5)], np.array([np.nan, np.inf, -np.inf])),
+                "bool": ([True, 2], np.array([0.5, 0.5])),
+                "ragged": ([(1,), (2, 3)], np.array([0.25, 0.75])),
+                "empty": ([], None),
+            }[case]
+            doc = {"model": "m", "reports": {"r": {"lower": float("nan")}},
+                   "distribution": {"states": states, "probability": mass}}
+        written = io.StringIO()
+        cli._dump_report(doc, written)
+        expected = io.StringIO()
+        json.dump(json_form(doc), expected, indent=1)
+        assert written.getvalue() == expected.getvalue()
+
+    def test_run_writes_the_indented_dump_of_its_own_report(self, tmp_path):
+        path, _ = write_config(tmp_path)
+        assert main(["run", str(path)]) == 0
+        text = (tmp_path / "out" / "report.json").read_text()
+        assert text == json.dumps(json.loads(text), indent=1)
 
 
 class TestVerify:

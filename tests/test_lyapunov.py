@@ -1,3 +1,5 @@
+import hashlib
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -229,6 +231,36 @@ class TestCertificate:
             kap_e, _ = kappa_oracle(P, 3, np.ones(11))
             assert np.abs(ku_r - kap_r).max() < 1e-9
             assert np.abs(ku_e - kap_e).max() < 1e-9
+
+    @pytest.mark.parametrize("case", ["toggle60", "gm1"])
+    def test_fingerprint_keeps_its_value(self, case, toggle60):
+        """``certificate_sha256`` as it was computed before the states' repr
+        was cached on the state space."""
+        def fingerprint(cert, part, inputs):
+            g1 = part.evaluate(cert.g_r)
+            g2 = g1 if cert.single_pair else part.evaluate(cert.g_e)
+            digest = hashlib.sha256(repr((cert.radius_r, cert.radius_e, cert.single_pair,
+                                          cert.return_set, part.space.states)).encode())
+            for v in (inputs.r_A, g1, g2, inputs.h1_A, inputs.h2_A):
+                digest.update(f"{v.dtype.str}{v.shape}".encode())
+                digest.update(np.ascontiguousarray(v))
+            return digest.hexdigest()
+
+        if case == "toggle60":
+            part, evaluated = toggle60
+            model = ToggleSwitchModel(20.0, 1.0)
+        else:
+            model = GM1Model()
+            cert = verify_certificate(model, model.certificate_for_envelope("e"))
+            _, part = enumerate_space(model, lambda s: s <= 300,
+                                      lambda s: s in cert.return_set)
+            evaluated = {"e": evaluate_certificate(cert, part, envelope_id="e")}
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)   # toggle: rate domination
+            certs = {env: verify_certificate(model, model.certificate_for_envelope(env))
+                     for env in evaluated}
+        for env, inputs in evaluated.items():
+            assert inputs.sha256 == fingerprint(certs[env], part, inputs)
 
     def test_single_pair_mode(self, rng):
         P = random_stochastic(rng, 9)

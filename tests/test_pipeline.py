@@ -1,10 +1,14 @@
+import csv
+import dataclasses
+import json
 import threading
 import warnings
 import weakref
+from collections import Counter
 
 import pytest
 
-from truncbound import lyapunov, pipeline
+from truncbound import cli, lyapunov, pipeline
 from truncbound.models import GM1Model, ToggleSwitchModel
 from truncbound.pipeline import run_pipeline
 
@@ -23,20 +27,20 @@ class TestSharedEnumeration:
     def test_envelopes_share_one_enumeration_and_match_single_runs(self, envelopes,
                                                                    monkeypatch):
         calls = []
-        enumerate_space = pipeline.enumerate_space
+        explore = pipeline.explore
 
         def counted(*args, **kwargs):
             calls.append(args)
-            return enumerate_space(*args, **kwargs)
+            return explore(*args, **kwargs)
 
         gm1 = GM1Model()
         truncation = {"kind": "range", "max": 2000}
-        monkeypatch.setattr(pipeline, "enumerate_space", counted)
+        monkeypatch.setattr(pipeline, "explore", counted)
         both = run_pipeline(gm1, truncation, envelopes=envelopes)
         assert len(calls) == 1
         # r and e have different return sets (|K| = 202 and 5)
-        assert set(both.timings) == {"enumerate", "partition[r]", "partition[e]",
-                                     "distribution", "total"}
+        assert set(both.timings) == {"certificates", "enumerate", "partition[r]",
+                                     "partition[e]", "distribution", "total"}
         for env in envelopes:
             single = run_pipeline(gm1, truncation, envelopes=[env])
             assert without_timings(both.report(env)) == without_timings(single.report(env))
@@ -169,3 +173,112 @@ class TestSharedDriftTable:
         # gm1 with "e" first grows the stage's table from the n2 to the n1 ball
         assert certify(make(), envelopes, staged=True) \
             == certify(make(), envelopes, staged=False)
+
+
+TOGGLE_LEVELS = [{"kind": "simplex", "level": level} for level in (40, 60)]
+
+
+def sweep_config(tmp_path, model, truncation, rewards) -> str:
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps({
+        "model": model, "truncation": truncation,
+        "bounds": {"stochasticization": "row", "rewards": rewards},
+        "output": {"dir": str(tmp_path / "out"), "csv": "sweep.csv"},
+    }))
+    return str(path)
+
+
+class TestSweep:
+    def test_gm1_sweep_matches_runs_level_by_level(self, tmp_path):
+        gm1 = GM1Model()
+        levels = [{"kind": "range", "max": top} for top in (250, 400)]
+        singles = [run_pipeline(gm1, t, envelopes=["r", "e"], with_distribution=False)
+                   for t in levels]
+        swept = pipeline.run_sweep(gm1, levels, envelopes=["r", "e"], stochasticization="row",
+                                   explicit_return_set=None, with_distribution=False)
+        for single, result in zip(singles, swept, strict=True):
+            assert [run.k_size for run in single.runs.values()] == [202, 5]
+            for env in ("r", "e"):
+                assert without_timings(result.report(env)) == without_timings(single.report(env))
+        config = sweep_config(tmp_path, {"name": "gm1", "params": {"mu": 1.0, "b": 2.01}},
+                              {"kind": "range", "schedule": [250, 400]}, ["r", "e"])
+        assert cli.main(["sweep", config]) == 0
+        with open(tmp_path / "out" / "sweep.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        for single, row in zip(singles, rows, strict=True):
+            for env in ("r", "e"):
+                rep = single.report(env)
+                for key in ("lower", "upper", "approx", "tv_bound"):
+                    assert float(row[f"{env}_{key}"]) == getattr(rep, key)
+
+    def test_sweep_certifies_and_explores_once(self, tmp_path, monkeypatch):
+        calls = Counter()
+
+        def counting(name, fn):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(pipeline, name, counted)
+
+        counting("verify_certificate", pipeline.verify_certificate)
+        counting("explore", pipeline.explore)
+        counting("cut", pipeline.cut)
+        config = sweep_config(tmp_path, {"name": "toggle", "params": {"lam": 20.0, "mu": 1.0}},
+                              {"kind": "simplex", "schedule": [40, 50, 60]}, ["r"])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(["sweep", config]) == 0
+        assert calls == {"verify_certificate": 1, "explore": 1, "cut": 3}
+        assert ["exit rate" in str(w.message) for w in caught] == [True]
+        with open(tmp_path / "out" / "sweep.csv", newline="") as fh:
+            assert [row["truncation"] for row in csv.DictReader(fh)] == ["40", "50", "60"]
+
+    def test_first_result_carries_the_shared_stages(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)   # toggle: rate domination
+            results = list(pipeline.run_sweep(
+                ToggleSwitchModel(20.0, 1.0), TOGGLE_LEVELS, envelopes=["r", "e"],
+                stochasticization="row", explicit_return_set=None, with_distribution=False))
+        assert [set(r.timings) for r in results] == [
+            {"certificates", "enumerate", "partition[r,e]", "total"},
+            {"enumerate", "partition[r,e]", "total"}]
+        first = results[0].timings
+        assert first["total"] >= first["certificates"] + first["enumerate"]
+
+    def test_each_certificate_function_is_called_once_per_state(self, monkeypatch):
+        seen = Counter()
+        wrapped = {}
+
+        def counting(fn):
+            if fn not in wrapped:
+                def counted(x):
+                    seen[counted, x] += 1
+                    return fn(x)
+                wrapped[fn] = counted
+            return wrapped[fn]
+
+        verified = pipeline.verified_certificates
+        certs = {}
+
+        def counting_certificates(*args):
+            for env, (cert, k_star) in verified(*args).items():
+                certs[env] = dataclasses.replace(cert, envelope=counting(cert.envelope),
+                                                 g_r=counting(cert.g_r), g_e=counting(cert.g_e))
+            return {env: (cert, k_star) for env, cert in certs.items()}
+
+        levels = TOGGLE_LEVELS[::-1]              # the largest first
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)   # toggle: rate domination
+            reference = run_pipeline(ToggleSwitchModel(20.0, 1.0), levels[1],
+                                     envelopes=["r", "e"], with_distribution=False)
+            monkeypatch.setattr(pipeline, "verified_certificates", counting_certificates)
+            results = list(pipeline.run_sweep(
+                ToggleSwitchModel(20.0, 1.0), levels, envelopes=["r", "e"],
+                stochasticization="row", explicit_return_set=None, with_distribution=False))
+        assert max(seen.values()) == 1
+        # the envelope of r is read on A of the largest level (simplex 60), nowhere else
+        on_envelope = {x for fn, x in seen if fn is certs["r"].envelope}
+        assert len(on_envelope) == 61 * 62 // 2
+        for env in ("r", "e"):
+            assert without_timings(results[1].report(env)) \
+                == without_timings(reference.report(env))

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from truncbound import DiscreteModel, TruncationWorkspace, enumerate_space
 from truncbound.ctmc import embed
 from truncbound.errors import EnumerationLimitError, ModelError
 from truncbound.models import GM1Model, ToggleSwitchModel
-from truncbound.statespace import explicit_k_predicate, repartition
+from truncbound.statespace import cut, explicit_k_predicate, explore, repartition
 
 from conftest import (
     assert_partitions_identical,
@@ -155,3 +157,85 @@ class TestBlockExtremes:
         assert part.a_size - part.k_size == 0
         G = TruncationWorkspace(part).censored().G
         assert np.abs(G - P[:4, :4]).max() == 0.0
+
+
+def nested_case(seed: int, zero_mass_link: bool):
+    """A random chain on 0..n-1 and a smaller predicate: ``s < a`` plus the
+    state ``n - 1``, which the states below ``a`` reach only through a
+    zero-mass entry when ``zero_mass_link`` is set, and otherwise not at
+    all.  Every row lists its entries in its own shuffled order, some rows
+    repeat a target (one mass split in two halves), and state ``a - 1`` has
+    at least 3 exits from the smaller set."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(7, 13))
+    a = int(rng.integers(2, n - 3))
+    P = random_stochastic(rng, n, zeros=0.3)
+    P[:a, n - 1] = 0.0
+    P[a - 1, a:n - 1] += 0.1
+    P /= P.sum(axis=1)[:, None]
+    entries = []
+    for x in range(n):
+        row = [(int(j), float(P[x, j])) for j in rng.permutation(n) if P[x, j] != 0.0]
+        if rng.random() < 0.5:              # a repeated target
+            j, q = row.pop(0)
+            row[len(row) // 2:len(row) // 2] = [(j, q / 2)]
+            row.append((j, q / 2))
+        if zero_mass_link and x == a - 1:
+            row.insert(1, (n - 1, 0.0))
+        entries.append(row)
+    return entries, a, n, lambda s: s < a or s == n - 1
+
+
+class TestCut:
+    @given(seed=st.integers(0, 10_000), zero_mass_link=st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_level_cut_from_larger_exploration_equals_fresh_enumeration(
+            self, seed, zero_mass_link):
+        entries, a, n, smaller = nested_case(seed, zero_mass_link)
+        exits = [y for y, _ in entries[a - 1] if not smaller(y)]
+        assert len(exits) >= 3 and len(set(exits)) >= 3
+        k_pred = lambda s: s == 0
+        for model in model_forms(lambda x: entries[x]):
+            exploration = explore(model, lambda s: True, cap=100)
+            _, derived = cut(exploration, smaller, k_pred)
+            _, fresh = enumerate_space(model, smaller, k_pred)
+            assert_partitions_identical(derived, fresh)
+            # and an oracle from the rows: A, its masses and its exits in row order
+            reached, stack = {0}, [0]
+            while stack:
+                for y, _ in entries[stack.pop()]:
+                    if smaller(y) and y not in reached:
+                        reached.add(y)
+                        stack.append(y)
+            assert set(derived.space.states) == reached
+            assert (n - 1 in reached) == zero_mass_link
+            index = {x: i for i, x in enumerate(derived.space.states)}
+            P_A = np.zeros((len(index), len(index)))
+            for x, i in index.items():
+                for y, q in entries[x]:
+                    if y in index:
+                        P_A[i, index[y]] += q
+            assert np.array_equal(derived.full_matrix().toarray(), P_A)
+            assert derived.boundary == tuple(
+                tuple((y, q) for y, q in entries[x] if y not in index and q != 0.0)
+                for x in derived.space.states)
+            # and a second cut from the same exploration, over its whole set
+            _, whole = cut(exploration, lambda s: True, k_pred)
+            assert_partitions_identical(whole, enumerate_space(model, lambda s: True, k_pred)[1])
+
+    def test_levels_cut_from_largest_toggle_truncation(self):
+        model = embed(ToggleSwitchModel(20.0, 1.0))
+        k_pred = lambda s: s[0] + s[1] <= 6
+        exploration = explore(model, lambda s: s[0] + s[1] <= 60, cap=10**6)
+        for level in (20, 40, 60):
+            a_pred = lambda s, level=level: s[0] + s[1] <= level
+            _, derived = cut(exploration, a_pred, k_pred)
+            _, fresh = enumerate_space(model, a_pred, k_pred)
+            assert_partitions_identical(derived, fresh)
+
+    def test_truncation_outside_the_exploration_rejected(self):
+        exploration = explore(lattice_walk(), lambda s: s <= 10, cap=100)
+        with pytest.raises(ModelError, match="not nested in the explored one"):
+            cut(exploration, lambda s: s <= 20, lambda s: s == 0)
+        with pytest.raises(ModelError, match="seed state does not satisfy"):
+            cut(exploration, lambda s: 1 <= s <= 5, lambda s: s == 1)
