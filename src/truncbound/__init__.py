@@ -17,10 +17,7 @@ _EXPORTS = {
         "ModelError", "NumericalError", "TruncboundError",
     ),
     "statespace": ("Partition", "StateSpace", "enumerate_space", "explicit_k_predicate"),
-    "linalg": (
-        "PerronEigenpair", "SubstochasticSolver", "fundamental_matrix", "is_irreducible",
-        "perron_eigenpair", "stationary_small",
-    ),
+    "linalg": ("SubstochasticSolver", "is_irreducible", "stationary_small"),
     "censor": ("CensoredApprox", "TauFamily", "TruncationWorkspace"),
     "lyapunov": (
         "BoundInputs", "DriftCertificate", "DriftReport", "construct_K", "drift_excess",
@@ -28,9 +25,8 @@ _EXPORTS = {
         "verify_drift",
     ),
     "bounds": (
-        "BoundReport", "combine_signed", "compute_bounds", "delta1_bound", "delta2_bound",
-        "ell_lower_bound", "minorization_bounds", "reward_interval", "tv_bound_general",
-        "tv_bound_singleton",
+        "BoundReport", "combine_signed", "compute_bounds", "delta2_bound", "ell_lower_bound",
+        "minorization_bounds", "reward_interval", "tv_bound_general", "tv_bound_singleton",
     ),
     "ctmc": ("JumpModel", "embed", "exit_rate"),
     "models": ("DiscreteModel", "GM1Model", "GeometricLaw", "ToggleSwitchModel"),

@@ -22,7 +22,6 @@ import numpy as np
 from . import __version__ as _pkg_version
 from .censor import TauFamily, TruncationWorkspace
 from .errors import CertificateError, NumericalError
-from .linalg import fundamental_matrix
 from .lyapunov import BoundInputs
 
 
@@ -59,17 +58,6 @@ def delta2_bound(tau: TauFamily) -> float:
     if tau.clamped:
         d = max(d, 8.0 * np.finfo(float).eps)
     return float(min(d, 2.0))
-
-
-def delta1_bound(P1: np.ndarray, G: np.ndarray, F1: np.ndarray) -> float:
-    """Perturbation bound on the stationary gap of the eigenvalue-twisted
-    stochasticization, via the fundamental matrix."""
-    if G.shape[0] == 1:
-        return 0.0  # both laws are the same point mass
-    delta = float(G.sum(axis=1).min())
-    term1 = float(np.max(np.abs((P1 - G) @ F1).sum(axis=1)))
-    term2 = max(0.0, 1.0 - delta) * float(np.max(np.abs(F1).sum(axis=1)))
-    return term1 + term2
 
 
 def ell_lower_bound(tau: TauFamily, kl_e: np.ndarray) -> float:
@@ -112,7 +100,6 @@ class BoundReport:
 
     reward_id: str
     method: str                  # "singleton" | "minorization"
-    stochasticization: str       # "row" | "perron"
     lower: float
     upper: float
     approx: float
@@ -120,7 +107,7 @@ class BoundReport:
     delta: float
     beta1: np.ndarray
     beta2: np.ndarray
-    certified: bool              # interval certified (row-normalized route)
+    certified: bool              # True on every report; no rule yet for False
     envelope_id: str
     timings: dict = field(default_factory=dict)
     provenance: dict = field(default_factory=dict)
@@ -129,7 +116,6 @@ class BoundReport:
         return {
             "reward": self.reward_id,
             "method": self.method,
-            "stochasticization": self.stochasticization,
             "lower": self.lower,
             "upper": self.upper,
             "approx": self.approx,
@@ -144,8 +130,7 @@ class BoundReport:
         }
 
 
-def compute_bounds(ws: TruncationWorkspace, inputs: BoundInputs, *,
-                   stochasticization: str = "row") -> BoundReport:
+def compute_bounds(ws: TruncationWorkspace, inputs: BoundInputs) -> BoundReport:
     """Full bound assembly for the certificate's envelope reward, which the
     report names by its envelope id.
 
@@ -153,8 +138,6 @@ def compute_bounds(ws: TruncationWorkspace, inputs: BoundInputs, *,
     mixture family, the matching stationary-gap estimate, and the weighted
     total-variation guarantee (the sharper singleton form when |K| = 1).
     """
-    if stochasticization not in ("row", "perron"):
-        raise ValueError("stochasticization must be 'row' or 'perron'")
     if not inputs.verified:
         raise CertificateError("bounds require a verified certificate")
     timings: dict[str, float] = {}
@@ -167,10 +150,7 @@ def compute_bounds(ws: TruncationWorkspace, inputs: BoundInputs, *,
     ca = ws.censored()
     timings["censored_matrix"] = time.perf_counter() - t0
 
-    if stochasticization == "row":
-        _, pi_i = ca.row_normalized
-    else:
-        _, pi_i = ca.perron_normalized
+    _, pi_i = ca.row_normalized
     approx = float(pi_i @ kl_r) / float(pi_i @ kl_e)
 
     k = ws.k_size
@@ -184,19 +164,11 @@ def compute_bounds(ws: TruncationWorkspace, inputs: BoundInputs, *,
         delta_i = 0.0
         tv = tv_bound_singleton(float(beta1[0]), float(beta2[0]), float(kl_e[0]), approx)
         method = "singleton"
-        certified = True
     else:
-        if stochasticization == "row":
-            delta_i = delta2_bound(tau)
-        else:
-            P1, pi1 = ca.perron_normalized
-            delta_i = delta1_bound(P1, ca.G, fundamental_matrix(P1, pi1))
+        delta_i = delta2_bound(tau)
         ell = ell_lower_bound(tau, kl_e)
         tv = tv_bound_general(pi_i, beta1, beta2, approx, delta_i, ku_r, ku_e, ell)
         method = "minorization"
-        # the mixture interval is certified only when the stochasticized
-        # stationary vector provably lies in the mixture family (row route)
-        certified = stochasticization == "row"
     timings["bounds"] = time.perf_counter() - t0
 
     scalars = (lower, upper, approx, tv, delta_i)
@@ -206,7 +178,6 @@ def compute_bounds(ws: TruncationWorkspace, inputs: BoundInputs, *,
     return BoundReport(
         reward_id=inputs.envelope_id,
         method=method,
-        stochasticization=stochasticization,
         lower=lower,
         upper=upper,
         approx=approx,
@@ -214,7 +185,7 @@ def compute_bounds(ws: TruncationWorkspace, inputs: BoundInputs, *,
         delta=delta_i,
         beta1=beta1,
         beta2=beta2,
-        certified=certified,
+        certified=True,
         envelope_id=inputs.envelope_id,
         timings=timings,
         provenance={

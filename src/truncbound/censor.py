@@ -20,12 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import IrreducibilityError, ModelError, NumericalError
-from .linalg import (
-    SubstochasticSolver,
-    is_irreducible,
-    perron_eigenpair,
-    stationary_small,
-)
+from .linalg import SubstochasticSolver, is_irreducible, stationary_small
 from .statespace import Partition
 
 ROW_SUM_SLACK = 1e-12
@@ -169,7 +164,7 @@ def _tau_stable(G: np.ndarray, z: int) -> TauFamily:
 
 @dataclass
 class CensoredApprox:
-    """The censored matrix with its stochasticizations and mixture family."""
+    """The censored matrix with its row-normalized stochasticization and mixture family."""
 
     G: np.ndarray
     row_mass: np.ndarray            # n(x) = sum_y G(x, y)
@@ -186,18 +181,6 @@ class CensoredApprox:
         P2 = self.G / self.row_mass[:, None]
         pi2 = stationary_small(P2)
         return P2, pi2
-
-    @cached_property
-    def perron_normalized(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenvalue-twisted stochasticization ``P1(x,y) = G(x,y) h(y) / (lam h(x))``."""
-        lam, nu, h = perron_eigenpair(self.G)
-        P1 = self.G * h[None, :] / (lam * h[:, None])
-        pi1 = nu * h
-        pi1 = pi1 / pi1.sum()
-        resid = np.max(np.abs(pi1 @ P1 - pi1))
-        if resid > 1e-10:
-            raise NumericalError(f"Perron stationary residual {resid:.3e}")
-        return P1, pi1
 
     @cached_property
     def tau(self) -> TauFamily:

@@ -87,18 +87,19 @@ def _build(cfg: dict):
         raise ConfigError(f"bad model.params: {exc}") from exc
 
 
-def _bounds_options(cfg: dict) -> tuple[list, str]:
+def _bounds_options(cfg: dict) -> list:
     bounds = cfg.get("bounds", {})
+    unknown = sorted(bounds.keys() - {"rewards"})
+    if unknown:
+        raise ConfigError(f"unknown bounds key(s) {', '.join(map(repr, unknown))} "
+                          "(the bounds section takes only 'rewards')")
     envelopes = bounds.get("rewards", ["r"])
     if not isinstance(envelopes, list) or not envelopes:
         raise ConfigError("bounds.rewards must name at least one reward")
     for env in envelopes:
         if env not in ("r", "e"):
             raise ConfigError(f"unknown reward {env!r} (use 'r' or 'e')")
-    stoch = bounds.get("stochasticization", "row")
-    if stoch not in ("row", "perron"):
-        raise ConfigError("bounds.stochasticization must be 'row' or 'perron'")
-    return envelopes, stoch
+    return envelopes
 
 
 def _return_set(cfg: dict):
@@ -149,12 +150,12 @@ def cmd_run(cfg: dict, override: str | None) -> int:
     from . import __version__
     from .pipeline import run_pipeline
 
-    envelopes, stoch = _bounds_options(cfg)
+    envelopes = _bounds_options(cfg)
     truncation, return_set = _single_truncation(cfg), _return_set(cfg)
     model = _build(cfg)
     outdir = _outdir(cfg, override)
     result = run_pipeline(model, truncation, envelopes=envelopes,
-                          stochasticization=stoch, explicit_return_set=return_set)
+                          explicit_return_set=return_set)
     doc = {
         "library_version": __version__,
         "model": result.model_name,
@@ -207,7 +208,7 @@ def _dump_report(doc: dict, fh) -> None:
 def cmd_verify(cfg: dict, override: str | None) -> int:
     from .pipeline import verified_certificates
 
-    envelopes, _ = _bounds_options(cfg)
+    envelopes = _bounds_options(cfg)
     return_set = _return_set(cfg)
     model = _build(cfg)
     ly = model.lyapunov()
@@ -224,13 +225,13 @@ def cmd_sweep(cfg: dict, override: str | None) -> int:
     from .errors import NumericalError
     from .pipeline import run_sweep
 
-    envelopes, stoch = _bounds_options(cfg)
+    envelopes = _bounds_options(cfg)
     schedule, return_set = _truncation_schedule(cfg), _return_set(cfg)
     model = _build(cfg)
     outdir = _outdir(cfg, override)
     rows = []
     prev_tv = {env: None for env in envelopes}
-    results = run_sweep(model, schedule, envelopes=envelopes, stochasticization=stoch,
+    results = run_sweep(model, schedule, envelopes=envelopes,
                         explicit_return_set=return_set, with_distribution=False)
     for trunc, result in zip(schedule, results):
         size_key = "max" if trunc["kind"] == "range" else "level"

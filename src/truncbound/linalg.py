@@ -7,8 +7,6 @@ them; residual checks therefore raise instead of warning.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 # scipy.sparse loads first, as it did from censor.py: the first scipy
 # subpackage to load sets numpy's submodule import order and with it set-up time
@@ -20,9 +18,6 @@ from .errors import NumericalError, ReducibleMatrixError
 
 SOLVE_RESIDUAL_TOL = 1e-9
 STATIONARY_RESIDUAL_TOL = 1e-10
-FUNDAMENTAL_RESIDUAL_TOL = 1e-9
-PERRON_TOL = 1e-12
-PERRON_MAX_ITER = 1_000_000
 CHECK_COLUMNS = 16   # residual columns formed at once by the solve check
 
 
@@ -129,80 +124,6 @@ def stationary_small(P) -> np.ndarray:
         raise NumericalError(
             f"stationary residual {resid:.3e} exceeds {STATIONARY_RESIDUAL_TOL:.1e}")
     return pi
-
-
-class PerronEigenpair(NamedTuple):
-    """Dominant eigenvalue with positive left/right eigenvectors.
-
-    Normalized so that ``sum(nu * h) = 1``.
-    """
-
-    value: float
-    left: np.ndarray
-    right: np.ndarray
-
-
-def perron_eigenpair(A: np.ndarray) -> PerronEigenpair:
-    """Perron root and positive eigenvectors of an irreducible nonnegative matrix.
-
-    Power iteration on ``A + I``; the unit shift breaks periodicity so the
-    iteration converges for every irreducible nonnegative matrix.  The
-    Rayleigh-quotient estimate of the shifted root is un-shifted at the end.
-    """
-    n = A.shape[0]
-    if np.any(A < 0):
-        raise ValueError("nonnegative matrix required")
-    if n == 1:
-        lam = float(A[0, 0])
-        h = np.ones(1)
-        nu = np.ones(1)
-        return PerronEigenpair(lam, nu, h)
-    S = A + np.eye(n)
-    h = np.full(n, 1.0 / n)
-    nu = np.full(n, 1.0 / n)
-    for _ in range(PERRON_MAX_ITER):
-        h_new = S @ h
-        nu_new = nu @ S
-        h_new /= h_new.sum()
-        nu_new /= nu_new.sum()
-        delta = np.abs(h_new - h).sum() + np.abs(nu_new - nu).sum()
-        h, nu = h_new, nu_new
-        if delta < PERRON_TOL:
-            break
-    else:
-        raise NumericalError(
-            f"power iteration did not converge within {PERRON_MAX_ITER} iterations"
-        )
-    lam = float(nu @ A @ h) / float(nu @ h)
-    # scale: sum(nu * h) = 1
-    nu = nu / float(nu @ h)
-    res_r = np.max(np.abs(A @ h - lam * h)) / max(1.0, abs(lam))
-    res_l = np.max(np.abs(nu @ A - lam * nu)) / max(1.0, abs(lam))
-    if max(res_r, res_l) > 1e-10 * max(1.0, float(np.max(np.abs(A)))):
-        raise NumericalError(
-            f"Perron residual {max(res_r, res_l):.3e} too large after convergence"
-        )
-    return PerronEigenpair(lam, nu, h)
-
-
-def fundamental_matrix(P1: np.ndarray, pi1: np.ndarray) -> np.ndarray:
-    """Fundamental matrix ``(I - P1 + Pi1)^{-1}`` of an irreducible stochastic P1.
-
-    ``Pi1`` stacks ``pi1`` in every row.  Note the deviation matrix uses the
-    matrix P1 itself (not the host chain's transition matrix): the group
-    inverse it encodes is the one paired with ``pi1``.
-    """
-    n = P1.shape[0]
-    A = np.eye(n) - P1 + np.outer(np.ones(n), pi1)
-    try:
-        F = np.linalg.inv(A)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"fundamental-matrix factorization failed: {exc}") from exc
-    resid = np.max(np.abs(F @ A - np.eye(n)))
-    if resid > FUNDAMENTAL_RESIDUAL_TOL:
-        raise NumericalError(f"fundamental-matrix residual {resid:.3e} "
-                             f"exceeds {FUNDAMENTAL_RESIDUAL_TOL:.1e}")
-    return F
 
 
 def is_irreducible(M) -> bool:

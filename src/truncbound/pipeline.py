@@ -67,7 +67,6 @@ class PipelineResult:
 
 
 def run_pipeline(model, truncation: dict, *, envelopes=("r",),
-                 stochasticization: str = "row",
                  explicit_return_set=None,
                  with_distribution: bool = True) -> PipelineResult:
     """Run the full bound pipeline for each envelope reward.
@@ -90,16 +89,16 @@ def run_pipeline(model, truncation: dict, *, envelopes=("r",),
     same data as a serial run, so reports do not depend on the overlap.
     Errors surface in serial order: a failure here is raised only after the
     jobs submitted before it have been collected.  ``timings`` stages may
-    therefore overlap.
+    therefore overlap; a ``partition[...]`` stage covers its return set's
+    repartition, factorization and certificate evaluations.
     """
     return next(run_sweep(model, [truncation], envelopes=envelopes,
-                          stochasticization=stochasticization,
                           explicit_return_set=explicit_return_set,
                           with_distribution=with_distribution))
 
 
-def run_sweep(model, truncations: list, *, envelopes, stochasticization: str,
-              explicit_return_set, with_distribution: bool):
+def run_sweep(model, truncations: list, *, envelopes, explicit_return_set,
+              with_distribution: bool):
     """:func:`run_pipeline`'s result for each of the nested ``truncations``,
     in order, from a generator.  It verifies the certificates and explores
     the largest set once, before the first result, whose ``timings`` carry
@@ -126,7 +125,7 @@ def run_sweep(model, truncations: list, *, envelopes, stochasticization: str,
         timings["enumerate"] = time.perf_counter() - t0
         result = PipelineResult(model_name=model.name, truncation=dict(truncation),
                                 timings=timings)
-        _bound(result, part, certs, by_return_set, stochasticization, with_distribution)
+        _bound(result, part, certs, by_return_set, with_distribution)
         del part                      # a level's partitions end with its bounds
         timings["total"] = time.perf_counter() - t_all
         yield result
@@ -135,7 +134,7 @@ def run_sweep(model, truncations: list, *, envelopes, stochasticization: str,
 
 
 def _bound(result: PipelineResult, part, certs: dict, by_return_set: dict,
-           stochasticization: str, with_distribution: bool) -> None:
+           with_distribution: bool) -> None:
     """Bounds on ``part`` (over the first return set) and its repartitions."""
     last = len(by_return_set) - 1
     submitted = []                    # (envelope id, future report) on the worker
@@ -150,15 +149,14 @@ def _bound(result: PipelineResult, part, certs: dict, by_return_set: dict,
                 ws = TruncationWorkspace(part)
                 if i == 0:
                     primary = ws
+                group = [(env, evaluate_certificate(certs[env][0], part, envelope_id=env))
+                         for env in env_group]
                 result.timings[f"partition[{','.join(env_group)}]"] = time.perf_counter() - t0
-                for env in env_group:
-                    inputs = evaluate_certificate(certs[env][0], part, envelope_id=env)
+                for env, inputs in group:
                     if i < last:
-                        submitted.append((env, worker.submit(
-                            compute_bounds, ws, inputs, stochasticization=stochasticization)))
+                        submitted.append((env, worker.submit(compute_bounds, ws, inputs)))
                     else:       # nothing is left to prepare: no need for the worker
-                        inline.append((env, compute_bounds(
-                            ws, inputs, stochasticization=stochasticization)))
+                        inline.append((env, compute_bounds(ws, inputs)))
         except Exception:
             for _, job in submitted:    # an earlier job's error came first serially
                 job.result()
@@ -173,10 +171,7 @@ def _bound(result: PipelineResult, part, certs: dict, by_return_set: dict,
 
     if with_distribution and primary is not None:
         t0 = time.perf_counter()
-        censored = primary.censored()
-        _, pi_k = censored.row_normalized if stochasticization == "row" \
-            else censored.perron_normalized
-        dist = primary.approx_distribution(pi_k)
+        dist = primary.approx_distribution(primary.censored().row_normalized[1])
         result.distribution_states = list(primary.partition.space.states)
         result.distribution_mass = dist
         result.timings["distribution"] = time.perf_counter() - t0

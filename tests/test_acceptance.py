@@ -37,6 +37,7 @@ from conftest import (
     tau_family_direct,
 )
 from gm1_reference import reference_distribution
+from perron_reference import perron_normalized
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -226,7 +227,7 @@ def test_criterion_4_oracle_equivalence_suite():
         # (b) both stochasticization routes reproduce the expectation
         ca = ws.censored()
         _, pi2 = ca.row_normalized
-        _, pi1 = ca.perron_normalized
+        _, pi1 = perron_normalized(ca.G)     # the paper's eigenvector route
         if abs(ws.approx_expectation(pi2, r) - pir) > 1e-10 or \
            abs(ws.approx_expectation(pi1, r) - pir) > 1e-10:
             fails.append((seed, "b"))

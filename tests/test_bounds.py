@@ -8,7 +8,6 @@ from truncbound import TruncationWorkspace, enumerate_space
 from truncbound.bounds import (
     combine_signed,
     compute_bounds,
-    delta1_bound,
     delta2_bound,
     ell_lower_bound,
     minorization_bounds,
@@ -18,7 +17,6 @@ from truncbound.bounds import (
 )
 from truncbound.censor import CensoredApprox
 from truncbound.errors import CertificateError
-from truncbound.linalg import fundamental_matrix
 from truncbound.lyapunov import BoundInputs, evaluate_certificate
 from truncbound.models import GM1Model
 
@@ -31,6 +29,7 @@ from conftest import (
     stationary_power,
     upper_cycle_rewards,
 )
+from perron_reference import delta1_bound, fundamental_matrix, perron_normalized, perron_tv_bound
 
 
 def setup_host(rng, n=12, k=3, a=None, zeros=0.4):
@@ -186,17 +185,14 @@ class TestMinorizationBounds:
 
 
 class TestApproxErrorBound:
-    def test_width_and_refusal(self, rng):
-        # the row route's interval brackets both the approximation and the
-        # truth, so its width bounds the approximation error; the perron
-        # route's stationary vector may leave the mixture family, and its
-        # report is not certified
+    def test_width_bounds_approximation_error(self, rng):
+        # the interval brackets both the approximation and the truth, so its
+        # width bounds the approximation error
         P, model, ws, inputs = setup_host(rng, n=11, k=3, a=9)
         rep = compute_bounds(ws, inputs)
         pir = stationary_power(P) @ np.arange(11.0)
         assert rep.certified
         assert abs(rep.approx - pir) <= rep.upper - rep.lower
-        assert not compute_bounds(ws, inputs, stochasticization="perron").certified
 
 
 class TestTvBounds:
@@ -239,16 +235,16 @@ class TestTvBounds:
             assert meas <= rep.tv_bound + 1e-11
 
     def test_perron_route_dominates_measured(self, rng):
+        # the paper's eigenvector route, on the test-side reference
         for seed in range(15):
             r2 = np.random.default_rng(seed + 600)
             P, model, ws, inputs = setup_host(r2, n=12, k=3, a=9)
-            rep = compute_bounds(ws, inputs, stochasticization="perron")
-            assert not rep.certified
+            tv, pi1 = perron_tv_bound(ws, inputs)
             pi = stationary_power(P)
             dist = np.zeros(12)
-            dist[:9] = ws.approx_distribution(ws.censored().perron_normalized[1])
+            dist[:9] = ws.approx_distribution(pi1)
             meas = measured_weighted_tv(dist, pi, np.arange(12.0))
-            assert meas <= rep.tv_bound + 1e-11
+            assert meas <= tv + 1e-11
 
     def test_ell_guard(self):
         ca = CensoredApprox(G=np.array([[0.5]]), row_mass=np.array([0.5]))
@@ -296,7 +292,7 @@ class TestDeltas:
             n, k, a = 12, 3, 9
             P, model, ws, inputs = setup_host(r2, n=n, k=k, a=a)
             ca = ws.censored()
-            P1, pi1 = ca.perron_normalized
+            P1, pi1 = perron_normalized(ca.G)
             pi = stationary_power(P)
             pi_k = pi[:k] / pi[:k].sum()
             bound = delta1_bound(P1, ca.G, fundamental_matrix(P1, pi1))

@@ -20,7 +20,7 @@ def write_config(tmp_path, name="cfg.json", **overrides):
         "model": {"name": "gm1", "params": {"mu": 1.0, "b": 2.01}},
         "truncation": {"kind": "range", "max": 400, "schedule": [250, 400]},
         "return_set": {"mode": "lyapunov"},
-        "bounds": {"stochasticization": "row", "rewards": ["e"]},
+        "bounds": {"rewards": ["e"]},
         "output": {"dir": str(tmp_path / "out"), "report": "report.json",
                    "csv": "sweep.csv"},
     }
@@ -79,6 +79,10 @@ class TestRun:
                      id="param-not-number"),
         pytest.param("run", {"bounds": {"rewards": "re"}}, id="rewards-not-list"),
         pytest.param("run", {"bounds": "r"}, id="bounds-not-object"),
+        pytest.param("run", {"bounds": {"rewards": ["e"], "stochasticization": "perron"}},
+                     id="stale-bounds-key"),
+        pytest.param("sweep", {"bounds": {"rewards": ["e"], "stochasticization": "row"}},
+                     id="stale-bounds-key-sweep"),
         pytest.param("sweep", {"return_set": "lyapunov"}, id="return-set-not-object"),
     ])
     def test_malformed_config_exits_1_without_outputs(self, tmp_path, capsys,

@@ -6,17 +6,12 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from truncbound import linalg
 from truncbound.errors import NumericalError, ReducibleMatrixError
-from truncbound.linalg import (
-    SubstochasticSolver,
-    fundamental_matrix,
-    is_irreducible,
-    perron_eigenpair,
-    stationary_small,
-)
+from truncbound.linalg import SubstochasticSolver, is_irreducible, stationary_small
 
+import perron_reference
 from conftest import random_stochastic, stationary_power
+from perron_reference import fundamental_matrix, perron_eigenpair
 
 
 def random_substochastic(rng, n, scale=0.9):
@@ -144,6 +139,8 @@ class TestStationarySmall:
 
 
 class TestPerron:
+    """The test-side reference of the paper's eigenvector route."""
+
     def test_scalar(self):
         pe = perron_eigenpair(np.array([[0.9]]))
         assert pe.value == pytest.approx(0.9)
@@ -173,7 +170,7 @@ class TestPerron:
 
     def test_iteration_cap_raises(self, rng, monkeypatch):
         G = rng.random((12, 12)) * 0.5 + 0.01
-        monkeypatch.setattr(linalg, "PERRON_MAX_ITER", 1)
+        monkeypatch.setattr(perron_reference, "PERRON_MAX_ITER", 1)
         with pytest.raises(NumericalError, match="converge"):
             perron_eigenpair(G)
 

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import threading
+import time
 import warnings
 import weakref
 from collections import Counter
@@ -47,6 +48,19 @@ class TestSharedEnumeration:
             if env == envelopes[0]:   # the distribution is the first envelope's
                 assert both.distribution_mass.tobytes() == single.distribution_mass.tobytes()
                 assert both.distribution_states == single.distribution_states
+
+
+def test_partition_stage_times_certificate_evaluation(monkeypatch):
+    evaluate = pipeline.evaluate_certificate
+
+    def slow(*args, **kwargs):
+        time.sleep(0.2)
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "evaluate_certificate", slow)
+    result = run_pipeline(GM1Model(), {"kind": "range", "max": 400}, envelopes=["r"],
+                          with_distribution=False)
+    assert result.timings["partition[r]"] >= 0.2
 
 
 GM1_2000 = {"kind": "range", "max": 2000}
@@ -182,7 +196,7 @@ def sweep_config(tmp_path, model, truncation, rewards) -> str:
     path = tmp_path / "sweep.json"
     path.write_text(json.dumps({
         "model": model, "truncation": truncation,
-        "bounds": {"stochasticization": "row", "rewards": rewards},
+        "bounds": {"rewards": rewards},
         "output": {"dir": str(tmp_path / "out"), "csv": "sweep.csv"},
     }))
     return str(path)
@@ -194,7 +208,7 @@ class TestSweep:
         levels = [{"kind": "range", "max": top} for top in (250, 400)]
         singles = [run_pipeline(gm1, t, envelopes=["r", "e"], with_distribution=False)
                    for t in levels]
-        swept = pipeline.run_sweep(gm1, levels, envelopes=["r", "e"], stochasticization="row",
+        swept = pipeline.run_sweep(gm1, levels, envelopes=["r", "e"],
                                    explicit_return_set=None, with_distribution=False)
         for single, result in zip(singles, swept, strict=True):
             assert [run.k_size for run in single.runs.values()] == [202, 5]
@@ -238,7 +252,7 @@ class TestSweep:
             warnings.simplefilter("ignore", UserWarning)   # toggle: rate domination
             results = list(pipeline.run_sweep(
                 ToggleSwitchModel(20.0, 1.0), TOGGLE_LEVELS, envelopes=["r", "e"],
-                stochasticization="row", explicit_return_set=None, with_distribution=False))
+                explicit_return_set=None, with_distribution=False))
         assert [set(r.timings) for r in results] == [
             {"certificates", "enumerate", "partition[r,e]", "total"},
             {"enumerate", "partition[r,e]", "total"}]
@@ -274,7 +288,7 @@ class TestSweep:
             monkeypatch.setattr(pipeline, "verified_certificates", counting_certificates)
             results = list(pipeline.run_sweep(
                 ToggleSwitchModel(20.0, 1.0), levels, envelopes=["r", "e"],
-                stochasticization="row", explicit_return_set=None, with_distribution=False))
+                explicit_return_set=None, with_distribution=False))
         assert max(seen.values()) == 1
         # the envelope of r is read on A of the largest level (simplex 60), nowhere else
         on_envelope = {x for fn, x in seen if fn is certs["r"].envelope}
