@@ -1,11 +1,9 @@
 """Markov jump processes via their embedded discrete chain.
 
-The jump process with rate rows Q is analyzed entirely through the embedded
-chain R(x, y) = Q(x, y) / lambda(x), whose unit weights 1 / lambda carry the
-reward transform w -> w / lambda.  Equilibrium expectations of the jump
-process are cycle ratios of transformed rewards of the embedded chain, so
-every discrete bound applies verbatim after the transform; no
-uniformization is needed.
+The jump process with rate rows Q is analyzed through the embedded chain
+R(x, y) = Q(x, y) / lambda(x), whose unit weights 1 / lambda carry the reward
+transform w -> w / lambda: equilibrium expectations are cycle ratios of the
+transformed rewards, so every discrete bound applies; no uniformization.
 """
 
 from __future__ import annotations
@@ -16,7 +14,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .models import DiscreteModel
-from .statespace import _rate_batches
+from .statespace import _objects, _rate_batches
 
 
 @dataclass(frozen=True)
@@ -24,10 +22,9 @@ class JumpModel:
     """Conservative rate-matrix model with finite row support.
 
     ``rate_row(x)`` yields the off-diagonal rates ``(y, Q(x, y))``; the
-    diagonal is implied (rows of the generator sum to zero).  Rates must be
-    finite and nonnegative, and every state reached must have a positive
-    exit rate.  A model class may add the batch form ``rate_rows`` (see
-    :func:`embed`).
+    diagonal is implied.  Rates must be finite and nonnegative, and every
+    state reached must have a positive exit rate.  A model class may add the
+    batch form ``rate_rows`` (see :func:`embed`).
     """
 
     name: str
@@ -46,22 +43,22 @@ def embed(jump):
     """Embedded discrete chain: R(x, y) = Q(x, y) / lambda(x), zero diagonal.
 
     ``rows`` reads the jump model's rate rows (``rate_rows``, or a loop over
-    ``rate_row``) and raises :class:`ModelError` at a rate that is not
-    finite or is negative and at a zero exit rate; ``row`` is ``rows`` of
-    one state.  The unit weights 1 / lambda make the cycle machinery
-    accumulate holding times rather than step counts.
+    ``rate_row``), raises :class:`ModelError` at a rate that is not finite or
+    is negative and at a zero exit rate, and returns each state's unit
+    weight 1 / lambda (its holding time) as a fourth array; ``row`` is
+    ``rows`` of one state.
     """
     rate_rows = _rate_batches(jump)
 
     def rows(states):
         pos, targets, rates, lam = rate_rows(states)
         keep = np.flatnonzero(rates > 0.0)
-        pos, rates = pos[keep], rates[keep]
-        return pos, [targets[j] for j in keep.tolist()], rates / lam[pos]
+        pos = pos[keep]
+        return pos, targets[keep], rates[keep] / lam[pos], 1.0 / lam
 
     def row(x):
-        _, targets, p = rows([x])
-        return list(zip(targets, p.tolist()))
+        _, targets, p, _ = rows([x])
+        return list(zip(_objects(targets), p.tolist()))
 
     return DiscreteModel(
         name=f"{jump.name}-embedded",
@@ -69,6 +66,5 @@ def embed(jump):
         row=row,
         norm=jump.norm,
         states_within=jump.states_within,
-        unit_weights=lambda states: 1.0 / rate_rows(states)[3],
         rows=rows,
     )

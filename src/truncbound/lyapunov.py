@@ -5,9 +5,8 @@ envelope reward, one with the constant reward), the finite return set K on
 which their one-step drift inequalities are allowed to fail, and per-model
 analytic radii beyond which the inequalities are certified by hand.  The
 library re-verifies the finite region numerically; the tail is model data.
-
 Exterior overflow vectors h are computed with equality from the finite row
-support (they are the only place the complement of A ever enters).
+support (the only place the complement of A ever enters).
 """
 
 from __future__ import annotations
@@ -17,37 +16,39 @@ import warnings
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, replace
+from itertools import repeat
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import CertificateError, ModelError, NumericalError
-from .statespace import Partition, _rate_batches, _row_batches, _values, is_jump
+from .statespace import (Partition, _coords, _first_ids, _keys, _objects, _rate_batches,
+                         _row_batches, _values, batched, is_jump)
 
 
 class _DriftTable:
     """One-step rows of a region, laid out for exact batched drift sums.
 
-    The region's states, then their one-step targets, get one id each, and a
-    function is evaluated at most once per id.  Entries are grouped by rank
-    within their row (``row``, or ``rate_row`` of a jump process), so adding
-    them rank by rank repeats each row's left-to-right float additions.
+    The region's states, then their targets, get one id each (a row of
+    ``coords``), and a function is evaluated at most once per id.  Entries
+    are grouped by rank within their row, so adding them rank by rank
+    repeats each row's left-to-right float additions.
     """
 
     def __init__(self, model, region):
         self.jump = is_jump(model)
-        region = list(region)
-        sources = list(dict.fromkeys(region))
+        region = _coords(region)
+        self.src, first = _first_ids(_keys(region))     # ids of the region's states
+        sources = region[first]
         self.m = m = len(sources)           # ids below m are the region's states
         if self.jump:
             pos, targets, w, self.lam = _rate_batches(model)(sources)  # lam: exit rates
         else:
-            pos, targets, w = _row_batches(model)(sources) if m else ((), [], ())
-        self.ids = {x: i for i, x in enumerate(sources)}
-        self.states = sources + [y for y in dict.fromkeys(targets) if y not in self.ids]
-        self.ids.update((y, i) for i, y in enumerate(self.states[m:], m))
-        self.src = np.fromiter(map(self.ids.__getitem__, region), np.intp, len(region))
-        tgt = np.fromiter(map(self.ids.__getitem__, targets), np.intp, len(targets))
+            pos, targets, w = _row_batches(model)(sources)[:3] if m else ((), [], ())
+        reached = np.concatenate([sources, _coords(targets, region.shape[1])])
+        tgt, first = _first_ids(_keys(reached))
+        self.coords, tgt = reached[first], tgt[m:]
+        self.ids = dict(zip(_keys(self.coords).tolist(), range(len(first))))
         pos = np.asarray(pos, dtype=np.intp)
         order = np.argsort(pos, kind="stable")
         counts = np.bincount(pos, minlength=m)
@@ -56,7 +57,16 @@ class _DriftTable:
         self.pos, self.tgt = pos[order], tgt[order]
         self.w = np.asarray(w, dtype=float)[order]
         self.ranks = np.cumsum(np.bincount(rank)).tolist()
-        self.table = self.states, {}
+        self.table = self.coords, {}
+
+    def find(self, states) -> np.ndarray:
+        """The ids of ``states``, -1 for those the table does not hold."""
+        keys = _keys(_coords(states, self.coords.shape[1])).tolist()
+        return np.fromiter(map(self.ids.get, keys, repeat(-1)), dtype=np.intp, count=len(keys))
+
+    def sorted_states(self, x: np.ndarray) -> tuple:
+        """The states of the ids ``x``, sorted."""
+        return tuple(_objects(self.coords[x[np.argsort(_keys(self.coords[x]), kind="stable")]]))
 
     def _rank_sums(self, terms: np.ndarray) -> np.ndarray:
         acc = np.zeros(self.m)
@@ -70,9 +80,9 @@ class _DriftTable:
 
     def mask(self, states) -> np.ndarray:
         """True at the ids of those of ``states`` that the table holds."""
-        on = np.zeros(len(self.states), dtype=bool)
-        on[[self.ids[s] for s in states if s in self.ids]] = True
-        return on
+        on = np.zeros(len(self.coords) + 1, dtype=bool)
+        on[self.find(states)] = True               # -1: the last, dropped
+        return on[:-1]
 
     def surplus(self, g: Callable, slack: Callable, exclude=frozenset(),
                 x: np.ndarray | None = None) -> np.ndarray:
@@ -94,22 +104,23 @@ class _DriftTable:
         """Raise at the first of the ids ``x`` where a surplus is not finite."""
         bad = ~np.isfinite(surpluses).all(axis=0)
         if bad.any():
-            state = self.states[x[int(np.argmax(bad))]]
+            state = _objects(self.coords[x[bad]])[0]
             raise NumericalError(f"drift surplus not finite at state {state!r}")
 
 
+@batched
 def unit(_) -> float:
     """The constant reward 1.  One function object for every certificate, so
     a shared drift table evaluates it once per state."""
     return 1.0
 
 
+@dataclass
 class _Stage:
     """An open certificate stage: its model and the drift table it shares."""
 
-    def __init__(self, model):
-        self.model = model
-        self.table: _DriftTable | None = None
+    model: object
+    table: _DriftTable | None = None
 
 
 # a context variable, so each thread sees only the stage it opened
@@ -120,9 +131,7 @@ _stage: ContextVar[_Stage | None] = ContextVar("truncbound_drift_stage", default
 def drift_stage(model):
     """Share one drift table among the drift checks on ``model`` made inside
     the block, so each certificate function is evaluated once per state.
-
-    Every check still reads only the states of its own region.  The table
-    is dropped when the block exits.
+    Every check still reads only its own region; the table is dropped on exit.
     """
     token = _stage.set(_Stage(model))
     try:
@@ -132,21 +141,19 @@ def drift_stage(model):
 
 
 def _table_for(model, region) -> tuple[_DriftTable, np.ndarray]:
-    """A drift table over ``region`` and the ids of the region's states in it.
-
-    Inside a :func:`drift_stage` on ``model`` this is the stage's table when
-    its rows cover the region; otherwise a table over the region, which
-    becomes the stage's table.  Outside a stage every call builds its own.
-    """
-    region = list(region)
+    """A drift table over ``region`` and the ids of the region's states in it:
+    inside a :func:`drift_stage` on ``model`` the stage's table when its rows
+    cover the region, else a new one that becomes the stage's; outside a
+    stage every call builds its own."""
+    region = _coords(region)
     stage = _stage.get()
     if stage is None or stage.model is not model:
         table = _DriftTable(model, region)
         return table, table.src
     table = stage.table
     if table is not None:
-        x = np.fromiter((table.ids.get(s, table.m) for s in region), np.intp, len(region))
-        if (x < table.m).all():
+        x = table.find(region)
+        if ((x >= 0) & (x < table.m)).all():
             return table, x
     table = stage.table = _DriftTable(model, region)
     return table, table.src
@@ -157,7 +164,6 @@ def drift_excess(model, g: Callable, slack: Callable, x, exclude=frozenset()) ->
 
     Discrete chains:  sum_{y not in K} P(x,y) g(y) - g(x) + slack(x).
     Jump processes:   sum_{y not in K} Q(x,y) g(y) + slack(x), diagonal included.
-
     Raises :class:`NumericalError` when the surplus is not finite.
     """
     table, at = _table_for(model, [x])
@@ -179,16 +185,14 @@ class DriftReport:
 
 def verify_drift(model, g: Callable, slack: Callable, K: Sequence,
                  check_region, *, tolerance: float = 0.0) -> DriftReport:
-    """Numerically check the drift inequality on ``check_region`` minus K.
+    """Numerically check the drift inequality on ``check_region`` minus K;
+    the report's violating states are sorted (none: it holds there).  The
+    tail outside the model's certified radius is the model's responsibility.
 
-    Returns the sorted list of violating states; an empty list means the
-    inequality holds everywhere it was checked.  The analytic tail (outside
-    the model's certified radius) is the model's responsibility.
-
-    ``tolerance`` is a relative slack for the equality case: certificate
-    functions that solve the cycle-reward equation exactly sit on the drift
-    boundary, where roundoff makes the surplus sign arbitrary.  A surplus
-    that is not finite raises :class:`NumericalError`.
+    ``tolerance`` is a relative slack for the equality case: functions that
+    solve the cycle-reward equation exactly sit on the drift boundary, where
+    roundoff makes the sign arbitrary.  A surplus that is not finite raises
+    :class:`NumericalError`.
     """
     table, x = _table_for(model, check_region)
     return _verify_on(table, x, g, slack, K, tolerance)
@@ -205,19 +209,16 @@ def _verify_on(table: _DriftTable, x: np.ndarray, g, slack, K, tolerance) -> Dri
     over = s > allow
     held = s[~over]
     return DriftReport(checked=len(x),
-                       violations=tuple(sorted(table.states[i] for i in x[over].tolist())),
+                       violations=table.sorted_states(x[over]),
                        worst_margin=float(held.max()) if held.size else -np.inf)
 
 
 def construct_K(model, g1: Callable, g2: Callable, r: Callable,
                 n1: int, n2: int) -> tuple:
     """Return set: every state inside the certified ball where either drift
-    inequality fails with an empty exclusion set.
-
-    Outside radius ``max(n1, n2)`` the model certifies both inequalities
-    analytically, so the resulting K satisfies the drift assumption on its
-    complement by construction.
-    """
+    inequality fails with an empty exclusion set.  Outside radius
+    ``max(n1, n2)`` the model certifies both analytically, so K satisfies
+    the drift assumption on its complement by construction."""
     table, x = _table_for(model, model.states_within(max(n1, n2)))
     if not x.size:
         raise ModelError("empty candidate ball for return-set construction")
@@ -226,15 +227,13 @@ def construct_K(model, g1: Callable, g2: Callable, r: Callable,
     s2 = np.zeros_like(s1)
     s2[holds] = table.surplus(g2, unit, x=x[holds])
     table.require_finite(x, s1, s2)
-    K = [table.states[i] for i in x[(s1 > 0.0) | (s2 > 0.0)].tolist()]
+    K = table.sorted_states(x[(s1 > 0.0) | (s2 > 0.0)])
     if len(K) == x.size:
-        raise CertificateError(
-            "drift inequalities fail on the whole candidate ball; the supplied "
-            "certificate functions cannot produce a finite return set"
-        )
+        raise CertificateError("drift inequalities fail on the whole candidate ball; the "
+                               "certificate functions cannot produce a finite return set")
     if not K:
         warnings.warn("no drift violations found; return set is empty", stacklevel=2)
-    return tuple(sorted(K))
+    return K
 
 
 @dataclass(frozen=True)
@@ -245,9 +244,8 @@ class DriftCertificate:
     ``single_pair`` marks the shortcut g_r = g_e verified against
     ``max(r, 1)``.  ``skip_rate_domination`` is the expert escape hatch for
     jump processes whose envelope does not dominate the exit rates (the
-    ratio identity still holds; positive recurrence of the embedded chain is
-    then uncertified).  Rows have finite support, so the exterior overflows
-    are computed with equality from the boundary rows.
+    ratio identity still holds; recurrence of the embedded chain is then
+    uncertified).
     """
 
     return_set: tuple
@@ -282,47 +280,36 @@ def verify_certificate(model, cert: DriftCertificate, *,
     an error is raised unless the expert flag is set on the certificate.
     """
     if cert.single_pair:
-        # max(1.0, 1.0) is 1.0: the unit envelope is its own slack
-        slack_r = unit if cert.envelope is unit else \
-            lambda x: max(float(cert.envelope(x)), 1.0)
+        env = cert.envelope    # max(1.0, 1.0) is 1.0: the unit envelope is its own slack
+        slack_r = unit if env is unit else lambda x: np.maximum(env(x), 1.0)
+        slack_r.batched = getattr(env, "batched", False)   # batched when the envelope is
         pairs = [(cert.g_r, slack_r, max(cert.radius_r, cert.radius_e))]
     else:
-        pairs = [
-            (cert.g_r, cert.envelope, cert.radius_r),
-            (cert.g_e, unit, cert.radius_e),
-        ]
+        pairs = [(cert.g_r, cert.envelope, cert.radius_r), (cert.g_e, unit, cert.radius_e)]
     top = max(cert.radius_r, cert.radius_e)
     table, ball = _table_for(model, model.states_within(top))
     reports = []
     for g, slack, radius in pairs:
-        x = ball if radius == top else \
-            np.array([table.ids[s] for s in model.states_within(radius)], dtype=np.intp)
+        x = ball if radius == top else table.find(model.states_within(radius))
         rep = _verify_on(table, x, g, slack, cert.return_set, tolerance)
         reports.append(rep)
         if rep.violations:
-            sample = list(rep.violations[:8])
-            raise CertificateError(
-                f"drift inequality fails outside the return set at {len(rep.violations)} "
-                f"states, e.g. {sample}"
-            )
+            raise CertificateError(f"drift inequality fails outside the return set at "
+                                   f"{len(rep.violations)} states, e.g. {list(rep.violations[:8])}")
     if cert.single_pair:
         reports = reports * 2
     if table.jump:
         bad = _rate_domination_violations(table, ball, cert)
         if bad and not cert.skip_rate_domination:
             raise CertificateError(
-                f"envelope does not dominate the exit rate at {len(bad)} states, "
-                f"e.g. {bad[:5]}; positive recurrence of the embedded chain is "
-                "uncertified (set skip_rate_domination=True to proceed anyway)"
-            )
+                f"envelope does not dominate the exit rate at {len(bad)} states, e.g. {bad[:5]}; "
+                "positive recurrence of the embedded chain is uncertified "
+                "(set skip_rate_domination=True to proceed anyway)")
         if bad:
-            warnings.warn(
-                "envelope does not dominate the exit rate on "
-                f"{len(bad)} states; proceeding on the expert flag: the cycle "
-                "identity stays valid, embedded-chain positive recurrence is "
-                "certified only through the unit-drift condition",
-                stacklevel=2,
-            )
+            warnings.warn(f"envelope does not dominate the exit rate on {len(bad)} states; "
+                          "proceeding on the expert flag: the cycle identity stays valid, "
+                          "embedded-chain positive recurrence is certified only through the "
+                          "unit-drift condition", stacklevel=2)
     return replace(cert, verified=True, reports=tuple(reports))
 
 
@@ -330,7 +317,7 @@ def _rate_domination_violations(table: _DriftTable, x: np.ndarray,
                                 cert: DriftCertificate) -> list:
     """States among the ids ``x`` whose envelope falls below the exit rate."""
     low = table.values(cert.envelope, x)[x] < table.lam[x] * (1.0 - 1e-12)
-    return [table.states[i] for i in x[low].tolist()]
+    return _objects(table.coords[x[low]])
 
 
 @dataclass(frozen=True, eq=False)
@@ -361,20 +348,15 @@ def evaluate_certificate(cert: DriftCertificate, partition: Partition,
     boundary rows) and fingerprint it for provenance."""
     if not cert.verified:
         raise CertificateError("certificate must be verified before evaluation")
+    k_block = _keys(partition.space.coords[:partition.k_size])
     if len(cert.return_set) != partition.k_size \
-            or not set(partition.space.states[:partition.k_size]).issuperset(cert.return_set):
+            or not np.isin(_keys(_coords(cert.return_set)), k_block).all():
         raise CertificateError("certificate return set does not match the partition")
     r_A = partition.evaluate(cert.envelope)
     h1 = partition.boundary_overflow(cert.g_r)
     h2 = h1 if cert.single_pair else partition.boundary_overflow(cert.g_e)
-    return BoundInputs(
-        envelope_id=envelope_id,
-        r_A=r_A,
-        h1_A=h1,
-        h2_A=h2,
-        verified=True,
-        sha256=_fingerprint(cert, partition, r_A, h1, h2),
-    )
+    return BoundInputs(envelope_id=envelope_id, r_A=r_A, h1_A=h1, h2_A=h2, verified=True,
+                       sha256=_fingerprint(cert, partition, r_A, h1, h2))
 
 
 def _fingerprint(cert: DriftCertificate, partition: Partition,
@@ -385,8 +367,7 @@ def _fingerprint(cert: DriftCertificate, partition: Partition,
     array after its dtype and shape."""
     g1_A = partition.evaluate(cert.g_r)
     g2_A = g1_A if cert.single_pair else partition.evaluate(cert.g_e)
-    # the repr of the tuple of these five, with the states' part encoded once
-    # per state space
+    # the repr of the tuple of these five, the states' part joined once per state space
     head = repr((cert.radius_r, cert.radius_e, cert.single_pair, cert.return_set))
     digest = hashlib.sha256(f"{head[:-1]}, {partition.space.states_repr})".encode())
     for v in (r_A, g1_A, g2_A, h1, h2):

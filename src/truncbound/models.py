@@ -1,7 +1,5 @@
 """Benchmark model families and the generic discrete model.
 
-Two built-in families:
-
 * ``GM1Model``: the queue-length chain of a single-server queue with
   exponential service (rate mu) embedded just before arrival epochs,
   interarrival times uniform on [0, b].  Rows are exactly stochastic: the
@@ -10,8 +8,8 @@ Two built-in families:
   network: synthesis of each type at rate lam / (1 + other count), per
   molecule decay at rate mu.
 
-Both ship the drift functions and analytic tail radii used to certify the
-bounds, so the whole pipeline runs on them out of the box.
+Both ship their drift functions, in batch form (``statespace.batched``),
+and analytic tail radii, so the whole pipeline runs on them out of the box.
 """
 
 from __future__ import annotations
@@ -25,6 +23,7 @@ import numpy as np
 
 from .errors import ModelError
 from .lyapunov import DriftCertificate, construct_K, unit
+from .statespace import batched
 
 BETA_MASS_CUTOFF = 1e-300
 GM1_COEFFICIENTS = (300.0, 300.0, 300.0)   # c1, c2, c3 of the queue's g1, g2, g3
@@ -40,13 +39,12 @@ def _check_envelope(envelope_id: str) -> None:
 class DiscreteModel:
     """Generic discrete-chain model.
 
-    ``row(x)`` gives the exact finite-support row ``(y, P(x, y))`` of each
-    state; ``rows``, its optional batch form, is described at
-    :func:`~truncbound.statespace.enumerate_space`.  Rows are validated (sums
-    within 1e-12 of one) during enumeration.  The other hooks are what the
-    pipeline needs: the seed of the enumeration, a norm for radius scans,
-    the states within a radius, and per-state unit weights (holding times;
-    ones when omitted).
+    ``row(x)`` gives the exact finite-support row ``(y, P(x, y))`` of a
+    state; ``rows``, its optional batch form on coordinate arrays, is
+    described at :func:`~truncbound.statespace.explore`.  The other hooks:
+    the seed, a norm for radius scans, ``states_within(radius)`` (the states
+    as coordinates) and ``unit_weights(coords)`` (holding times; ones when
+    omitted).
     """
 
     name: str
@@ -170,36 +168,33 @@ class GM1Model:
         return entries
 
     @cached_property
-    def _row_masses(self) -> list:
-        """Entry masses of ``row(x)`` by its number t = min(x + 1, len(beta))
-        of explicit entries: beta_0..beta_{t-1}, then the complement at 0
-        when it is positive (computed exactly as ``row`` computes it)."""
+    def _row_tables(self) -> tuple:
+        """For each number t = min(x + 1, len(beta)) of explicit entries of
+        ``row(x)``: its targets as ``x * a + b`` and its masses, beta_0 ..
+        beta_{t-1}, then the complement at 0 when positive (as in ``row``)."""
         masses = self.beta_masses
-        table = []
+        tables = []
         for t in range(len(masses) + 1):
             rest = 1.0 - math.fsum(masses[:t].tolist())
-            table.append(np.append(masses[:t], rest) if rest > 0.0 else masses[:t])
-        return table
+            a, b = np.ones(t, dtype=np.int64), 1 - np.arange(t)
+            tables.append((np.append(a, 0), np.append(b, 0), np.append(masses[:t], rest))
+                          if rest > 0.0 else (a, b, masses[:t]))
+        return tuple(zip(*tables))
 
     def rows(self, states):
         """Batch form of ``row``: the same entries, in row order, same floats."""
-        table = self._row_masses
-        top = len(table) - 1
-        targets, p = [], []
-        for x in states:
-            t = min(max(x + 1, 0), top)
-            targets += range(x + 1, x + 1 - t, -1)
-            if len(table[t]) > t:
-                targets.append(0)
-            p.append(table[t])
-        pos = np.repeat(np.arange(len(p)), [len(q) for q in p])
-        return pos, targets, np.concatenate(p)
+        a, b, p = self._row_tables
+        x = np.asarray(states, dtype=np.int64).reshape(-1).tolist()
+        t = [min(max(v + 1, 0), len(p) - 1) for v in x]
+        targets = [v * a[i] + b[i] for v, i in zip(x, t)]
+        pos = np.repeat(np.arange(len(t)), [len(y) for y in targets])
+        return pos, np.concatenate(targets), np.concatenate([p[i] for i in t])
 
     def norm(self, x) -> float:
         return float(x)
 
-    def states_within(self, radius: float):
-        return range(int(math.floor(radius)) + 1)
+    def states_within(self, radius: float) -> np.ndarray:
+        return np.arange(int(math.floor(radius)) + 1)
 
     # -- exact equilibrium -----------------------------------------------------
 
@@ -265,14 +260,14 @@ class GM1Model:
             # published scan radius for the reference configuration; any
             # radius at or past the root bound certifies the tail
             n3 = 1803
+        f = batched(lambda x: 1.0 * x)     # the count as a float
         return GM1Lyapunov(
             n1=n1, n2=n2, n3=n3,
-            g1=lambda x: c1 * float(x) ** 2,
-            g2=lambda x: c2 * float(x),
-            g3=lambda x: c3 * float(x) ** 4,
-            w=lambda x: float(x) ** 3,
-            r=lambda x: float(x),
-        )
+            g1=batched(lambda x: c1 * (f(x) * f(x))),
+            g2=batched(lambda x: c2 * f(x)),
+            g3=batched(lambda x: c3 * ((f(x) * f(x)) * (f(x) * f(x)))),
+            w=batched(lambda x: f(x) * f(x) * f(x)),
+            r=f)
 
     def certificate_for_envelope(self, envelope_id: str,
                                  return_set=None) -> DriftCertificate:
@@ -352,16 +347,17 @@ class ToggleSwitchModel:
         f1, f2 = x1.astype(float), x2.astype(float)
         rates = np.concatenate([self.lam / (1.0 + f2), self.lam / (1.0 + f1),
                                 self.mu * f1[down1], self.mu * f2[down2]])
-        return pos, list(zip(t1.tolist(), t2.tolist())), rates
+        return pos, np.column_stack([t1, t2]), rates
 
     def norm(self, state) -> float:
         return float(state[0] + state[1])
 
-    def states_within(self, radius: float):
+    def states_within(self, radius: float) -> np.ndarray:
+        """The states of norm at most ``radius``, by norm, then by x1."""
         top = int(math.floor(radius))
-        for s in range(top + 1):
-            for x1 in range(s + 1):
-                yield (x1, s - x1)
+        norm = np.repeat(np.arange(top + 1), np.arange(1, top + 2))
+        x1 = np.arange(norm.size) - norm * (norm + 1) // 2
+        return np.column_stack([x1, norm - x1])
 
     def lyapunov(self) -> ToggleLyapunov:
         """Drift data, built once per model: every call returns the same
@@ -377,19 +373,15 @@ class ToggleSwitchModel:
         n1 = math.ceil((c1 + math.sqrt(c1 * c1 + 4 * c2 * c0 / 2)) / c2)
         n2 = math.ceil((2 * lam + 4 * mu * xs + 1) / mu)
         return ToggleLyapunov(
-            n1=n1,
-            n2=n2,
-            g1=lambda s: (s[0] - xs) ** 2 + (s[1] - xs) ** 2,
-            g2=lambda s: abs(s[0] - xs) + abs(s[1] - xs),
-            r=lambda s: float(s[0] + s[1]),
-        )
+            n1=n1, n2=n2,
+            g1=batched(lambda s: (s[0] - xs) * (s[0] - xs) + (s[1] - xs) * (s[1] - xs)),
+            g2=batched(lambda s: abs(s[0] - xs) + abs(s[1] - xs)),
+            r=batched(lambda s: 1.0 * (s[0] + s[1])))
 
     def moment_data(self):
-        """Quartic-free moment route: g3 = alpha * g1 against w = (x1+x2)^2,
-        with alpha = ``TOGGLE_MOMENT_ALPHA``.
-
-        Returns (g3, w, n3).  Requires alpha * mu > 1 so the quadratic decay
-        dominates the reward."""
+        """Quartic-free moment route: (g3, w, n3) for g3 = alpha * g1 against
+        w = (x1+x2)^2, alpha = ``TOGGLE_MOMENT_ALPHA``.  Requires alpha * mu > 1
+        so the quadratic decay dominates the reward."""
         alpha = TOGGLE_MOMENT_ALPHA
         lam, mu, xs = self.lam, self.mu, self.x_star
         c0 = 2 * lam
@@ -402,8 +394,8 @@ class ToggleSwitchModel:
         n3 = math.ceil((alpha * c1 + math.sqrt((alpha * c1) ** 2
                                                + 4 * lead * alpha * c0)) / (2 * lead))
         ly = self.lyapunov()
-        g3 = lambda s: alpha * ly.g1(s)
-        w = lambda s: float(s[0] + s[1]) ** 2
+        g3 = batched(lambda s: alpha * ly.g1(s))
+        w = batched(lambda s: (1.0 * (s[0] + s[1])) * (1.0 * (s[0] + s[1])))
         return g3, w, n3
 
     @cached_property

@@ -1,10 +1,14 @@
 """State enumeration and the block partition over (K, A', exterior boundary).
 
-States are hashable, orderable model objects (ints, tuples of ints).  The
-dense indexing puts the return set K in a contiguous leading block followed
-by A' = A - K, each sorted lexicographically for reproducibility.  Exterior
-mass is kept as per-state boundary rows: only the finitely many states
-reachable in one step outside A are ever materialized.
+A state is an int or a tuple of two or more ints, all of one length d (d = 1
+for ints).  Inside the library a set of states is an ``(n, d)`` int64 array
+of coordinates, and each state has one int64 key (:func:`_keys`) ordered as
+the states are.  Model hooks take and return such arrays (a returned list of
+states is converted once), a state function marked :func:`batched` is
+evaluated on a whole table in one call, and Python states are made only at
+the edges: ``StateSpace.states``, boundary rows, messages.  The dense
+indexing puts the return set K first, then A' = A - K, each sorted by state;
+exterior mass is kept as per-state boundary rows.
 """
 
 from __future__ import annotations
@@ -25,40 +29,102 @@ State = Hashable
 
 DEFAULT_ENUMERATION_CAP = 50_000_000
 ROW_SUM_TOL = 1e-12
+_NEW = np.iinfo(np.intp).min    # the id of a state not reached before
 
 
-@dataclass(frozen=True)
+def batched(fn: Callable) -> Callable:
+    """Mark a state function written in array form: on the coordinate columns
+    of m states (a ``(d, m)`` array, 1-D when d = 1) it returns their m
+    values, on one state its value.  Made only of correctly rounded
+    operations, a value does not depend on the batch it is computed in."""
+    fn.batched = True
+    return fn
+
+
+def _apply(fn: Callable, coords: np.ndarray, kind: type) -> np.ndarray:
+    """``fn`` at each row of ``coords`` as ``kind`` (float or bool): one
+    call of a :func:`batched` function, else one call per state."""
+    if not getattr(fn, "batched", False):
+        return np.array([kind(fn(s)) for s in _objects(coords)], dtype=kind)
+    out = np.asarray(fn(coords[:, 0] if coords.shape[1] == 1 else coords.T), dtype=kind)
+    return out if out.ndim else np.full(len(coords), out)
+
+
+def _coords(states, d: int | None = None) -> np.ndarray:
+    """States, or their coordinate rows, as an ``(n, d)`` int64 array."""
+    a = np.asarray(states if isinstance(states, np.ndarray) else list(states))
+    if a.size and a.dtype.kind not in "iu" or a.ndim > 2:
+        raise ModelError("states must be ints or int tuples of one length")
+    return a.astype(np.int64, copy=False).reshape(len(a), d or (a.shape[1] if a.ndim == 2 else 1))
+
+
+def _keys(coords: np.ndarray) -> np.ndarray:
+    """One int64 per row, in the order of the states: an int state itself; a
+    tuple's first coordinate, then each further one offset into a bit field."""
+    keys, d = coords[:, 0], coords.shape[1]
+    if d == 1:
+        return keys
+    bits = 63 // d
+    half = 1 << (bits - 1)
+    if coords.size and (coords.min() < -half or coords.max() >= half):
+        raise ModelError(f"a state coordinate lies outside [{-half}, {half}), "
+                         f"the range keyed for states of {d} coordinates")
+    for column in coords.T[1:]:
+        keys = (keys << bits) + (column + half)
+    return keys
+
+
+def _first_ids(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ids of ``keys`` numbered in order of first occurrence, and where each
+    id first occurs."""
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    rank = np.empty_like(first)
+    rank[np.argsort(first)] = np.arange(first.size)
+    return rank[inverse], np.sort(first)
+
+
+def _objects(coords: np.ndarray) -> list:
+    """The Python states (ints, or tuples) of coordinate rows."""
+    return coords[:, 0].tolist() if coords.shape[1] == 1 else list(map(tuple, coords.tolist()))
+
+
+@dataclass(frozen=True, eq=False)
 class StateSpace:
-    """Bijection between structured states and dense indices, K first."""
+    """Dense indices of states, K first: ``coords`` holds one state per row."""
 
-    states: tuple
+    coords: np.ndarray
     k_size: int
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, StateSpace) and self.k_size == other.k_size \
+            and np.array_equal(self.coords, other.coords)
 
     @property
     def a_size(self) -> int:
-        return len(self.states)
-
-    def index_of(self, state: State) -> int:
-        return self._index[state]
+        return len(self.coords)
 
     @cached_property
-    def _index(self) -> dict:
-        return {s: i for i, s in enumerate(self.states)}
+    def states(self) -> tuple:
+        """The Python states (ints, or int tuples) in index order."""
+        return tuple(_objects(self.coords))
+
+    def index_of(self, state: State) -> int:
+        return self.states.index(state)
 
     @cached_property
     def states_repr(self) -> str:
-        """``repr(self.states)``, encoded once per state space."""
-        return repr(self.states)
+        """``repr(self.states)``, joined from the coordinates."""
+        n, d = self.coords.shape
+        item = "%d" if d == 1 else f"({', '.join(['%d'] * d)})"
+        body = ", ".join([item] * n) % tuple(self.coords.ravel().tolist())
+        return f"({body},)" if n == 1 else f"({body})"
 
 
 @dataclass
 class Partition:
-    """Block partition of the transition matrix over (K, A', boundary).
-
+    """Block partition of the transition matrix over (K, A', boundary):
     ``P11, P12, P21, P22`` are the within-A blocks in CSR form; ``boundary``
-    maps each A-index to its list of ``(exterior_state, probability)``
-    transitions.  Exterior blocks over A^c are never formed.
-    """
+    gives each A-index its ``(exterior_state, probability)`` transitions."""
 
     space: StateSpace
     P11: sp.csr_matrix
@@ -77,29 +143,27 @@ class Partition:
         return self.space.a_size
 
     @cached_property
-    def _table(self) -> tuple[tuple[list, dict], np.ndarray, np.ndarray]:
+    def _table(self) -> tuple:
         """A value table (see :func:`_values`) over A and its exits, the ids of
-        A's states in it and those of the boundary's states in boundary order.
-        A partition cut from an exploration shares the exploration's table."""
-        exits = [y for entries in self.boundary for y, _ in entries]
-        ids = {s: i for i, s in enumerate(dict.fromkeys([*self.space.states, *exits]))}
-        return (list(ids), {}), np.arange(self.a_size), \
-            np.fromiter(map(ids.__getitem__, exits), dtype=np.intp, count=len(exits))
+        A's states in it, and the boundary's entries in order: their states'
+        ids, rows and masses.  A cut partition shares its exploration's."""
+        entries = [(i, y, q) for i, row in enumerate(self.boundary) for y, q in row]
+        rows, exits, p = zip(*entries) if entries else ((), (), ())
+        n = self.a_size
+        return (_coords([*self.space.states, *exits]), {}), np.arange(n), \
+            np.arange(n, n + len(exits)), np.array(rows, dtype=np.intp), np.array(p, dtype=float)
 
     def evaluate(self, fn: Callable[[State], float]) -> np.ndarray:
         """Evaluate a state function on all of A in dense-index order."""
-        table, ids, _ = self._table
+        table, ids, *_ = self._table
         return _values(table, fn, ids)[ids]
 
     def boundary_overflow(self, fn: Callable[[State], float]) -> np.ndarray:
-        """Exact exterior overflow ``h(x) = sum_{y not in A} P(x, y) fn(y)``."""
-        table, _, exits = self._table
-        values = iter(_values(table, fn, exits)[exits].tolist())
-        h = np.zeros(self.a_size)
-        for i, entries in enumerate(self.boundary):
-            if entries:
-                h[i] = sum(p * next(values) for _, p in entries)
-        return h
+        """Exact exterior overflow ``h(x) = sum_{y not in A} P(x, y) fn(y)``,
+        each row's terms added in boundary order."""
+        table, _, exits, rows, p = self._table
+        return np.bincount(rows, weights=p * _values(table, fn, exits)[exits],
+                           minlength=self.a_size)
 
     def full_matrix(self) -> sp.csr_matrix:
         """The within-A matrix with K-first ordering (blocks reassembled)."""
@@ -111,48 +175,40 @@ class Partition:
 class Exploration:
     """A truncation set explored from the seed by :func:`explore`, from which
     :func:`cut` derives the partition of any truncation set nested in it.
-
-    Every state reached has an id (``states``): first the set's, in
-    discovery order, listed in sorted state order by ``order`` with their
-    unit weights ``unit``, then those outside it that their rows reach.
-    ``src``, ``dst`` and ``p`` hold the row entries with nonzero mass between
-    states of the set, each row's in row order; ``rest`` holds the other
-    entries (exits, zero masses) as ``(src, dst, p, at)``, where ``at``
-    counts the entries of ``p`` before each of them.
+    Every state reached has an id, its row of ``coords``: first the set's, in
+    discovery order, sorted by ``order`` (``unit`` holds their unit weights
+    in that order), then those outside it that their rows reach.  ``src``,
+    ``dst`` and ``p`` hold the row entries with nonzero mass within the set,
+    each row's in row order; ``rest`` holds the others (exits, zero masses)
+    as ``(src, dst, p, at)``, where ``at`` counts the entries of ``p`` before.
     """
 
-    def __init__(self, states, order, unit, src, dst, p, rest):
-        self.states, self.order, self.unit = states, order, unit
+    def __init__(self, coords, order, unit, src, dst, p, rest):
+        self.coords, self.order, self.unit = coords, order, unit
         self.src, self.dst, self.p, self.rest = src, dst, p, rest
-        self.table = states, {}    # shared by the partitions cut from here
+        self.table = coords, {}    # shared by the partitions cut from here
 
 
-def _values(table: tuple[list, dict], fn: Callable[[State], float],
+def _values(table: tuple[np.ndarray, dict], fn: Callable[[State], float],
             at: np.ndarray) -> np.ndarray:
-    """``fn`` over a table's states (its list and its memo), evaluated at the
-    ids ``at`` where it was not before; each state is evaluated once."""
-    states, memo = table
-    vals, done = memo.setdefault(fn, (np.zeros(len(states)), np.zeros(len(states), dtype=bool)))
-    need = np.zeros(len(states), dtype=bool)
+    """``fn`` over a table's states (their coordinates and a memo), evaluated
+    at the ids ``at`` where it was not before; each state is evaluated once."""
+    coords, memo = table
+    vals, done = memo.setdefault(fn, (np.zeros(len(coords)), np.zeros(len(coords), dtype=bool)))
+    need = np.zeros(len(coords), dtype=bool)
     need[at] = True
     todo = np.flatnonzero(need & ~done)
-    vals[todo] = [float(fn(states[i])) for i in todo.tolist()]
+    vals[todo] = _apply(fn, coords[todo], float)
     done[todo] = True
     return vals
 
 
-def enumerate_space(
-    model,
-    a_predicate: Callable[[State], bool],
-    k_predicate: Callable[[State], bool],
-    *,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-) -> tuple[StateSpace, Partition]:
+def enumerate_space(model, a_predicate: Callable[[State], bool],
+                    k_predicate: Callable[[State], bool], *,
+                    cap: int = DEFAULT_ENUMERATION_CAP) -> tuple[StateSpace, Partition]:
     """Breadth-first enumeration of A from the model seed, with block partition:
-    the :func:`cut` of the set's own :func:`explore`.
-
-    ``k_predicate`` must imply ``a_predicate``; the set satisfying
-    ``a_predicate`` must be finite and reachable from ``model.seed``.
+    the :func:`cut` of the set's own :func:`explore`.  ``k_predicate`` must
+    imply ``a_predicate``, whose set must be finite and reachable from the seed.
     """
     return cut(explore(model, a_predicate, cap=cap), a_predicate, k_predicate)
 
@@ -160,83 +216,83 @@ def enumerate_space(
 def explore(model, a_predicate: Callable[[State], bool], *, cap: int) -> Exploration:
     """Frontier-batched search of the set of ``a_predicate`` from the seed.
 
-    The search expands a whole frontier at a time through the model's batch
-    row hook ``rows(states) -> (pos, targets, p)``: entry ``j`` is the
-    transition from ``states[pos[j]]`` to ``targets[j]`` with mass ``p[j]``,
-    and the entries of each state appear in the order and with the floats
-    that ``row`` gives for it (states may interleave).  Models that define
-    only ``row`` are adapted here, so both forms are validated identically:
-    masses must be finite and not below ``-ROW_SUM_TOL``, and every row must
-    sum to one within ``ROW_SUM_TOL``.  ``a_predicate`` is called once per
-    distinct state reached, not once per edge.  A model's ``unit_weights``
-    must weigh each state on its own.
+    A whole frontier is expanded at a time through the model's batch row
+    hook ``rows(states) -> (pos, targets, p)`` on its coordinates: entry
+    ``j`` goes from ``states[pos[j]]`` to ``targets[j]`` with mass ``p[j]``,
+    each state's entries in the order and with the floats of its ``row``
+    (states may interleave).  A fourth array, when returned, holds the
+    states' unit weights; otherwise ``unit_weights(states)`` of the model
+    gives them, or they are ones.  A model with only ``row`` is adapted, so
+    both forms are validated alike: masses finite and not below
+    ``-ROW_SUM_TOL``, row sums within ``ROW_SUM_TOL`` of one.
+    ``a_predicate`` is evaluated once per distinct state reached.
 
     Raises :class:`EnumerationLimitError` when the cap is exceeded and
     :class:`ModelError` for invalid rows or unit weights.
     """
-    seed = model.seed
-    if not a_predicate(seed):
+    frontier = _coords([model.seed])
+    if not _apply(a_predicate, frontier, bool)[0]:
         raise ModelError("seed state does not satisfy the truncation predicate")
     rows = _row_batches(model)
-    ids = {seed: 0}              # states of the set -> id, in discovery order
-    found = [seed]
-    outside: dict = {}           # states reached outside the set -> -1 - their index
-    src, dst, mass = [], [], []
-    start = 0
-    while start < len(found):
-        frontier = found[start:]
-        pos, targets, p = rows(frontier)
-        pos = np.asarray(pos, dtype=np.intp)
-        p = np.asarray(p, dtype=float)
-        _check_rows(frontier, pos, targets, p)
-        d = np.fromiter(map(ids.get, targets, repeat(-1)), dtype=np.intp, count=len(p))
-        for j in np.flatnonzero(d < 0).tolist():   # new states and exits from the set
-            y = targets[j]
-            i = ids.get(y)
-            if i is None:
-                i = outside.get(y)
-            if i is None:
-                if a_predicate(y):
-                    i = ids[y] = len(found)
-                    found.append(y)
-                    if len(found) > cap:
-                        raise EnumerationLimitError(
-                            f"enumeration cap of {cap} states exceeded; "
-                            "check the truncation predicate"
-                        )
-                else:
-                    i = outside[y] = -1 - len(outside)
-            d[j] = i
-        src.append(pos + start)
-        dst.append(d)
-        mass.append(p)
-        start += len(frontier)
-    n = len(found)
-    order = np.array(sorted(range(n), key=found.__getitem__), dtype=np.intp)
-    weigher = getattr(model, "unit_weights", None)
-    unit = np.ones(n) if weigher is None \
-        else np.asarray(weigher([found[i] for i in order.tolist()]), dtype=float)
+    ids = {int(_keys(frontier)[0]): 0}  # key -> id: the set's in discovery order, -1 - j outside
+    # found, outside: the coordinates of the states reached in and outside the set, flat
+    found, outside, units, entries, missed = frontier.ravel().tolist(), [], [], [], []
+    start, n, n_out = 0, 1, 0          # the frontier's first id, the set's and the others' sizes
+    while len(frontier):
+        out = rows(frontier)
+        pos, p = np.asarray(out[0], dtype=np.intp), np.asarray(out[2], dtype=float)
+        targets = _coords(out[1], frontier.shape[1])
+        if not len(pos) == len(targets) == len(p) or pos.size and not (
+                0 <= pos.min() and pos.max() < len(frontier)):
+            raise ModelError("batch row hook returned entries that do not match its states")
+        units += out[3:]
+        keys = _keys(targets).tolist()
+        d = np.fromiter(map(ids.get, keys, repeat(_NEW)), dtype=np.intp, count=len(p))
+        entries.append((pos + start, d, p))
+        miss = np.flatnonzero(d == _NEW).tolist()
+        missed += map(keys.__getitem__, miss)        # their ids are filled in at the end
+        first = dict(zip(map(keys.__getitem__, reversed(miss)), reversed(miss)))
+        fresh = [*dict.fromkeys(map(keys.__getitem__, miss))]   # in the order first reached
+        reached = targets[[first[key] for key in fresh]]
+        inside, start = _apply(a_predicate, reached, bool), n
+        for key, held, state in zip(fresh, inside.tolist(), reached.tolist()):
+            if held:
+                ids[key], n = n, n + 1
+                found += state
+            else:
+                ids[key], n_out = -1 - n_out, n_out + 1
+                outside += state
+        if n > cap:
+            raise EnumerationLimitError(
+                f"enumeration cap of {cap} states exceeded; check the truncation predicate")
+        frontier = reached[inside]
+    coords = np.array(found + outside, dtype=np.int64).reshape(-1, frontier.shape[1])
+    src, dst, p = map(np.concatenate, zip(*entries))
+    _check_rows(coords[:n], src, p)
+    if not units and getattr(model, "unit_weights", None) is not None:
+        units = [model.unit_weights(coords[:n])]
+    unit = np.concatenate(units).astype(float) if units else np.ones(n)
     if unit.shape != (n,) or np.any(unit <= 0) or not np.all(np.isfinite(unit)):
         raise ModelError("unit weights must be positive and finite over A")
-    src, dst, p = np.concatenate(src), np.concatenate(dst), np.concatenate(mass)
+    order = np.argsort(_keys(coords[:n]))
+    dst[dst == _NEW] = np.fromiter(map(ids.__getitem__, missed), dtype=np.intp, count=len(missed))
     inner = (dst >= 0) & (p != 0.0)
     rest = np.flatnonzero(~inner)
     r_dst = dst[rest]
     r_dst[r_dst < 0] = n - 1 - r_dst[r_dst < 0]     # the ids after the set's
-    return Exploration(found + list(outside), order, unit, src[inner], dst[inner], p[inner],
+    return Exploration(coords, order, unit[order], src[inner], dst[inner], p[inner],
                        (src[rest], r_dst, p[rest], rest - np.arange(rest.size)))
 
 
 def cut(exploration: Exploration, a_predicate: Callable[[State], bool],
         k_predicate: Callable[[State], bool]) -> tuple[StateSpace, Partition]:
     """The partition over the return set of ``k_predicate`` of the states the
-    seed reaches without leaving ``a_predicate``, a set that must lie in the
-    explored one.  Blocks, boundary and unit weights equal those of a fresh
-    :func:`enumerate_space` bit for bit.
-    """
-    ex, states = exploration, exploration.states
+    seed reaches without leaving ``a_predicate``, a set inside the explored
+    one.  Blocks, boundary and unit weights equal a fresh
+    :func:`enumerate_space`'s bit for bit."""
+    ex, coords = exploration, exploration.coords
     r_src, r_dst, r_p, r_at = ex.rest
-    inside = np.fromiter(map(a_predicate, states), dtype=bool, count=len(states))
+    inside = _apply(a_predicate, coords, bool)
     if not inside[0]:
         raise ModelError("seed state does not satisfy the truncation predicate")
     if inside[ex.order.size:].any():
@@ -245,14 +301,14 @@ def cut(exploration: Exploration, a_predicate: Callable[[State], bool],
         src, dst = np.concatenate([ex.src, r_src]), np.concatenate([ex.dst, r_dst])
         live = inside[src] & inside[dst]
         graph = sp.csr_matrix((np.ones(np.count_nonzero(live)), (src[live], dst[live])),
-                              shape=(len(states),) * 2)
-        inside[:] = False
+                              shape=(len(coords),) * 2)
+        inside = np.zeros(len(coords), dtype=bool)
         inside[breadth_first_order(graph, 0, return_predecessors=False)] = True
     kept = inside[ex.order]
     a_ids = ex.order[kept]
-    space, k_first = _k_first_space([states[i] for i in a_ids.tolist()], k_predicate)
+    space, k_first = _k_first_space(coords[a_ids], k_predicate)
     ids, n = a_ids[k_first], space.a_size
-    new = np.full(len(states), -1, dtype=np.intp)
+    new = np.full(len(coords), -1, dtype=np.intp)
     new[ids] = np.arange(n)
     leave = np.zeros(0, dtype=np.intp)
     p, src, dst = ex.p, ex.src, ex.dst
@@ -268,16 +324,17 @@ def cut(exploration: Exploration, a_predicate: Callable[[State], bool],
     out = np.flatnonzero((rs >= 0) & (r_p != 0.0))
     owner = np.concatenate([new[ex.src[leave]], rs[out]])
     by_row = np.lexsort((np.concatenate([2 * leave + 1, 2 * r_at[out]]), owner))
+    owner = owner[by_row]
     exits = np.concatenate([ex.dst[leave], r_dst[out]])[by_row]
-    rows = zip(owner[by_row].tolist(), exits.tolist(),
-               np.concatenate([ex.p[leave], r_p[out]])[by_row].tolist())
+    q = np.concatenate([ex.p[leave], r_p[out]])[by_row]
     boundary = [()] * n
-    for i, group in groupby(rows, key=itemgetter(0)):
-        boundary[i] = tuple((states[y], q) for _, y, q in group)
+    for i, group in groupby(zip(owner.tolist(), _objects(coords[exits]), q.tolist()),
+                            key=itemgetter(0)):
+        boundary[i] = tuple((y, x) for _, y, x in group)
     P = sp.csr_matrix((p, (new[src], new[dst])), shape=(n, n))   # duplicates add
     del p, src, dst
     part = _partition(space, P, tuple(boundary), ex.unit[kept][k_first])
-    part._table = ex.table, ids, exits
+    part._table = ex.table, ids, exits, owner, q
     return space, part
 
 
@@ -285,26 +342,25 @@ def repartition(part: Partition, k_predicate: Callable[[State], bool],
                 ) -> tuple[StateSpace, Partition]:
     """The same truncation set partitioned over another return set.
 
-    Rows and columns of ``part``'s operator are permuted K-first and no mass
-    is recomputed, so blocks, boundary and unit weights equal those of a
-    fresh :func:`enumerate_space` with ``k_predicate`` bit for bit (up to the
-    order in which a row's repeated targets were added).  The new partition
-    shares ``part``'s value table.
+    ``part``'s operator is permuted K-first and no mass is recomputed, so
+    blocks, boundary and unit weights equal those of a fresh
+    :func:`enumerate_space` bit for bit (up to the order in which a row's
+    repeated targets were added).  The value table is ``part``'s.
     """
     old = part.space
-    by_state = sorted(range(old.a_size), key=old.states.__getitem__)
-    space, k_first = _k_first_space([old.states[i] for i in by_state], k_predicate)
-    perm = np.array(by_state, dtype=np.intp)[k_first]
+    by_state = np.argsort(_keys(old.coords))
+    space, k_first = _k_first_space(old.coords[by_state], k_predicate)
+    perm = by_state[k_first]
     P = part.full_matrix()[perm]          # rows in the new order
     new = np.empty_like(perm, dtype=P.indices.dtype)
     new[perm] = np.arange(space.a_size)
     P.indices = new[P.indices]            # and the columns
     P.sort_indices()
-    boundary = tuple(part.boundary[i] for i in perm)
+    boundary = tuple(part.boundary[i] for i in perm.tolist())
     derived = _partition(space, P, boundary, part.unit[perm])
-    table, ids, exits = part._table
-    owner = np.repeat(np.arange(old.a_size), list(map(len, part.boundary)))
-    derived._table = table, ids[perm], exits[np.argsort(new[owner], kind="stable")]
+    table, ids, exits, rows, q = part._table
+    by_row = np.argsort(new[rows], kind="stable")
+    derived._table = table, ids[perm], exits[by_row], new[rows][by_row], q[by_row]
     return space, derived
 
 
@@ -317,58 +373,46 @@ def _row_batches(model, name: str = "row") -> Callable:
     row = getattr(model, name)
 
     def rows(states):
-        pos, targets, p = [], [], []
-        for i, x in enumerate(states):
-            for y, q in row(x):
-                pos.append(i)
-                targets.append(y)
-                p.append(q)
-        return pos, targets, p
+        entries = [(i, y, q) for i, x in enumerate(_objects(states)) for y, q in row(x)]
+        return tuple(zip(*entries)) if entries else ((), (), ())
 
     return rows
 
 
 def is_jump(model) -> bool:
-    """A model is a jump process iff it defines ``rate_row``; its batch form
-    ``rate_rows`` is optional, as ``rows`` is for ``row``."""
+    """A model is a jump process iff it defines ``rate_row`` (``rate_rows``,
+    its batch form, is optional, as ``rows`` is for ``row``)."""
     return hasattr(model, "rate_row")
 
 
 def _rate_batches(jump) -> Callable:
     """The jump model's rate rows, checked, with their exit rates:
-    ``states -> (pos, targets, rates, exit_rates)``.
-
-    Every rate must be finite and nonnegative and every exit rate positive;
-    each state's rates add left to right in entry order.
+    ``states -> (pos, targets, rates, exit_rates)`` on coordinates.  Rates
+    must be finite and nonnegative, exit rates (added in entry order) positive.
     """
     rate_rows = _row_batches(jump, "rate_row")
 
     def rows(states):
+        states = _coords(states)
         pos, targets, rates = rate_rows(states)
-        pos = np.asarray(pos, dtype=np.intp)
-        rates = np.asarray(rates, dtype=float)
+        pos, rates = np.asarray(pos, dtype=np.intp), np.asarray(rates, dtype=float)
         bad = ~((rates >= 0.0) & (rates < np.inf))
         if bad.any():
             j = int(np.argmax(bad))
-            raise ModelError(f"invalid rate {float(rates[j])!r} out of state {states[pos[j]]!r}")
+            raise ModelError(f"invalid rate {float(rates[j])!r} out of state "
+                             f"{_objects(states[pos[j:j + 1]])[0]!r}")
         lam = np.bincount(pos, weights=rates, minlength=len(states))
         if np.any(lam <= 0.0):
-            x = states[int(np.argmax(lam <= 0.0))]
+            x = _objects(states[lam <= 0.0])[0]
             raise ModelError(f"absorbing state {x!r}: zero exit rate")
-        return pos, targets, rates, lam
+        return pos, _coords(targets, states.shape[1]), rates, lam
 
     return rows
 
 
-def _check_rows(states, pos: np.ndarray, targets, p: np.ndarray) -> None:
-    """Reject the first state (in batch order) with an invalid mass or row sum."""
-    m = len(states)
-    try:
-        sums = np.bincount(pos, weights=p, minlength=m)  # adds each row in entry order
-    except ValueError:
-        sums = None
-    if sums is None or len(sums) != m or len(targets) != len(p):
-        raise ModelError("batch row hook returned entries that do not match its states")
+def _check_rows(states: np.ndarray, pos: np.ndarray, p: np.ndarray) -> None:
+    """Reject the first state (in id order) with an invalid mass or row sum."""
+    sums = np.bincount(pos, weights=p, minlength=len(states))  # adds each row in entry order
     # one pass for valid batches: NaN and -inf fail the minimum, +inf the sums
     if np.abs(sums - 1.0).max() <= ROW_SUM_TOL and (not p.size or p.min() >= -ROW_SUM_TOL):
         return
@@ -376,42 +420,33 @@ def _check_rows(states, pos: np.ndarray, targets, p: np.ndarray) -> None:
     bad_state = ~(np.abs(sums - 1.0) <= ROW_SUM_TOL)
     bad_state[pos[bad_entry]] = True
     i = int(np.argmax(bad_state))
-    entry = np.flatnonzero(bad_entry & (pos == i))
+    x, entry = _objects(states[i:i + 1])[0], np.flatnonzero(bad_entry & (pos == i))
     if entry.size:
-        raise ModelError(
-            f"invalid transition probability {float(p[entry[0]])!r} from state {states[i]!r}"
-        )
-    raise ModelError(
-        f"row of state {states[i]!r} sums to {float(sums[i])!r}, not 1 within {ROW_SUM_TOL}"
-    )
+        raise ModelError(f"invalid transition probability {float(p[entry[0]])!r} from state {x!r}")
+    raise ModelError(f"row of state {x!r} sums to {float(sums[i])!r}, not 1 within {ROW_SUM_TOL}")
 
 
-def _k_first_space(states: list, k_predicate) -> tuple[StateSpace, np.ndarray]:
-    """K, then A', each in the order of the sorted ``states``, and the
-    positions in ``states`` of the states so ordered."""
-    in_k = np.fromiter(map(k_predicate, states), dtype=bool, count=len(states))
+def _k_first_space(coords: np.ndarray, k_predicate) -> tuple[StateSpace, np.ndarray]:
+    """K, then A', each in the order of the sorted ``coords``, and the
+    positions in ``coords`` of the states so ordered."""
+    in_k = _apply(k_predicate, coords, bool)
     if not in_k.any():
         raise ModelError("return set K is empty on the enumerated truncation set")
     order = np.concatenate([np.flatnonzero(in_k), np.flatnonzero(~in_k)])
-    return StateSpace(states=tuple(map(states.__getitem__, order.tolist())),
-                      k_size=int(np.count_nonzero(in_k))), order
+    return StateSpace(coords=coords[order], k_size=int(np.count_nonzero(in_k))), order
 
 
 def _partition(space: StateSpace, P: sp.csr_matrix, boundary: tuple,
                unit: np.ndarray) -> Partition:
     """Blocks of the K-first operator ``P`` (canonical CSR)."""
     k = space.k_size
-    return Partition(
-        space=space,
-        P11=P[:k, :k].tocsr(),
-        P12=P[:k, k:].tocsr(),
-        P21=P[k:, :k].tocsr(),
-        P22=P[k:, k:].tocsr(),
-        boundary=boundary,
-        unit=unit,
-    )
+    return Partition(space, P[:k, :k].tocsr(), P[:k, k:].tocsr(), P[k:, :k].tocsr(),
+                     P[k:, k:].tocsr(), boundary, unit)
 
 
 def explicit_k_predicate(k_states: Sequence[State]) -> Callable[[State], bool]:
-    ks = set(k_states)
-    return lambda s: s in ks
+    """Membership in ``k_states``, batched on the states' keys."""
+    k = _coords(k_states)
+    keys, d = _keys(k), k.shape[1]
+    return batched(lambda s: np.isin(_keys(np.asarray(s, dtype=np.int64).T.reshape(-1, d)), keys)
+                   if keys.size else False)

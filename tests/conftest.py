@@ -128,15 +128,23 @@ def host_model(P: np.ndarray, name: str = "host"):
     )
 
 
+def states_of(coords) -> list:
+    """The Python states (ints, or tuples) of a hook's coordinate array."""
+    from truncbound.statespace import _coords, _objects
+
+    return _objects(_coords(coords))
+
+
 def batch_model(row_fn, *, seed=0, name: str = "batch"):
     """The chain of ``row_fn`` given through the batch hook ``rows``.
 
-    Entries are laid out by rank within the row (every state's first entry,
-    then every state's second, ...), so states interleave as the hook's
-    contract allows.
+    The hook takes the states' coordinate rows and returns its targets as a
+    list of states.  Entries are laid out by rank within the row (every
+    state's first entry, then every state's second, ...), so states
+    interleave as the hook's contract allows.
     """
     def rows(states):
-        per_state = [list(row_fn(x)) for x in states]
+        per_state = [list(row_fn(x)) for x in states_of(states)]
         pos, targets, p = [], [], []
         for rank in range(max(map(len, per_state), default=0)):
             for i, entries in enumerate(per_state):
@@ -200,7 +208,7 @@ def partition_from_matrix(P_A: np.ndarray, k: int):
     from truncbound.statespace import Partition, StateSpace
 
     n = P_A.shape[0]
-    space = StateSpace(states=tuple(range(n)), k_size=k)
+    space = StateSpace(coords=np.arange(n)[:, None], k_size=k)
     boundary = []
     for i in range(n):
         missing = 1.0 - float(P_A[i].sum())

@@ -43,7 +43,8 @@ class ToggleWithRate(ToggleSwitchModel):
     def rate_rows(self, states):
         pos, targets, rates = super().rate_rows(states)
         at = [i for i, s in enumerate(states) if tuple(s) == (3, 3)]
-        return (np.append(pos, at).astype(np.intp), targets + [(2, 4)] * len(at),
+        extra = np.array([(2, 4)] * len(at), dtype=np.int64).reshape(-1, 2)
+        return (np.append(pos, at).astype(np.intp), np.concatenate([targets, extra]),
                 np.append(rates, [self.extra] * len(at)))
 
 
@@ -116,8 +117,31 @@ class TestEmbedding:
     def test_unit_weights_are_holding_times(self):
         Q = np.array([[-1.0, 1.0], [2.0, -2.0]])
         chain = embed(jump_from_matrix(Q))
-        w = chain.unit_weights([0, 1])
+        w = chain.rows([0, 1])[3]
         assert np.abs(w - [1.0, 0.5]).max() < 1e-15
+
+
+class TestUnitWeightsFromExploration:
+    def test_each_state_reads_its_rates_once_and_weighs_one_over_its_exit_rate(self):
+        # the embedded chain's rows carry 1 / lambda, so the exploration
+        # needs no second pass over the rate rows
+        seen = []
+
+        class Counted(ToggleSwitchModel):
+            def rate_rows(self, states):
+                seen.extend(map(tuple, np.asarray(states).tolist()))
+                return super().rate_rows(states)
+
+        ts = Counted(20.0, 1.0)
+        _, part = enumerate_space(embed(ts), lambda s: s[0] + s[1] <= 40, lambda s: s == (0, 0))
+        assert sorted(seen) == sorted(part.space.states)
+        lam = []
+        for x in part.space.states:
+            total = 0.0
+            for _, r in ts.rate_row(x):
+                total += r
+            lam.append(total)
+        assert part.unit.tobytes() == (1.0 / np.array(lam)).tobytes()
 
 
 class TestRewardTransform:
@@ -142,7 +166,7 @@ class TestRewardTransform:
         ts = ToggleSwitchModel(20.0, 1.0)
         # at (4,4): total count 8, exit rate 2*20/5 + 8 = 16
         assert exit_rate(ts, (4, 4)) == pytest.approx(16.0)
-        assert 8.0 * embed(ts).unit_weights([(4, 4)])[0] == pytest.approx(0.5)
+        assert 8.0 * embed(ts).rows([(4, 4)])[3][0] == pytest.approx(0.5)
 
 
 class TestCtmcDrift:

@@ -29,7 +29,7 @@ from truncbound.lyapunov import (
 )
 from truncbound.models import DiscreteModel, GM1Model, ToggleSwitchModel
 
-from conftest import batch_model
+from conftest import batch_model, states_of
 
 
 def ref_drift_excess(model, g, slack, x, exclude=frozenset()):
@@ -68,14 +68,14 @@ def ref_verify(model, g, slack, K, region, tolerance=0.0):
 
 def ref_construct_K(model, g1, g2, r, n1, n2):
     return tuple(sorted(
-        x for x in model.states_within(max(n1, n2))
+        x for x in states_of(model.states_within(max(n1, n2)))
         if ref_drift_excess(model, g1, r, x) > 0.0
         or ref_drift_excess(model, g2, lambda _: 1.0, x) > 0.0
     ))
 
 
 def ref_rate_domination(model, cert):
-    return [x for x in model.states_within(max(cert.radius_r, cert.radius_e))
+    return [x for x in states_of(model.states_within(max(cert.radius_r, cert.radius_e)))
             if float(cert.envelope(x)) < sum(r for _, r in model.rate_row(x)) * (1.0 - 1e-12)]
 
 
@@ -205,7 +205,7 @@ def test_certificates_equal_reference(model):
                      (cert.g_e, lambda _: 1.0, cert.radius_e)]
         for rep, (g, slack, radius) in zip(verified.reports, pairs):
             checked, violations, worst = ref_verify(model, g, slack, cert.return_set,
-                                                    model.states_within(radius))
+                                                    states_of(model.states_within(radius)))
             assert (rep.checked, rep.violations) == (checked, violations)
             assert bits(rep.worst_margin) == bits(worst)
         if hasattr(model, "rate_row"):
@@ -221,7 +221,7 @@ def test_moment_bound_equals_reference():
     assert bits(moment_bound(gm1, ly.g3, ly.w, 300)) == bits(want)
     ts = ToggleSwitchModel(90.0, 1.0)
     g3, w, _ = ts.moment_data()
-    want = max([0.0] + [ref_drift_excess(ts, g3, w, x) for x in ts.states_within(120)])
+    want = max([0.0] + [ref_drift_excess(ts, g3, w, x) for x in states_of(ts.states_within(120))])
     assert bits(moment_bound(ts, g3, w, 120)) == bits(want)
 
 
@@ -230,7 +230,7 @@ def test_row_only_jump_model_uses_the_rate_row_adapter():
     row_only = JumpModel(name="t", seed=(0, 0), rate_row=ts.rate_row, norm=ts.norm,
                          states_within=ts.states_within)
     ly = ts.lyapunov()
-    region = list(ts.states_within(30))
+    region = states_of(ts.states_within(30))
     a = _DriftTable(ts, region).surplus(ly.g1, ly.r, frozenset([(4, 4), (5, 4)]))
     b = _DriftTable(row_only, region).surplus(ly.g1, ly.r, frozenset([(4, 4), (5, 4)]))
     assert bits(a) == bits(b)
@@ -240,7 +240,7 @@ def test_embedded_chain_surplus_equals_reference():
     chain = embed(ToggleSwitchModel(20.0, 1.0))
     g = lambda s: float(s[0] * s[0] + 3 * s[1])
     slack = lambda s: 0.25 * s[0]
-    region = list(chain.states_within(25))
+    region = states_of(chain.states_within(25))
     got = _DriftTable(chain, region).surplus(g, slack, frozenset([(3, 3)]))
     want = [ref_drift_excess(chain, g, slack, x, frozenset([(3, 3)])) for x in region]
     assert bits(got) == bits(want)

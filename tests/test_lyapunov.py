@@ -290,14 +290,13 @@ class TestCertificate:
             w[i] = np.nextafter(w[i], np.inf)     # one bit of one entry
             return w
 
-        states = part.space.states
-        swapped = states[:2] + (states[3], states[2]) + states[4:]
+        swapped = part.space.coords[[0, 1, 3, 2, *range(4, part.a_size)]]
         g_r, g_e = cert.g_r, cert.g_e
         variants = {
             "radius_r": (replace(cert, radius_r=11), part, *args),
             "radius_e": (replace(cert, radius_e=11), part, *args),
             "return_set": (replace(cert, return_set=(0, 2)), part, *args),
-            "state order": (cert, replace(part, space=replace(part.space, states=swapped)),
+            "state order": (cert, replace(part, space=replace(part.space, coords=swapped)),
                             *args),
             "r_A": (cert, part, bumped(args[0]), *args[1:]),
             "h1": (cert, part, args[0], bumped(args[1], 7), args[2]),

@@ -8,7 +8,7 @@ from truncbound import JumpModel, embed, enumerate_space, exit_rate
 from truncbound.errors import ModelError
 from truncbound.models import DiscreteModel, GM1Model, ToggleSwitchModel
 
-from conftest import assert_partitions_identical, model_forms, random_stochastic
+from conftest import assert_partitions_identical, model_forms, random_stochastic, states_of
 from gm1_reference import reference_distribution
 
 
@@ -217,13 +217,13 @@ class TestBatchRows:
         cases = [(ts.rate_rows, ts.rate_row)]
         cases += [(chain.rows, embedded_row) for chain in (embed(ts), per_state_toggle(ts))]
         for batch, rows in cases:
-            pos, targets, p = batch(states)
+            pos, targets, p = batch(states)[:3]
             got = {}
-            for i, y, q in zip(pos.tolist(), targets, p.tolist()):
+            for i, y, q in zip(pos.tolist(), states_of(targets), p.tolist()):
                 got.setdefault(i, []).append((y, q))  # each state's entries in order
             assert got == {i: list(rows(x)) for i, x in enumerate(states)}
         for chain in (embed(ts), per_state_toggle(ts)):
-            assert chain.unit_weights(states).tobytes() == (1.0 / np.array(exit_rates)).tobytes()
+            assert chain.rows(states)[3].tobytes() == (1.0 / np.array(exit_rates)).tobytes()
 
 
 class TestReferenceProtocol:
@@ -234,3 +234,67 @@ class TestReferenceProtocol:
         geo = law.masses(10001)
         gap = float(np.abs(ref - geo).sum() + law.tail(10001))
         assert gap < 1e-13
+
+
+class TestBatchStateFunctions:
+    """Every library state function gives, on a table's coordinate columns,
+    the bits it gives state by state: gm1 on 0..20,000, the toggle switch
+    on the ball of radius 300.  Only correctly rounded operations pass; a
+    plain numpy ``x ** 4`` for gm1's g3 does not."""
+
+    @staticmethod
+    def assert_batch_is_per_state(fn, coords, kind=float):
+        from truncbound.statespace import _apply, _objects
+
+        per_state = [kind(fn(s)) for s in _objects(coords)]
+        assert _apply(fn, coords, kind).tobytes() == np.array(per_state, dtype=kind).tobytes()
+
+    def test_model_functions(self):
+        ly = GM1Model().lyapunov()
+        ts = ToggleSwitchModel(20.0, 1.0)
+        tl, (g3, w, _) = ts.lyapunov(), ts.moment_data()
+        counts = np.arange(20_001)[:, None]
+        for fn in (ly.g1, ly.g2, ly.g3, ly.w, ly.r):
+            self.assert_batch_is_per_state(fn, counts)
+        for fn in (tl.g1, tl.g2, tl.r, g3, w):
+            self.assert_batch_is_per_state(fn, ts.states_within(300))
+
+    def test_numpy_power_is_not_per_state_power(self):
+        # why the library writes x ** 4 as (x * x) * (x * x)
+        x = np.arange(20_001)
+        assert (x.astype(float) ** 4 != np.array([float(v) ** 4 for v in range(20_001)])).any()
+
+    def test_unit_predicates_and_return_set(self):
+        from truncbound.lyapunov import unit
+        from truncbound.pipeline import truncation_predicate
+        from truncbound.statespace import explicit_k_predicate
+
+        counts = np.arange(-50, 20_001)[:, None]
+        pairs = np.concatenate([ToggleSwitchModel(20.0, 1.0).states_within(300),
+                                [(-1, 0), (0, -3), (-2, -2)]])
+        self.assert_batch_is_per_state(unit, counts)
+        self.assert_batch_is_per_state(unit, pairs)
+        range_pred = truncation_predicate(None, {"kind": "range", "max": 10_000})
+        simplex_pred = truncation_predicate(None, {"kind": "simplex", "level": 200})
+        self.assert_batch_is_per_state(range_pred, counts, bool)
+        self.assert_batch_is_per_state(simplex_pred, pairs, bool)
+        for k_states, coords in (([0, 3, 10_000, 20_000, -7], counts),
+                                 ([(0, 0), (4, 4), (300, 0), (-1, 0)], pairs), ([], counts)):
+            self.assert_batch_is_per_state(explicit_k_predicate(k_states), coords, bool)
+
+    def test_single_pair_slack(self, rng):
+        # the single-pair check's slack max(r, 1), batched with its envelope,
+        # gives the reports a per-state envelope gives
+        from truncbound.lyapunov import DriftCertificate, verify_certificate
+        from truncbound.statespace import batched
+
+        from conftest import host_model, kappa_oracle
+
+        P = random_stochastic(rng, 9)
+        _, eta = kappa_oracle(P, 2, np.maximum(np.arange(9.0), 1.0))
+        g = lambda x: 0.0 if x < 2 else float(eta[x - 2])
+        reports = []
+        for envelope in (lambda x: float(x), batched(lambda x: 1.0 * x)):
+            cert = DriftCertificate.single((0, 1), envelope, g, 9)
+            reports.append(verify_certificate(host_model(P), cert, tolerance=1e-9).reports)
+        assert reports[0] == reports[1]

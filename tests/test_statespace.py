@@ -239,3 +239,93 @@ class TestCut:
             cut(exploration, lambda s: s <= 20, lambda s: s == 0)
         with pytest.raises(ModelError, match="seed state does not satisfy"):
             cut(exploration, lambda s: 1 <= s <= 5, lambda s: s == 1)
+
+
+def pair_chain(seed: int, scale: int, shift: int):
+    """A random chain on the pair states ``shift + scale * (a, b)``, a and b
+    in -4..4 (negative coordinates when ``shift`` allows): each row goes to
+    1 to 4 distinct neighbours or itself, in a random order."""
+    rng = np.random.default_rng(seed)
+    moves = [(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)]
+    rows = {}
+    for a in range(-4, 5):
+        for b in range(-4, 5):
+            picks = rng.permutation(5)[: int(rng.integers(1, 5))]
+            p = rng.random(len(picks)) + 0.05
+            rows[(a, b)] = [((min(4, max(-4, a + moves[i][0])), min(4, max(-4, b + moves[i][1]))),
+                             float(q)) for i, q in zip(picks, p / p.sum())]
+    to_state = lambda c: (shift + scale * c[0], shift + scale * c[1])
+    index = {to_state(c): c for c in rows}
+    merged = {}
+    for c, row in rows.items():              # a target reached twice adds its masses
+        out = {}
+        for y, q in row:
+            out[to_state(y)] = out.get(to_state(y), 0.0) + q
+        merged[to_state(c)] = list(out.items())
+    return merged, index
+
+
+class TestKeyOrder:
+    @given(seed=st.integers(0, 10_000), radius=st.integers(1, 3),
+           scale=st.sampled_from([1, 7, 2**26]), shift=st.sampled_from([0, -5, 2**29]))
+    @settings(max_examples=40, deadline=None)
+    def test_partition_equals_tuple_sorted_reference(self, seed, radius, scale, shift):
+        rows, index = pair_chain(seed, scale, shift)
+        inside = lambda s: abs(index[s][0]) + abs(index[s][1]) <= radius if s in index else False
+        seed_state = (shift, shift)
+        k_set = {seed_state, *[s for s in rows if index[s][0] == 1 and inside(s)]}
+        for model in model_forms(lambda x: rows[x], seed=seed_state):
+            space, part = enumerate_space(model, inside, lambda s: s in k_set)
+            # reference: reachable set by a per-state search, sorted as Python tuples
+            reached, stack = {seed_state}, [seed_state]
+            while stack:
+                for y, _ in rows[stack.pop()]:
+                    if inside(y) and y not in reached:
+                        reached.add(y)
+                        stack.append(y)
+            order = sorted(s for s in reached if s in k_set) + \
+                sorted(s for s in reached if s not in k_set)
+            assert space.states == tuple(order) and space.k_size == len(k_set & reached)
+            at = {s: i for i, s in enumerate(order)}
+            P = np.zeros((len(order), len(order)))
+            for x in order:
+                for y, q in rows[x]:
+                    if y in at:
+                        P[at[x], at[y]] += q
+            assert np.array_equal(part.full_matrix().toarray(), P)
+            assert part.boundary == tuple(tuple((y, q) for y, q in rows[x] if y not in at)
+                                          for x in order)
+
+    @pytest.mark.parametrize("first, ok", [(2**30 - 1, True), (-2**30, True),
+                                           (2**30, False), (-2**30 - 1, False)])
+    def test_coordinates_past_the_keyed_range_are_rejected(self, first, ok):
+        for second in (0, first):
+            model = DiscreteModel(name="far", seed=(0, 0), row=lambda x, y=(first, second):
+                                  [(y, 1.0)] if x == (0, 0) else [((0, 0), 1.0)])
+            if ok:
+                assert enumerate_space(model, lambda s: True, lambda s: s == (0, 0))[0].a_size == 2
+            else:
+                with pytest.raises(ModelError, match="outside"):
+                    enumerate_space(model, lambda s: True, lambda s: s == (0, 0))
+
+
+class TestStatesRepr:
+    @pytest.mark.parametrize("states", [(0, 1, 2, 10_000), ((0, 0), (3, 1), (1, 2)), (0,),
+                                        ((-1, 2),), (-3, 0, 5), ((-1, -2), (4, -7)), ()])
+    def test_join_equals_repr(self, states):
+        from truncbound.statespace import StateSpace, _coords
+
+        coords = _coords(states) if states else np.zeros((0, 1), dtype=np.int64)
+        space = StateSpace(coords=coords, k_size=1)
+        assert space.states == states
+        assert space.states_repr == repr(states)
+
+
+def test_unit_weights_hook_weighs_the_set_by_coordinates():
+    model = DiscreteModel(name="weighted", seed=0, row=walk_row,
+                          unit_weights=lambda coords: 1.0 + coords[:, 0])
+    space, part = enumerate_space(model, lambda s: s <= 10, lambda s: s <= 2)
+    assert part.unit.tobytes() == (1.0 + np.array(space.states, dtype=float)).tobytes()
+    bad = DiscreteModel(name="bad", seed=0, row=walk_row, unit_weights=lambda coords: -coords[:, 0])
+    with pytest.raises(ModelError, match="unit weights"):
+        enumerate_space(bad, lambda s: s <= 10, lambda s: s <= 2)
