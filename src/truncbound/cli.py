@@ -142,16 +142,12 @@ def _truncation_schedule(cfg: dict, *, prefer_size: bool = False) -> list[dict]:
     return [{"kind": kind, size_key: _size(v)} for v in sizes]
 
 
-def _single_truncation(cfg: dict) -> dict:
-    return _truncation_schedule(cfg, prefer_size=True)[0]
-
-
 def cmd_run(cfg: dict, override: str | None) -> int:
     from . import __version__
     from .pipeline import run_pipeline
 
     envelopes = _bounds_options(cfg)
-    truncation, return_set = _single_truncation(cfg), _return_set(cfg)
+    truncation, return_set = _truncation_schedule(cfg, prefer_size=True)[0], _return_set(cfg)
     model = _build(cfg)
     outdir = _outdir(cfg, override)
     result = run_pipeline(model, truncation, envelopes=envelopes,

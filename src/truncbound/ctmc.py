@@ -1,9 +1,11 @@
 """Markov jump processes via their embedded discrete chain.
 
-The jump process with rate rows Q is analyzed through the embedded chain
-R(x, y) = Q(x, y) / lambda(x), whose unit weights 1 / lambda carry the reward
-transform w -> w / lambda: equilibrium expectations are cycle ratios of the
-transformed rewards, so every discrete bound applies; no uniformization.
+The jump process with rate rows Q is analyzed entirely through the embedded
+chain R(x, y) = Q(x, y) / lambda(x), whose unit weights 1 / lambda carry the
+reward transform w -> w / lambda.  Equilibrium expectations of the jump
+process are cycle ratios of transformed rewards of the embedded chain, so
+every discrete bound applies verbatim after the transform; no
+uniformization is needed.
 """
 
 from __future__ import annotations
@@ -22,9 +24,10 @@ class JumpModel:
     """Conservative rate-matrix model with finite row support.
 
     ``rate_row(x)`` yields the off-diagonal rates ``(y, Q(x, y))``; the
-    diagonal is implied.  Rates must be finite and nonnegative, and every
-    state reached must have a positive exit rate.  A model class may add the
-    batch form ``rate_rows`` (see :func:`embed`).
+    diagonal is implied (rows of the generator sum to zero).  Rates must be
+    finite and nonnegative, and every state reached must have a positive
+    exit rate.  A model class may add the batch form ``rate_rows`` (see
+    :func:`embed`).
     """
 
     name: str
@@ -43,18 +46,18 @@ def embed(jump):
     """Embedded discrete chain: R(x, y) = Q(x, y) / lambda(x), zero diagonal.
 
     ``rows`` reads the jump model's rate rows (``rate_rows``, or a loop over
-    ``rate_row``), raises :class:`ModelError` at a rate that is not finite or
-    is negative and at a zero exit rate, and returns each state's unit
-    weight 1 / lambda (its holding time) as a fourth array; ``row`` is
-    ``rows`` of one state.
+    ``rate_row``) and raises :class:`ModelError` at a rate that is not
+    finite or is negative and at a zero exit rate; ``row`` is ``rows`` of
+    one state.  The unit weights 1 / lambda, ``rows``' fourth array, make the
+    cycle machinery accumulate holding times rather than step counts.
     """
     rate_rows = _rate_batches(jump)
 
     def rows(states):
         pos, targets, rates, lam = rate_rows(states)
         keep = np.flatnonzero(rates > 0.0)
-        pos = pos[keep]
-        return pos, targets[keep], rates[keep] / lam[pos], 1.0 / lam
+        pos, rates = pos[keep], rates[keep]
+        return pos, targets[keep], rates / lam[pos], 1.0 / lam
 
     def row(x):
         _, targets, p, _ = rows([x])

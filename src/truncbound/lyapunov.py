@@ -5,8 +5,9 @@ envelope reward, one with the constant reward), the finite return set K on
 which their one-step drift inequalities are allowed to fail, and per-model
 analytic radii beyond which the inequalities are certified by hand.  The
 library re-verifies the finite region numerically; the tail is model data.
+
 Exterior overflow vectors h are computed with equality from the finite row
-support (the only place the complement of A ever enters).
+support (they are the only place the complement of A ever enters).
 """
 
 from __future__ import annotations
@@ -29,10 +30,10 @@ from .statespace import (Partition, _coords, _first_ids, _keys, _objects, _rate_
 class _DriftTable:
     """One-step rows of a region, laid out for exact batched drift sums.
 
-    The region's states, then their targets, get one id each (a row of
-    ``coords``), and a function is evaluated at most once per id.  Entries
-    are grouped by rank within their row, so adding them rank by rank
-    repeats each row's left-to-right float additions.
+    The region's states, then their one-step targets, get one id each (a
+    row of ``coords``), and a function is evaluated at most once per id.
+    ``np.bincount`` adds each row's entries (``row``, or ``rate_row`` of a
+    jump process) in order, repeating its left-to-right float additions.
     """
 
     def __init__(self, model, region):
@@ -47,36 +48,15 @@ class _DriftTable:
             pos, targets, w = _row_batches(model)(sources)[:3] if m else ((), [], ())
         reached = np.concatenate([sources, _coords(targets, region.shape[1])])
         tgt, first = _first_ids(_keys(reached))
-        self.coords, tgt = reached[first], tgt[m:]
+        self.coords, self.tgt = reached[first], tgt[m:]
         self.ids = dict(zip(_keys(self.coords).tolist(), range(len(first))))
-        pos = np.asarray(pos, dtype=np.intp)
-        order = np.argsort(pos, kind="stable")
-        counts = np.bincount(pos, minlength=m)
-        rank = np.arange(pos.size) - (np.cumsum(counts) - counts)[pos[order]]
-        order = order[np.argsort(rank, kind="stable")]     # by rank, then by state
-        self.pos, self.tgt = pos[order], tgt[order]
-        self.w = np.asarray(w, dtype=float)[order]
-        self.ranks = np.cumsum(np.bincount(rank)).tolist()
+        self.pos, self.w = np.asarray(pos, dtype=np.intp), np.asarray(w, dtype=float)
         self.table = self.coords, {}
 
     def find(self, states) -> np.ndarray:
         """The ids of ``states``, -1 for those the table does not hold."""
         keys = _keys(_coords(states, self.coords.shape[1])).tolist()
         return np.fromiter(map(self.ids.get, keys, repeat(-1)), dtype=np.intp, count=len(keys))
-
-    def sorted_states(self, x: np.ndarray) -> tuple:
-        """The states of the ids ``x``, sorted."""
-        return tuple(_objects(self.coords[x[np.argsort(_keys(self.coords[x]), kind="stable")]]))
-
-    def _rank_sums(self, terms: np.ndarray) -> np.ndarray:
-        acc = np.zeros(self.m)
-        for lo, hi in zip([0] + self.ranks, self.ranks):  # a state occurs once per rank
-            acc[self.pos[lo:hi]] += terms[lo:hi]
-        return acc
-
-    def values(self, fn: Callable, at: np.ndarray) -> np.ndarray:
-        """``fn`` over all ids, evaluated (once) at the ids ``at``."""
-        return _values(self.table, fn, at)
 
     def mask(self, states) -> np.ndarray:
         """True at the ids of those of ``states`` that the table holds."""
@@ -94,11 +74,12 @@ class _DriftTable:
         live[x] = True
         live = live[self.pos] & ~off[self.tgt]          # entries that add w * g(y)
         subtracts = x[~off[x]] if self.jump else x       # states that subtract g(x)
-        gv = self.values(g, np.concatenate([self.tgt[live], subtracts]))
+        gv = _values(self.table, g, np.concatenate([self.tgt[live], subtracts]))
         with np.errstate(all="ignore"):                  # Python float semantics
-            acc = self._rank_sums(np.where(live, self.w * gv[self.tgt], 0.0))[x]
+            terms = np.where(live, self.w * gv[self.tgt], 0.0)
+            acc = np.bincount(self.pos, weights=terms, minlength=self.m)[x]
             own = np.where(off[x], 0.0, self.lam[x] * gv[x]) if self.jump else gv[x]
-            return (acc - own) + self.values(slack, x)[x]
+            return (acc - own) + _values(self.table, slack, x)[x]
 
     def require_finite(self, x: np.ndarray, *surpluses) -> None:
         """Raise at the first of the ids ``x`` where a surplus is not finite."""
@@ -115,12 +96,12 @@ def unit(_) -> float:
     return 1.0
 
 
-@dataclass
 class _Stage:
     """An open certificate stage: its model and the drift table it shares."""
 
-    model: object
-    table: _DriftTable | None = None
+    def __init__(self, model):
+        self.model = model
+        self.table: _DriftTable | None = None
 
 
 # a context variable, so each thread sees only the stage it opened
@@ -131,7 +112,9 @@ _stage: ContextVar[_Stage | None] = ContextVar("truncbound_drift_stage", default
 def drift_stage(model):
     """Share one drift table among the drift checks on ``model`` made inside
     the block, so each certificate function is evaluated once per state.
-    Every check still reads only its own region; the table is dropped on exit.
+
+    Every check still reads only the states of its own region.  The table
+    is dropped when the block exits.
     """
     token = _stage.set(_Stage(model))
     try:
@@ -141,10 +124,12 @@ def drift_stage(model):
 
 
 def _table_for(model, region) -> tuple[_DriftTable, np.ndarray]:
-    """A drift table over ``region`` and the ids of the region's states in it:
-    inside a :func:`drift_stage` on ``model`` the stage's table when its rows
-    cover the region, else a new one that becomes the stage's; outside a
-    stage every call builds its own."""
+    """A drift table over ``region`` and the ids of the region's states in it.
+
+    Inside a :func:`drift_stage` on ``model`` this is the stage's table when
+    its rows cover the region; otherwise a table over the region, which
+    becomes the stage's table.  Outside a stage every call builds its own.
+    """
     region = _coords(region)
     stage = _stage.get()
     if stage is None or stage.model is not model:
@@ -164,6 +149,7 @@ def drift_excess(model, g: Callable, slack: Callable, x, exclude=frozenset()) ->
 
     Discrete chains:  sum_{y not in K} P(x,y) g(y) - g(x) + slack(x).
     Jump processes:   sum_{y not in K} Q(x,y) g(y) + slack(x), diagonal included.
+
     Raises :class:`NumericalError` when the surplus is not finite.
     """
     table, at = _table_for(model, [x])
@@ -185,14 +171,16 @@ class DriftReport:
 
 def verify_drift(model, g: Callable, slack: Callable, K: Sequence,
                  check_region, *, tolerance: float = 0.0) -> DriftReport:
-    """Numerically check the drift inequality on ``check_region`` minus K;
-    the report's violating states are sorted (none: it holds there).  The
-    tail outside the model's certified radius is the model's responsibility.
+    """Numerically check the drift inequality on ``check_region`` minus K.
 
-    ``tolerance`` is a relative slack for the equality case: functions that
-    solve the cycle-reward equation exactly sit on the drift boundary, where
-    roundoff makes the sign arbitrary.  A surplus that is not finite raises
-    :class:`NumericalError`.
+    Returns the sorted list of violating states; an empty list means the
+    inequality holds everywhere it was checked.  The analytic tail (outside
+    the model's certified radius) is the model's responsibility.
+
+    ``tolerance`` is a relative slack for the equality case: certificate
+    functions that solve the cycle-reward equation exactly sit on the drift
+    boundary, where roundoff makes the surplus sign arbitrary.  A surplus
+    that is not finite raises :class:`NumericalError`.
     """
     table, x = _table_for(model, check_region)
     return _verify_on(table, x, g, slack, K, tolerance)
@@ -204,21 +192,24 @@ def _verify_on(table: _DriftTable, x: np.ndarray, g, slack, K, tolerance) -> Dri
     x = x[~table.mask(k_set)[x]]
     s = table.surplus(g, slack, k_set, x)
     table.require_finite(x, s)
-    allow = tolerance * (1.0 + np.abs(table.values(g, x)[x])
-                         + np.abs(table.values(slack, x)[x]))
+    allow = tolerance * (1.0 + np.abs(_values(table.table, g, x)[x])
+                         + np.abs(_values(table.table, slack, x)[x]))
     over = s > allow
     held = s[~over]
     return DriftReport(checked=len(x),
-                       violations=table.sorted_states(x[over]),
+                       violations=tuple(sorted(_objects(table.coords[x[over]]))),
                        worst_margin=float(held.max()) if held.size else -np.inf)
 
 
 def construct_K(model, g1: Callable, g2: Callable, r: Callable,
                 n1: int, n2: int) -> tuple:
     """Return set: every state inside the certified ball where either drift
-    inequality fails with an empty exclusion set.  Outside radius
-    ``max(n1, n2)`` the model certifies both analytically, so K satisfies
-    the drift assumption on its complement by construction."""
+    inequality fails with an empty exclusion set.
+
+    Outside radius ``max(n1, n2)`` the model certifies both inequalities
+    analytically, so the resulting K satisfies the drift assumption on its
+    complement by construction.
+    """
     table, x = _table_for(model, model.states_within(max(n1, n2)))
     if not x.size:
         raise ModelError("empty candidate ball for return-set construction")
@@ -227,13 +218,15 @@ def construct_K(model, g1: Callable, g2: Callable, r: Callable,
     s2 = np.zeros_like(s1)
     s2[holds] = table.surplus(g2, unit, x=x[holds])
     table.require_finite(x, s1, s2)
-    K = table.sorted_states(x[(s1 > 0.0) | (s2 > 0.0)])
+    K = _objects(table.coords[x[(s1 > 0.0) | (s2 > 0.0)]])
     if len(K) == x.size:
-        raise CertificateError("drift inequalities fail on the whole candidate ball; the "
-                               "certificate functions cannot produce a finite return set")
+        raise CertificateError(
+            "drift inequalities fail on the whole candidate ball; the supplied "
+            "certificate functions cannot produce a finite return set"
+        )
     if not K:
         warnings.warn("no drift violations found; return set is empty", stacklevel=2)
-    return K
+    return tuple(sorted(K))
 
 
 @dataclass(frozen=True)
@@ -244,8 +237,9 @@ class DriftCertificate:
     ``single_pair`` marks the shortcut g_r = g_e verified against
     ``max(r, 1)``.  ``skip_rate_domination`` is the expert escape hatch for
     jump processes whose envelope does not dominate the exit rates (the
-    ratio identity still holds; recurrence of the embedded chain is then
-    uncertified).
+    ratio identity still holds; positive recurrence of the embedded chain is
+    then uncertified).  Rows have finite support, so the exterior overflows
+    are computed with equality from the boundary rows.
     """
 
     return_set: tuple
@@ -285,7 +279,10 @@ def verify_certificate(model, cert: DriftCertificate, *,
         slack_r.batched = getattr(env, "batched", False)   # batched when the envelope is
         pairs = [(cert.g_r, slack_r, max(cert.radius_r, cert.radius_e))]
     else:
-        pairs = [(cert.g_r, cert.envelope, cert.radius_r), (cert.g_e, unit, cert.radius_e)]
+        pairs = [
+            (cert.g_r, cert.envelope, cert.radius_r),
+            (cert.g_e, unit, cert.radius_e),
+        ]
     top = max(cert.radius_r, cert.radius_e)
     table, ball = _table_for(model, model.states_within(top))
     reports = []
@@ -294,29 +291,36 @@ def verify_certificate(model, cert: DriftCertificate, *,
         rep = _verify_on(table, x, g, slack, cert.return_set, tolerance)
         reports.append(rep)
         if rep.violations:
-            raise CertificateError(f"drift inequality fails outside the return set at "
-                                   f"{len(rep.violations)} states, e.g. {list(rep.violations[:8])}")
+            sample = list(rep.violations[:8])
+            raise CertificateError(
+                f"drift inequality fails outside the return set at {len(rep.violations)} "
+                f"states, e.g. {sample}"
+            )
     if cert.single_pair:
         reports = reports * 2
     if table.jump:
         bad = _rate_domination_violations(table, ball, cert)
         if bad and not cert.skip_rate_domination:
             raise CertificateError(
-                f"envelope does not dominate the exit rate at {len(bad)} states, e.g. {bad[:5]}; "
-                "positive recurrence of the embedded chain is uncertified "
-                "(set skip_rate_domination=True to proceed anyway)")
+                f"envelope does not dominate the exit rate at {len(bad)} states, "
+                f"e.g. {bad[:5]}; positive recurrence of the embedded chain is "
+                "uncertified (set skip_rate_domination=True to proceed anyway)"
+            )
         if bad:
-            warnings.warn(f"envelope does not dominate the exit rate on {len(bad)} states; "
-                          "proceeding on the expert flag: the cycle identity stays valid, "
-                          "embedded-chain positive recurrence is certified only through the "
-                          "unit-drift condition", stacklevel=2)
+            warnings.warn(
+                "envelope does not dominate the exit rate on "
+                f"{len(bad)} states; proceeding on the expert flag: the cycle "
+                "identity stays valid, embedded-chain positive recurrence is "
+                "certified only through the unit-drift condition",
+                stacklevel=2,
+            )
     return replace(cert, verified=True, reports=tuple(reports))
 
 
 def _rate_domination_violations(table: _DriftTable, x: np.ndarray,
                                 cert: DriftCertificate) -> list:
     """States among the ids ``x`` whose envelope falls below the exit rate."""
-    low = table.values(cert.envelope, x)[x] < table.lam[x] * (1.0 - 1e-12)
+    low = _values(table.table, cert.envelope, x)[x] < table.lam[x] * (1.0 - 1e-12)
     return _objects(table.coords[x[low]])
 
 
@@ -348,15 +352,20 @@ def evaluate_certificate(cert: DriftCertificate, partition: Partition,
     boundary rows) and fingerprint it for provenance."""
     if not cert.verified:
         raise CertificateError("certificate must be verified before evaluation")
-    k_block = _keys(partition.space.coords[:partition.k_size])
-    if len(cert.return_set) != partition.k_size \
-            or not np.isin(_keys(_coords(cert.return_set)), k_block).all():
+    k_block = set(_objects(partition.space.coords[:partition.k_size]))
+    if len(cert.return_set) != partition.k_size or not k_block.issuperset(cert.return_set):
         raise CertificateError("certificate return set does not match the partition")
     r_A = partition.evaluate(cert.envelope)
     h1 = partition.boundary_overflow(cert.g_r)
     h2 = h1 if cert.single_pair else partition.boundary_overflow(cert.g_e)
-    return BoundInputs(envelope_id=envelope_id, r_A=r_A, h1_A=h1, h2_A=h2, verified=True,
-                       sha256=_fingerprint(cert, partition, r_A, h1, h2))
+    return BoundInputs(
+        envelope_id=envelope_id,
+        r_A=r_A,
+        h1_A=h1,
+        h2_A=h2,
+        verified=True,
+        sha256=_fingerprint(cert, partition, r_A, h1, h2),
+    )
 
 
 def _fingerprint(cert: DriftCertificate, partition: Partition,
@@ -367,7 +376,8 @@ def _fingerprint(cert: DriftCertificate, partition: Partition,
     array after its dtype and shape."""
     g1_A = partition.evaluate(cert.g_r)
     g2_A = g1_A if cert.single_pair else partition.evaluate(cert.g_e)
-    # the repr of the tuple of these five, the states' part joined once per state space
+    # the repr of the tuple of these five, with the states' part joined once
+    # per state space
     head = repr((cert.radius_r, cert.radius_e, cert.single_pair, cert.return_set))
     digest = hashlib.sha256(f"{head[:-1]}, {partition.space.states_repr})".encode())
     for v in (r_A, g1_A, g2_A, h1, h2):

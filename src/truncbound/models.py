@@ -1,5 +1,7 @@
 """Benchmark model families and the generic discrete model.
 
+Two built-in families:
+
 * ``GM1Model``: the queue-length chain of a single-server queue with
   exponential service (rate mu) embedded just before arrival epochs,
   interarrival times uniform on [0, b].  Rows are exactly stochastic: the
@@ -8,8 +10,8 @@
   network: synthesis of each type at rate lam / (1 + other count), per
   molecule decay at rate mu.
 
-Both ship their drift functions, in batch form (``statespace.batched``),
-and analytic tail radii, so the whole pipeline runs on them out of the box.
+Both ship the drift functions (batched) and analytic tail radii used to
+certify the bounds, so the whole pipeline runs on them out of the box.
 """
 
 from __future__ import annotations
@@ -39,12 +41,12 @@ def _check_envelope(envelope_id: str) -> None:
 class DiscreteModel:
     """Generic discrete-chain model.
 
-    ``row(x)`` gives the exact finite-support row ``(y, P(x, y))`` of a
-    state; ``rows``, its optional batch form on coordinate arrays, is
-    described at :func:`~truncbound.statespace.explore`.  The other hooks:
-    the seed, a norm for radius scans, ``states_within(radius)`` (the states
-    as coordinates) and ``unit_weights(coords)`` (holding times; ones when
-    omitted).
+    ``row(x)`` gives the exact finite-support row ``(y, P(x, y))`` of each
+    state; ``rows``, its optional batch form on coordinate arrays, may also
+    give unit weights (see :func:`~truncbound.statespace.explore`).  Rows are
+    validated (sums within 1e-12 of one) during enumeration.  The other
+    hooks are what the pipeline needs: the seed of the enumeration, a norm
+    for radius scans, and the states within a radius (as coordinates).
     """
 
     name: str
@@ -52,7 +54,6 @@ class DiscreteModel:
     row: Callable[[object], Iterable[tuple[object, float]]]
     norm: Callable[[object], float] | None = None
     states_within: Callable[[float], Iterable] | None = None
-    unit_weights: Callable | None = None
     rows: Callable | None = None
 
 
@@ -135,12 +136,6 @@ class GM1Model:
         keep = np.flatnonzero(beta >= BETA_MASS_CUTOFF)
         return beta[: keep[-1] + 1] if keep.size else beta[:1]
 
-    def beta(self, i: int) -> float:
-        if i < 0:
-            raise ValueError("service-count index must be nonnegative")
-        masses = self.beta_masses
-        return float(masses[i]) if i < len(masses) else 0.0
-
     def service_count_moment(self, k: int) -> float:
         """Raw moment of the per-interarrival service count, in closed form."""
         m = [self.mu ** j * self.b ** j / (j + 1) for j in range(1, 5)]  # E (mu t)^j
@@ -157,38 +152,33 @@ class GM1Model:
     # -- chain structure -----------------------------------------------------
 
     def row(self, x: int):
-        masses = self.beta_masses
-        top = min(x, len(masses) - 1)
-        # explicit targets stop at x+1-top >= 1, so the complement at 0 is
-        # always a separate entry and the row sums to one exactly
-        entries = [(x + 1 - i, float(masses[i])) for i in range(top + 1)]
-        rest = 1.0 - math.fsum(p for _, p in entries)
-        if rest > 0.0:
-            entries.append((0, rest))
-        return entries
+        """``rows`` of one state: ``[(y, P(x, y)), ...]``."""
+        _, targets, p = self.rows([x])
+        return list(zip(targets[:, 0].tolist(), p.tolist()))
 
     @cached_property
     def _row_tables(self) -> tuple:
-        """For each number t = min(x + 1, len(beta)) of explicit entries of
-        ``row(x)``: its targets as ``x * a + b`` and its masses, beta_0 ..
-        beta_{t-1}, then the complement at 0 when positive (as in ``row``)."""
+        """Row x by its number t = min(x + 1, len(beta)) of explicit entries:
+        targets ``x * a + b`` (a column), masses beta_0 .. beta_{t-1} and the
+        complement at 0 if positive (targets stop at x + 2 - t >= 1), sizes."""
         masses = self.beta_masses
         tables = []
         for t in range(len(masses) + 1):
             rest = 1.0 - math.fsum(masses[:t].tolist())
-            a, b = np.ones(t, dtype=np.int64), 1 - np.arange(t)
-            tables.append((np.append(a, 0), np.append(b, 0), np.append(masses[:t], rest))
-                          if rest > 0.0 else (a, b, masses[:t]))
-        return tuple(zip(*tables))
+            a, b, q = np.ones(t, dtype=np.int64), 1 - np.arange(t), masses[:t]
+            if rest > 0.0:
+                a, b, q = np.append(a, 0), np.append(b, 0), np.append(q, rest)
+            tables.append((a[:, None], b[:, None], q, len(q)))
+        a, b, p, sizes = zip(*tables)
+        return a, b, p, np.array(sizes)
 
     def rows(self, states):
-        """Batch form of ``row``: the same entries, in row order, same floats."""
-        a, b, p = self._row_tables
+        """``(pos, targets, p)``: entry ``j`` from ``states[pos[j]]``, rows in order."""
+        a, b, p, sizes = self._row_tables
         x = np.asarray(states, dtype=np.int64).reshape(-1).tolist()
         t = [min(max(v + 1, 0), len(p) - 1) for v in x]
-        targets = [v * a[i] + b[i] for v, i in zip(x, t)]
-        pos = np.repeat(np.arange(len(t)), [len(y) for y in targets])
-        return pos, np.concatenate(targets), np.concatenate([p[i] for i in t])
+        targets = np.concatenate([v * a[i] + b[i] for v, i in zip(x, t)])
+        return np.arange(len(t)).repeat(sizes[t]), targets, np.concatenate([p[i] for i in t])
 
     def norm(self, x) -> float:
         return float(x)
@@ -267,7 +257,8 @@ class GM1Model:
             g2=batched(lambda x: c2 * f(x)),
             g3=batched(lambda x: c3 * ((f(x) * f(x)) * (f(x) * f(x)))),
             w=batched(lambda x: f(x) * f(x) * f(x)),
-            r=f)
+            r=f,
+        )
 
     def certificate_for_envelope(self, envelope_id: str,
                                  return_set=None) -> DriftCertificate:
@@ -322,20 +313,13 @@ class ToggleSwitchModel:
         self.seed = (0, 0)
 
     def rate_row(self, state):
-        x1, x2 = state
-        out = [
-            ((x1 + 1, x2), self.lam / (1.0 + x2)),
-            ((x1, x2 + 1), self.lam / (1.0 + x1)),
-        ]
-        if x1:
-            out.append(((x1 - 1, x2), self.mu * x1))
-        if x2:
-            out.append(((x1, x2 - 1), self.mu * x2))
-        return out
+        """``rate_rows`` of one state: ``[(y, Q(x, y)), ...]``."""
+        _, targets, rates = self.rate_rows([state])
+        return list(zip(map(tuple, targets.tolist()), rates.tolist()))
 
     def rate_rows(self, states):
-        """Batch form of ``rate_row``: ``(pos, targets, rates)`` with each
-        state's channels in ``rate_row`` order and the same floats."""
+        """``(pos, targets, rates)``, each state's channels in the order: synthesis
+        of type 1, of type 2, decay of type 1, of type 2 (from a positive count)."""
         s = np.asarray(states, dtype=np.int64).reshape(-1, 2)
         x1, x2 = s[:, 0], s[:, 1]
         every = np.arange(len(s))
@@ -373,15 +357,19 @@ class ToggleSwitchModel:
         n1 = math.ceil((c1 + math.sqrt(c1 * c1 + 4 * c2 * c0 / 2)) / c2)
         n2 = math.ceil((2 * lam + 4 * mu * xs + 1) / mu)
         return ToggleLyapunov(
-            n1=n1, n2=n2,
+            n1=n1,
+            n2=n2,
             g1=batched(lambda s: (s[0] - xs) * (s[0] - xs) + (s[1] - xs) * (s[1] - xs)),
             g2=batched(lambda s: abs(s[0] - xs) + abs(s[1] - xs)),
-            r=batched(lambda s: 1.0 * (s[0] + s[1])))
+            r=batched(lambda s: 1.0 * (s[0] + s[1])),
+        )
 
     def moment_data(self):
-        """Quartic-free moment route: (g3, w, n3) for g3 = alpha * g1 against
-        w = (x1+x2)^2, alpha = ``TOGGLE_MOMENT_ALPHA``.  Requires alpha * mu > 1
-        so the quadratic decay dominates the reward."""
+        """Quartic-free moment route: g3 = alpha * g1 against w = (x1+x2)^2,
+        with alpha = ``TOGGLE_MOMENT_ALPHA``.
+
+        Returns (g3, w, n3).  Requires alpha * mu > 1 so the quadratic decay
+        dominates the reward."""
         alpha = TOGGLE_MOMENT_ALPHA
         lam, mu, xs = self.lam, self.mu, self.x_star
         c0 = 2 * lam

@@ -75,17 +75,22 @@ def run_pipeline(model, truncation: dict, *, envelopes=("r",),
     in generator form on the jump model itself.  The truncation set is
     explored once and cut over the first return set; each further return
     set's partition is a K-first permutation of the first, and envelopes
-    with the same return set share one.  The distribution comes from the
-    first envelope's partition.
+    whose certificates designate the same return set share one partition.
+    The distribution comes from the partition of the first envelope's
+    return set.
 
     The bounds of each return set but the last are computed on one worker
-    thread, in order, while this thread partitions and factorizes the next
-    return set (the solves release the GIL).  Every workspace is used by one
-    thread at a time and every quantity comes from the same call on the same
-    data as a serial run, so reports do not depend on the overlap, and
-    errors surface in serial order.  ``timings`` stages may overlap; a
-    ``partition[...]`` stage covers its return set's repartition,
-    factorization and certificate evaluations.
+    thread, in submission order, while this thread partitions and
+    factorizes the next return set: the solves release the GIL, the
+    partitioning and the ordering inside the LU mostly hold it.  The last
+    return set's bounds are computed here, as nothing is left to prepare;
+    a run with one return set starts no thread.  Every workspace is used by
+    one thread at a time and every quantity comes from the same call on the
+    same data as a serial run, so reports do not depend on the overlap.
+    Errors surface in serial order: a failure here is raised only after the
+    jobs submitted before it have been collected.  ``timings`` stages may
+    therefore overlap; a ``partition[...]`` stage covers its return set's
+    repartition, factorization and certificate evaluations.
     """
     return next(run_sweep(model, [truncation], envelopes=envelopes,
                           explicit_return_set=explicit_return_set,
@@ -174,10 +179,12 @@ def _bound(result: PipelineResult, part, certs: dict, by_return_set: dict,
 
 def verified_certificates(model, envelopes, explicit_return_set) -> dict:
     """Construct and verify each envelope's certificate, without any linear
-    algebra (a jump process is checked in generator form), all drift checks
-    on one drift table, released before this returns.  ``explicit_return_set``
-    (None: each model's designed one) serves every envelope.  Maps each
-    envelope id to ``(certificate, k_star)``, the largest norm in its K.
+    algebra (a jump process is checked in generator form).  All drift checks
+    share one drift table, which is released before this returns.
+
+    ``explicit_return_set`` (or None for each model's designed one) is used
+    for every envelope.  Maps each envelope id to ``(certificate, k_star)``,
+    where ``k_star`` is the largest norm in the certificate's return set.
     """
     rs = tuple(explicit_return_set) if explicit_return_set is not None else None
     out = {}

@@ -1,14 +1,13 @@
 """State enumeration and the block partition over (K, A', exterior boundary).
 
-A state is an int or a tuple of two or more ints, all of one length d (d = 1
-for ints).  Inside the library a set of states is an ``(n, d)`` int64 array
-of coordinates, and each state has one int64 key (:func:`_keys`) ordered as
-the states are.  Model hooks take and return such arrays (a returned list of
-states is converted once), a state function marked :func:`batched` is
-evaluated on a whole table in one call, and Python states are made only at
-the edges: ``StateSpace.states``, boundary rows, messages.  The dense
-indexing puts the return set K first, then A' = A - K, each sorted by state;
-exterior mass is kept as per-state boundary rows.
+A state is an int or a tuple of two or more ints, all of one length.  Inside
+the library a set of states is an ``(n, d)`` int64 array of coordinates
+(d = 1 for ints), each state with one int64 key (:func:`_keys`) ordered as the
+states are; model hooks exchange such arrays, a :func:`batched` function is
+evaluated on a whole table in one call, and Python states exist only at the
+edges (``StateSpace.states``, boundary rows, messages).  The dense indexing
+puts the return set K first, then A' = A - K, each sorted by state; exterior
+mass is kept as per-state boundary rows.
 """
 
 from __future__ import annotations
@@ -33,18 +32,18 @@ _NEW = np.iinfo(np.intp).min    # the id of a state not reached before
 
 
 def batched(fn: Callable) -> Callable:
-    """Mark a state function written in array form: on the coordinate columns
-    of m states (a ``(d, m)`` array, 1-D when d = 1) it returns their m
-    values, on one state its value.  Made only of correctly rounded
-    operations, a value does not depend on the batch it is computed in."""
+    """Mark a state function written in array form: coordinate columns of m
+    states (``(d, m)``, 1-D when d = 1) to their m values, one state to its
+    value; only correctly rounded operations, so values are batch-independent."""
     fn.batched = True
     return fn
 
 
 def _apply(fn: Callable, coords: np.ndarray, kind: type) -> np.ndarray:
     """``fn`` at each row of ``coords`` as ``kind`` (float or bool): one
-    call of a :func:`batched` function, else one call per state."""
-    if not getattr(fn, "batched", False):
+    call of a :func:`batched` function on two or more states (on one, a
+    Python call is cheaper and gives the same value), else one per state."""
+    if not getattr(fn, "batched", False) or len(coords) == 1:
         return np.array([kind(fn(s)) for s in _objects(coords)], dtype=kind)
     out = np.asarray(fn(coords[:, 0] if coords.shape[1] == 1 else coords.T), dtype=kind)
     return out if out.ndim else np.full(len(coords), out)
@@ -52,6 +51,9 @@ def _apply(fn: Callable, coords: np.ndarray, kind: type) -> np.ndarray:
 
 def _coords(states, d: int | None = None) -> np.ndarray:
     """States, or their coordinate rows, as an ``(n, d)`` int64 array."""
+    if type(states) is np.ndarray and states.dtype == np.int64 and states.ndim == 2 \
+            and states.shape[1] == (d or states.shape[1]):
+        return states
     a = np.asarray(states if isinstance(states, np.ndarray) else list(states))
     if a.size and a.dtype.kind not in "iu" or a.ndim > 2:
         raise ModelError("states must be ints or int tuples of one length")
@@ -75,8 +77,7 @@ def _keys(coords: np.ndarray) -> np.ndarray:
 
 
 def _first_ids(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ids of ``keys`` numbered in order of first occurrence, and where each
-    id first occurs."""
+    """Ids of ``keys`` in order of first occurrence, and where each id first occurs."""
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     rank = np.empty_like(first)
     rank[np.argsort(first)] = np.arange(first.size)
@@ -90,14 +91,11 @@ def _objects(coords: np.ndarray) -> list:
 
 @dataclass(frozen=True, eq=False)
 class StateSpace:
-    """Dense indices of states, K first: ``coords`` holds one state per row."""
+    """Dense indices of states, K first: ``coords`` holds one state per row.
+    Two spaces are equal only if they are the same object."""
 
     coords: np.ndarray
     k_size: int
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, StateSpace) and self.k_size == other.k_size \
-            and np.array_equal(self.coords, other.coords)
 
     @property
     def a_size(self) -> int:
@@ -122,9 +120,12 @@ class StateSpace:
 
 @dataclass
 class Partition:
-    """Block partition of the transition matrix over (K, A', boundary):
+    """Block partition of the transition matrix over (K, A', boundary).
+
     ``P11, P12, P21, P22`` are the within-A blocks in CSR form; ``boundary``
-    gives each A-index its ``(exterior_state, probability)`` transitions."""
+    maps each A-index to its list of ``(exterior_state, probability)``
+    transitions.  Exterior blocks over A^c are never formed.
+    """
 
     space: StateSpace
     P11: sp.csr_matrix
@@ -146,7 +147,8 @@ class Partition:
     def _table(self) -> tuple:
         """A value table (see :func:`_values`) over A and its exits, the ids of
         A's states in it, and the boundary's entries in order: their states'
-        ids, rows and masses.  A cut partition shares its exploration's."""
+        ids, rows and masses.  A partition cut from an exploration shares the
+        exploration's table."""
         entries = [(i, y, q) for i, row in enumerate(self.boundary) for y, q in row]
         rows, exits, p = zip(*entries) if entries else ((), (), ())
         n = self.a_size
@@ -167,25 +169,23 @@ class Partition:
 
     def full_matrix(self) -> sp.csr_matrix:
         """The within-A matrix with K-first ordering (blocks reassembled)."""
-        top = sp.hstack([self.P11, self.P12], format="csr")
-        bot = sp.hstack([self.P21, self.P22], format="csr")
-        return sp.vstack([top, bot], format="csr")
+        return sp.bmat([[self.P11, self.P12], [self.P21, self.P22]], format="csr")
 
 
 class Exploration:
     """A truncation set explored from the seed by :func:`explore`, from which
     :func:`cut` derives the partition of any truncation set nested in it.
+
     Every state reached has an id, its row of ``coords``: first the set's, in
-    discovery order, sorted by ``order`` (``unit`` holds their unit weights
-    in that order), then those outside it that their rows reach.  ``src``,
-    ``dst`` and ``p`` hold the row entries with nonzero mass within the set,
-    each row's in row order; ``rest`` holds the others (exits, zero masses)
-    as ``(src, dst, p, at)``, where ``at`` counts the entries of ``p`` before.
+    discovery order, listed in sorted state order by ``order`` with their
+    unit weights ``unit``, then those outside it that their rows reach.
+    ``src``, ``dst`` and ``p`` hold every row entry of the set's states,
+    each row's in row order.
     """
 
-    def __init__(self, coords, order, unit, src, dst, p, rest):
+    def __init__(self, coords, order, unit, src, dst, p):
         self.coords, self.order, self.unit = coords, order, unit
-        self.src, self.dst, self.p, self.rest = src, dst, p, rest
+        self.src, self.dst, self.p = src, dst, p
         self.table = coords, {}    # shared by the partitions cut from here
 
 
@@ -203,12 +203,18 @@ def _values(table: tuple[np.ndarray, dict], fn: Callable[[State], float],
     return vals
 
 
-def enumerate_space(model, a_predicate: Callable[[State], bool],
-                    k_predicate: Callable[[State], bool], *,
-                    cap: int = DEFAULT_ENUMERATION_CAP) -> tuple[StateSpace, Partition]:
+def enumerate_space(
+    model,
+    a_predicate: Callable[[State], bool],
+    k_predicate: Callable[[State], bool],
+    *,
+    cap: int = DEFAULT_ENUMERATION_CAP,
+) -> tuple[StateSpace, Partition]:
     """Breadth-first enumeration of A from the model seed, with block partition:
-    the :func:`cut` of the set's own :func:`explore`.  ``k_predicate`` must
-    imply ``a_predicate``, whose set must be finite and reachable from the seed.
+    the :func:`cut` of the set's own :func:`explore`.
+
+    ``k_predicate`` must imply ``a_predicate``; the set satisfying
+    ``a_predicate`` must be finite and reachable from ``model.seed``.
     """
     return cut(explore(model, a_predicate, cap=cap), a_predicate, k_predicate)
 
@@ -216,16 +222,16 @@ def enumerate_space(model, a_predicate: Callable[[State], bool],
 def explore(model, a_predicate: Callable[[State], bool], *, cap: int) -> Exploration:
     """Frontier-batched search of the set of ``a_predicate`` from the seed.
 
-    A whole frontier is expanded at a time through the model's batch row
-    hook ``rows(states) -> (pos, targets, p)`` on its coordinates: entry
-    ``j`` goes from ``states[pos[j]]`` to ``targets[j]`` with mass ``p[j]``,
-    each state's entries in the order and with the floats of its ``row``
-    (states may interleave).  A fourth array, when returned, holds the
-    states' unit weights; otherwise ``unit_weights(states)`` of the model
-    gives them, or they are ones.  A model with only ``row`` is adapted, so
-    both forms are validated alike: masses finite and not below
-    ``-ROW_SUM_TOL``, row sums within ``ROW_SUM_TOL`` of one.
-    ``a_predicate`` is evaluated once per distinct state reached.
+    The search expands a whole frontier at a time through the model's batch
+    row hook ``rows(states) -> (pos, targets, p)`` on its coordinates: entry
+    ``j`` is the transition from ``states[pos[j]]`` to ``targets[j]`` with
+    mass ``p[j]``, each state's entries in the order and with the floats
+    that ``row`` gives (states may interleave), and a fourth array, if any,
+    holds the states' unit weights (else ones).  Models that define only
+    ``row`` are adapted here, so both forms are validated identically:
+    masses must be finite and not below ``-ROW_SUM_TOL``, and every row must
+    sum to one within ``ROW_SUM_TOL``.  ``a_predicate`` is called once per
+    distinct state reached, not once per edge.
 
     Raises :class:`EnumerationLimitError` when the cap is exceeded and
     :class:`ModelError` for invalid rows or unit weights.
@@ -233,76 +239,66 @@ def explore(model, a_predicate: Callable[[State], bool], *, cap: int) -> Explora
     frontier = _coords([model.seed])
     if not _apply(a_predicate, frontier, bool)[0]:
         raise ModelError("seed state does not satisfy the truncation predicate")
-    rows = _row_batches(model)
+    rows, dim = _row_batches(model), frontier.shape[1]
     ids = {int(_keys(frontier)[0]): 0}  # key -> id: the set's in discovery order, -1 - j outside
-    # found, outside: the coordinates of the states reached in and outside the set, flat
-    found, outside, units, entries, missed = frontier.ravel().tolist(), [], [], [], []
-    start, n, n_out = 0, 1, 0          # the frontier's first id, the set's and the others' sizes
+    # found, outside: the coordinates of the states reached in and outside the set
+    found, outside, units, entries, missed = frontier.tolist(), [], [], [], []
+    start = 0                           # the frontier's first id
     while len(frontier):
         out = rows(frontier)
         pos, p = np.asarray(out[0], dtype=np.intp), np.asarray(out[2], dtype=float)
-        targets = _coords(out[1], frontier.shape[1])
-        if not len(pos) == len(targets) == len(p) or pos.size and not (
-                0 <= pos.min() and pos.max() < len(frontier)):
+        targets = _coords(out[1], dim)
+        # a negative position is a large unsigned one
+        if not len(pos) == len(targets) == len(p) or pos.size and \
+                pos.view(np.uintp).max() >= len(frontier):
             raise ModelError("batch row hook returned entries that do not match its states")
         units += out[3:]
         keys = _keys(targets).tolist()
         d = np.fromiter(map(ids.get, keys, repeat(_NEW)), dtype=np.intp, count=len(p))
         entries.append((pos + start, d, p))
-        miss = np.flatnonzero(d == _NEW).tolist()
+        miss = (d == _NEW).nonzero()[0].tolist()
         missed += map(keys.__getitem__, miss)        # their ids are filled in at the end
-        first = dict(zip(map(keys.__getitem__, reversed(miss)), reversed(miss)))
-        fresh = [*dict.fromkeys(map(keys.__getitem__, miss))]   # in the order first reached
-        reached = targets[[first[key] for key in fresh]]
-        inside, start = _apply(a_predicate, reached, bool), n
+        fresh = dict(zip(map(keys.__getitem__, miss), miss))    # in the order first reached
+        at = [*fresh.values()]          # gm1's rounds reach one state: slice it
+        reached = targets[at[0]:at[0] + 1] if len(at) == 1 else targets[at]
+        inside, start = _apply(a_predicate, reached, bool), len(found)
         for key, held, state in zip(fresh, inside.tolist(), reached.tolist()):
-            if held:
-                ids[key], n = n, n + 1
-                found += state
-            else:
-                ids[key], n_out = -1 - n_out, n_out + 1
-                outside += state
-        if n > cap:
+            (found if held else outside).append(state)
+            ids[key] = len(found) - 1 if held else -len(outside)
+        if len(found) > cap:
             raise EnumerationLimitError(
                 f"enumeration cap of {cap} states exceeded; check the truncation predicate")
         frontier = reached[inside]
-    coords = np.array(found + outside, dtype=np.int64).reshape(-1, frontier.shape[1])
+    n, coords = len(found), np.array(found + outside, dtype=np.int64).reshape(-1, dim)
     src, dst, p = map(np.concatenate, zip(*entries))
     _check_rows(coords[:n], src, p)
-    if not units and getattr(model, "unit_weights", None) is not None:
-        units = [model.unit_weights(coords[:n])]
     unit = np.concatenate(units).astype(float) if units else np.ones(n)
     if unit.shape != (n,) or np.any(unit <= 0) or not np.all(np.isfinite(unit)):
         raise ModelError("unit weights must be positive and finite over A")
     order = np.argsort(_keys(coords[:n]))
     dst[dst == _NEW] = np.fromiter(map(ids.__getitem__, missed), dtype=np.intp, count=len(missed))
-    inner = (dst >= 0) & (p != 0.0)
-    rest = np.flatnonzero(~inner)
-    r_dst = dst[rest]
-    r_dst[r_dst < 0] = n - 1 - r_dst[r_dst < 0]     # the ids after the set's
-    return Exploration(coords, order, unit[order], src[inner], dst[inner], p[inner],
-                       (src[rest], r_dst, p[rest], rest - np.arange(rest.size)))
+    dst[dst < 0] = n - 1 - dst[dst < 0]     # the ids after the set's
+    return Exploration(coords, order, unit[order], src, dst, p)
 
 
 def cut(exploration: Exploration, a_predicate: Callable[[State], bool],
         k_predicate: Callable[[State], bool]) -> tuple[StateSpace, Partition]:
     """The partition over the return set of ``k_predicate`` of the states the
-    seed reaches without leaving ``a_predicate``, a set inside the explored
-    one.  Blocks, boundary and unit weights equal a fresh
-    :func:`enumerate_space`'s bit for bit."""
+    seed reaches without leaving ``a_predicate``, a set that must lie in the
+    explored one.  Blocks, boundary and unit weights equal those of a fresh
+    :func:`enumerate_space` bit for bit.
+    """
     ex, coords = exploration, exploration.coords
-    r_src, r_dst, r_p, r_at = ex.rest
     inside = _apply(a_predicate, coords, bool)
     if not inside[0]:
         raise ModelError("seed state does not satisfy the truncation predicate")
     if inside[ex.order.size:].any():
         raise ModelError("truncation set is not nested in the explored one")
     if not inside[ex.order].all():            # keep what the seed reaches inside
-        src, dst = np.concatenate([ex.src, r_src]), np.concatenate([ex.dst, r_dst])
-        live = inside[src] & inside[dst]
-        graph = sp.csr_matrix((np.ones(np.count_nonzero(live)), (src[live], dst[live])),
+        live = inside[ex.src] & inside[ex.dst]
+        graph = sp.csr_matrix((np.ones(np.count_nonzero(live)), (ex.src[live], ex.dst[live])),
                               shape=(len(coords),) * 2)
-        inside = np.zeros(len(coords), dtype=bool)
+        inside[:] = False
         inside[breadth_first_order(graph, 0, return_predecessors=False)] = True
     kept = inside[ex.order]
     a_ids = ex.order[kept]
@@ -310,29 +306,18 @@ def cut(exploration: Exploration, a_predicate: Callable[[State], bool],
     ids, n = a_ids[k_first], space.a_size
     new = np.full(len(coords), -1, dtype=np.intp)
     new[ids] = np.arange(n)
-    leave = np.zeros(0, dtype=np.intp)
-    p, src, dst = ex.p, ex.src, ex.dst
-    if not kept.all():                        # a level smaller than the explored set
-        s, d = new[src], new[dst]
-        leave = np.flatnonzero((s >= 0) & (d < 0))    # entries that leave the level
-        keep = (s >= 0) & (d >= 0)
-        p, src, dst = p[keep], src[keep], dst[keep]
-        del s, d, keep
-    # the level's exits, each state's in row order: its entries that leave it,
-    # and those with mass out of the explored set
-    rs = new[r_src]
-    out = np.flatnonzero((rs >= 0) & (r_p != 0.0))
-    owner = np.concatenate([new[ex.src[leave]], rs[out]])
-    by_row = np.lexsort((np.concatenate([2 * leave + 1, 2 * r_at[out]]), owner))
-    owner = owner[by_row]
-    exits = np.concatenate([ex.dst[leave], r_dst[out]])[by_row]
-    q = np.concatenate([ex.p[leave], r_p[out]])[by_row]
+    s, d = new[ex.src], new[ex.dst]         # -1: outside the level
+    held = (s >= 0) & (ex.p != 0.0)         # the level's entries with mass
+    out = np.flatnonzero(held & (d < 0))    # the level's exits, each state's in row order
+    by_row = np.argsort(s[out], kind="stable")
+    owner, exits, q = s[out][by_row], ex.dst[out][by_row], ex.p[out][by_row]
     boundary = [()] * n
     for i, group in groupby(zip(owner.tolist(), _objects(coords[exits]), q.tolist()),
                             key=itemgetter(0)):
         boundary[i] = tuple((y, x) for _, y, x in group)
-    P = sp.csr_matrix((p, (new[src], new[dst])), shape=(n, n))   # duplicates add
-    del p, src, dst
+    held &= d >= 0                          # and those of them within the level
+    P = sp.csr_matrix((ex.p[held], (s[held], d[held])), shape=(n, n))   # duplicates add
+    del s, d, held
     part = _partition(space, P, tuple(boundary), ex.unit[kept][k_first])
     part._table = ex.table, ids, exits, owner, q
     return space, part
@@ -342,10 +327,11 @@ def repartition(part: Partition, k_predicate: Callable[[State], bool],
                 ) -> tuple[StateSpace, Partition]:
     """The same truncation set partitioned over another return set.
 
-    ``part``'s operator is permuted K-first and no mass is recomputed, so
-    blocks, boundary and unit weights equal those of a fresh
-    :func:`enumerate_space` bit for bit (up to the order in which a row's
-    repeated targets were added).  The value table is ``part``'s.
+    Rows and columns of ``part``'s operator are permuted K-first and no mass
+    is recomputed, so blocks, boundary and unit weights equal those of a
+    fresh :func:`enumerate_space` with ``k_predicate`` bit for bit (up to the
+    order in which a row's repeated targets were added).  The new partition
+    shares ``part``'s value table.
     """
     old = part.space
     by_state = np.argsort(_keys(old.coords))
@@ -380,22 +366,24 @@ def _row_batches(model, name: str = "row") -> Callable:
 
 
 def is_jump(model) -> bool:
-    """A model is a jump process iff it defines ``rate_row`` (``rate_rows``,
-    its batch form, is optional, as ``rows`` is for ``row``)."""
+    """A model is a jump process iff it defines ``rate_row``; its batch form
+    ``rate_rows`` is optional, as ``rows`` is for ``row``."""
     return hasattr(model, "rate_row")
 
 
 def _rate_batches(jump) -> Callable:
     """The jump model's rate rows, checked, with their exit rates:
-    ``states -> (pos, targets, rates, exit_rates)`` on coordinates.  Rates
-    must be finite and nonnegative, exit rates (added in entry order) positive.
+    ``states -> (pos, targets, rates, exit_rates)`` on coordinates.  Every
+    rate must be finite and nonnegative and every exit rate positive; each
+    state's rates add left to right in entry order.
     """
     rate_rows = _row_batches(jump, "rate_row")
 
     def rows(states):
         states = _coords(states)
         pos, targets, rates = rate_rows(states)
-        pos, rates = np.asarray(pos, dtype=np.intp), np.asarray(rates, dtype=float)
+        pos = np.asarray(pos, dtype=np.intp)
+        rates = np.asarray(rates, dtype=float)
         bad = ~((rates >= 0.0) & (rates < np.inf))
         if bad.any():
             j = int(np.argmax(bad))
@@ -422,8 +410,12 @@ def _check_rows(states: np.ndarray, pos: np.ndarray, p: np.ndarray) -> None:
     i = int(np.argmax(bad_state))
     x, entry = _objects(states[i:i + 1])[0], np.flatnonzero(bad_entry & (pos == i))
     if entry.size:
-        raise ModelError(f"invalid transition probability {float(p[entry[0]])!r} from state {x!r}")
-    raise ModelError(f"row of state {x!r} sums to {float(sums[i])!r}, not 1 within {ROW_SUM_TOL}")
+        raise ModelError(
+            f"invalid transition probability {float(p[entry[0]])!r} from state {x!r}"
+        )
+    raise ModelError(
+        f"row of state {x!r} sums to {float(sums[i])!r}, not 1 within {ROW_SUM_TOL}"
+    )
 
 
 def _k_first_space(coords: np.ndarray, k_predicate) -> tuple[StateSpace, np.ndarray]:
@@ -440,8 +432,15 @@ def _partition(space: StateSpace, P: sp.csr_matrix, boundary: tuple,
                unit: np.ndarray) -> Partition:
     """Blocks of the K-first operator ``P`` (canonical CSR)."""
     k = space.k_size
-    return Partition(space, P[:k, :k].tocsr(), P[:k, k:].tocsr(), P[k:, :k].tocsr(),
-                     P[k:, k:].tocsr(), boundary, unit)
+    return Partition(
+        space=space,
+        P11=P[:k, :k].tocsr(),
+        P12=P[:k, k:].tocsr(),
+        P21=P[k:, :k].tocsr(),
+        P22=P[k:, k:].tocsr(),
+        boundary=boundary,
+        unit=unit,
+    )
 
 
 def explicit_k_predicate(k_states: Sequence[State]) -> Callable[[State], bool]:

@@ -144,7 +144,7 @@ class TestBoundaryOverflow:
         g = lambda x: 300.0 * x * x
         h = part.boundary_overflow(g)
         idx = space.index_of(300)
-        assert h[idx] == pytest.approx(gm1.beta(0) * g(301), rel=1e-14)
+        assert h[idx] == pytest.approx(float(gm1.beta_masses[0]) * g(301), rel=1e-14)
 
     def test_full_space_overflow_vanishes(self, rng):
         P = random_stochastic(rng, 9)

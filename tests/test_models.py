@@ -12,6 +12,22 @@ from conftest import assert_partitions_identical, model_forms, random_stochastic
 from gm1_reference import reference_distribution
 
 
+def gm1_row(gm1: GM1Model, x: int) -> list:
+    """Row x of the queue written out: beta_0 .. beta_{t-1} to x + 1, x, ...,
+    then the complement at 0 when positive."""
+    masses = gm1.beta_masses
+    entries = [(x + 1 - i, float(masses[i])) for i in range(min(x, len(masses) - 1) + 1)]
+    rest = 1.0 - math.fsum(p for _, p in entries)
+    return entries + [(0, rest)] if rest > 0.0 else entries
+
+
+def toggle_rate_row(ts: ToggleSwitchModel, state) -> list:
+    """The toggle switch's four channels written out, decay only from a positive count."""
+    x1, x2 = state
+    out = [((x1 + 1, x2), ts.lam / (1.0 + x2)), ((x1, x2 + 1), ts.lam / (1.0 + x1))]
+    return out + [((x1 - 1, x2), ts.mu * x1)] * (x1 > 0) + [((x1, x2 - 1), ts.mu * x2)] * (x2 > 0)
+
+
 def per_state_toggle(ts: ToggleSwitchModel):
     """The embedded toggle switch without ``rate_rows``: its rows come from a
     loop over ``rate_row``."""
@@ -24,11 +40,11 @@ class TestGm1ServiceCounts:
     def test_beta0_closed_form(self):
         gm1 = GM1Model()
         expected = (1.0 - math.exp(-2.01)) / 2.01
-        assert gm1.beta(0) == pytest.approx(expected, rel=1e-14)
+        assert float(gm1.beta_masses[0]) == pytest.approx(expected, rel=1e-14)
 
     def test_completeness(self):
         gm1 = GM1Model()
-        total = sum(gm1.beta(i) for i in range(61))
+        total = sum(float(gm1.beta_masses[i]) for i in range(61))
         assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_mean_service_count(self):
@@ -45,7 +61,7 @@ class TestGm1ServiceCounts:
             lambda t: math.exp(-t) * t**i / math.factorial(i) / 2.01,
             0.0, 2.01, epsabs=1e-14, epsrel=1e-13,
         )
-        assert gm1.beta(i) == pytest.approx(val, rel=1e-10, abs=1e-14)
+        assert float(gm1.beta_masses[i]) == pytest.approx(val, rel=1e-10, abs=1e-14)
 
     @pytest.mark.parametrize("x", [0, 1, 5, 200, 10000])
     def test_rows_exactly_stochastic(self, x):
@@ -197,12 +213,14 @@ class TestBatchRows:
         gm1 = GM1Model()
         n = len(gm1.beta_masses)
         states = [0, 1, 7, n - 2, n - 1, n, n + 1, 10000, 3]
-        pos, targets, p = gm1.rows(states)
-        expected = [(i, y, q) for i, x in enumerate(states) for y, q in gm1.row(x)]
-        assert list(zip(pos.tolist(), targets, p.tolist())) == expected
+        pos, targets, p = gm1.rows(np.array(states)[:, None])
+        expected = [(i, y, q) for i, x in enumerate(states) for y, q in gm1_row(gm1, x)]
+        assert list(zip(pos.tolist(), states_of(targets), p.tolist())) == expected
+        assert [gm1.row(x) for x in states] == [gm1_row(gm1, x) for x in states]
 
     def test_toggle_rows_match_row_entry_for_entry(self):
-        # rate_rows against rate_row; the embedded chain, through rate_rows
+        # rate_rows against the written-out channels and rate_row; the
+        # embedded chain, through rate_rows
         # and through a loop over rate_row, against each rate divided by the
         # state's rates summed left to right, and 1 / that sum as unit weight
         ts = ToggleSwitchModel(90.0, 1.0)
@@ -210,11 +228,12 @@ class TestBatchRows:
         exit_rates = []
         for x in states:
             lam = 0.0
-            for _, r in ts.rate_row(x):
+            for _, r in toggle_rate_row(ts, x):
                 lam += r
             exit_rates.append(lam)
-        embedded_row = lambda x: [(y, r / exit_rates[states.index(x)]) for y, r in ts.rate_row(x)]
-        cases = [(ts.rate_rows, ts.rate_row)]
+        embedded_row = lambda x: [(y, r / exit_rates[states.index(x)])
+                                  for y, r in toggle_rate_row(ts, x)]
+        cases = [(ts.rate_rows, lambda x: toggle_rate_row(ts, x)), (ts.rate_rows, ts.rate_row)]
         cases += [(chain.rows, embedded_row) for chain in (embed(ts), per_state_toggle(ts))]
         for batch, rows in cases:
             pos, targets, p = batch(states)[:3]

@@ -76,7 +76,7 @@ class TestEnumerate:
         assert len(ext) == 1
         i, entries = ext[0]
         assert space.states[i] == 500
-        assert entries == ((501, pytest.approx(gm1.beta(0))),)
+        assert entries == ((501, pytest.approx(float(gm1.beta_masses[0]))),)
 
     def test_boundary_rows_toggle_level(self):
         ts = ToggleSwitchModel(20.0, 1.0)
@@ -321,11 +321,16 @@ class TestStatesRepr:
         assert space.states_repr == repr(states)
 
 
-def test_unit_weights_hook_weighs_the_set_by_coordinates():
-    model = DiscreteModel(name="weighted", seed=0, row=walk_row,
-                          unit_weights=lambda coords: 1.0 + coords[:, 0])
-    space, part = enumerate_space(model, lambda s: s <= 10, lambda s: s <= 2)
+def test_rows_hook_weighs_the_set_by_coordinates():
+    # a fourth array of a batch row hook holds the states' unit weights
+    def weighted(weigh):
+        def rows(coords):
+            pos, targets, p = zip(*[(i, y, q) for i, x in enumerate(coords[:, 0].tolist())
+                                    for y, q in walk_row(x)])
+            return pos, targets, p, weigh(coords[:, 0])
+        return DiscreteModel(name="weighted", seed=0, row=walk_row, rows=rows)
+
+    space, part = enumerate_space(weighted(lambda x: 1.0 + x), lambda s: s <= 10, lambda s: s <= 2)
     assert part.unit.tobytes() == (1.0 + np.array(space.states, dtype=float)).tobytes()
-    bad = DiscreteModel(name="bad", seed=0, row=walk_row, unit_weights=lambda coords: -coords[:, 0])
     with pytest.raises(ModelError, match="unit weights"):
-        enumerate_space(bad, lambda s: s <= 10, lambda s: s <= 2)
+        enumerate_space(weighted(lambda x: -x), lambda s: s <= 10, lambda s: s <= 2)
