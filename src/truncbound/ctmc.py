@@ -16,58 +16,50 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .models import DiscreteModel
-from .statespace import _objects, _rate_batches
+from .statespace import _rate_rows
 
 
 @dataclass(frozen=True)
 class JumpModel:
     """Conservative rate-matrix model with finite row support.
 
-    ``rate_row(x)`` yields the off-diagonal rates ``(y, Q(x, y))``; the
-    diagonal is implied (rows of the generator sum to zero).  Rates must be
-    finite and nonnegative, and every state reached must have a positive
-    exit rate.  A model class may add the batch form ``rate_rows`` (see
-    :func:`embed`).
+    ``rate_rows(states) -> (pos, targets, rates)`` gives the off-diagonal
+    rates ``Q(x, y)`` of the states at the coordinates ``states``, laid out
+    as :func:`~truncbound.statespace.explore` lays out rows; the diagonal is
+    implied (rows of the generator sum to zero).  Rates must be finite and
+    nonnegative, and every state reached must have a positive exit rate.
     """
 
     name: str
     seed: object
-    rate_row: Callable[[object], Iterable[tuple[object, float]]]
+    rate_rows: Callable
     norm: Callable[[object], float]
     states_within: Callable[[float], Iterable]
 
 
 def exit_rate(jump, x) -> float:
     """Total rate ``lambda(x)`` out of ``x``, checked as :func:`embed` checks it."""
-    return float(_rate_batches(jump)([x])[3][0])
+    return float(_rate_rows(jump, [x])[3][0])
 
 
 def embed(jump):
     """Embedded discrete chain: R(x, y) = Q(x, y) / lambda(x), zero diagonal.
 
-    ``rows`` reads the jump model's rate rows (``rate_rows``, or a loop over
-    ``rate_row``) and raises :class:`ModelError` at a rate that is not
-    finite or is negative and at a zero exit rate; ``row`` is ``rows`` of
-    one state.  The unit weights 1 / lambda, ``rows``' fourth array, make the
-    cycle machinery accumulate holding times rather than step counts.
+    ``rows`` reads the jump model's ``rate_rows`` and raises
+    :class:`ModelError` at a rate that is not finite or is negative and at a
+    zero exit rate.  The unit weights 1 / lambda, ``rows``' fourth array, make
+    the cycle machinery accumulate holding times rather than step counts.
     """
-    rate_rows = _rate_batches(jump)
-
     def rows(states):
-        pos, targets, rates, lam = rate_rows(states)
+        pos, targets, rates, lam = _rate_rows(jump, states)
         keep = np.flatnonzero(rates > 0.0)
         pos, rates = pos[keep], rates[keep]
         return pos, targets[keep], rates / lam[pos], 1.0 / lam
 
-    def row(x):
-        _, targets, p, _ = rows([x])
-        return list(zip(_objects(targets), p.tolist()))
-
     return DiscreteModel(
         name=f"{jump.name}-embedded",
         seed=jump.seed,
-        row=row,
+        rows=rows,
         norm=jump.norm,
         states_within=jump.states_within,
-        rows=rows,
     )

@@ -23,8 +23,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import CertificateError, ModelError, NumericalError
-from .statespace import (Partition, _coords, _first_ids, _keys, _objects, _rate_batches,
-                         _row_batches, _values, batched, is_jump)
+from .statespace import (Partition, _check_rows, _coords, _first_ids, _keys, _objects,
+                         _rate_rows, _read_rows, _values, batched, is_jump)
 
 
 class _DriftTable:
@@ -32,7 +32,7 @@ class _DriftTable:
 
     The region's states, then their one-step targets, get one id each (a
     row of ``coords``), and a function is evaluated at most once per id.
-    ``np.bincount`` adds each row's entries (``row``, or ``rate_row`` of a
+    ``np.bincount`` adds each row's entries (``rows``, or ``rate_rows`` of a
     jump process) in order, repeating its left-to-right float additions.
     """
 
@@ -42,15 +42,15 @@ class _DriftTable:
         self.src, first = _first_ids(_keys(region))     # ids of the region's states
         sources = region[first]
         self.m = m = len(sources)           # ids below m are the region's states
-        if self.jump:
-            pos, targets, w, self.lam = _rate_batches(model)(sources)  # lam: exit rates
-        else:
-            pos, targets, w = _row_batches(model)(sources)[:3] if m else ((), [], ())
-        reached = np.concatenate([sources, _coords(targets, region.shape[1])])
+        if self.jump:                       # lam: exit rates
+            self.pos, targets, self.w, self.lam = _rate_rows(model, sources)
+        else:                               # checked as explore checks them
+            self.pos, targets, self.w, _ = _read_rows(model.rows, sources)
+            _check_rows(sources, self.pos, self.w)
+        reached = np.concatenate([sources, targets])
         tgt, first = _first_ids(_keys(reached))
         self.coords, self.tgt = reached[first], tgt[m:]
         self.ids = dict(zip(_keys(self.coords).tolist(), range(len(first))))
-        self.pos, self.w = np.asarray(pos, dtype=np.intp), np.asarray(w, dtype=float)
         self.table = self.coords, {}
 
     def find(self, states) -> np.ndarray:

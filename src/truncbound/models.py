@@ -41,20 +41,19 @@ def _check_envelope(envelope_id: str) -> None:
 class DiscreteModel:
     """Generic discrete-chain model.
 
-    ``row(x)`` gives the exact finite-support row ``(y, P(x, y))`` of each
-    state; ``rows``, its optional batch form on coordinate arrays, may also
-    give unit weights (see :func:`~truncbound.statespace.explore`).  Rows are
-    validated (sums within 1e-12 of one) during enumeration.  The other
-    hooks are what the pipeline needs: the seed of the enumeration, a norm
-    for radius scans, and the states within a radius (as coordinates).
+    ``rows(states) -> (pos, targets, p[, unit])`` gives the exact finite-support
+    rows of the states at the coordinates ``states`` and may give their unit
+    weights (see :func:`~truncbound.statespace.explore`).  Rows are validated
+    (sums within 1e-12 of one) wherever they are read.  The other hooks are
+    what the pipeline needs: the seed of the enumeration, a norm for radius
+    scans, and the states within a radius (as coordinates).
     """
 
     name: str
     seed: object
-    row: Callable[[object], Iterable[tuple[object, float]]]
+    rows: Callable
     norm: Callable[[object], float] | None = None
     states_within: Callable[[float], Iterable] | None = None
-    rows: Callable | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +151,7 @@ class GM1Model:
     # -- chain structure -----------------------------------------------------
 
     def row(self, x: int):
-        """``rows`` of one state: ``[(y, P(x, y)), ...]``."""
+        """One state's ``rows``, ``[(y, P(x, y)), ...]``; the library never reads it."""
         _, targets, p = self.rows([x])
         return list(zip(targets[:, 0].tolist(), p.tolist()))
 
@@ -313,7 +312,7 @@ class ToggleSwitchModel:
         self.seed = (0, 0)
 
     def rate_row(self, state):
-        """``rate_rows`` of one state: ``[(y, Q(x, y)), ...]``."""
+        """One state's ``rate_rows``, ``[(y, Q(x, y)), ...]``; the library never reads it."""
         _, targets, rates = self.rate_rows([state])
         return list(zip(map(tuple, targets.tolist()), rates.tolist()))
 

@@ -222,13 +222,12 @@ def enumerate_space(
 def explore(model, a_predicate: Callable[[State], bool], *, cap: int) -> Exploration:
     """Frontier-batched search of the set of ``a_predicate`` from the seed.
 
-    The search expands a whole frontier at a time through the model's batch
-    row hook ``rows(states) -> (pos, targets, p)`` on its coordinates: entry
+    The search expands a whole frontier at a time through the model's row
+    hook ``rows(states) -> (pos, targets, p)`` on its coordinates: entry
     ``j`` is the transition from ``states[pos[j]]`` to ``targets[j]`` with
-    mass ``p[j]``, each state's entries in the order and with the floats
-    that ``row`` gives (states may interleave), and a fourth array, if any,
-    holds the states' unit weights (else ones).  Models that define only
-    ``row`` are adapted here, so both forms are validated identically:
+    mass ``p[j]``, each state's entries in its row's order (states may
+    interleave), and a fourth array, if any, holds the states' unit weights
+    (else ones).  Rows are read and checked as drift checks read them:
     masses must be finite and not below ``-ROW_SUM_TOL``, and every row must
     sum to one within ``ROW_SUM_TOL``.  ``a_predicate`` is called once per
     distinct state reached, not once per edge.
@@ -239,20 +238,13 @@ def explore(model, a_predicate: Callable[[State], bool], *, cap: int) -> Explora
     frontier = _coords([model.seed])
     if not _apply(a_predicate, frontier, bool)[0]:
         raise ModelError("seed state does not satisfy the truncation predicate")
-    rows, dim = _row_batches(model), frontier.shape[1]
     ids = {int(_keys(frontier)[0]): 0}  # key -> id: the set's in discovery order, -1 - j outside
     # found, outside: the coordinates of the states reached in and outside the set
     found, outside, units, entries, missed = frontier.tolist(), [], [], [], []
     start = 0                           # the frontier's first id
     while len(frontier):
-        out = rows(frontier)
-        pos, p = np.asarray(out[0], dtype=np.intp), np.asarray(out[2], dtype=float)
-        targets = _coords(out[1], dim)
-        # a negative position is a large unsigned one
-        if not len(pos) == len(targets) == len(p) or pos.size and \
-                pos.view(np.uintp).max() >= len(frontier):
-            raise ModelError("batch row hook returned entries that do not match its states")
-        units += out[3:]
+        pos, targets, p, weights = _read_rows(model.rows, frontier)
+        units += weights
         keys = _keys(targets).tolist()
         d = np.fromiter(map(ids.get, keys, repeat(_NEW)), dtype=np.intp, count=len(p))
         entries.append((pos + start, d, p))
@@ -269,7 +261,7 @@ def explore(model, a_predicate: Callable[[State], bool], *, cap: int) -> Explora
             raise EnumerationLimitError(
                 f"enumeration cap of {cap} states exceeded; check the truncation predicate")
         frontier = reached[inside]
-    n, coords = len(found), np.array(found + outside, dtype=np.int64).reshape(-1, dim)
+    n, coords = len(found), np.array(found + outside, dtype=np.int64)
     src, dst, p = map(np.concatenate, zip(*entries))
     _check_rows(coords[:n], src, p)
     unit = np.concatenate(units).astype(float) if units else np.ones(n)
@@ -350,59 +342,50 @@ def repartition(part: Partition, k_predicate: Callable[[State], bool],
     return space, derived
 
 
-def _row_batches(model, name: str = "row") -> Callable:
-    """The model's batch row hook ``<name>s`` (``rows``, or ``rate_rows`` of a
-    jump model); a model with only ``<name>`` gets a loop over it."""
-    rows = getattr(model, name + "s", None)
-    if rows is not None:
-        return rows
-    row = getattr(model, name)
-
-    def rows(states):
-        entries = [(i, y, q) for i, x in enumerate(_objects(states)) for y, q in row(x)]
-        return tuple(zip(*entries)) if entries else ((), (), ())
-
-    return rows
+def _read_rows(hook: Callable, states: np.ndarray) -> tuple:
+    """A row hook (``rows``, or ``rate_rows`` of a jump model) on the
+    coordinates ``states``: its positions, target coordinates and masses (or
+    rates) as arrays, and a list of the further arrays it returned."""
+    pos, targets, p, *rest = hook(states) if len(states) else ((), (), ())
+    pos, p = np.asarray(pos, dtype=np.intp), np.asarray(p, dtype=float)
+    targets = _coords(targets, states.shape[1])
+    # a negative position is a large unsigned one
+    if not len(pos) == len(targets) == len(p) or pos.size and \
+            pos.view(np.uintp).max() >= len(states):
+        raise ModelError("batch row hook returned entries that do not match its states")
+    return pos, targets, p, rest
 
 
 def is_jump(model) -> bool:
-    """A model is a jump process iff it defines ``rate_row``; its batch form
-    ``rate_rows`` is optional, as ``rows`` is for ``row``."""
-    return hasattr(model, "rate_row")
+    """A model is a jump process iff it defines ``rate_rows``."""
+    return hasattr(model, "rate_rows")
 
 
-def _rate_batches(jump) -> Callable:
-    """The jump model's rate rows, checked, with their exit rates:
-    ``states -> (pos, targets, rates, exit_rates)`` on coordinates.  Every
-    rate must be finite and nonnegative and every exit rate positive; each
+def _rate_rows(jump, states) -> tuple:
+    """The jump model's rate rows at ``states``, checked, with their exit
+    rates: ``(pos, targets, rates, exit_rates)`` on coordinates.  Every rate
+    must be finite and nonnegative and every exit rate positive; each
     state's rates add left to right in entry order.
     """
-    rate_rows = _row_batches(jump, "rate_row")
-
-    def rows(states):
-        states = _coords(states)
-        pos, targets, rates = rate_rows(states)
-        pos = np.asarray(pos, dtype=np.intp)
-        rates = np.asarray(rates, dtype=float)
-        bad = ~((rates >= 0.0) & (rates < np.inf))
-        if bad.any():
-            j = int(np.argmax(bad))
-            raise ModelError(f"invalid rate {float(rates[j])!r} out of state "
-                             f"{_objects(states[pos[j:j + 1]])[0]!r}")
-        lam = np.bincount(pos, weights=rates, minlength=len(states))
-        if np.any(lam <= 0.0):
-            x = _objects(states[lam <= 0.0])[0]
-            raise ModelError(f"absorbing state {x!r}: zero exit rate")
-        return pos, _coords(targets, states.shape[1]), rates, lam
-
-    return rows
+    states = _coords(states)
+    pos, targets, rates, _ = _read_rows(jump.rate_rows, states)
+    bad = ~((rates >= 0.0) & (rates < np.inf))
+    if bad.any():
+        j = int(np.argmax(bad))
+        raise ModelError(f"invalid rate {float(rates[j])!r} out of state "
+                         f"{_objects(states[pos[j:j + 1]])[0]!r}")
+    lam = np.bincount(pos, weights=rates, minlength=len(states))
+    if np.any(lam <= 0.0):
+        x = _objects(states[lam <= 0.0])[0]
+        raise ModelError(f"absorbing state {x!r}: zero exit rate")
+    return pos, targets, rates, lam
 
 
 def _check_rows(states: np.ndarray, pos: np.ndarray, p: np.ndarray) -> None:
     """Reject the first state (in id order) with an invalid mass or row sum."""
     sums = np.bincount(pos, weights=p, minlength=len(states))  # adds each row in entry order
     # one pass for valid batches: NaN and -inf fail the minimum, +inf the sums
-    if np.abs(sums - 1.0).max() <= ROW_SUM_TOL and (not p.size or p.min() >= -ROW_SUM_TOL):
+    if np.abs(sums - 1.0).max(initial=0.0) <= ROW_SUM_TOL and p.min(initial=0.0) >= -ROW_SUM_TOL:
         return
     bad_entry = ~np.isfinite(p) | (p < -ROW_SUM_TOL)
     bad_state = ~(np.abs(sums - 1.0) <= ROW_SUM_TOL)

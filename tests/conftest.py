@@ -118,11 +118,22 @@ def upper_cycle_rewards(ws, inputs) -> tuple[np.ndarray, np.ndarray]:
 
 
 def host_model(P: np.ndarray, name: str = "host"):
-    n = P.shape[0]
+    """The chain of the dense matrix ``P`` on 0..n-1: each row's nonzeros in
+    column order, read from P's CSR rows."""
+    import scipy.sparse as sp
+
+    n, csr = P.shape[0], sp.csr_matrix(P)
+
+    def rows(states):
+        x = np.asarray(states, dtype=np.int64).reshape(-1)
+        starts, sizes = csr.indptr[x], np.diff(csr.indptr)[x]
+        at = np.arange(sizes.sum()) + np.repeat(starts - (np.cumsum(sizes) - sizes), sizes)
+        return np.repeat(np.arange(len(x)), sizes), csr.indices[at][:, None], csr.data[at]
+
     return DiscreteModel(
         name=name,
         seed=0,
-        row=lambda x: [(j, float(P[x, j])) for j in range(n) if P[x, j] != 0.0],
+        rows=rows,
         norm=lambda s: float(s),
         states_within=lambda rad: range(min(n, int(rad) + 1)),
     )
@@ -135,8 +146,10 @@ def states_of(coords) -> list:
     return _objects(_coords(coords))
 
 
-def batch_model(row_fn, *, seed=0, name: str = "batch"):
-    """The chain of ``row_fn`` given through the batch hook ``rows``.
+def batch_model(row_fn, *, seed=0, name: str = "batch", **hooks):
+    """The chain whose state ``x`` has the row ``row_fn(x)``, given through
+    the batch hook ``rows`` (its ``rows`` also serves as a jump model's
+    ``rate_rows``); ``hooks`` are further fields, such as ``states_within``.
 
     The hook takes the states' coordinate rows and returns its targets as a
     list of states.  Entries are laid out by rank within the row (every
@@ -154,13 +167,15 @@ def batch_model(row_fn, *, seed=0, name: str = "batch"):
                     p.append(entries[rank][1])
         return np.array(pos, dtype=np.intp), targets, np.array(p, dtype=float)
 
-    return DiscreteModel(name=name, seed=seed, row=row_fn, rows=rows)
+    return DiscreteModel(name=name, seed=seed, rows=rows, **hooks)
 
 
-def model_forms(row_fn, *, seed=0):
-    """The same chain given one state at a time and through the batch hook."""
-    return [DiscreteModel(name="per-state", seed=seed, row=row_fn),
-            batch_model(row_fn, seed=seed)]
+def row_of(model, x) -> list:
+    """``[(y, p), ...]`` of the state ``x`` (its rates, for a jump model), in
+    row order, read through the model's batch hook."""
+    hook = model.rate_rows if hasattr(model, "rate_rows") else model.rows
+    _, targets, p = hook(np.array([x], dtype=np.int64).reshape(1, -1))[:3]
+    return list(zip(states_of(targets), np.asarray(p, dtype=float).tolist()))
 
 
 def assert_partitions_identical(a, b) -> None:

@@ -13,7 +13,13 @@ from truncbound.lyapunov import (
 )
 from truncbound.models import ToggleSwitchModel
 
-from conftest import random_rate_matrix, stationary_power, stationary_reconstruction
+from conftest import (
+    batch_model,
+    random_rate_matrix,
+    row_of,
+    stationary_power,
+    stationary_reconstruction,
+)
 
 
 def jump_from_matrix(Q: np.ndarray, name="ctmc-host"):
@@ -21,24 +27,19 @@ def jump_from_matrix(Q: np.ndarray, name="ctmc-host"):
     return JumpModel(
         name=name,
         seed=0,
-        rate_row=lambda x: [(j, float(Q[x, j])) for j in range(n)
-                            if j != x and Q[x, j] != 0.0],
+        rate_rows=batch_model(lambda x: [(j, float(Q[x, j])) for j in range(n)
+                                         if j != x and Q[x, j] != 0.0]).rows,
         norm=lambda s: float(s),
         states_within=lambda rad: range(min(n, int(rad) + 1)),
     )
 
 
 class ToggleWithRate(ToggleSwitchModel):
-    """toggle(20, 1) with one extra rate ``rate`` from (3, 3) to (2, 4), in
-    both ``rate_row`` and ``rate_rows``."""
+    """toggle(20, 1) with one extra rate ``rate`` from (3, 3) to (2, 4)."""
 
     def __init__(self, rate):
         super().__init__(20.0, 1.0)
         self.extra = rate
-
-    def rate_row(self, state):
-        out = super().rate_row(state)
-        return out + [((2, 4), self.extra)] if state == (3, 3) else out
 
     def rate_rows(self, states):
         pos, targets, rates = super().rate_rows(states)
@@ -64,8 +65,8 @@ class TestEmbedding:
         Q = np.array([[-1.0, 1.0], [2.0, -2.0]])
         jm = jump_from_matrix(Q)
         chain = embed(jm)
-        assert chain.row(0) == [(1, 1.0)]
-        assert chain.row(1) == [(0, 1.0)]
+        assert row_of(chain, 0) == [(1, 1.0)]
+        assert row_of(chain, 1) == [(0, 1.0)]
         assert exit_rate(jm, 0) == 1.0 and exit_rate(jm, 1) == 2.0
 
     def test_birth_death_recovers_rate_stationary(self, rng):
@@ -89,7 +90,7 @@ class TestEmbedding:
     def test_toggle_origin_row_is_symmetric(self):
         ts = ToggleSwitchModel(20.0, 1.0)
         chain = embed(ts)
-        row = dict(chain.row((0, 0)))
+        row = dict(row_of(chain, (0, 0)))
         assert row[(1, 0)] == pytest.approx(0.5)
         assert row[(0, 1)] == pytest.approx(0.5)
 
@@ -99,20 +100,25 @@ class TestEmbedding:
         Q[0, 0] = -1.0
         jm = jump_from_matrix(Q)
         chain = embed(jm)
-        with pytest.raises(ModelError, match="absorbing"):
-            chain.row(1)
+        with pytest.raises(ModelError, match="absorbing state 1: zero exit rate"):
+            row_of(chain, 1)
+        with pytest.raises(ModelError, match="absorbing state 1: zero exit rate"):
+            enumerate_space(chain, lambda s: True, lambda s: s == 0)
 
     @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf], ids=["negative", "nan", "inf"])
-    @pytest.mark.parametrize("form", ["per-state", "batch"])
+    @pytest.mark.parametrize("form", ["rank-major", "batch"])
     def test_invalid_rate_rejected(self, form, bad):
-        m = ToggleWithRate(bad)
-        if form == "per-state":
-            m = JumpModel(name="bad-per-state", seed=m.seed, rate_row=m.rate_row,
+        m = toggle = ToggleWithRate(bad)
+        if form == "rank-major":      # the same rates, every state's first, then second, ...
+            m = JumpModel(name="bad-rank-major", seed=m.seed,
+                          rate_rows=batch_model(lambda x: row_of(toggle, x)).rows,
                           norm=m.norm, states_within=m.states_within)
         with pytest.raises(ModelError, match=r"state \(3, 3\)"):
             enumerate_space(embed(m), lambda s: s[0] + s[1] <= 30, lambda s: s == (0, 0))
         with pytest.raises(ModelError, match=r"state \(3, 3\)"):
             exit_rate(m, (3, 3))
+        with pytest.raises(ModelError, match=r"state \(3, 3\)"):   # drift checks read them too
+            verify_drift(m, toggle.lyapunov().g2, lambda s: 1.0, (), m.states_within(10))
 
     def test_unit_weights_are_holding_times(self):
         Q = np.array([[-1.0, 1.0], [2.0, -2.0]])

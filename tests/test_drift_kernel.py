@@ -8,6 +8,7 @@ way against their straightforward forms.
 """
 
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,35 +17,38 @@ from hypothesis import strategies as st
 
 from truncbound import TruncationWorkspace, censor, enumerate_space, explicit_k_predicate
 from truncbound.censor import RHS_CHUNK, TauFamily
-from truncbound.ctmc import JumpModel, embed
-from truncbound.errors import CertificateError
+from truncbound.ctmc import embed
+from truncbound.errors import CertificateError, ModelError
 from truncbound.lyapunov import (
+    DriftCertificate,
     _DriftTable,
     _rate_domination_violations,
     construct_K,
     drift_excess,
     moment_bound,
+    unit,
     verify_certificate,
     verify_drift,
 )
-from truncbound.models import DiscreteModel, GM1Model, ToggleSwitchModel
+from truncbound.models import GM1Model, ToggleSwitchModel
 
-from conftest import batch_model, states_of
+from conftest import batch_model, row_of, states_of
 
 
 def ref_drift_excess(model, g, slack, x, exclude=frozenset()):
-    """Per-state drift surplus: one pass over ``row``/``rate_row``."""
+    """Per-state drift surplus: one pass over the state's row (its rates, for
+    a jump process)."""
     acc = 0.0
-    if hasattr(model, "rate_row"):
+    if hasattr(model, "rate_rows"):
         lam = 0.0
-        for y, rate in model.rate_row(x):
+        for y, rate in row_of(model, x):
             lam += rate
             if y not in exclude:
                 acc += rate * float(g(y))
         if x not in exclude:
             acc -= lam * float(g(x))
         return acc + float(slack(x))
-    for y, p in model.row(x):
+    for y, p in row_of(model, x):
         if y not in exclude:
             acc += p * float(g(y))
     return acc - float(g(x)) + float(slack(x))
@@ -76,65 +80,50 @@ def ref_construct_K(model, g1, g2, r, n1, n2):
 
 def ref_rate_domination(model, cert):
     return [x for x in states_of(model.states_within(max(cert.radius_r, cert.radius_e)))
-            if float(cert.envelope(x)) < sum(r for _, r in model.rate_row(x)) * (1.0 - 1e-12)]
+            if float(cert.envelope(x)) < sum(r for _, r in row_of(model, x)) * (1.0 - 1e-12)]
 
 
 def bits(a):
     return np.asarray(a, dtype=float).tobytes()
 
 
-# -- random models: repeated targets, exits from the region, signed masses ----
+# -- random models: repeated targets, exits from the region, masses of many sizes
 
 def random_rows(rng, n, jump):
+    """Rows of 1 to 5 entries (0 to 5 rates) whose first target repeats; a
+    chain's masses are nonnegative and sum to one, and their magnitudes
+    spread over six decades as the rates' do."""
     rows = {}
     for x in range(n + 3):                     # states n.. are only targets
-        size = int(rng.integers(0, 6))
+        size = int(rng.integers(0 if jump else 1, 6))
         targets = rng.integers(0, n + 3, size).tolist()
         if size:
             targets[-1] = targets[0]            # a repeated target
         w = rng.random(size) * 10.0 ** rng.integers(-3, 4, size)
         if not jump:
-            w -= 0.1 * rng.random(size)         # the kernel does not validate masses
+            w /= w.sum()
         rows[x] = [(int(y), float(v)) for y, v in zip(targets, w) if not (jump and y == x)]
         if jump and not rows[x]:
             rows[x] = [((x + 1) % (n + 3), 1.0)]  # every state of a jump process is left
     return rows
 
 
-def rank_major_batch(row_of):
-    """Batch hook with every row's first entry, then every second, ... (the
-    states interleave, as the hook's contract allows)."""
-    return batch_model(row_of).rows
-
-
-class RateOnly:
-    def __init__(self, rows, n):
-        self.rate_row = lambda x: rows[x]
-        self.states_within = lambda rad: range(min(n, int(rad) + 1))
-
-
-class RateBatch(RateOnly):
-    def __init__(self, rows, n):
-        super().__init__(rows, n)
-        self.rate_rows = rank_major_batch(self.rate_row)
-
-
-def random_model(rng, n, jump, batch):
+def random_model(rng, n, jump):
+    """A random chain or jump process on 0..n+2 whose batch hook lays its
+    rows out rank by rank (states interleave, as the contract allows)."""
     rows = random_rows(rng, n, jump)
-    if jump:
-        return (RateBatch if batch else RateOnly)(rows, n)
-    row = lambda x: rows[x]
-    return DiscreteModel(name="random", seed=0, row=row,
-                         states_within=lambda rad: range(min(n, int(rad) + 1)),
-                         rows=rank_major_batch(row) if batch else None)
+    within = lambda rad: range(min(n, int(rad) + 1))
+    if jump:                                   # any object with ``rate_rows``
+        return SimpleNamespace(rate_rows=batch_model(lambda x: rows[x]).rows,
+                               states_within=within)
+    return batch_model(lambda x: rows[x], name="random", states_within=within)
 
 
 @settings(max_examples=150, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12),
-       jump=st.booleans(), batch=st.booleans())
-def test_batched_surplus_equals_per_state_reference(seed, n, jump, batch):
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12), jump=st.booleans())
+def test_batched_surplus_equals_per_state_reference(seed, n, jump):
     rng = np.random.default_rng(seed)
-    model = random_model(rng, n, jump, batch)
+    model = random_model(rng, n, jump)
     gv = rng.standard_normal(n + 3) * 10.0 ** rng.integers(-2, 3, n + 3)
     sv = rng.standard_normal(n + 3)
     g = lambda x: gv[x]
@@ -154,11 +143,11 @@ def test_batched_surplus_equals_per_state_reference(seed, n, jump, batch):
 
 
 @settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), jump=st.booleans(), batch=st.booleans())
-def test_verify_and_construct_equal_reference_on_random_models(seed, jump, batch):
+@given(seed=st.integers(0, 2**32 - 1), jump=st.booleans())
+def test_verify_and_construct_equal_reference_on_random_models(seed, jump):
     n = 10
     rng = np.random.default_rng(seed)
-    model = random_model(rng, n, jump, batch)
+    model = random_model(rng, n, jump)
     gv, rv = rng.random(n + 3) * 5.0, rng.random(n + 3)
     g1, g2, r = (lambda x: gv[x] ** 2), (lambda x: gv[x]), (lambda x: rv[x])
     K = tuple(rng.integers(0, n, 3).tolist())
@@ -174,6 +163,33 @@ def test_verify_and_construct_equal_reference_on_random_models(seed, jump, batch
                 construct_K(model, g1, g2, r, 6, 4)
         else:
             assert construct_K(model, g1, g2, r, 6, 4) == want
+
+
+# -- drift checks read and check rows as exploration does ----------------------
+
+def reflected_walk(row_7=None):
+    """The walk down 0.7 and up 0.3 on 0, 1, ..., reflected at 0, with
+    ``row_7`` in place of state 7's row when given."""
+    def row(x):
+        return row_7 if x == 7 and row_7 else [(max(x - 1, 0), 0.7), (x + 1, 0.3)]
+
+    return batch_model(row, name="walk", states_within=lambda rad: range(int(rad) + 1))
+
+
+@pytest.mark.parametrize("row_7, message", [
+    ([(6, 0.35), (8, 0.15)], r"row of state 7 sums to 0\.5, not 1 within 1e-12$"),
+    ([(6, 0.9), (8, 0.3), (7, -0.2)], r"invalid transition probability -0\.2 from state 7$"),
+], ids=["row-sum", "negative-mass"])
+def test_drift_checks_reject_invalid_rows(row_7, message):
+    cert = DriftCertificate.single((0,), unit, lambda x: 10.0 * x, 20)
+    assert verify_certificate(reflected_walk(), cert).verified
+    model = reflected_walk(row_7)
+    with pytest.raises(ModelError, match=message):
+        verify_certificate(model, cert)
+    with pytest.raises(ModelError, match=message):
+        verify_drift(model, cert.g_r, unit, (0,), [9, 8, 7, 6])
+    with pytest.raises(ModelError, match=message):
+        enumerate_space(model, lambda s: s <= 30, lambda s: s == 0)
 
 
 # -- the built-in models ------------------------------------------------------
@@ -208,7 +224,7 @@ def test_certificates_equal_reference(model):
                                                     states_of(model.states_within(radius)))
             assert (rep.checked, rep.violations) == (checked, violations)
             assert bits(rep.worst_margin) == bits(worst)
-        if hasattr(model, "rate_row"):
+        if hasattr(model, "rate_rows"):
             ball = _DriftTable(model, model.states_within(max(cert.radius_r, cert.radius_e)))
             assert _rate_domination_violations(ball, ball.src, cert) \
                 == ref_rate_domination(model, cert)
@@ -223,17 +239,6 @@ def test_moment_bound_equals_reference():
     g3, w, _ = ts.moment_data()
     want = max([0.0] + [ref_drift_excess(ts, g3, w, x) for x in states_of(ts.states_within(120))])
     assert bits(moment_bound(ts, g3, w, 120)) == bits(want)
-
-
-def test_row_only_jump_model_uses_the_rate_row_adapter():
-    ts = ToggleSwitchModel(20.0, 1.0)
-    row_only = JumpModel(name="t", seed=(0, 0), rate_row=ts.rate_row, norm=ts.norm,
-                         states_within=ts.states_within)
-    ly = ts.lyapunov()
-    region = states_of(ts.states_within(30))
-    a = _DriftTable(ts, region).surplus(ly.g1, ly.r, frozenset([(4, 4), (5, 4)]))
-    b = _DriftTable(row_only, region).surplus(ly.g1, ly.r, frozenset([(4, 4), (5, 4)]))
-    assert bits(a) == bits(b)
 
 
 def test_embedded_chain_surplus_equals_reference():
@@ -283,7 +288,7 @@ def test_censored_matrix_equals_all_columns_solve(model, truncation):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         cert = verify_certificate(model, model.certificate_for_envelope("r"))
-    chain = embed(model) if hasattr(model, "rate_row") else model
+    chain = embed(model) if hasattr(model, "rate_rows") else model
     _, part = enumerate_space(chain, truncation, explicit_k_predicate(cert.return_set))
     ws = TruncationWorkspace(part)
     G = ws.censored().G

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from truncbound import JumpModel, embed, enumerate_space, exit_rate
 from truncbound.errors import ModelError
 from truncbound.models import DiscreteModel, GM1Model, ToggleSwitchModel
 
-from conftest import assert_partitions_identical, model_forms, random_stochastic, states_of
+from conftest import assert_partitions_identical, batch_model, random_stochastic, states_of
 from gm1_reference import reference_distribution
 
 
@@ -28,10 +29,11 @@ def toggle_rate_row(ts: ToggleSwitchModel, state) -> list:
     return out + [((x1 - 1, x2), ts.mu * x1)] * (x1 > 0) + [((x1, x2 - 1), ts.mu * x2)] * (x2 > 0)
 
 
-def per_state_toggle(ts: ToggleSwitchModel):
-    """The embedded toggle switch without ``rate_rows``: its rows come from a
-    loop over ``rate_row``."""
-    jump = JumpModel(name="toggle-per-state", seed=ts.seed, rate_row=ts.rate_row,
+def rank_major_toggle(ts: ToggleSwitchModel):
+    """The embedded toggle switch with its rate rows laid out rank by rank
+    (every state's first channel, then every state's second, ...)."""
+    jump = JumpModel(name="toggle-rank-major", seed=ts.seed,
+                     rate_rows=batch_model(ts.rate_row).rows,
                      norm=ts.norm, states_within=ts.states_within)
     return embed(jump)
 
@@ -178,34 +180,32 @@ def test_certificate_functions_are_built_once(model, env):
 class TestUserModel:
     def test_wraps_random_host(self, rng):
         P = random_stochastic(rng, 12)
-        model = DiscreteModel(
-            name="user", seed=0,
-            row=lambda x: [(j, float(P[x, j])) for j in range(12) if P[x, j]],
-        )
+        model = batch_model(lambda x: [(j, float(P[x, j])) for j in range(12) if P[x, j]],
+                            name="user")
         space, part = enumerate_space(model, lambda s: True, lambda s: s < 3)
         assert space.a_size == 12
         assert np.abs(part.full_matrix().toarray().sum(axis=1) - 1.0).max() < 1e-12
 
     def test_wrapping_builtin_rows_is_bitwise_identical(self):
-        # the built-in batch hooks against their per-state rows; gm1 both
-        # below and above len(beta_masses) = 192, toggle at levels 30 and 200
+        # the built-in batch hooks against their one-state views laid out
+        # rank by rank; gm1 both below and above len(beta_masses) = 192,
+        # toggle at levels 30 and 200
         gm1 = GM1Model()
-        wrapped = DiscreteModel(name="gm1-wrapped", seed=0, row=gm1.row)
-        assert wrapped.rows is None
+        wrapped = batch_model(gm1.row, name="gm1-wrapped")
         ts = ToggleSwitchModel(20.0, 1.0)
         cases = [(gm1, wrapped, lambda s, top=top: s <= top, lambda s: s <= 10)
                  for top in (50, 400)]
-        cases += [(embed(ts), per_state_toggle(ts), lambda s, lv=lv: s[0] + s[1] <= lv,
+        cases += [(embed(ts), rank_major_toggle(ts), lambda s, lv=lv: s[0] + s[1] <= lv,
                    lambda s: s[0] + s[1] <= 4) for lv in (30, 200)]
-        for batch, per_state, a_pred, k_pred in cases:
-            _, p1 = enumerate_space(batch, a_pred, k_pred)
-            _, p2 = enumerate_space(per_state, a_pred, k_pred)
+        for builtin, rank_major, a_pred, k_pred in cases:
+            _, p1 = enumerate_space(builtin, a_pred, k_pred)
+            _, p2 = enumerate_space(rank_major, a_pred, k_pred)
             assert_partitions_identical(p1, p2)
 
     def test_rejects_super_stochastic_row(self):
-        for bad in model_forms(lambda x: [(0, 0.6), (1, 0.5)]):
-            with pytest.raises(ModelError, match="sums to 1.1"):
-                enumerate_space(bad, lambda s: True, lambda s: s == 0)
+        bad = batch_model(lambda x: [(0, 0.6), (1, 0.5)])
+        with pytest.raises(ModelError, match="sums to 1.1"):
+            enumerate_space(bad, lambda s: True, lambda s: s == 0)
 
 
 class TestBatchRows:
@@ -220,9 +220,9 @@ class TestBatchRows:
 
     def test_toggle_rows_match_row_entry_for_entry(self):
         # rate_rows against the written-out channels and rate_row; the
-        # embedded chain, through rate_rows
-        # and through a loop over rate_row, against each rate divided by the
-        # state's rates summed left to right, and 1 / that sum as unit weight
+        # embedded chain, with the rate rows as given and laid out rank by
+        # rank, against each rate divided by the state's rates summed left to
+        # right, and 1 / that sum as unit weight
         ts = ToggleSwitchModel(90.0, 1.0)
         states = [(0, 0), (3, 0), (0, 5), (7, 2), (120, 80)]
         exit_rates = []
@@ -234,14 +234,14 @@ class TestBatchRows:
         embedded_row = lambda x: [(y, r / exit_rates[states.index(x)])
                                   for y, r in toggle_rate_row(ts, x)]
         cases = [(ts.rate_rows, lambda x: toggle_rate_row(ts, x)), (ts.rate_rows, ts.rate_row)]
-        cases += [(chain.rows, embedded_row) for chain in (embed(ts), per_state_toggle(ts))]
+        cases += [(chain.rows, embedded_row) for chain in (embed(ts), rank_major_toggle(ts))]
         for batch, rows in cases:
             pos, targets, p = batch(states)[:3]
             got = {}
             for i, y, q in zip(pos.tolist(), states_of(targets), p.tolist()):
                 got.setdefault(i, []).append((y, q))  # each state's entries in order
             assert got == {i: list(rows(x)) for i, x in enumerate(states)}
-        for chain in (embed(ts), per_state_toggle(ts)):
+        for chain in (embed(ts), rank_major_toggle(ts)):
             assert chain.rows(states)[3].tobytes() == (1.0 / np.array(exit_rates)).tobytes()
 
 
@@ -317,3 +317,57 @@ class TestBatchStateFunctions:
             cert = DriftCertificate.single((0, 1), envelope, g, 9)
             reports.append(verify_certificate(host_model(P), cert, tolerance=1e-9).reports)
         assert reports[0] == reports[1]
+
+
+class TestBatchHooksOnly:
+    """The library reads rows through ``rows`` and ``rate_rows`` only; the
+    built-in models' one-state views ``row`` and ``rate_row`` are for callers."""
+
+    def test_runs_do_not_read_the_one_state_views(self, monkeypatch):
+        from truncbound.pipeline import run_pipeline, run_sweep
+
+        def refuse(*_):
+            raise AssertionError("a one-state view was read")
+
+        monkeypatch.setattr(GM1Model, "row", refuse)
+        monkeypatch.setattr(ToggleSwitchModel, "rate_row", refuse)
+        gm1 = run_pipeline(GM1Model(), {"kind": "range", "max": 600}, envelopes=["r", "e"])
+        assert gm1.report("r").lower <= gm1.report("r").upper
+        with pytest.warns(UserWarning, match="does not dominate"):
+            levels = list(run_sweep(ToggleSwitchModel(20.0, 1.0),
+                                    [{"kind": "simplex", "level": lv} for lv in (40, 60)],
+                                    envelopes=["r", "e"], explicit_return_set=None,
+                                    with_distribution=True))
+        assert all(r.report("e").lower <= r.report("e").upper for r in levels)
+
+    def test_models_defined_by_their_batch_hooks_alone(self):
+        # a reflected walk (down 0.7, up 0.3) and a birth-death process (up 1,
+        # down 2), each written in array form only
+        from truncbound.lyapunov import DriftCertificate, unit, verify_certificate
+
+        def walk_rows(states):
+            x = states[:, 0]
+            return (np.repeat(np.arange(len(x)), 2),
+                    np.stack([np.maximum(x - 1, 0), x + 1], 1).reshape(-1, 1),
+                    np.tile([0.7, 0.3], len(x)))
+
+        def birth_death_rates(states):
+            x = states[:, 0]
+            down = np.flatnonzero(x)
+            return (np.concatenate([np.arange(len(x)), down]),
+                    np.concatenate([x + 1, x[down] - 1])[:, None],
+                    np.concatenate([np.ones(len(x)), np.full(len(down), 2.0)]))
+
+        within = lambda radius: np.arange(int(radius) + 1)
+        walk = DiscreteModel(name="walk", seed=0, rows=walk_rows, states_within=within)
+        jump = JumpModel(name="birth-death", seed=0, rate_rows=birth_death_rates,
+                         norm=float, states_within=within)
+        g = lambda x: 10.0 * x
+        for model, chain in ((walk, walk), (jump, embed(jump))):
+            space, part = enumerate_space(chain, lambda s: s <= 30, lambda s: s == 0)
+            assert space.states == tuple(range(31))
+            cert = DriftCertificate.single((0,), unit, g, 20, skip_rate_domination=True)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)   # the exit rate passes 1
+                assert verify_certificate(model, cert).verified
+        assert part.unit.tobytes() == (1.0 / np.array([1.0] + [3.0] * 30)).tobytes()

@@ -6,13 +6,14 @@ from hypothesis import strategies as st
 from truncbound import DiscreteModel, TruncationWorkspace, enumerate_space
 from truncbound.ctmc import embed
 from truncbound.errors import EnumerationLimitError, ModelError
+from truncbound.lyapunov import verify_drift
 from truncbound.models import GM1Model, ToggleSwitchModel
 from truncbound.statespace import cut, explicit_k_predicate, explore, repartition
 
 from conftest import (
     assert_partitions_identical,
+    batch_model,
     host_model,
-    model_forms,
     random_stochastic,
 )
 
@@ -24,8 +25,8 @@ def walk_row(x):
     return [(x - 1, 0.5), (x, 0.1), (x + 1, 0.4)]
 
 
-def lattice_walk(n_max=None):
-    return DiscreteModel(name="walk", seed=0, row=walk_row, norm=lambda s: float(s))
+def lattice_walk():
+    return batch_model(walk_row, name="walk", norm=lambda s: float(s))
 
 
 class TestEnumerate:
@@ -101,28 +102,42 @@ class TestEnumerate:
         assert np.abs(full - 1.0).max() < 1e-12
 
     def test_invalid_row_rejected(self):
-        for bad in model_forms(lambda x: [(0, 0.6), (1, 0.5)]):
-            with pytest.raises(ModelError, match="row of state 0 sums to 1.1, not 1"):
-                enumerate_space(bad, lambda s: True, lambda s: s == 0)
+        bad = batch_model(lambda x: [(0, 0.6), (1, 0.5)])
+        with pytest.raises(ModelError, match="row of state 0 sums to 1.1, not 1"):
+            enumerate_space(bad, lambda s: True, lambda s: s == 0)
 
-    @pytest.mark.parametrize("form", [0, 1], ids=["per-state", "batch"])
+    @pytest.mark.parametrize("form", ["host", "batch"])
     @pytest.mark.parametrize("mass, shown", [(float("nan"), "nan"), (-0.5, "-0.5")])
     def test_invalid_mass_rejected(self, form, mass, shown):
-        # the bad row is the second of the frontier {3, 4}
+        # the bad row is the second of the frontier {3, 4}; the host model's
+        # hook gives each row in column order with array targets, the batch
+        # model's every row's first entry, then every second, ... as a list
         def row(x):
             if x == 4:
                 return [(x + 1, mass), (0, 1.0 - mass)]
             return [(x + 1, 0.25), (x + 2, 0.25), (0, 0.5)]
 
-        model = model_forms(row)[form]
+        P = np.zeros((13, 13))
+        for x in range(11):
+            for y, q in row(x):
+                P[x, y] = q
+        model = host_model(P) if form == "host" else batch_model(row)
         with pytest.raises(ModelError,
                            match=f"invalid transition probability {shown} from state 4$"):
             enumerate_space(model, lambda s: s <= 10, lambda s: s == 0)
 
+    @pytest.mark.parametrize("pos", [[0, 1], [0, -1], [0]], ids=["past-end", "negative", "short"])
+    def test_hook_entries_must_match_its_states(self, pos):
+        # two entries from the seed, the frontier's only state
+        model = DiscreteModel(name="bad", seed=0, rows=lambda states: (pos, [1, 2], [0.5, 0.5]))
+        with pytest.raises(ModelError, match="do not match its states"):
+            enumerate_space(model, lambda s: s <= 10, lambda s: s == 0)
+        with pytest.raises(ModelError, match="do not match its states"):   # and drift checks
+            verify_drift(model, lambda s: 1.0, lambda s: 0.0, (), [0])
+
     def test_enumeration_cap(self):
-        for walk in model_forms(walk_row):
-            with pytest.raises(EnumerationLimitError, match="cap of 100 states exceeded"):
-                enumerate_space(walk, lambda s: s <= 10_000, lambda s: s == 0, cap=100)
+        with pytest.raises(EnumerationLimitError, match="cap of 100 states exceeded"):
+            enumerate_space(lattice_walk(), lambda s: s <= 10_000, lambda s: s == 0, cap=100)
 
     def test_empty_k_rejected(self):
         with pytest.raises(ModelError, match="K is empty"):
@@ -195,33 +210,33 @@ class TestCut:
         exits = [y for y, _ in entries[a - 1] if not smaller(y)]
         assert len(exits) >= 3 and len(set(exits)) >= 3
         k_pred = lambda s: s == 0
-        for model in model_forms(lambda x: entries[x]):
-            exploration = explore(model, lambda s: True, cap=100)
-            _, derived = cut(exploration, smaller, k_pred)
-            _, fresh = enumerate_space(model, smaller, k_pred)
-            assert_partitions_identical(derived, fresh)
-            # and an oracle from the rows: A, its masses and its exits in row order
-            reached, stack = {0}, [0]
-            while stack:
-                for y, _ in entries[stack.pop()]:
-                    if smaller(y) and y not in reached:
-                        reached.add(y)
-                        stack.append(y)
-            assert set(derived.space.states) == reached
-            assert (n - 1 in reached) == zero_mass_link
-            index = {x: i for i, x in enumerate(derived.space.states)}
-            P_A = np.zeros((len(index), len(index)))
-            for x, i in index.items():
-                for y, q in entries[x]:
-                    if y in index:
-                        P_A[i, index[y]] += q
-            assert np.array_equal(derived.full_matrix().toarray(), P_A)
-            assert derived.boundary == tuple(
-                tuple((y, q) for y, q in entries[x] if y not in index and q != 0.0)
-                for x in derived.space.states)
-            # and a second cut from the same exploration, over its whole set
-            _, whole = cut(exploration, lambda s: True, k_pred)
-            assert_partitions_identical(whole, enumerate_space(model, lambda s: True, k_pred)[1])
+        model = batch_model(lambda x: entries[x])
+        exploration = explore(model, lambda s: True, cap=100)
+        _, derived = cut(exploration, smaller, k_pred)
+        _, fresh = enumerate_space(model, smaller, k_pred)
+        assert_partitions_identical(derived, fresh)
+        # and an oracle from the rows: A, its masses and its exits in row order
+        reached, stack = {0}, [0]
+        while stack:
+            for y, _ in entries[stack.pop()]:
+                if smaller(y) and y not in reached:
+                    reached.add(y)
+                    stack.append(y)
+        assert set(derived.space.states) == reached
+        assert (n - 1 in reached) == zero_mass_link
+        index = {x: i for i, x in enumerate(derived.space.states)}
+        P_A = np.zeros((len(index), len(index)))
+        for x, i in index.items():
+            for y, q in entries[x]:
+                if y in index:
+                    P_A[i, index[y]] += q
+        assert np.array_equal(derived.full_matrix().toarray(), P_A)
+        assert derived.boundary == tuple(
+            tuple((y, q) for y, q in entries[x] if y not in index and q != 0.0)
+            for x in derived.space.states)
+        # and a second cut from the same exploration, over its whole set
+        _, whole = cut(exploration, lambda s: True, k_pred)
+        assert_partitions_identical(whole, enumerate_space(model, lambda s: True, k_pred)[1])
 
     def test_levels_cut_from_largest_toggle_truncation(self):
         model = embed(ToggleSwitchModel(20.0, 1.0))
@@ -274,34 +289,34 @@ class TestKeyOrder:
         inside = lambda s: abs(index[s][0]) + abs(index[s][1]) <= radius if s in index else False
         seed_state = (shift, shift)
         k_set = {seed_state, *[s for s in rows if index[s][0] == 1 and inside(s)]}
-        for model in model_forms(lambda x: rows[x], seed=seed_state):
-            space, part = enumerate_space(model, inside, lambda s: s in k_set)
-            # reference: reachable set by a per-state search, sorted as Python tuples
-            reached, stack = {seed_state}, [seed_state]
-            while stack:
-                for y, _ in rows[stack.pop()]:
-                    if inside(y) and y not in reached:
-                        reached.add(y)
-                        stack.append(y)
-            order = sorted(s for s in reached if s in k_set) + \
-                sorted(s for s in reached if s not in k_set)
-            assert space.states == tuple(order) and space.k_size == len(k_set & reached)
-            at = {s: i for i, s in enumerate(order)}
-            P = np.zeros((len(order), len(order)))
-            for x in order:
-                for y, q in rows[x]:
-                    if y in at:
-                        P[at[x], at[y]] += q
-            assert np.array_equal(part.full_matrix().toarray(), P)
-            assert part.boundary == tuple(tuple((y, q) for y, q in rows[x] if y not in at)
-                                          for x in order)
+        model = batch_model(lambda x: rows[x], seed=seed_state)
+        space, part = enumerate_space(model, inside, lambda s: s in k_set)
+        # reference: reachable set by a per-state search, sorted as Python tuples
+        reached, stack = {seed_state}, [seed_state]
+        while stack:
+            for y, _ in rows[stack.pop()]:
+                if inside(y) and y not in reached:
+                    reached.add(y)
+                    stack.append(y)
+        order = sorted(s for s in reached if s in k_set) + \
+            sorted(s for s in reached if s not in k_set)
+        assert space.states == tuple(order) and space.k_size == len(k_set & reached)
+        at = {s: i for i, s in enumerate(order)}
+        P = np.zeros((len(order), len(order)))
+        for x in order:
+            for y, q in rows[x]:
+                if y in at:
+                    P[at[x], at[y]] += q
+        assert np.array_equal(part.full_matrix().toarray(), P)
+        assert part.boundary == tuple(tuple((y, q) for y, q in rows[x] if y not in at)
+                                      for x in order)
 
     @pytest.mark.parametrize("first, ok", [(2**30 - 1, True), (-2**30, True),
                                            (2**30, False), (-2**30 - 1, False)])
     def test_coordinates_past_the_keyed_range_are_rejected(self, first, ok):
         for second in (0, first):
-            model = DiscreteModel(name="far", seed=(0, 0), row=lambda x, y=(first, second):
-                                  [(y, 1.0)] if x == (0, 0) else [((0, 0), 1.0)])
+            model = batch_model(lambda x, y=(first, second):
+                                [(y, 1.0)] if x == (0, 0) else [((0, 0), 1.0)], seed=(0, 0))
             if ok:
                 assert enumerate_space(model, lambda s: True, lambda s: s == (0, 0))[0].a_size == 2
             else:
@@ -328,7 +343,7 @@ def test_rows_hook_weighs_the_set_by_coordinates():
             pos, targets, p = zip(*[(i, y, q) for i, x in enumerate(coords[:, 0].tolist())
                                     for y, q in walk_row(x)])
             return pos, targets, p, weigh(coords[:, 0])
-        return DiscreteModel(name="weighted", seed=0, row=walk_row, rows=rows)
+        return DiscreteModel(name="weighted", seed=0, rows=rows)
 
     space, part = enumerate_space(weighted(lambda x: 1.0 + x), lambda s: s <= 10, lambda s: s <= 2)
     assert part.unit.tobytes() == (1.0 + np.array(space.states, dtype=float)).tobytes()
