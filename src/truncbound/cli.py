@@ -7,11 +7,8 @@ for the timing fields.
 
 The config format is documented in docs/config.schema.json; reports follow
 docs/report.schema.json and sweep CSVs are plot-ready (one row per
-truncation size).  A sweep certifies once and explores its largest
-truncation once, cutting every level from it (``range`` and ``simplex``
-sizes are nested): an error while exploring that level (the cap, an
-invalid row) surfaces before any level's bounds, and the first row's
-``time_total`` includes these shared stages.
+truncation size).  A sweep certifies and explores its largest truncation
+once, cutting every level from it; errors there surface before any bounds.
 """
 
 from __future__ import annotations

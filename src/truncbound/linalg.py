@@ -32,22 +32,20 @@ class SubstochasticSolver:
     """
 
     def __init__(self, M):
-        n = M.shape[0]
-        if M.shape[0] != M.shape[1]:
+        self.n = n = M.shape[0]
+        if n != M.shape[1]:
             raise ValueError("square block required")
-        self.n = n
         if n == 0:
             self._mode = "empty"
             self._A = sp.csr_matrix((0, 0))
             self.operator_norm = 1.0
         else:
             self._mode = "sparse"
-            A = (sp.identity(n, format="csc") - sp.csc_matrix(M)).tocsc()
-            self._A = A.tocsr()
+            self._A = sp.identity(n, format="csr") - sp.csr_matrix(M)
             # set here, not on first use: concurrent solves read it in _check
             self.operator_norm = float(np.asarray(np.abs(self._A).sum(axis=1)).ravel().max())
             try:
-                self._lu = spla.splu(A)
+                self._lu = spla.splu(self._A.tocsc())
             except RuntimeError as exc:
                 raise NumericalError(f"sparse LU of (I - M) failed: {exc}") from exc
 

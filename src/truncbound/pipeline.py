@@ -35,13 +35,13 @@ def build_model(name: str, params: dict):
 
 def truncation_predicate(model, spec: dict):
     kind = spec.get("kind")
-    if kind == "range":
-        top = int(spec["max"])
-        return batched(lambda s: (0 <= s) & (s <= top))
-    if kind == "simplex":
-        level = int(spec["level"])
-        return batched(lambda s: s[0] + s[1] <= level)
-    raise ModelError(f"unknown truncation kind {spec!r}")
+    if kind not in ("range", "simplex"):
+        raise ModelError(f"unknown truncation kind {spec!r}")
+    radius = int(spec["max"] if kind == "range" else spec["level"])
+    pred = batched((lambda s: (0 <= s) & (s <= radius)) if kind == "range"
+                   else lambda s: s[0] + s[1] <= radius)
+    pred.radius = radius      # of the norm ball it describes: explore starts from that ball
+    return pred
 
 
 @dataclass
@@ -75,22 +75,14 @@ def run_pipeline(model, truncation: dict, *, envelopes=("r",),
     in generator form on the jump model itself.  The truncation set is
     explored once and cut over the first return set; each further return
     set's partition is a K-first permutation of the first, and envelopes
-    whose certificates designate the same return set share one partition.
-    The distribution comes from the partition of the first envelope's
-    return set.
-
-    The bounds of each return set but the last are computed on one worker
-    thread, in submission order, while this thread partitions and
-    factorizes the next return set: the solves release the GIL, the
-    partitioning and the ordering inside the LU mostly hold it.  The last
-    return set's bounds are computed here, as nothing is left to prepare;
-    a run with one return set starts no thread.  Every workspace is used by
-    one thread at a time and every quantity comes from the same call on the
-    same data as a serial run, so reports do not depend on the overlap.
-    Errors surface in serial order: a failure here is raised only after the
-    jobs submitted before it have been collected.  ``timings`` stages may
-    therefore overlap; a ``partition[...]`` stage covers its return set's
-    repartition, factorization and certificate evaluations.
+    whose certificates designate the same return set share one partition,
+    the first envelope's giving the distribution.  The bounds of each return
+    set but the last are computed on one worker thread while this thread
+    partitions and factorizes the next; every quantity comes from the same
+    call on the same data as a serial run, and errors surface in serial
+    order.  ``timings`` stages may therefore overlap; a ``partition[...]``
+    stage covers its return set's repartition, factorization and
+    certificate evaluations.
     """
     return next(run_sweep(model, [truncation], envelopes=envelopes,
                           explicit_return_set=explicit_return_set,
@@ -102,8 +94,8 @@ def run_sweep(model, truncations: list, *, envelopes, explicit_return_set,
     """:func:`run_pipeline`'s result for each of the nested ``truncations``,
     in order, from a generator.  It verifies the certificates and explores
     the largest set once, before the first result, whose ``timings`` carry
-    both stages (the exploration under ``enumerate``); each level is cut
-    from that exploration, and levels run one after the other."""
+    both stages (``certificates`` and ``explore``); each level is cut from
+    that exploration (its ``cut``), and levels run one after the other."""
     t_all = time.perf_counter()
     timings: dict = {}
     a_preds = [truncation_predicate(model, t) for t in truncations]
@@ -116,20 +108,21 @@ def run_sweep(model, truncations: list, *, envelopes, explicit_return_set,
     timings["certificates"] = time.perf_counter() - t_all
 
     t0 = time.perf_counter()
-    sizes = [t.get("max", t.get("level")) for t in truncations]
-    exploration = explore(chain, a_preds[sizes.index(max(sizes))], cap=DEFAULT_ENUMERATION_CAP)
+    exploration = explore(chain, max(a_preds, key=lambda a: a.radius), cap=DEFAULT_ENUMERATION_CAP)
+    timings["explore"] = time.perf_counter() - t0
     for level, (truncation, a_pred) in enumerate(zip(truncations, a_preds)):
+        t0 = time.perf_counter()
         _, part = cut(exploration, a_pred, explicit_k_predicate(next(iter(by_return_set))))
         if level == len(truncations) - 1:
             del exploration           # and its entry stream: no level is left to cut
-        timings["enumerate"] = time.perf_counter() - t0
+        timings["cut"] = time.perf_counter() - t0
         result = PipelineResult(model_name=model.name, truncation=dict(truncation),
                                 timings=timings)
         _bound(result, part, certs, by_return_set, with_distribution)
         del part                      # a level's partitions end with its bounds
         timings["total"] = time.perf_counter() - t_all
         yield result
-        t_all = t0 = time.perf_counter()
+        t_all = time.perf_counter()
         timings = {}
 
 

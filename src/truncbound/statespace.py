@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import groupby, repeat
+from itertools import groupby
 from operator import itemgetter
 from typing import Callable, Hashable, Sequence
 
@@ -28,7 +28,7 @@ State = Hashable
 
 DEFAULT_ENUMERATION_CAP = 50_000_000
 ROW_SUM_TOL = 1e-12
-_NEW = np.iinfo(np.intp).min    # the id of a state not reached before
+ROW_BLOCK = 2048    # states whose rows explore reads at once: bounds its temporaries
 
 
 def batched(fn: Callable) -> Callable:
@@ -49,15 +49,18 @@ def _apply(fn: Callable, coords: np.ndarray, kind: type) -> np.ndarray:
     return out if out.ndim else np.full(len(coords), out)
 
 
-def _coords(states, d: int | None = None) -> np.ndarray:
-    """States, or their coordinate rows, as an ``(n, d)`` int64 array."""
+def _coords(states, d: int | None = None, source: str = "the caller") -> np.ndarray:
+    """States, or their coordinate rows, as an ``(n, d)`` int64 array from ``source``."""
     if type(states) is np.ndarray and states.dtype == np.int64 and states.ndim == 2 \
             and states.shape[1] == (d or states.shape[1]):
         return states
     a = np.asarray(states if isinstance(states, np.ndarray) else list(states))
     if a.size and a.dtype.kind not in "iu" or a.ndim > 2:
         raise ModelError("states must be ints or int tuples of one length")
-    return a.astype(np.int64, copy=False).reshape(len(a), d or (a.shape[1] if a.ndim == 2 else 1))
+    width = a.shape[1] if a.ndim == 2 else 1
+    if a.size and width != (d or width):
+        raise ModelError(f"states from {source} have {width} coordinates, not {d}")
+    return a.astype(np.int64, copy=False).reshape(len(a), d or width)
 
 
 def _keys(coords: np.ndarray) -> np.ndarray:
@@ -176,11 +179,11 @@ class Exploration:
     """A truncation set explored from the seed by :func:`explore`, from which
     :func:`cut` derives the partition of any truncation set nested in it.
 
-    Every state reached has an id, its row of ``coords``: first the set's, in
-    discovery order, listed in sorted state order by ``order`` with their
-    unit weights ``unit``, then those outside it that their rows reach.
-    ``src``, ``dst`` and ``p`` hold every row entry of the set's states,
-    each row's in row order.
+    Every state the seed reaches has an id, its row of ``coords``: first the
+    set's, the seed at 0 and the rest in the order met, listed in sorted state
+    order by ``order`` with their unit weights ``unit``, then those outside
+    it that their rows reach.  ``src``, ``dst`` and ``p`` hold every row
+    entry of the set's states, each row's in row order.
     """
 
     def __init__(self, coords, order, unit, src, dst, p):
@@ -203,74 +206,92 @@ def _values(table: tuple[np.ndarray, dict], fn: Callable[[State], float],
     return vals
 
 
-def enumerate_space(
-    model,
-    a_predicate: Callable[[State], bool],
-    k_predicate: Callable[[State], bool],
-    *,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-) -> tuple[StateSpace, Partition]:
-    """Breadth-first enumeration of A from the model seed, with block partition:
-    the :func:`cut` of the set's own :func:`explore`.
-
-    ``k_predicate`` must imply ``a_predicate``; the set satisfying
-    ``a_predicate`` must be finite and reachable from ``model.seed``.
-    """
+def enumerate_space(model, a_predicate: Callable[[State], bool],
+                    k_predicate: Callable[[State], bool], *,
+                    cap: int = DEFAULT_ENUMERATION_CAP) -> tuple[StateSpace, Partition]:
+    """A, the states of ``a_predicate``'s finite set that the seed reaches, with
+    its block partition over ``k_predicate``'s return set in A: the :func:`cut`
+    of the set's own :func:`explore`."""
     return cut(explore(model, a_predicate, cap=cap), a_predicate, k_predicate)
 
 
 def explore(model, a_predicate: Callable[[State], bool], *, cap: int) -> Exploration:
     """Frontier-batched search of the set of ``a_predicate`` from the seed.
 
-    The search expands a whole frontier at a time through the model's row
-    hook ``rows(states) -> (pos, targets, p)`` on its coordinates: entry
-    ``j`` is the transition from ``states[pos[j]]`` to ``targets[j]`` with
-    mass ``p[j]``, each state's entries in its row's order (states may
-    interleave), and a fourth array, if any, holds the states' unit weights
-    (else ones).  Rows are read and checked as drift checks read them:
-    masses must be finite and not below ``-ROW_SUM_TOL``, and every row must
-    sum to one within ``ROW_SUM_TOL``.  ``a_predicate`` is called once per
-    distinct state reached, not once per edge.
-
-    Raises :class:`EnumerationLimitError` when the cap is exceeded and
-    :class:`ModelError` for invalid rows or unit weights.
+    The first frontier is the seed plus, if the predicate declares the norm
+    ball it describes as ``a_predicate.radius``, the ball's states
+    (``model.states_within``) that meet it; new targets that meet it form
+    the next.  Rows are read ``ROW_BLOCK`` states at a time by the row hook
+    ``rows(states) -> (pos, targets, p[, unit])``: entry ``j`` goes from
+    ``states[pos[j]]`` to ``targets[j]`` with mass ``p[j]``, each state's in
+    row order; ``unit`` holds unit weights (else ones).  Every frontier
+    state, the ball's too, counts against the cap (else
+    :class:`EnumerationLimitError`) and has its row checked as drift checks
+    do (else :class:`ModelError`); the ball's states the seed cannot reach
+    are then dropped.  ``a_predicate`` is called once per state met.
     """
-    frontier = _coords([model.seed])
-    if not _apply(a_predicate, frontier, bool)[0]:
+    seed = _coords([model.seed])
+    if not _apply(a_predicate, seed, bool)[0]:
         raise ModelError("seed state does not satisfy the truncation predicate")
-    ids = {int(_keys(frontier)[0]): 0}  # key -> id: the set's in discovery order, -1 - j outside
-    # found, outside: the coordinates of the states reached in and outside the set
-    found, outside, units, entries, missed = frontier.tolist(), [], [], [], []
-    start = 0                           # the frontier's first id
-    while len(frontier):
-        pos, targets, p, weights = _read_rows(model.rows, frontier)
-        units += weights
-        keys = _keys(targets).tolist()
-        d = np.fromiter(map(ids.get, keys, repeat(_NEW)), dtype=np.intp, count=len(p))
-        entries.append((pos + start, d, p))
-        miss = (d == _NEW).nonzero()[0].tolist()
-        missed += map(keys.__getitem__, miss)        # their ids are filled in at the end
-        fresh = dict(zip(map(keys.__getitem__, miss), miss))    # in the order first reached
-        at = [*fresh.values()]          # gm1's rounds reach one state: slice it
-        reached = targets[at[0]:at[0] + 1] if len(at) == 1 else targets[at]
-        inside, start = _apply(a_predicate, reached, bool), len(found)
-        for key, held, state in zip(fresh, inside.tolist(), reached.tolist()):
-            (found if held else outside).append(state)
-            ids[key] = len(found) - 1 if held else -len(outside)
-        if len(found) > cap:
+    # known: the sorted keys of the states met; ids: theirs, 0 .. n-1 in the set, -1 - j outside
+    known, ids, n = _keys(seed), np.zeros(1, dtype=np.intp), 1
+    found, outside, units, entries, done = [seed], [], [], [], 0   # found[done:]: the frontier
+
+    def meet(states: np.ndarray) -> np.ndarray:     # their ids; new ones numbered by key
+        nonlocal known, ids, n
+        keys = _keys(states)
+        at = np.minimum(np.searchsorted(known, keys), len(known) - 1)
+        out, miss = ids[at], np.flatnonzero(known[at] != keys)
+        if miss.size:
+            new, first = np.unique(keys[miss], return_index=True)
+            states = states[miss[first]]
+            held = _apply(a_predicate, states, bool)
+            at = np.searchsorted(known, new)    # len(known) - n states lie outside so far
+            ids = np.insert(ids, at, np.where(held, n - 1 + np.cumsum(held),
+                                              n - len(known) - np.cumsum(~held)))
+            known = np.insert(known, at, new)
+            found.append(states[held])
+            outside.append(states[~held])
+            n += len(found[-1])
+            out[miss] = ids[np.searchsorted(known, keys[miss])]
+        return out
+
+    if getattr(a_predicate, "radius", None) is not None:
+        meet(_coords(model.states_within(a_predicate.radius), seed.shape[1], "states_within"))
+    while done < len(found):
+        if n > cap:
             raise EnumerationLimitError(
                 f"enumeration cap of {cap} states exceeded; check the truncation predicate")
-        frontier = reached[inside]
-    n, coords = len(found), np.array(found + outside, dtype=np.int64)
-    src, dst, p = map(np.concatenate, zip(*entries))
+        frontier, done = np.concatenate(found[done:]), len(found)
+        start = n - len(frontier)               # the frontier's first id
+        for lo in range(0, len(frontier), ROW_BLOCK):
+            pos, targets, p, weights = _read_rows(model.rows, frontier[lo:lo + ROW_BLOCK])
+            units += weights
+            entries.append((pos + (start + lo), meet(targets), p))
+    coords = np.concatenate(found + outside)
+    columns = [list(c) for c in zip(*entries)]
+    del entries                 # each column's chunks go once it is joined: a lower peak
+    src, dst, p = [np.concatenate(columns.pop(0)) for _ in range(3)]
     _check_rows(coords[:n], src, p)
     unit = np.concatenate(units).astype(float) if units else np.ones(n)
     if unit.shape != (n,) or np.any(unit <= 0) or not np.all(np.isfinite(unit)):
         raise ModelError("unit weights must be positive and finite over A")
+    dst[dst < 0] = n - 1 - dst[dst < 0]         # the ids after the set's
+    kept = _reached(src, dst, p, len(coords))
+    if not kept.all():                          # drop the ball's states the seed cannot reach
+        new, live = np.cumsum(kept) - 1, kept[src]
+        src, dst, p = new[src[live]], new[dst[live]], p[live]
+        coords, unit, n = coords[kept], unit[kept[:n]], int(np.count_nonzero(kept[:n]))
     order = np.argsort(_keys(coords[:n]))
-    dst[dst == _NEW] = np.fromiter(map(ids.__getitem__, missed), dtype=np.intp, count=len(missed))
-    dst[dst < 0] = n - 1 - dst[dst < 0]     # the ids after the set's
     return Exploration(coords, order, unit[order], src, dst, p)
+
+
+def _reached(src: np.ndarray, dst: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
+    """Which of the ids ``0 .. n-1`` id 0 reaches along ``src -> dst`` (weight 0 too)."""
+    graph = sp.csr_matrix((weights, (src, dst)), shape=(n, n))
+    reached = np.zeros(n, dtype=bool)
+    reached[breadth_first_order(graph, 0, return_predecessors=False)] = True
+    return reached
 
 
 def cut(exploration: Exploration, a_predicate: Callable[[State], bool],
@@ -288,10 +309,7 @@ def cut(exploration: Exploration, a_predicate: Callable[[State], bool],
         raise ModelError("truncation set is not nested in the explored one")
     if not inside[ex.order].all():            # keep what the seed reaches inside
         live = inside[ex.src] & inside[ex.dst]
-        graph = sp.csr_matrix((np.ones(np.count_nonzero(live)), (ex.src[live], ex.dst[live])),
-                              shape=(len(coords),) * 2)
-        inside[:] = False
-        inside[breadth_first_order(graph, 0, return_predecessors=False)] = True
+        inside = _reached(ex.src[live], ex.dst[live], ex.p[live], len(coords))
     kept = inside[ex.order]
     a_ids = ex.order[kept]
     space, k_first = _k_first_space(coords[a_ids], k_predicate)
@@ -348,7 +366,7 @@ def _read_rows(hook: Callable, states: np.ndarray) -> tuple:
     rates) as arrays, and a list of the further arrays it returned."""
     pos, targets, p, *rest = hook(states) if len(states) else ((), (), ())
     pos, p = np.asarray(pos, dtype=np.intp), np.asarray(p, dtype=float)
-    targets = _coords(targets, states.shape[1])
+    targets = _coords(targets, states.shape[1], "the batch row hook")
     # a negative position is a large unsigned one
     if not len(pos) == len(targets) == len(p) or pos.size and \
             pos.view(np.uintp).max() >= len(states):
@@ -415,15 +433,9 @@ def _partition(space: StateSpace, P: sp.csr_matrix, boundary: tuple,
                unit: np.ndarray) -> Partition:
     """Blocks of the K-first operator ``P`` (canonical CSR)."""
     k = space.k_size
-    return Partition(
-        space=space,
-        P11=P[:k, :k].tocsr(),
-        P12=P[:k, k:].tocsr(),
-        P21=P[k:, :k].tocsr(),
-        P22=P[k:, k:].tocsr(),
-        boundary=boundary,
-        unit=unit,
-    )
+    k_rows, rest = slice(k), slice(k, None)
+    return Partition(space, *(P[r, c].tocsr() for r in (k_rows, rest) for c in (k_rows, rest)),
+                     boundary, unit)
 
 
 def explicit_k_predicate(k_states: Sequence[State]) -> Callable[[State], bool]:

@@ -40,7 +40,7 @@ class TestSharedEnumeration:
         both = run_pipeline(gm1, truncation, envelopes=envelopes)
         assert len(calls) == 1
         # r and e have different return sets (|K| = 202 and 5)
-        assert set(both.timings) == {"certificates", "enumerate", "partition[r]",
+        assert set(both.timings) == {"certificates", "explore", "cut", "partition[r]",
                                      "partition[e]", "distribution", "total"}
         for env in envelopes:
             single = run_pipeline(gm1, truncation, envelopes=[env])
@@ -254,10 +254,10 @@ class TestSweep:
                 ToggleSwitchModel(20.0, 1.0), TOGGLE_LEVELS, envelopes=["r", "e"],
                 explicit_return_set=None, with_distribution=False))
         assert [set(r.timings) for r in results] == [
-            {"certificates", "enumerate", "partition[r,e]", "total"},
-            {"enumerate", "partition[r,e]", "total"}]
+            {"certificates", "explore", "cut", "partition[r,e]", "total"},
+            {"cut", "partition[r,e]", "total"}]
         first = results[0].timings
-        assert first["total"] >= first["certificates"] + first["enumerate"]
+        assert first["total"] >= first["certificates"] + first["explore"] + first["cut"]
 
     def test_each_certificate_function_is_called_once_per_state(self, monkeypatch):
         seen = Counter()

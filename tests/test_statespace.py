@@ -349,3 +349,115 @@ def test_rows_hook_weighs_the_set_by_coordinates():
     assert part.unit.tobytes() == (1.0 + np.array(space.states, dtype=float)).tobytes()
     with pytest.raises(ModelError, match="unit weights"):
         enumerate_space(weighted(lambda x: -x), lambda s: s <= 10, lambda s: s <= 2)
+
+
+def ball_predicate(fn, radius):
+    """``fn`` declaring that it describes the model's norm ball of ``radius``."""
+    fn.radius = radius
+    return fn
+
+
+class TestBallStart:
+    @given(seed=st.integers(0, 10_000), radius=st.integers(0, 3), ball=st.integers(0, 5),
+           scale=st.sampled_from([1, 7]), shift=st.sampled_from([0, -5]))
+    @settings(max_examples=40, deadline=None)
+    def test_ball_started_cut_equals_seed_started(self, seed, radius, ball, scale, shift):
+        # the ball of radius ``ball`` may be smaller or larger than the set,
+        # and may hold states the seed cannot reach
+        rows, index = pair_chain(seed, scale, shift)
+        norm = lambda s: abs(index[s][0]) + abs(index[s][1])
+        inside = lambda s: norm(s) <= radius if s in index else False
+        model = batch_model(lambda x: rows[x], seed=(shift, shift),
+                            states_within=lambda r: [s for s in rows if norm(s) <= r])
+        k_pred = lambda s: s == (shift, shift)
+        _, started = cut(explore(model, ball_predicate(lambda s: inside(s), ball), cap=100),
+                         inside, k_pred)
+        assert_partitions_identical(started, enumerate_space(model, inside, k_pred)[1])
+
+    @given(seed=st.integers(0, 10_000), zero_mass_link=st.booleans())
+    @settings(max_examples=20, deadline=None)
+    def test_zero_mass_entries_reach_ball_states(self, seed, zero_mass_link):
+        # the whole chain is the ball; its state n - 1 is reached only
+        # through a zero-mass entry, or not at all
+        entries, a, n, smaller = nested_case(seed, zero_mass_link)
+        model = batch_model(lambda x: entries[x], states_within=lambda r: range(n))
+        k_pred = lambda s: s == 0
+        _, started = cut(explore(model, ball_predicate(lambda s: smaller(s), n), cap=100),
+                         smaller, k_pred)
+        assert (n - 1 in started.space.states) == zero_mass_link
+        assert_partitions_identical(started, enumerate_space(model, smaller, k_pred)[1])
+
+    @pytest.mark.parametrize("case", ["gm1", "toggle"])
+    def test_shipped_truncations_equal_seed_started(self, case):
+        from truncbound.pipeline import truncation_predicate
+
+        if case == "gm1":
+            model, spec, plain = GM1Model(), {"kind": "range", "max": 2000}, lambda s: s <= 2000
+            k_pred = lambda s: s <= 201
+        else:
+            ts = ToggleSwitchModel(20.0, 1.0)
+            model, spec = embed(ts), {"kind": "simplex", "level": 60}
+            plain, k_pred = (lambda s: s[0] + s[1] <= 60), (lambda s: s[0] + s[1] <= 6)
+        pred = truncation_predicate(model, spec)
+        assert pred.radius == 2000 if case == "gm1" else pred.radius == 60
+        assert_partitions_identical(enumerate_space(model, pred, k_pred)[1],
+                                    enumerate_space(model, plain, k_pred)[1])
+
+    @staticmethod
+    def two_classes(bad_row: bool):
+        """0 <-> 1 from the seed 0; 2 <-> 3 apart, with state 2's row summing
+        to 1.1 when ``bad_row``; the ball of radius 3 holds all four."""
+        rows = {0: [(1, 1.0)], 1: [(0, 0.5), (1, 0.5)],
+                2: [(3, 0.6), (2, 0.5 if bad_row else 0.4)], 3: [(2, 1.0)]}
+        return batch_model(lambda x: rows[x], states_within=lambda r: range(int(r) + 1))
+
+    def test_unreachable_ball_states_are_dropped(self):
+        model = self.two_classes(bad_row=False)
+        exploration = explore(model, ball_predicate(lambda s: s <= 3, 3), cap=10)
+        assert exploration.coords[:, 0].tolist() == [0, 1]
+        space, part = cut(exploration, lambda s: s <= 3, lambda s: s == 0)
+        assert space.states == (0, 1)
+        assert_partitions_identical(
+            part, enumerate_space(model, lambda s: s <= 3, lambda s: s == 0)[1])
+
+    def test_unreachable_ball_rows_are_still_checked(self):
+        model = self.two_classes(bad_row=True)
+        assert enumerate_space(model, lambda s: s <= 3, lambda s: s == 0)[0].a_size == 2
+        with pytest.raises(ModelError, match="row of state 2 sums to 1.1"):
+            explore(model, ball_predicate(lambda s: s <= 3, 3), cap=10)
+
+    def test_cap_counts_the_ball(self):
+        model = self.two_classes(bad_row=False)
+        assert explore(model, lambda s: s <= 3, cap=3).coords.shape == (2, 1)
+        with pytest.raises(EnumerationLimitError, match="cap of 3 states exceeded"):
+            explore(model, ball_predicate(lambda s: s <= 3, 3), cap=3)
+
+    def test_small_ball_still_yields_the_reachable_set(self):
+        model = batch_model(walk_row, states_within=lambda r: range(int(r) + 1))
+        exploration = explore(model, ball_predicate(lambda s: s <= 10, 3), cap=100)
+        assert sorted(exploration.coords[:11, 0].tolist()) == list(range(11))
+        assert_partitions_identical(
+            cut(exploration, lambda s: s <= 10, lambda s: s <= 2)[1],
+            enumerate_space(model, lambda s: s <= 10, lambda s: s <= 2)[1])
+
+    def test_seed_without_the_smallest_key_gets_id_0(self):
+        model = batch_model(walk_row, seed=5, states_within=lambda r: range(int(r) + 1))
+        exploration = explore(model, ball_predicate(lambda s: s <= 10, 10), cap=100)
+        assert exploration.coords[0, 0] == 5
+        assert_partitions_identical(
+            cut(exploration, lambda s: s <= 10, lambda s: s <= 2)[1],
+            enumerate_space(model, lambda s: s <= 10, lambda s: s <= 2)[1])
+
+
+class TestStateWidth:
+    def test_row_hook_targets_of_another_width_rejected(self):
+        # int states, but the hook gives each target as a pair
+        model = DiscreteModel(name="wide", seed=0,
+                              rows=lambda states: ([0], np.array([[1, 0]]), [1.0]))
+        with pytest.raises(ModelError, match="batch row hook have 2 coordinates, not 1"):
+            enumerate_space(model, lambda s: s <= 10, lambda s: s == 0)
+
+    def test_ball_of_another_width_rejected(self):
+        model = batch_model(lambda x: [(x, 1.0)], seed=(0, 0), states_within=lambda r: [0, 1])
+        with pytest.raises(ModelError, match="states_within have 1 coordinates, not 2"):
+            explore(model, ball_predicate(lambda s: True, 1), cap=10)
