@@ -46,18 +46,11 @@ def tv_bound_singleton(beta1_z: float, beta2_z: float, kl_e_z: float,
 
 
 def delta2_bound(tau: TauFamily) -> float:
-    """L1 diameter of the mixture family: bounds the gap between the
-    row-normalized stationary vector and the true censored stationary vector.
-
-    When the family was assembled with a clamped denominator the rows carry
-    an unresolvable spread below the rounding noise of their normalization,
-    so the reported diameter is floored at a few ulps rather than claiming
-    an accuracy the arithmetic cannot certify.
-    """
-    d = tau.l1_diameter()
-    if tau.clamped:
-        d = max(d, 8.0 * np.finfo(float).eps)
-    return float(min(d, 2.0))
+    """L1 diameter of the mixture family, at most 2: bounds the gap between
+    the row-normalized stationary vector and the true censored stationary
+    vector (a clamped family's diameter is floored at a few ulps rather than
+    claiming an accuracy the arithmetic cannot certify)."""
+    return float(min(tau.l1_diameter(), 2.0))
 
 
 def ell_lower_bound(tau: TauFamily, kl_e: np.ndarray) -> float:

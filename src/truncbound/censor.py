@@ -27,8 +27,6 @@ ROW_SUM_SLACK = 1e-12
 # right-hand sides per censored solve block; narrow blocks keep each lane's
 # dense |A'| x 8 temporaries small enough for the allocator to reuse them
 RHS_CHUNK = 8
-# rows per pass of l1_diameter: each of the two lanes holds a (2, k, k) buffer
-DIAMETER_CHUNK = 2
 
 
 def _two_lanes(fn, items) -> list:
@@ -96,26 +94,29 @@ class TauFamily:
         return self.rows @ v
 
     def l1_diameter(self) -> float:
-        """``max_{x,y} sum_z |tau_x(z) - tau_y(z)|`` over the pairs y >= x
-        (the sum is symmetric), computed once per family, a block of rows at
-        a time on two lanes; each lane reuses its own buffer."""
+        """``max_{x,y} sum_z |tau_x(z) - tau_y(z)|``, computed once per family
+        and floored at ``8 eps`` when clamped: the rows then carry a spread
+        below the rounding noise of their normalization.  Exact, with the bits
+        of an all-pairs scan: two pivots (row 0 and the row farthest from it)
+        bound every pair by the triangle inequality, inflated by ``4 k eps``
+        for rounding, and only pairs whose bound exceeds the best distance so
+        far are summed.  Non-finite rows give NaN, which no bound could prune."""
         if self._diameter is None:
             rows, k = self.rows, self.size
-            bufs = [np.empty((min(DIAMETER_CHUNK, k), k, k)) for _ in range(2)]
-
-            def block(job):
-                buf, lo = job
-                hi = min(lo + DIAMETER_CHUNK, k)
-                diff = buf[: hi - lo, : k - lo]
-                np.subtract(rows[None, lo:], rows[lo:hi, None], out=diff)
-                np.abs(diff, out=diff)
-                return float(diff.sum(axis=2).max())
-
-            # item j runs on lane j % 2, so items of one lane share its buffer
-            starts = range(0, k, DIAMETER_CHUNK)
-            self._diameter = max(_two_lanes(block, [(bufs[j % 2], lo)
-                                                    for j, lo in enumerate(starts)]),
-                                 default=0.0)
+            if not np.isfinite(rows).all():
+                return float("nan")
+            d0 = np.abs(rows - rows[0]).sum(axis=1)
+            d1 = np.abs(rows - rows[int(np.argmax(d0))]).sum(axis=1)
+            best = float(d1.max())
+            if self.clamped:
+                best = max(best, 8.0 * np.finfo(float).eps)
+            ub = np.minimum(np.add.outer(d0, d0), np.add.outer(d1, d1))
+            ub *= 1.0 + 4.0 * k * np.finfo(float).eps
+            # best only grows, so a row whose bounds all stay below it is done
+            for x in np.flatnonzero(ub.max(axis=1) > best):
+                ys = x + 1 + np.flatnonzero(ub[x, x + 1:] > best)
+                best = float(np.abs(rows[ys] - rows[x]).sum(axis=1).max(initial=best))
+            self._diameter = best
         return self._diameter
 
 

@@ -300,16 +300,16 @@ def verify_certificate(model, cert: DriftCertificate, *,
         reports = reports * 2
     if table.jump:
         bad = _rate_domination_violations(table, ball, cert)
-        if bad and not cert.skip_rate_domination:
+        if bad.size and not cert.skip_rate_domination:
             raise CertificateError(
-                f"envelope does not dominate the exit rate at {len(bad)} states, "
-                f"e.g. {bad[:5]}; positive recurrence of the embedded chain is "
-                "uncertified (set skip_rate_domination=True to proceed anyway)"
+                f"envelope does not dominate the exit rate at {bad.size} states, "
+                f"e.g. {_objects(table.coords[bad[:5]])}; positive recurrence of the embedded "
+                "chain is uncertified (set skip_rate_domination=True to proceed anyway)"
             )
-        if bad:
+        if bad.size:
             warnings.warn(
                 "envelope does not dominate the exit rate on "
-                f"{len(bad)} states; proceeding on the expert flag: the cycle "
+                f"{bad.size} states; proceeding on the expert flag: the cycle "
                 "identity stays valid, embedded-chain positive recurrence is "
                 "certified only through the unit-drift condition",
                 stacklevel=2,
@@ -318,10 +318,10 @@ def verify_certificate(model, cert: DriftCertificate, *,
 
 
 def _rate_domination_violations(table: _DriftTable, x: np.ndarray,
-                                cert: DriftCertificate) -> list:
-    """States among the ids ``x`` whose envelope falls below the exit rate."""
+                                cert: DriftCertificate) -> np.ndarray:
+    """The ids among ``x``, in their order, whose envelope falls below the exit rate."""
     low = _values(table.table, cert.envelope, x)[x] < table.lam[x] * (1.0 - 1e-12)
-    return _objects(table.coords[x[low]])
+    return x[low]
 
 
 @dataclass(frozen=True, eq=False)

@@ -158,8 +158,9 @@ class GM1Model:
     @cached_property
     def _row_tables(self) -> tuple:
         """Row x by its number t = min(x + 1, len(beta)) of explicit entries:
-        targets ``x * a + b`` (a column), masses beta_0 .. beta_{t-1} and the
-        complement at 0 if positive (targets stop at x + 2 - t >= 1), sizes."""
+        targets ``x * a + b``, masses beta_0 .. beta_{t-1} and the complement
+        at 0 if positive (targets stop at x + 2 - t >= 1); the tables of
+        t = 0, 1, ... concatenated, with the start and size of each."""
         masses = self.beta_masses
         tables = []
         for t in range(len(masses) + 1):
@@ -167,17 +168,20 @@ class GM1Model:
             a, b, q = np.ones(t, dtype=np.int64), 1 - np.arange(t), masses[:t]
             if rest > 0.0:
                 a, b, q = np.append(a, 0), np.append(b, 0), np.append(q, rest)
-            tables.append((a[:, None], b[:, None], q, len(q)))
-        a, b, p, sizes = zip(*tables)
-        return a, b, p, np.array(sizes)
+            tables.append((a, b, q))
+        a, b, p = (np.concatenate(c) for c in zip(*tables))
+        sizes = np.array([len(q) for _, _, q in tables])
+        return a, b, p, np.cumsum(sizes) - sizes, sizes
 
     def rows(self, states):
         """``(pos, targets, p)``: entry ``j`` from ``states[pos[j]]``, rows in order."""
-        a, b, p, sizes = self._row_tables
-        x = np.asarray(states, dtype=np.int64).reshape(-1).tolist()
-        t = [min(max(v + 1, 0), len(p) - 1) for v in x]
-        targets = np.concatenate([v * a[i] + b[i] for v, i in zip(x, t)])
-        return np.arange(len(t)).repeat(sizes[t]), targets, np.concatenate([p[i] for i in t])
+        a, b, p, start, sizes = self._row_tables
+        x = np.asarray(states, dtype=np.int64).reshape(-1)
+        t = np.clip(x + 1, 0, len(sizes) - 1)
+        n = sizes[t]
+        # each entry's place in the tables: its row's table start plus its offset in the row
+        e = np.arange(n.sum()) + (start[t] - (np.cumsum(n) - n)).repeat(n)
+        return np.arange(len(x)).repeat(n), (x.repeat(n) * a[e] + b[e])[:, None], p[e]
 
     def norm(self, x) -> float:
         return float(x)

@@ -15,8 +15,8 @@ from truncbound.bounds import (
     tv_bound_general,
     tv_bound_singleton,
 )
-from truncbound.censor import CensoredApprox
-from truncbound.errors import CertificateError
+from truncbound.censor import CensoredApprox, TauFamily
+from truncbound.errors import CertificateError, NumericalError
 from truncbound.lyapunov import BoundInputs, evaluate_certificate
 from truncbound.models import GM1Model
 
@@ -278,6 +278,15 @@ class TestDeltas:
             pi = stationary_power(P)
             pi_k = pi[:k] / pi[:k].sum()
             assert np.abs(pi2 - pi_k).sum() <= delta2_bound(ca.tau) + 1e-11
+
+    def test_non_finite_family_raises(self, rng):
+        P, model, ws, inputs = setup_host(rng, n=12, k=3)
+        ca = ws.censored()
+        rows = ca.tau.rows.copy()
+        rows[1, 0] = np.nan
+        ca.tau = TauFamily(rows, ca.tau.denominator, ca.tau.clamped)
+        with pytest.raises(NumericalError, match="non-finite"):
+            compute_bounds(ws, inputs)
 
     def test_delta1_trivial_cases(self):
         # P1 equals a stochastic censored matrix: no perturbation at all

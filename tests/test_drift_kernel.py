@@ -8,6 +8,7 @@ way against their straightforward forms.
 """
 
 import warnings
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,7 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from truncbound import TruncationWorkspace, censor, enumerate_space, explicit_k_predicate
+from truncbound import TruncationWorkspace, enumerate_space, explicit_k_predicate
+from truncbound.bounds import delta2_bound
 from truncbound.censor import RHS_CHUNK, TauFamily
 from truncbound.ctmc import embed
 from truncbound.errors import CertificateError, ModelError
@@ -31,6 +33,7 @@ from truncbound.lyapunov import (
     verify_drift,
 )
 from truncbound.models import GM1Model, ToggleSwitchModel
+from truncbound.statespace import _objects
 
 from conftest import batch_model, row_of, states_of
 
@@ -226,8 +229,12 @@ def test_certificates_equal_reference(model):
             assert bits(rep.worst_margin) == bits(worst)
         if hasattr(model, "rate_rows"):
             ball = _DriftTable(model, model.states_within(max(cert.radius_r, cert.radius_e)))
-            assert _rate_domination_violations(ball, ball.src, cert) \
-                == ref_rate_domination(model, cert)
+            want = ref_rate_domination(model, cert)
+            ids = _rate_domination_violations(ball, ball.src, cert)
+            assert _objects(ball.coords[ids]) == want
+            with pytest.raises(CertificateError) as err:
+                verify_certificate(model, replace(cert, skip_rate_domination=False))
+            assert f"exit rate at {len(want)} states, e.g. {want[:5]};" in str(err.value)
 
 
 def test_moment_bound_equals_reference():
@@ -305,16 +312,48 @@ def brute_diameter(rows):
     return max(float(np.abs(a - b).sum()) for a in rows for b in rows)
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 8, 13, 150])
-def test_l1_diameter_equals_brute_force(k, rng, monkeypatch):
+def diameter_families(k, rng):
+    """Random rows, rows a few ulps apart (spread about 1e-17) and rows with
+    duplicates, each normalized to sum one."""
     rows = rng.random((k, k)) ** 3
-    rows /= rows.sum(axis=1)[:, None]
-    want = bits(loop_diameter(rows))
-    assert bits(brute_diameter(rows)) == want
-    for chunk in (1, 2, 8):                       # row blocks per pass, split over two lanes
-        monkeypatch.setattr(censor, "DIAMETER_CHUNK", chunk)
-        fam = TauFamily(rows, 0.5, False)
-        d = fam.l1_diameter()
-        assert bits(d) == want, chunk
-        fam.rows = np.zeros_like(rows)            # computed once per family
-        assert bits(fam.l1_diameter()) == bits(d)
+    near = 1.0 + rng.integers(0, 4, (k, k)) * np.finfo(float).eps
+    dup = rows[rng.integers(0, max(k // 3, 1), k)]
+    for fam in (rows, near, dup):
+        yield fam / fam.sum(axis=1)[:, None]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 8, 13, 150, 456])
+def test_l1_diameter_equals_brute_force(k, rng):
+    floor = 8.0 * np.finfo(float).eps
+    for rows in diameter_families(k, rng):
+        want = loop_diameter(rows)
+        if k <= 150:
+            assert bits(brute_diameter(rows)) == bits(want)
+        for clamped in (False, True):
+            fam = TauFamily(rows, 0.5, clamped)
+            d = fam.l1_diameter()
+            assert bits(d) == bits(max(want, floor) if clamped else want)
+            fam.rows = np.zeros_like(rows)        # computed once per family
+            assert bits(fam.l1_diameter()) == bits(d)
+
+
+def test_delta2_bound_on_clamped_families(rng):
+    floor = 8.0 * np.finfo(float).eps
+    k = 40
+    below = 1.0 + rng.integers(0, 2, (k, k)) * np.finfo(float).eps
+    below /= below.sum(axis=1)[:, None]
+    assert 0.0 < loop_diameter(below) < floor
+    assert delta2_bound(TauFamily(below, 0.0, True)) == floor
+    assert delta2_bound(TauFamily(below, 1e-17, False)) == loop_diameter(below)
+    above = rng.random((k, k))
+    above /= above.sum(axis=1)[:, None]
+    assert bits(delta2_bound(TauFamily(above, 0.0, True))) == bits(brute_diameter(above))
+
+
+def test_l1_diameter_of_non_finite_rows_is_nan():
+    rows = np.full((4, 4), 0.25)
+    rows[2, 1] = np.nan
+    for clamped in (False, True):
+        fam = TauFamily(rows, 0.0, clamped)
+        assert np.isnan(fam.l1_diameter())
+        assert np.isnan(delta2_bound(fam))
