@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import itertools
 import json
 import os
 import sys
@@ -156,8 +155,7 @@ def cmd_run(cfg: dict, override: str | None) -> int:
         "reports": {env: run.report.to_dict() for env, run in result.runs.items()},
         "return_sets": {env: {"k_size": run.k_size, "k_star": run.k_star}
                         for env, run in result.runs.items()},
-        "distribution": {"states": result.distribution_states,
-                         "probability": result.distribution_mass},
+        "distribution": result.distribution,
         "timings": result.timings,
     }
     path = os.path.join(outdir, cfg.get("output", {}).get("report", "report.json"))
@@ -172,29 +170,18 @@ def cmd_run(cfg: dict, override: str | None) -> int:
 
 
 def _dump_report(doc: dict, fh) -> None:
-    """``json.dump(doc, fh, indent=1)``, for a doc whose distribution holds its
-    states as given (tuples for lists) and its mass as an array or None.
-    Finite masses and integer states, or integer tuples of one length, are
-    joined in C rather than by json's pure-Python indent encoder."""
-    import numpy as np
-
-    states, mass = doc["distribution"]["states"], doc["distribution"]["probability"]
-    mass = np.zeros(0) if mass is None else mass
-    widths = {len(s) if type(s) is tuple else None for s in states}
-    parts = itertools.chain.from_iterable(s if type(s) is tuple else (s,) for s in states)
-    if len(widths) > 1 or set(map(type, parts)) - {int} or not np.isfinite(mass).all():
-        json.dump({**doc, "distribution": {
-            "states": [list(s) if isinstance(s, tuple) else s for s in states],
-            "probability": mass.tolist()}}, fh, indent=1)
-        return
-    width = widths.pop() if widths else None
-    state = "%d" if width is None else "[]" if not width else \
-        "[\n" + ",\n".join(["    %d"] * width) + "\n   ]"
+    """Write ``json.dumps(doc, indent=1)`` for a doc whose ``distribution``, a
+    state space and its masses, is written as ``{"states", "probability"}``.
+    The int64 coordinates (of one width) and the finite masses are joined in
+    C rather than by json's pure-Python indent encoder."""
+    space, mass = doc["distribution"]
+    n, d = space.coords.shape
+    state = "%d" if d == 1 else "[\n" + ",\n".join(["    %d"] * d) + "\n   ]"
+    states = ",\n   ".join([state] * n) % tuple(space.coords.ravel().tolist())
+    masses = ",\n   ".join(map(float.__repr__, mass.tolist()))
     text = json.dumps({**doc, "distribution": {"states": "@S@", "probability": "@P@"}}, indent=1)
-    for mark, items in (("@S@", map(state.__mod__, states)),
-                        ("@P@", map(float.__repr__, mass.tolist()))):
-        joined = ",\n   ".join(items)
-        text = text.replace(f'"{mark}"', f"[\n   {joined}\n  ]" if joined else "[]", 1)
+    for mark, joined in (("@S@", states), ("@P@", masses)):
+        text = text.replace(f'"{mark}"', f"[\n   {joined}\n  ]", 1)
     fh.write(text)
 
 

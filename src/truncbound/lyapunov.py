@@ -17,7 +17,6 @@ import warnings
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, replace
-from itertools import repeat
 from typing import Callable, Sequence
 
 import numpy as np
@@ -48,15 +47,19 @@ class _DriftTable:
             self.pos, targets, self.w, _ = _read_rows(model.rows, sources)
             _check_rows(sources, self.pos, self.w)
         reached = np.concatenate([sources, targets])
-        tgt, first = _first_ids(_keys(reached))
-        self.coords, self.tgt = reached[first], tgt[m:]
-        self.ids = dict(zip(_keys(self.coords).tolist(), range(len(first))))
+        keys = _keys(reached)
+        tgt, first = _first_ids(keys)
+        self.coords, self.tgt, keys = reached[first], tgt[m:], keys[first]
+        order = np.argsort(keys)
+        # the sorted keys and their ids, then a last slot for keys past them all: id -1
+        self.keys, self.ids = np.append(keys[order], 0), np.append(order, -1)
         self.table = self.coords, {}
 
     def find(self, states) -> np.ndarray:
         """The ids of ``states``, -1 for those the table does not hold."""
-        keys = _keys(_coords(states, self.coords.shape[1])).tolist()
-        return np.fromiter(map(self.ids.get, keys, repeat(-1)), dtype=np.intp, count=len(keys))
+        keys = _keys(_coords(states, self.coords.shape[1]))
+        at = np.searchsorted(self.keys[:-1], keys)
+        return np.where(self.keys[at] == keys, self.ids[at], -1)
 
     def mask(self, states) -> np.ndarray:
         """True at the ids of those of ``states`` that the table holds."""
@@ -239,7 +242,7 @@ class DriftCertificate:
     jump processes whose envelope does not dominate the exit rates (the
     ratio identity still holds; positive recurrence of the embedded chain is
     then uncertified).  Rows have finite support, so the exterior overflows
-    are computed with equality from the boundary rows.
+    are computed with equality from the partition's exits.
     """
 
     return_set: tuple
@@ -349,7 +352,7 @@ class BoundInputs:
 def evaluate_certificate(cert: DriftCertificate, partition: Partition,
                          *, envelope_id: str = "r") -> BoundInputs:
     """Evaluate a verified certificate over a partition (exact h from the
-    boundary rows) and fingerprint it for provenance."""
+    partition's exits) and fingerprint it for provenance."""
     if not cert.verified:
         raise CertificateError("certificate must be verified before evaluation")
     k_block = set(_objects(partition.space.coords[:partition.k_size]))

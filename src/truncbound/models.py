@@ -352,11 +352,15 @@ class ToggleSwitchModel:
         return self._lyapunov
 
     @cached_property
+    def _drift_constants(self) -> tuple:
+        """c0, c1 and c2 of g1's drift bound, read by the radii n1 and n3."""
+        lam, mu, xs = self.lam, self.mu, self.x_star
+        return 2 * lam, 1 + 2 * lam + 2 * mu * (2 * xs + 1), 2 * mu
+
+    @cached_property
     def _lyapunov(self) -> ToggleLyapunov:
         lam, mu, xs = self.lam, self.mu, self.x_star
-        c0 = 2 * lam
-        c1 = 1 + 2 * lam + 2 * mu * (2 * xs + 1)
-        c2 = 2 * mu
+        c0, c1, c2 = self._drift_constants
         n1 = math.ceil((c1 + math.sqrt(c1 * c1 + 4 * c2 * c0 / 2)) / c2)
         n2 = math.ceil((2 * lam + 4 * mu * xs + 1) / mu)
         return ToggleLyapunov(
@@ -374,10 +378,7 @@ class ToggleSwitchModel:
         Returns (g3, w, n3).  Requires alpha * mu > 1 so the quadratic decay
         dominates the reward."""
         alpha = TOGGLE_MOMENT_ALPHA
-        lam, mu, xs = self.lam, self.mu, self.x_star
-        c0 = 2 * lam
-        c1 = 1 + 2 * lam + 2 * mu * (2 * xs + 1)
-        c2 = 2 * mu
+        c0, c1, c2 = self._drift_constants
         c3 = 1.0
         lead = alpha * c2 / 2 - c3
         if lead <= 0:

@@ -13,8 +13,6 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .bounds import BoundReport, compute_bounds
 from .censor import TruncationWorkspace
 from .ctmc import embed
@@ -58,8 +56,7 @@ class PipelineResult:
     model_name: str
     truncation: dict
     runs: dict = field(default_factory=dict)           # envelope id -> EnvelopeRun
-    distribution_states: list = field(default_factory=list)
-    distribution_mass: np.ndarray | None = None
+    distribution: tuple | None = None    # (state space, masses) of the approximation
     timings: dict = field(default_factory=dict)
 
     def report(self, envelope_id: str) -> BoundReport:
@@ -164,9 +161,8 @@ def _bound(result: PipelineResult, part, certs: dict, by_return_set: dict,
 
     if with_distribution and primary is not None:
         t0 = time.perf_counter()
-        dist = primary.approx_distribution(primary.censored().row_normalized[1])
-        result.distribution_states = list(primary.partition.space.states)
-        result.distribution_mass = dist
+        result.distribution = primary.partition.space, \
+            primary.approx_distribution(primary.censored().row_normalized[1])
         result.timings["distribution"] = time.perf_counter() - t0
 
 

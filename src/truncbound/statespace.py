@@ -5,17 +5,15 @@ the library a set of states is an ``(n, d)`` int64 array of coordinates
 (d = 1 for ints), each state with one int64 key (:func:`_keys`) ordered as the
 states are; model hooks exchange such arrays, a :func:`batched` function is
 evaluated on a whole table in one call, and Python states exist only at the
-edges (``StateSpace.states``, boundary rows, messages).  The dense indexing
-puts the return set K first, then A' = A - K, each sorted by state; exterior
-mass is kept as per-state boundary rows.
+edges (``StateSpace.states``, messages).  The dense indexing puts the return
+set K first, then A' = A - K, each sorted by state; exterior mass is kept as
+arrays of exits (owner, exterior state, mass) into a shared value table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import groupby
-from operator import itemgetter
 from typing import Callable, Hashable, Sequence
 
 import numpy as np
@@ -109,9 +107,6 @@ class StateSpace:
         """The Python states (ints, or int tuples) in index order."""
         return tuple(_objects(self.coords))
 
-    def index_of(self, state: State) -> int:
-        return self.states.index(state)
-
     @cached_property
     def states_repr(self) -> str:
         """``repr(self.states)``, joined from the coordinates."""
@@ -123,11 +118,14 @@ class StateSpace:
 
 @dataclass
 class Partition:
-    """Block partition of the transition matrix over (K, A', boundary).
+    """Block partition of the transition matrix over (K, A', exterior).
 
-    ``P11, P12, P21, P22`` are the within-A blocks in CSR form; ``boundary``
-    maps each A-index to its list of ``(exterior_state, probability)``
-    transitions.  Exterior blocks over A^c are never formed.
+    ``P11, P12, P21, P22`` are the within-A blocks in CSR form.  ``table`` is
+    a value table (see :func:`_values`) that holds A's states at the ids
+    ``ids`` and A's exterior targets; ``exits`` lists the mass that leaves A
+    as three arrays, each row's entries in row order: the owning A index,
+    the exterior state's id in ``table`` and the mass.  Exterior blocks over
+    A^c are never formed.
     """
 
     space: StateSpace
@@ -135,8 +133,10 @@ class Partition:
     P12: sp.csr_matrix
     P21: sp.csr_matrix
     P22: sp.csr_matrix
-    boundary: tuple
     unit: np.ndarray    # per-state "time" weight; ones for DTMC rows
+    table: tuple
+    ids: np.ndarray
+    exits: tuple
 
     @property
     def k_size(self) -> int:
@@ -146,28 +146,15 @@ class Partition:
     def a_size(self) -> int:
         return self.space.a_size
 
-    @cached_property
-    def _table(self) -> tuple:
-        """A value table (see :func:`_values`) over A and its exits, the ids of
-        A's states in it, and the boundary's entries in order: their states'
-        ids, rows and masses.  A partition cut from an exploration shares the
-        exploration's table."""
-        entries = [(i, y, q) for i, row in enumerate(self.boundary) for y, q in row]
-        rows, exits, p = zip(*entries) if entries else ((), (), ())
-        n = self.a_size
-        return (_coords([*self.space.states, *exits]), {}), np.arange(n), \
-            np.arange(n, n + len(exits)), np.array(rows, dtype=np.intp), np.array(p, dtype=float)
-
     def evaluate(self, fn: Callable[[State], float]) -> np.ndarray:
         """Evaluate a state function on all of A in dense-index order."""
-        table, ids, *_ = self._table
-        return _values(table, fn, ids)[ids]
+        return _values(self.table, fn, self.ids)[self.ids]
 
     def boundary_overflow(self, fn: Callable[[State], float]) -> np.ndarray:
         """Exact exterior overflow ``h(x) = sum_{y not in A} P(x, y) fn(y)``,
-        each row's terms added in boundary order."""
-        table, _, exits, rows, p = self._table
-        return np.bincount(rows, weights=p * _values(table, fn, exits)[exits],
+        each row's terms added in exit order."""
+        rows, at, p = self.exits
+        return np.bincount(rows, weights=p * _values(self.table, fn, at)[at],
                            minlength=self.a_size)
 
     def full_matrix(self) -> sp.csr_matrix:
@@ -298,7 +285,7 @@ def cut(exploration: Exploration, a_predicate: Callable[[State], bool],
         k_predicate: Callable[[State], bool]) -> tuple[StateSpace, Partition]:
     """The partition over the return set of ``k_predicate`` of the states the
     seed reaches without leaving ``a_predicate``, a set that must lie in the
-    explored one.  Blocks, boundary and unit weights equal those of a fresh
+    explored one.  Blocks, exits and unit weights equal those of a fresh
     :func:`enumerate_space` bit for bit.
     """
     ex, coords = exploration, exploration.coords
@@ -320,17 +307,11 @@ def cut(exploration: Exploration, a_predicate: Callable[[State], bool],
     held = (s >= 0) & (ex.p != 0.0)         # the level's entries with mass
     out = np.flatnonzero(held & (d < 0))    # the level's exits, each state's in row order
     by_row = np.argsort(s[out], kind="stable")
-    owner, exits, q = s[out][by_row], ex.dst[out][by_row], ex.p[out][by_row]
-    boundary = [()] * n
-    for i, group in groupby(zip(owner.tolist(), _objects(coords[exits]), q.tolist()),
-                            key=itemgetter(0)):
-        boundary[i] = tuple((y, x) for _, y, x in group)
+    exits = s[out][by_row], ex.dst[out][by_row], ex.p[out][by_row]
     held &= d >= 0                          # and those of them within the level
     P = sp.csr_matrix((ex.p[held], (s[held], d[held])), shape=(n, n))   # duplicates add
     del s, d, held
-    part = _partition(space, P, tuple(boundary), ex.unit[kept][k_first])
-    part._table = ex.table, ids, exits, owner, q
-    return space, part
+    return space, _partition(space, P, ex.unit[kept][k_first], ex.table, ids, exits)
 
 
 def repartition(part: Partition, k_predicate: Callable[[State], bool],
@@ -338,7 +319,7 @@ def repartition(part: Partition, k_predicate: Callable[[State], bool],
     """The same truncation set partitioned over another return set.
 
     Rows and columns of ``part``'s operator are permuted K-first and no mass
-    is recomputed, so blocks, boundary and unit weights equal those of a
+    is recomputed, so blocks, exits and unit weights equal those of a
     fresh :func:`enumerate_space` with ``k_predicate`` bit for bit (up to the
     order in which a row's repeated targets were added).  The new partition
     shares ``part``'s value table.
@@ -348,16 +329,14 @@ def repartition(part: Partition, k_predicate: Callable[[State], bool],
     space, k_first = _k_first_space(old.coords[by_state], k_predicate)
     perm = by_state[k_first]
     P = part.full_matrix()[perm]          # rows in the new order
-    new = np.empty_like(perm, dtype=P.indices.dtype)
+    new = np.empty_like(perm)
     new[perm] = np.arange(space.a_size)
-    P.indices = new[P.indices]            # and the columns
+    P.indices = new[P.indices].astype(P.indices.dtype)     # and the columns
     P.sort_indices()
-    boundary = tuple(part.boundary[i] for i in perm.tolist())
-    derived = _partition(space, P, boundary, part.unit[perm])
-    table, ids, exits, rows, q = part._table
+    rows, at, q = part.exits
     by_row = np.argsort(new[rows], kind="stable")
-    derived._table = table, ids[perm], exits[by_row], new[rows][by_row], q[by_row]
-    return space, derived
+    exits = new[rows][by_row], at[by_row], q[by_row]
+    return space, _partition(space, P, part.unit[perm], part.table, part.ids[perm], exits)
 
 
 def _read_rows(hook: Callable, states: np.ndarray) -> tuple:
@@ -429,13 +408,12 @@ def _k_first_space(coords: np.ndarray, k_predicate) -> tuple[StateSpace, np.ndar
     return StateSpace(coords=coords[order], k_size=int(np.count_nonzero(in_k))), order
 
 
-def _partition(space: StateSpace, P: sp.csr_matrix, boundary: tuple,
-               unit: np.ndarray) -> Partition:
-    """Blocks of the K-first operator ``P`` (canonical CSR)."""
+def _partition(space: StateSpace, P: sp.csr_matrix, *rest) -> Partition:
+    """A Partition of the K-first operator ``P``'s blocks (canonical CSR) and ``rest``."""
     k = space.k_size
-    k_rows, rest = slice(k), slice(k, None)
-    return Partition(space, *(P[r, c].tocsr() for r in (k_rows, rest) for c in (k_rows, rest)),
-                     boundary, unit)
+    k_rows, others = slice(k), slice(k, None)
+    return Partition(space, *(P[r, c].tocsr() for r in (k_rows, others) for c in (k_rows, others)),
+                     *rest)
 
 
 def explicit_k_predicate(k_states: Sequence[State]) -> Callable[[State], bool]:

@@ -178,15 +178,30 @@ def row_of(model, x) -> list:
     return list(zip(states_of(targets), np.asarray(p, dtype=float).tolist()))
 
 
+def boundary_rows(part) -> tuple:
+    """Each A index's exits as ``((exterior state, mass), ...)`` in row order."""
+    owner, at, q = part.exits
+    rows = [[] for _ in range(part.a_size)]
+    for i, y, p in zip(owner.tolist(), states_of(part.table[0][at]), q.tolist()):
+        rows[i].append((y, p))
+    return tuple(map(tuple, rows))
+
+
 def assert_partitions_identical(a, b) -> None:
-    """Same states, bit-identical blocks (canonical CSR), boundary and unit."""
+    """Same states, bit-identical blocks (canonical CSR), exits and unit.
+    Each partition's table holds its states at its ids; the two may share
+    no table, so exits compare by owner, exterior coordinates and mass."""
     assert a.space.k_size == b.space.k_size and np.array_equal(a.space.coords, b.space.coords)
     for block in ("P11", "P12", "P21", "P22"):
         x, y = getattr(a, block), getattr(b, block)
         assert x.shape == y.shape
         assert x.data.tobytes() == y.data.tobytes(), block
         assert np.array_equal(x.indices, y.indices) and np.array_equal(x.indptr, y.indptr)
-    assert a.boundary == b.boundary
+    for part in (a, b):
+        assert np.array_equal(part.table[0][part.ids], part.space.coords)
+    (a_owner, a_at, a_q), (b_owner, b_at, b_q) = a.exits, b.exits
+    assert a_owner.tobytes() == b_owner.tobytes() and a_q.tobytes() == b_q.tobytes()
+    assert a.table[0][a_at].tobytes() == b.table[0][b_at].tobytes()
     assert a.unit.tobytes() == b.unit.tobytes()
 
 
@@ -213,7 +228,7 @@ def measured_weighted_tv(p: np.ndarray, q: np.ndarray, envelope: np.ndarray) -> 
 
 def partition_from_matrix(P_A: np.ndarray, k: int):
     """Hand-built partition over states 0..n-1 (K = first k) whose rows may be
-    substochastic; the missing mass becomes a single exterior boundary entry.
+    substochastic; the missing mass becomes a single exit to the state n.
 
     Lets tests build censored-matrix structures (e.g. genuinely reducible
     ones) that single-seed enumeration cannot reach.
@@ -223,20 +238,20 @@ def partition_from_matrix(P_A: np.ndarray, k: int):
     from truncbound.statespace import Partition, StateSpace
 
     n = P_A.shape[0]
-    space = StateSpace(coords=np.arange(n)[:, None], k_size=k)
-    boundary = []
-    for i in range(n):
-        missing = 1.0 - float(P_A[i].sum())
-        boundary.append((("ext", missing),) if missing > 1e-15 else ())
+    coords = np.arange(n + 1)[:, None]      # the states 0..n-1, then the exterior state n
+    missing = 1.0 - P_A.sum(axis=1)
+    owner = np.flatnonzero(missing > 1e-15)
     P = sp.csr_matrix(P_A)
     return Partition(
-        space=space,
+        space=StateSpace(coords=coords[:n], k_size=k),
         P11=P[:k, :k].tocsr(),
         P12=P[:k, k:].tocsr(),
         P21=P[k:, :k].tocsr(),
         P22=P[k:, k:].tocsr(),
-        boundary=tuple(boundary),
         unit=np.ones(n),
+        table=(coords, {}),
+        ids=np.arange(n),
+        exits=(owner, np.full(owner.size, n), missing[owner]),
     )
 
 

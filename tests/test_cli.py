@@ -7,7 +7,6 @@ import textwrap
 import io
 import warnings
 
-import numpy as np
 import pytest
 
 import truncbound
@@ -122,22 +121,18 @@ def report_doc(result) -> dict:
     """A ``cmd_run``-shaped report doc, distribution as the writer takes it."""
     return {"model": result.model_name, "truncation": result.truncation,
             "reports": {env: run.report.to_dict() for env, run in result.runs.items()},
-            "distribution": {"states": result.distribution_states,
-                             "probability": result.distribution_mass},
-            "timings": result.timings}
+            "distribution": result.distribution, "timings": result.timings}
 
 
 def json_form(doc) -> dict:
-    dist = doc["distribution"]
-    mass = dist["probability"]
+    space, mass = doc["distribution"]
     return {**doc, "distribution": {
-        "states": [list(s) if isinstance(s, tuple) else s for s in dist["states"]],
-        "probability": [] if mass is None else mass.tolist()}}
+        "states": [list(s) if isinstance(s, tuple) else s for s in space.states],
+        "probability": mass.tolist()}}
 
 
 class TestReportWriter:
-    @pytest.mark.parametrize("case", ["gm1", "toggle", "non-finite", "bool", "ragged",
-                                      "empty"])
+    @pytest.mark.parametrize("case", ["gm1", "toggle"])
     def test_bytes_equal_indented_json_dump(self, case):
         from truncbound.models import GM1Model, ToggleSwitchModel
         from truncbound.pipeline import run_pipeline
@@ -145,20 +140,11 @@ class TestReportWriter:
         if case == "gm1":
             doc = report_doc(run_pipeline(GM1Model(), {"kind": "range", "max": 300},
                                           envelopes=["r", "e"]))
-        elif case == "toggle":
+        else:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)   # rate domination
                 doc = report_doc(run_pipeline(ToggleSwitchModel(20.0, 1.0),
                                               {"kind": "simplex", "level": 40}))
-        else:
-            states, mass = {
-                "non-finite": ([(0, 1), (2, 3), (4, 5)], np.array([np.nan, np.inf, -np.inf])),
-                "bool": ([True, 2], np.array([0.5, 0.5])),
-                "ragged": ([(1,), (2, 3)], np.array([0.25, 0.75])),
-                "empty": ([], None),
-            }[case]
-            doc = {"model": "m", "reports": {"r": {"lower": float("nan")}},
-                   "distribution": {"states": states, "probability": mass}}
         written = io.StringIO()
         cli._dump_report(doc, written)
         expected = io.StringIO()

@@ -258,6 +258,15 @@ def test_embedded_chain_surplus_equals_reference():
     assert bits(got) == bits(want)
 
 
+@pytest.mark.parametrize("region", [[(0, 0), (2, 1), (1, 3)], []], ids=["states", "empty"])
+def test_find_gives_ids_and_minus_one_for_absent_states(region):
+    table = _DriftTable(embed(ToggleSwitchModel(20.0, 1.0)),
+                        np.array(region, dtype=np.int64).reshape(-1, 2))
+    held = states_of(table.coords)
+    probes = [*reversed(held), (500, 0), (-1, 7), (0, 2**20)]
+    assert table.find(probes).tolist() == [*reversed(range(len(held))), -1, -1, -1]
+
+
 def test_toggle_pair_return_set_is_built_once(monkeypatch):
     from truncbound import models, pipeline
 

@@ -143,7 +143,7 @@ class TestBoundaryOverflow:
         space, part = enumerate_space(gm1, lambda s: s <= 300, lambda s: s == 0)
         g = lambda x: 300.0 * x * x
         h = part.boundary_overflow(g)
-        idx = space.index_of(300)
+        idx = space.states.index(300)
         assert h[idx] == pytest.approx(float(gm1.beta_masses[0]) * g(301), rel=1e-14)
 
     def test_full_space_overflow_vanishes(self, rng):

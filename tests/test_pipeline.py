@@ -46,8 +46,9 @@ class TestSharedEnumeration:
             single = run_pipeline(gm1, truncation, envelopes=[env])
             assert without_timings(both.report(env)) == without_timings(single.report(env))
             if env == envelopes[0]:   # the distribution is the first envelope's
-                assert both.distribution_mass.tobytes() == single.distribution_mass.tobytes()
-                assert both.distribution_states == single.distribution_states
+                (space, mass), (single_space, single_mass) = both.distribution, single.distribution
+                assert mass.tobytes() == single_mass.tobytes()
+                assert space.coords.tobytes() == single_space.coords.tobytes()
 
 
 def test_partition_stage_times_certificate_evaluation(monkeypatch):
@@ -139,7 +140,7 @@ class TestOverlap:
         runs = [run_pipeline(GM1Model(), GM1_2000, envelopes=envelopes) for _ in range(2)]
         for env in envelopes:
             assert without_timings(runs[0].report(env)) == without_timings(runs[1].report(env))
-        assert runs[0].distribution_mass.tobytes() == runs[1].distribution_mass.tobytes()
+        assert runs[0].distribution[1].tobytes() == runs[1].distribution[1].tobytes()
 
 
 def tables_built(monkeypatch) -> list:

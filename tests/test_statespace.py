@@ -13,6 +13,7 @@ from truncbound.statespace import cut, explicit_k_predicate, explore, repartitio
 from conftest import (
     assert_partitions_identical,
     batch_model,
+    boundary_rows,
     host_model,
     random_stochastic,
 )
@@ -58,7 +59,7 @@ class TestEnumerate:
         P = random_stochastic(rng, 12)
         space, _ = enumerate_space(host_model(P), lambda s: True, lambda s: s < 4)
         for i in range(space.a_size):
-            assert space.index_of(space.states[i]) == i
+            assert space.states.index(space.states[i]) == i
 
     def test_k_block_leads_and_is_sorted(self):
         ts = ToggleSwitchModel(20.0, 1.0)
@@ -73,7 +74,7 @@ class TestEnumerate:
         gm1 = GM1Model()
         space, part = enumerate_space(gm1, lambda s: s <= 500, lambda s: s == 0)
         # only the top state can leave A, in one step to 501
-        ext = [(i, e) for i, e in enumerate(part.boundary) if e]
+        ext = [(i, e) for i, e in enumerate(boundary_rows(part)) if e]
         assert len(ext) == 1
         i, entries = ext[0]
         assert space.states[i] == 500
@@ -84,7 +85,7 @@ class TestEnumerate:
         space, part = enumerate_space(
             embed(ts), lambda s: s[0] + s[1] <= 30, lambda s: s == (0, 0)
         )
-        for i, entries in enumerate(part.boundary):
+        for i, entries in enumerate(boundary_rows(part)):
             s = space.states[i]
             if s[0] + s[1] == 30:
                 assert len(entries) == 2  # both synthesis channels leave A
@@ -93,12 +94,12 @@ class TestEnumerate:
 
     def test_partition_row_sums_with_boundary(self):
         ts = ToggleSwitchModel(20.0, 1.0)
-        space, part = enumerate_space(
+        _, part = enumerate_space(
             embed(ts), lambda s: s[0] + s[1] <= 12, lambda s: s == (0, 0)
         )
         full = part.full_matrix().toarray().sum(axis=1)
-        for i in range(space.a_size):
-            full[i] += sum(p for _, p in part.boundary[i])
+        for i, entries in enumerate(boundary_rows(part)):
+            full[i] += sum(p for _, p in entries)
         assert np.abs(full - 1.0).max() < 1e-12
 
     def test_invalid_row_rejected(self):
@@ -231,7 +232,7 @@ class TestCut:
                 if y in index:
                     P_A[i, index[y]] += q
         assert np.array_equal(derived.full_matrix().toarray(), P_A)
-        assert derived.boundary == tuple(
+        assert boundary_rows(derived) == tuple(
             tuple((y, q) for y, q in entries[x] if y not in index and q != 0.0)
             for x in derived.space.states)
         # and a second cut from the same exploration, over its whole set
@@ -308,8 +309,8 @@ class TestKeyOrder:
                 if y in at:
                     P[at[x], at[y]] += q
         assert np.array_equal(part.full_matrix().toarray(), P)
-        assert part.boundary == tuple(tuple((y, q) for y, q in rows[x] if y not in at)
-                                      for x in order)
+        assert boundary_rows(part) == tuple(tuple((y, q) for y, q in rows[x] if y not in at)
+                                          for x in order)
 
     @pytest.mark.parametrize("first, ok", [(2**30 - 1, True), (-2**30, True),
                                            (2**30, False), (-2**30 - 1, False)])
