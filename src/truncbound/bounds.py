@@ -30,12 +30,12 @@ def minorization_bounds(tau: TauFamily, kl_r: np.ndarray, ku_r: np.ndarray,
     """Bounds that extremize the cycle ratios over the mixture family; for
     K = {z} the family is the point mass and they are ``kl_r/ku_e``,
     ``ku_r/kl_e`` at z."""
-    den_hi = tau.dot(ku_e)
-    den_lo = tau.dot(kl_e)
+    den_hi = tau.rows @ ku_e
+    den_lo = tau.rows @ kl_e
     if np.any(den_hi <= 0.0) or np.any(den_lo <= 0.0):
         raise NumericalError("nonpositive cycle-length denominator in mixture bounds")
-    lower = float(tau.dot(kl_r).min() / den_hi.max())
-    upper = float(tau.dot(ku_r).max() / den_lo.min())
+    lower = float((tau.rows @ kl_r).min() / den_hi.max())
+    upper = float((tau.rows @ ku_r).max() / den_lo.min())
     return lower, upper
 
 
@@ -63,7 +63,7 @@ def ell_lower_bound(tau: TauFamily, kl_e: np.ndarray) -> float:
     the general total-variation bound; it is isolated here because the
     choice is the one discretionary step of that bound.
     """
-    val = float(tau.dot(kl_e).min())
+    val = float((tau.rows @ kl_e).min())
     if val <= 0.0:
         raise NumericalError("cycle-length lower bound is nonpositive")
     return val
@@ -143,13 +143,13 @@ def compute_bounds(ws: TruncationWorkspace, inputs: BoundInputs) -> BoundReport:
     ca = ws.censored()
     timings["censored_matrix"] = time.perf_counter() - t0
 
+    k = ws.partition.k_size
+    t0 = time.perf_counter()
+    tau = ca.tau        # first, so any reducible G raises IrreducibilityError (exit 2)
+    timings["mixture_family"] = time.perf_counter() - t0
+
     _, pi_i = ca.row_normalized
     approx = float(pi_i @ kl_r) / float(pi_i @ kl_e)
-
-    k = ws.k_size
-    t0 = time.perf_counter()
-    tau = ca.tau
-    timings["mixture_family"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     lower, upper = minorization_bounds(tau, kl_r, ku_r, kl_e, ku_e)
@@ -183,7 +183,7 @@ def compute_bounds(ws: TruncationWorkspace, inputs: BoundInputs) -> BoundReport:
         timings=timings,
         provenance={
             "certificate_sha256": inputs.sha256,
-            "k_size": ws.k_size,
+            "k_size": k,
             "a_size": ws.partition.a_size,
             "library_version": _pkg_version,
         },
@@ -199,9 +199,9 @@ def reward_interval(ws: TruncationWorkspace, inputs: BoundInputs,
     intervals are combined; the cycle rewards come from the workspace."""
     if not inputs.verified:
         raise CertificateError("reward intervals require a verified certificate")
-    f_A = np.asarray(f_A, dtype=float)
-    if f_A.shape != ws.unit_vec.shape:
-        raise ValueError(f"reward over A: expected shape {ws.unit_vec.shape}, got {f_A.shape}")
+    f_A, unit = np.asarray(f_A, dtype=float), ws.partition.unit
+    if f_A.shape != unit.shape:
+        raise ValueError(f"reward over A: expected shape {unit.shape}, got {f_A.shape}")
     if not np.isfinite(f_A).all():
         raise ValueError("reward must be finite")
     if np.any(np.abs(f_A) > inputs.r_A * (1 + 1e-12) + 1e-15):
@@ -213,7 +213,7 @@ def reward_interval(ws: TruncationWorkspace, inputs: BoundInputs,
     neg = np.clip(-f_A, 0.0, None)
     parts = [w for w in (pos, neg) if w.any()] or [pos]
     # one contiguous column per part: the solve's residual check reduces by column
-    kl = ws.kappa_lower((np.array(parts) * ws.unit_vec).T)
+    kl = ws.kappa_lower((np.array(parts) * unit).T)
     intervals = [minorization_bounds(tau, kl_w, kl_w + beta1, kl_e, ku_e) for kl_w in kl.T]
     if len(parts) == 2:
         return combine_signed(*intervals)

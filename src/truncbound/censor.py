@@ -85,14 +85,6 @@ class TauFamily:
         self.clamped = clamped
         self._diameter = None
 
-    @property
-    def size(self) -> int:
-        return self.rows.shape[0]
-
-    def dot(self, v: np.ndarray) -> np.ndarray:
-        """Vector of mixture expectations ``tau_x . v`` over x in K."""
-        return self.rows @ v
-
     def l1_diameter(self) -> float:
         """``max_{x,y} sum_z |tau_x(z) - tau_y(z)|``, computed once per family
         and floored at ``8 eps`` when clamped: the rows then carry a spread
@@ -102,7 +94,7 @@ class TauFamily:
         for rounding, and only pairs whose bound exceeds the best distance so
         far are summed.  Non-finite rows give NaN, which no bound could prune."""
         if self._diameter is None:
-            rows, k = self.rows, self.size
+            rows, k = self.rows, len(self.rows)
             if not np.isfinite(rows).all():
                 return float("nan")
             d0 = np.abs(rows - rows[0]).sum(axis=1)
@@ -171,6 +163,17 @@ class CensoredApprox:
     row_mass: np.ndarray            # n(x) = sum_y G(x, y)
 
     @cached_property
+    def _irreducible_G(self) -> np.ndarray:
+        """``G``, checked once: its stationary vector and family need it irreducible."""
+        if not is_irreducible(self.G):
+            raise IrreducibilityError(
+                "censored matrix is reducible: some K states cannot reach each "
+                "other through paths inside A; the bound construction requires "
+                "an irreducible censored matrix (choose K and A accordingly)"
+            )
+        return self.G
+
+    @cached_property
     def row_normalized(self) -> tuple[np.ndarray, np.ndarray]:
         """Row-normalized stochasticization ``P2 = G / n`` with its stationary vector."""
         if np.any(self.row_mass <= 0.0):
@@ -179,33 +182,24 @@ class CensoredApprox:
                 f"K state at index {bad} cannot reach K again inside A "
                 "(zero censored row sum); enlarge A or shrink K"
             )
-        P2 = self.G / self.row_mass[:, None]
+        P2 = self._irreducible_G / self.row_mass[:, None]
         pi2 = stationary_small(P2)
         return P2, pi2
 
     @cached_property
     def tau(self) -> TauFamily:
         z = int(np.argmax(self.row_mass))  # ties break to the lowest index
-        return _tau_stable(self.G, z)
+        return _tau_stable(self._irreducible_G, z)
 
 
 class TruncationWorkspace:
     """Shared factorizations and caches for one (K, A) partition."""
 
-    def __init__(self, partition: Partition, *, require_irreducible: bool = True):
+    def __init__(self, partition: Partition):
         self.partition = partition
         self.solver = SubstochasticSolver(partition.P22)
-        self.require_irreducible = require_irreducible
         self._cycle_rewards: dict = {}   # BoundInputs -> its cycle rewards
         self._censored: CensoredApprox | None = None
-
-    @property
-    def k_size(self) -> int:
-        return self.partition.k_size
-
-    @property
-    def unit_vec(self) -> np.ndarray:
-        return self.partition.unit
 
     def kappa_lower(self, w_A: np.ndarray) -> np.ndarray:
         """Within-A part of the expected reward per K-cycle:
@@ -214,13 +208,13 @@ class TruncationWorkspace:
         reward; exact when A covers the whole space.  Applied to a boundary
         overflow h it bounds the per-state reward mass the truncation cannot
         see."""
-        w, k = np.asarray(w_A, dtype=float), self.k_size
+        w, k = np.asarray(w_A, dtype=float), self.partition.k_size
         return w[:k] + self.partition.P12 @ self.solver.solve(w[k:])
 
     @cached_property
     def _unit_cycle_reward(self) -> np.ndarray:
         """``kappa_lower`` of the unit reward, solved once per workspace."""
-        return self.kappa_lower(self.unit_vec)
+        return self.kappa_lower(self.partition.unit)
 
     def cycle_rewards(self, inputs) -> tuple[np.ndarray, ...]:
         """``(kl_r, kl_e, beta1, beta2, ku_r, ku_e)`` of a ``BoundInputs``:
@@ -228,13 +222,15 @@ class TruncationWorkspace:
         and the upper cycle rewards ``ku = kl + beta``; solved once per
         workspace and instance, and read-only, as every query shares them.
         An envelope that is 1 on all of A is the unit reward: its ``kl_r``
-        is ``kl_e``."""
+        is ``kl_e``, as ``beta2`` is ``beta1`` when ``h2`` equals ``h1`` (one pair)."""
         cr = self._cycle_rewards.get(inputs)
         if cr is None:
             kl_e = self._unit_cycle_reward
             kl_r = kl_e if np.all(inputs.r_A == 1.0) \
-                else self.kappa_lower(inputs.r_A * self.unit_vec)
-            beta1, beta2 = self.kappa_lower(inputs.h1_A), self.kappa_lower(inputs.h2_A)
+                else self.kappa_lower(inputs.r_A * self.partition.unit)
+            beta1 = self.kappa_lower(inputs.h1_A)
+            beta2 = beta1 if np.array_equal(inputs.h2_A, inputs.h1_A) \
+                else self.kappa_lower(inputs.h2_A)
             cr = self._cycle_rewards[inputs] = (
                 kl_r, kl_e, beta1, beta2, kl_r + beta1, kl_e + beta2)
             for v in cr:
@@ -263,28 +259,13 @@ class TruncationWorkspace:
             raise NumericalError(
                 f"censored row mass {mass.max()!r} exceeds 1 beyond tolerance"
             )
-        if self.require_irreducible and not is_irreducible(G):
-            raise IrreducibilityError(
-                "censored matrix is reducible: some K states cannot reach each "
-                "other through paths inside A; the bound construction requires "
-                "an irreducible censored matrix (choose K and A accordingly)"
-            )
         self._censored = CensoredApprox(G=G, row_mass=mass)
         return self._censored
-
-    # -- approximations ----------------------------------------------------
-
-    def approx_expectation(self, pi_K: np.ndarray, w_A: np.ndarray) -> float:
-        """Ratio approximation of the equilibrium expectation of ``w``."""
-        u = self.unit_vec
-        num = float(pi_K @ self.kappa_lower(w_A * u))
-        den = float(pi_K @ self._unit_cycle_reward)
-        return num / den
 
     def approx_distribution(self, pi_K: np.ndarray) -> np.ndarray:
         """Induced equilibrium approximation over A (zero off A by construction)."""
         v = self.solver.solve(self.partition.P12.T @ pi_K, transpose=True)
-        eta = np.concatenate([pi_K, v]) * self.unit_vec
+        eta = np.concatenate([pi_K, v]) * self.partition.unit
         total = eta.sum()
         if total <= 0.0:
             raise NumericalError("degenerate occupation mass in approx_distribution")

@@ -54,6 +54,9 @@ def _load_config(path: str) -> dict:
     for section in ("model", "truncation", "return_set", "bounds", "output"):
         if not isinstance(cfg.get(section, {}), dict):
             raise ConfigError(f"config section {section!r} must be an object")
+    for key in ("dir", "report", "csv"):
+        if not isinstance(cfg.get("output", {}).get(key, ""), str):
+            raise ConfigError(f"output.{key} must be a string")
     model = cfg["model"]
     if "name" not in model:
         raise ConfigError("config model section needs a 'name'")
@@ -105,7 +108,7 @@ def _return_set(cfg: dict):
         return None
     if mode == "explicit":
         states = rs.get("states")
-        if not states:
+        if not isinstance(states, list) or not states:
             raise ConfigError("explicit return_set needs a nonempty 'states' list")
         return [tuple(s) if isinstance(s, list) else s for s in states]
     raise ConfigError(f"unknown return_set mode {mode!r}")
@@ -122,11 +125,13 @@ def _size(v) -> int:
 def _truncation_schedule(cfg: dict, *, prefer_size: bool = False) -> list[dict]:
     """The schedule's truncations, else the one of ``max``/``level``;
     ``prefer_size`` takes ``max``/``level`` over the schedule."""
+    from .pipeline import SIZE_KEYS
+
     trunc = cfg["truncation"]
     kind = trunc.get("kind")
-    if kind not in ("range", "simplex"):
+    if not isinstance(kind, str) or kind not in SIZE_KEYS:
         raise ConfigError("truncation.kind must be 'range' or 'simplex'")
-    size_key = "max" if kind == "range" else "level"
+    size_key = SIZE_KEYS[kind]
     if size_key in trunc and (prefer_size or "schedule" not in trunc):
         sizes = [trunc[size_key]]
     elif "schedule" in trunc:
@@ -135,7 +140,11 @@ def _truncation_schedule(cfg: dict, *, prefer_size: bool = False) -> list[dict]:
             raise ConfigError("truncation.schedule must be a nonempty list")
     else:
         raise ConfigError(f"truncation needs '{size_key}' or 'schedule'")
-    return [{"kind": kind, size_key: _size(v)} for v in sizes]
+    sizes = [_size(v) for v in sizes]
+    # nested sets, each level's inside the next: a sweep cuts every level from the last
+    if any(b <= a for a, b in zip(sizes, sizes[1:])):
+        raise ConfigError(f"truncation.schedule must be strictly increasing, got {sizes}")
+    return [{"kind": kind, size_key: v} for v in sizes]
 
 
 def cmd_run(cfg: dict, override: str | None) -> int:
@@ -203,7 +212,7 @@ def cmd_verify(cfg: dict, override: str | None) -> int:
 
 def cmd_sweep(cfg: dict, override: str | None) -> int:
     from .errors import NumericalError
-    from .pipeline import run_sweep
+    from .pipeline import SIZE_KEYS, run_sweep
 
     envelopes = _bounds_options(cfg)
     schedule, return_set = _truncation_schedule(cfg), _return_set(cfg)
@@ -214,9 +223,8 @@ def cmd_sweep(cfg: dict, override: str | None) -> int:
     results = run_sweep(model, schedule, envelopes=envelopes,
                         explicit_return_set=return_set, with_distribution=False)
     for trunc, result in zip(schedule, results):
-        size_key = "max" if trunc["kind"] == "range" else "level"
         row = {
-            "truncation": trunc[size_key],
+            "truncation": trunc[SIZE_KEYS[trunc["kind"]]],
             "time_total": result.timings["total"],
         }
         for env, run in result.runs.items():

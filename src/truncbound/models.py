@@ -119,10 +119,10 @@ class GM1Model:
 
     @cached_property
     def beta_masses(self) -> np.ndarray:
-        """beta_i = P(N >= i + 1) / (mu b) with N Poisson(mu b): the reverse
-        cumulative sum is exact and avoids the unstable forward recursion.
-        Masses below the cutoff are dropped; their total is folded back into
-        each row's complement mass at state 0."""
+        """beta_i = P(N >= i + 1) / (mu b), N Poisson(mu b): reverse cumulative
+        sums of the pmf from the forward product p_j = p_{j-1} u / j in double
+        precision (up to 2e-14 relative error).  Masses below the cutoff are
+        dropped; their total is folded into each row's complement mass at 0."""
         u = self.mu * self.b
         pmf = [math.exp(-u)]
         j = 0

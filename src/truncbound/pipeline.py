@@ -19,8 +19,9 @@ from .ctmc import embed
 from .errors import ModelError
 from .lyapunov import DriftCertificate, drift_stage, evaluate_certificate, verify_certificate
 from .models import GM1Model, ToggleSwitchModel
-from .statespace import (DEFAULT_ENUMERATION_CAP, batched, cut, explicit_k_predicate, explore,
-                         is_jump, repartition)
+from .statespace import batched, cut, explicit_k_predicate, explore, is_jump, repartition
+
+SIZE_KEYS = {"range": "max", "simplex": "level"}    # each kind's size: its norm ball's radius
 
 
 def build_model(name: str, params: dict):
@@ -33,9 +34,9 @@ def build_model(name: str, params: dict):
 
 def truncation_predicate(model, spec: dict):
     kind = spec.get("kind")
-    if kind not in ("range", "simplex"):
+    if not isinstance(kind, str) or kind not in SIZE_KEYS:
         raise ModelError(f"unknown truncation kind {spec!r}")
-    radius = int(spec["max"] if kind == "range" else spec["level"])
+    radius = int(spec[SIZE_KEYS[kind]])
     pred = batched((lambda s: (0 <= s) & (s <= radius)) if kind == "range"
                    else lambda s: s[0] + s[1] <= radius)
     pred.radius = radius      # of the norm ball it describes: explore starts from that ball
@@ -64,8 +65,7 @@ class PipelineResult:
 
 
 def run_pipeline(model, truncation: dict, *, envelopes=("r",),
-                 explicit_return_set=None,
-                 with_distribution: bool = True) -> PipelineResult:
+                 explicit_return_set=None) -> PipelineResult:
     """Run the full bound pipeline for each envelope reward.
 
     Jump-process models are embedded first; their certificates are verified
@@ -83,7 +83,7 @@ def run_pipeline(model, truncation: dict, *, envelopes=("r",),
     """
     return next(run_sweep(model, [truncation], envelopes=envelopes,
                           explicit_return_set=explicit_return_set,
-                          with_distribution=with_distribution))
+                          with_distribution=True))
 
 
 def run_sweep(model, truncations: list, *, envelopes, explicit_return_set,
@@ -105,7 +105,7 @@ def run_sweep(model, truncations: list, *, envelopes, explicit_return_set,
     timings["certificates"] = time.perf_counter() - t_all
 
     t0 = time.perf_counter()
-    exploration = explore(chain, max(a_preds, key=lambda a: a.radius), cap=DEFAULT_ENUMERATION_CAP)
+    exploration = explore(chain, max(a_preds, key=lambda a: a.radius))
     timings["explore"] = time.perf_counter() - t0
     for level, (truncation, a_pred) in enumerate(zip(truncations, a_preds)):
         t0 = time.perf_counter()

@@ -194,15 +194,14 @@ def _values(table: tuple[np.ndarray, dict], fn: Callable[[State], float],
 
 
 def enumerate_space(model, a_predicate: Callable[[State], bool],
-                    k_predicate: Callable[[State], bool], *,
-                    cap: int = DEFAULT_ENUMERATION_CAP) -> tuple[StateSpace, Partition]:
+                    k_predicate: Callable[[State], bool]) -> tuple[StateSpace, Partition]:
     """A, the states of ``a_predicate``'s finite set that the seed reaches, with
     its block partition over ``k_predicate``'s return set in A: the :func:`cut`
     of the set's own :func:`explore`."""
-    return cut(explore(model, a_predicate, cap=cap), a_predicate, k_predicate)
+    return cut(explore(model, a_predicate), a_predicate, k_predicate)
 
 
-def explore(model, a_predicate: Callable[[State], bool], *, cap: int) -> Exploration:
+def explore(model, a_predicate: Callable[[State], bool]) -> Exploration:
     """Frontier-batched search of the set of ``a_predicate`` from the seed.
 
     The first frontier is the seed plus, if the predicate declares the norm
@@ -212,7 +211,7 @@ def explore(model, a_predicate: Callable[[State], bool], *, cap: int) -> Explora
     ``rows(states) -> (pos, targets, p[, unit])``: entry ``j`` goes from
     ``states[pos[j]]`` to ``targets[j]`` with mass ``p[j]``, each state's in
     row order; ``unit`` holds unit weights (else ones).  Every frontier
-    state, the ball's too, counts against the cap (else
+    state, the ball's too, counts against ``DEFAULT_ENUMERATION_CAP`` (else
     :class:`EnumerationLimitError`) and has its row checked as drift checks
     do (else :class:`ModelError`); the ball's states the seed cannot reach
     are then dropped.  ``a_predicate`` is called once per state met.
@@ -246,9 +245,9 @@ def explore(model, a_predicate: Callable[[State], bool], *, cap: int) -> Explora
     if getattr(a_predicate, "radius", None) is not None:
         meet(_coords(model.states_within(a_predicate.radius), seed.shape[1], "states_within"))
     while done < len(found):
-        if n > cap:
-            raise EnumerationLimitError(
-                f"enumeration cap of {cap} states exceeded; check the truncation predicate")
+        if n > DEFAULT_ENUMERATION_CAP:
+            raise EnumerationLimitError(f"enumeration cap of {DEFAULT_ENUMERATION_CAP} states "
+                                        "exceeded; check the truncation predicate")
         frontier, done = np.concatenate(found[done:]), len(found)
         start = n - len(frontier)               # the frontier's first id
         for lo in range(0, len(frontier), ROW_BLOCK):

@@ -228,8 +228,8 @@ def test_criterion_4_oracle_equivalence_suite():
         ca = ws.censored()
         _, pi2 = ca.row_normalized
         _, pi1 = perron_normalized(ca.G)     # the paper's eigenvector route
-        if abs(ws.approx_expectation(pi2, r) - pir) > 1e-10 or \
-           abs(ws.approx_expectation(pi1, r) - pir) > 1e-10:
+        if abs(ws.approx_distribution(pi2) @ r - pir) > 1e-10 or \
+           abs(ws.approx_distribution(pi1) @ r - pir) > 1e-10:
             fails.append((seed, "b"))
         # (c) full-space intervals contain the truth (degenerate; fp slack)
         rep_full = compute_bounds(ws, inputs)
@@ -252,6 +252,7 @@ def test_criterion_4_oracle_equivalence_suite():
             try:
                 if ws_t.censored().row_mass.min() <= 0.0:
                     continue
+                ws_t.censored().tau
             except IrreducibilityError:
                 continue
             break

@@ -46,7 +46,7 @@ def setup_host(rng, n=12, k=3, a=None, zeros=0.4):
 class TestKappaUpper:
     def test_full_space_upper_equals_lower(self, rng):
         P, model, ws, inputs = setup_host(rng)
-        kl = ws.kappa_lower(inputs.r_A * ws.unit_vec)
+        kl = ws.kappa_lower(inputs.r_A * ws.partition.unit)
         assert np.abs(upper_cycle_rewards(ws, inputs)[0] - kl).max() < 1e-12
 
     def test_hand_three_state_host(self):
@@ -155,8 +155,8 @@ class TestMinorizationBounds:
         # ratios kl(r)/ku(e) and ku(r)/kl(e), bit for bit
         P, model, ws, inputs = setup_host(rng, n=10, k=1, a=8)
         fresh = TruncationWorkspace(ws.partition)
-        kl_r = fresh.kappa_lower(inputs.r_A * fresh.unit_vec)
-        kl_e = fresh.kappa_lower(fresh.unit_vec)
+        kl_r = fresh.kappa_lower(inputs.r_A * fresh.partition.unit)
+        kl_e = fresh.kappa_lower(fresh.partition.unit)
         ku_r = kl_r + fresh.kappa_lower(inputs.h1_A)
         ku_e = kl_e + fresh.kappa_lower(inputs.h2_A)
         rep = compute_bounds(ws, inputs)

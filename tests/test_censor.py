@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from truncbound import TruncationWorkspace, censor, enumerate_space
+from truncbound.bounds import compute_bounds, reward_interval
 from truncbound.errors import IrreducibilityError, ModelError, NumericalError
+from truncbound.lyapunov import BoundInputs
 from truncbound.models import GM1Model
 
 from conftest import (
@@ -78,8 +80,15 @@ class TestCensoredMatrix:
         diagonal[2, 3] = diagonal[3, 2] = 1.0
         for P in (triangular, diagonal):
             part = partition_from_matrix(P[np.ix_([0, 2, 1, 3], [0, 2, 1, 3])], 2)
-            with pytest.raises(IrreducibilityError):
-                TruncationWorkspace(part).censored().G
+            ws = TruncationWorkspace(part)
+            ws.censored().G                 # the censored matrix itself is built
+            inputs = BoundInputs("e", np.ones(4), np.zeros(4), np.zeros(4), verified=True)
+            # every read of its stationary vector or mixture family raises
+            for read in (lambda: ws.censored().tau, lambda: ws.censored().row_normalized,
+                         lambda: compute_bounds(ws, inputs),
+                         lambda: reward_interval(ws, inputs, np.ones(4))):
+                with pytest.raises(IrreducibilityError):
+                    read()
 
     @given(seed=st.integers(0, 5_000))
     @settings(max_examples=25, deadline=None)
@@ -94,7 +103,6 @@ class TestCensoredMatrix:
             G = TruncationWorkspace(
                 enumerate_space(host_model(P), lambda s, a=a: s < a,
                                 lambda s: s < k)[1],
-                require_irreducible=False,
             ).censored().G
             assert (G <= exact + 1e-12).all()
             if prev is not None:
@@ -196,9 +204,13 @@ class TestStochasticizations:
         P[2, 0] = 1.0
         model = host_model(P)
         _, part = enumerate_space(model, lambda s: s < 2, lambda s: s < 2)
-        ws = TruncationWorkspace(part, require_irreducible=False)
+        ws = TruncationWorkspace(part)
         with pytest.raises(ModelError, match="index 1"):
             ws.censored().row_normalized
+        # with two K states an empty row is also reducible, which a bound reports
+        inputs = BoundInputs("e", np.ones(2), np.zeros(2), np.zeros(2), verified=True)
+        with pytest.raises(IrreducibilityError):
+            compute_bounds(ws, inputs)
 
     def test_perron_of_scaled_stochastic(self, rng):
         P = random_stochastic(rng, 7)
@@ -223,8 +235,9 @@ class TestApproximations:
         P = random_stochastic(rng, 9)
         ws = workspace_for(P, 3, a=7)
         _, pi2 = ws.censored().row_normalized
-        assert ws.approx_expectation(pi2, np.ones(7)) == pytest.approx(1.0)
-        assert ws.approx_expectation(pi2, 3.5 * np.ones(7)) == pytest.approx(3.5)
+        dist = ws.approx_distribution(pi2)
+        assert dist @ np.ones(7) == pytest.approx(1.0)
+        assert dist @ (3.5 * np.ones(7)) == pytest.approx(3.5)
 
     def test_exact_on_full_space(self, rng):
         P = random_stochastic(rng, 12)
@@ -232,7 +245,7 @@ class TestApproximations:
         _, pi2 = ws.censored().row_normalized
         r = np.arange(12.0)
         pi = stationary_power(P)
-        assert abs(ws.approx_expectation(pi2, r) - pi @ r) < 1e-10
+        assert abs(ws.approx_distribution(pi2) @ r - pi @ r) < 1e-10
 
     def test_distribution_point_mass(self):
         P = np.array([[1.0]])
@@ -263,10 +276,10 @@ class TestApproximations:
         ws = workspace_for(P, 2, a=a)
         try:
             _, pi2 = ws.censored().row_normalized
-        except IrreducibilityError:
+        except (IrreducibilityError, ModelError):   # an empty row: reducible too
             assume(False)  # the construction's own precondition
         w = r2.random(a) * 10.0
-        val = ws.approx_expectation(pi2, w)
+        val = ws.approx_distribution(pi2) @ w
         assert w.min() - 1e-10 <= val <= w.max() + 1e-10
 
 
@@ -278,7 +291,7 @@ class TestExitApproximation:
         P = np.array([[0.6, 0.4], [1.0, 0.0]])
         model = host_model(P)
         _, part = enumerate_space(model, lambda s: s == 0, lambda s: s == 0)
-        ws = TruncationWorkspace(part, require_irreducible=False)
+        ws = TruncationWorkspace(part)
         assert ws.approx_distribution(np.ones(1)).tolist() == [1.0]
 
     def test_matches_dense_oracle_on_three_state_host(self):
@@ -343,9 +356,9 @@ class TestConvergence:
         for a in range(5, 15):
             model = host_model(P)
             _, part = enumerate_space(model, lambda s, a=a: s < a, lambda s: s < 3)
-            ws = TruncationWorkspace(part, require_irreducible=False)
+            ws = TruncationWorkspace(part)
             _, pi2 = ws.censored().row_normalized
-            gaps.append(abs(ws.approx_expectation(pi2, r[:a]) - pir))
+            gaps.append(abs(ws.approx_distribution(pi2) @ r[:a] - pir))
         assert gaps[-1] < 1e-10
         # convergent within modest wobble; final truncations strictly better
         assert gaps[-1] <= gaps[0]

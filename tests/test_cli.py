@@ -83,6 +83,13 @@ class TestRun:
         pytest.param("sweep", {"bounds": {"rewards": ["e"], "stochasticization": "row"}},
                      id="stale-bounds-key-sweep"),
         pytest.param("sweep", {"return_set": "lyapunov"}, id="return-set-not-object"),
+        pytest.param("run", {"return_set": {"mode": "explicit", "states": 5}},
+                     id="return-set-states-not-list"),
+        pytest.param("run", {"output": {"report": 5}}, id="output-report-not-string"),
+        pytest.param("run", {"output": {"dir": 5}}, id="output-dir-not-string"),
+        pytest.param("sweep", {"output": {"csv": 5}}, id="output-csv-not-string"),
+        pytest.param("sweep", {"truncation": {"kind": "range", "schedule": [400, 300]}},
+                     id="schedule-decreasing"),
     ])
     def test_malformed_config_exits_1_without_outputs(self, tmp_path, capsys,
                                                       command, overrides):

@@ -152,7 +152,7 @@ class TestUnitWeightsFromExploration:
 
 class TestRewardTransform:
     """The transform w -> w / lambda is the partition's unit weights: a
-    workspace multiplies every reward over A by ``unit_vec``."""
+    workspace multiplies every reward over A by the partition's ``unit``."""
 
     def test_exit_rate_transforms_to_one(self):
         Q = np.array([[-3.0, 3.0], [0.5, -0.5]])
@@ -166,7 +166,7 @@ class TestRewardTransform:
         _, part = enumerate_space(embed(jump_from_matrix(Q)), lambda s: True,
                                   lambda s: s == 0)
         ws = TruncationWorkspace(part)
-        assert not ws.kappa_lower(np.zeros(2) * ws.unit_vec).any()
+        assert not ws.kappa_lower(np.zeros(2) * ws.partition.unit).any()
 
     def test_toggle_balance_point_value(self):
         ts = ToggleSwitchModel(20.0, 1.0)

@@ -277,7 +277,7 @@ def test_toggle_pair_return_set_is_built_once(monkeypatch):
     with pytest.warns(UserWarning, match="does not dominate"):
         result = pipeline.run_pipeline(ToggleSwitchModel(20.0, 1.0),
                                        {"kind": "simplex", "level": 80},
-                                       envelopes=["r", "e"], with_distribution=False)
+                                       envelopes=["r", "e"])
     assert len(calls) == 1
     assert result.runs["r"].certificate.return_set == result.runs["e"].certificate.return_set
 
@@ -289,7 +289,7 @@ def all_columns_G(ws):
     part = ws.partition
     P21 = part.P21.toarray()
     X = np.empty_like(P21)
-    for lo in range(0, ws.k_size, RHS_CHUNK):
+    for lo in range(0, part.k_size, RHS_CHUNK):
         X[:, lo:lo + RHS_CHUNK] = ws.solver.solve(P21[:, lo:lo + RHS_CHUNK])
     G = part.P11.toarray() + part.P12 @ X
     np.clip(G, 0.0, None, out=G)

@@ -59,8 +59,7 @@ def test_partition_stage_times_certificate_evaluation(monkeypatch):
         return evaluate(*args, **kwargs)
 
     monkeypatch.setattr(pipeline, "evaluate_certificate", slow)
-    result = run_pipeline(GM1Model(), {"kind": "range", "max": 400}, envelopes=["r"],
-                          with_distribution=False)
+    result = run_pipeline(GM1Model(), {"kind": "range", "max": 400}, envelopes=["r"])
     assert result.timings["partition[r]"] >= 0.2
 
 
@@ -207,8 +206,7 @@ class TestSweep:
     def test_gm1_sweep_matches_runs_level_by_level(self, tmp_path):
         gm1 = GM1Model()
         levels = [{"kind": "range", "max": top} for top in (250, 400)]
-        singles = [run_pipeline(gm1, t, envelopes=["r", "e"], with_distribution=False)
-                   for t in levels]
+        singles = [run_pipeline(gm1, t, envelopes=["r", "e"]) for t in levels]
         swept = pipeline.run_sweep(gm1, levels, envelopes=["r", "e"],
                                    explicit_return_set=None, with_distribution=False)
         for single, result in zip(singles, swept, strict=True):
@@ -285,7 +283,7 @@ class TestSweep:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)   # toggle: rate domination
             reference = run_pipeline(ToggleSwitchModel(20.0, 1.0), levels[1],
-                                     envelopes=["r", "e"], with_distribution=False)
+                                     envelopes=["r", "e"])
             monkeypatch.setattr(pipeline, "verified_certificates", counting_certificates)
             results = list(pipeline.run_sweep(
                 ToggleSwitchModel(20.0, 1.0), levels, envelopes=["r", "e"],

@@ -28,7 +28,7 @@ from conftest import exact_certificate, host_model, random_stochastic
 def reference_interval(ws, inputs, f_A):
     """Per-vector reference: each cycle reward and each sign part of ``f``
     gets its own one-column solve."""
-    unit = ws.unit_vec
+    unit = ws.partition.unit
     kl_e = ws.kappa_lower(unit)
     ku_e = kl_e + ws.kappa_lower(inputs.h2_A)
     beta1 = ws.kappa_lower(inputs.h1_A)
@@ -37,7 +37,7 @@ def reference_interval(ws, inputs, f_A):
     def part_bounds(w_A):
         kl_w = ws.kappa_lower(w_A * unit)
         ku_w = kl_w + beta1
-        if ws.k_size == 1:   # the closed-form singleton ratios
+        if ws.partition.k_size == 1:   # the closed-form singleton ratios
             return float(kl_w[0] / ku_e[0]), float(ku_w[0] / kl_e[0])
         return minorization_bounds(tau, kl_w, ku_w, kl_e, ku_e)
 
@@ -87,7 +87,7 @@ def toggle_rewards(part, inputs, env, seed=3):
 
 
 def unit_solves(log, ws):
-    unit2 = ws.unit_vec[ws.k_size:]
+    unit2 = ws.partition.unit[ws.partition.k_size:]
     return sum(np.array_equal(B[:, j], unit2) for B in log for j in range(B.shape[1]))
 
 
@@ -104,15 +104,23 @@ class TestSolveCounts:
             assert [B.shape[1] for B in solve_log] == [cols]
 
     def test_unit_reward_solved_once_per_workspace(self, toggle60, solve_log):
-        # the cycle length kl(e) is solved once for both certificates and
-        # approx_expectation, and e's envelope, the unit reward too, reuses it
+        # the cycle length kl(e) is solved once for both certificates, and
+        # e's envelope, the unit reward too, reuses it
         part, inputs = toggle60
         ws = TruncationWorkspace(part)
         reports = [compute_bounds(ws, inputs[env]) for env in ("r", "e", "r", "e")]
-        pi_k = ws.censored().row_normalized[1]
-        ws.approx_expectation(pi_k, inputs["r"].r_A)
         assert unit_solves(solve_log, ws) == 1
         assert reports[1].approx == pytest.approx(1.0)
+
+    def test_single_pair_overflow_solved_once(self, toggle60, solve_log):
+        # e's certificate is one drift function, so h2 is h1 and beta2 is
+        # beta1; with its unit envelope, kl(e) and beta1 are the only solves
+        part, inputs = toggle60
+        ws = TruncationWorkspace(part)
+        ws.cycle_rewards(inputs["e"])
+        assert len(solve_log) == 2
+        ws.cycle_rewards(inputs["r"])
+        assert len(solve_log) == 5   # kl(r), beta1 and beta2 of the pair
 
     def test_repeated_bounds_reuse_cycle_rewards(self, toggle60, solve_log):
         part, inputs = toggle60
@@ -132,8 +140,9 @@ class TestSolveCounts:
             cr, ev = ws.cycle_rewards(inputs[env]), inputs[env]
             assert cr is ws.cycle_rewards(ev)
             assert (cr[0] is cr[1]) == (env == "e")   # e's envelope is the unit reward
-            kl_r = fresh.kappa_lower(ev.r_A * fresh.unit_vec)
-            kl_e = fresh.kappa_lower(fresh.unit_vec)
+            assert (cr[2] is cr[3]) == (env == "e")   # and its certificate a single pair
+            kl_r = fresh.kappa_lower(ev.r_A * part.unit)
+            kl_e = fresh.kappa_lower(part.unit)
             beta1, beta2 = fresh.kappa_lower(ev.h1_A), fresh.kappa_lower(ev.h2_A)
             expect = (kl_r, kl_e, beta1, beta2, kl_r + beta1, kl_e + beta2)
             assert len(cr) == len(expect)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from truncbound import DiscreteModel, TruncationWorkspace, enumerate_space
+from truncbound import DiscreteModel, TruncationWorkspace, enumerate_space, statespace
 from truncbound.ctmc import embed
 from truncbound.errors import EnumerationLimitError, ModelError
 from truncbound.lyapunov import verify_drift
@@ -136,9 +136,10 @@ class TestEnumerate:
         with pytest.raises(ModelError, match="do not match its states"):   # and drift checks
             verify_drift(model, lambda s: 1.0, lambda s: 0.0, (), [0])
 
-    def test_enumeration_cap(self):
+    def test_enumeration_cap(self, monkeypatch):
+        monkeypatch.setattr(statespace, "DEFAULT_ENUMERATION_CAP", 100)
         with pytest.raises(EnumerationLimitError, match="cap of 100 states exceeded"):
-            enumerate_space(lattice_walk(), lambda s: s <= 10_000, lambda s: s == 0, cap=100)
+            enumerate_space(lattice_walk(), lambda s: s <= 10_000, lambda s: s == 0)
 
     def test_empty_k_rejected(self):
         with pytest.raises(ModelError, match="K is empty"):
@@ -212,7 +213,7 @@ class TestCut:
         assert len(exits) >= 3 and len(set(exits)) >= 3
         k_pred = lambda s: s == 0
         model = batch_model(lambda x: entries[x])
-        exploration = explore(model, lambda s: True, cap=100)
+        exploration = explore(model, lambda s: True)
         _, derived = cut(exploration, smaller, k_pred)
         _, fresh = enumerate_space(model, smaller, k_pred)
         assert_partitions_identical(derived, fresh)
@@ -242,7 +243,7 @@ class TestCut:
     def test_levels_cut_from_largest_toggle_truncation(self):
         model = embed(ToggleSwitchModel(20.0, 1.0))
         k_pred = lambda s: s[0] + s[1] <= 6
-        exploration = explore(model, lambda s: s[0] + s[1] <= 60, cap=10**6)
+        exploration = explore(model, lambda s: s[0] + s[1] <= 60)
         for level in (20, 40, 60):
             a_pred = lambda s, level=level: s[0] + s[1] <= level
             _, derived = cut(exploration, a_pred, k_pred)
@@ -250,7 +251,7 @@ class TestCut:
             assert_partitions_identical(derived, fresh)
 
     def test_truncation_outside_the_exploration_rejected(self):
-        exploration = explore(lattice_walk(), lambda s: s <= 10, cap=100)
+        exploration = explore(lattice_walk(), lambda s: s <= 10)
         with pytest.raises(ModelError, match="not nested in the explored one"):
             cut(exploration, lambda s: s <= 20, lambda s: s == 0)
         with pytest.raises(ModelError, match="seed state does not satisfy"):
@@ -371,7 +372,7 @@ class TestBallStart:
         model = batch_model(lambda x: rows[x], seed=(shift, shift),
                             states_within=lambda r: [s for s in rows if norm(s) <= r])
         k_pred = lambda s: s == (shift, shift)
-        _, started = cut(explore(model, ball_predicate(lambda s: inside(s), ball), cap=100),
+        _, started = cut(explore(model, ball_predicate(lambda s: inside(s), ball)),
                          inside, k_pred)
         assert_partitions_identical(started, enumerate_space(model, inside, k_pred)[1])
 
@@ -383,7 +384,7 @@ class TestBallStart:
         entries, a, n, smaller = nested_case(seed, zero_mass_link)
         model = batch_model(lambda x: entries[x], states_within=lambda r: range(n))
         k_pred = lambda s: s == 0
-        _, started = cut(explore(model, ball_predicate(lambda s: smaller(s), n), cap=100),
+        _, started = cut(explore(model, ball_predicate(lambda s: smaller(s), n)),
                          smaller, k_pred)
         assert (n - 1 in started.space.states) == zero_mass_link
         assert_partitions_identical(started, enumerate_space(model, smaller, k_pred)[1])
@@ -414,7 +415,7 @@ class TestBallStart:
 
     def test_unreachable_ball_states_are_dropped(self):
         model = self.two_classes(bad_row=False)
-        exploration = explore(model, ball_predicate(lambda s: s <= 3, 3), cap=10)
+        exploration = explore(model, ball_predicate(lambda s: s <= 3, 3))
         assert exploration.coords[:, 0].tolist() == [0, 1]
         space, part = cut(exploration, lambda s: s <= 3, lambda s: s == 0)
         assert space.states == (0, 1)
@@ -425,17 +426,18 @@ class TestBallStart:
         model = self.two_classes(bad_row=True)
         assert enumerate_space(model, lambda s: s <= 3, lambda s: s == 0)[0].a_size == 2
         with pytest.raises(ModelError, match="row of state 2 sums to 1.1"):
-            explore(model, ball_predicate(lambda s: s <= 3, 3), cap=10)
+            explore(model, ball_predicate(lambda s: s <= 3, 3))
 
-    def test_cap_counts_the_ball(self):
+    def test_cap_counts_the_ball(self, monkeypatch):
+        monkeypatch.setattr(statespace, "DEFAULT_ENUMERATION_CAP", 3)
         model = self.two_classes(bad_row=False)
-        assert explore(model, lambda s: s <= 3, cap=3).coords.shape == (2, 1)
+        assert explore(model, lambda s: s <= 3).coords.shape == (2, 1)
         with pytest.raises(EnumerationLimitError, match="cap of 3 states exceeded"):
-            explore(model, ball_predicate(lambda s: s <= 3, 3), cap=3)
+            explore(model, ball_predicate(lambda s: s <= 3, 3))
 
     def test_small_ball_still_yields_the_reachable_set(self):
         model = batch_model(walk_row, states_within=lambda r: range(int(r) + 1))
-        exploration = explore(model, ball_predicate(lambda s: s <= 10, 3), cap=100)
+        exploration = explore(model, ball_predicate(lambda s: s <= 10, 3))
         assert sorted(exploration.coords[:11, 0].tolist()) == list(range(11))
         assert_partitions_identical(
             cut(exploration, lambda s: s <= 10, lambda s: s <= 2)[1],
@@ -443,7 +445,7 @@ class TestBallStart:
 
     def test_seed_without_the_smallest_key_gets_id_0(self):
         model = batch_model(walk_row, seed=5, states_within=lambda r: range(int(r) + 1))
-        exploration = explore(model, ball_predicate(lambda s: s <= 10, 10), cap=100)
+        exploration = explore(model, ball_predicate(lambda s: s <= 10, 10))
         assert exploration.coords[0, 0] == 5
         assert_partitions_identical(
             cut(exploration, lambda s: s <= 10, lambda s: s <= 2)[1],
@@ -461,4 +463,4 @@ class TestStateWidth:
     def test_ball_of_another_width_rejected(self):
         model = batch_model(lambda x: [(x, 1.0)], seed=(0, 0), states_within=lambda r: [0, 1])
         with pytest.raises(ModelError, match="states_within have 1 coordinates, not 2"):
-            explore(model, ball_predicate(lambda s: True, 1), cap=10)
+            explore(model, ball_predicate(lambda s: True, 1))
