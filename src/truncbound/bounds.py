@@ -15,7 +15,7 @@ Bound shapes (all per return-cycle):
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -101,9 +101,8 @@ class BoundReport:
     beta1: np.ndarray
     beta2: np.ndarray
     certified: bool              # True on every report; no rule yet for False
-    envelope_id: str
-    timings: dict = field(default_factory=dict)
-    provenance: dict = field(default_factory=dict)
+    timings: dict
+    provenance: dict
 
     def to_dict(self) -> dict:
         return {
@@ -117,7 +116,7 @@ class BoundReport:
             "beta1": np.asarray(self.beta1).tolist(),
             "beta2": np.asarray(self.beta2).tolist(),
             "certified": self.certified,
-            "envelope": self.envelope_id,
+            "envelope": self.reward_id,
             "timings": self.timings,
             "provenance": self.provenance,
         }
@@ -179,7 +178,6 @@ def compute_bounds(ws: TruncationWorkspace, inputs: BoundInputs) -> BoundReport:
         beta1=beta1,
         beta2=beta2,
         certified=True,
-        envelope_id=inputs.envelope_id,
         timings=timings,
         provenance={
             "certificate_sha256": inputs.sha256,

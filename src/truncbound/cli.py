@@ -64,8 +64,7 @@ def _load_config(path: str) -> dict:
 
 
 def _outdir(cfg: dict, override: str | None) -> str:
-    out = override or os.environ.get("TRUNCBOUND_OUTDIR") \
-        or cfg.get("output", {}).get("dir", ".")
+    out = override or cfg.get("output", {}).get("dir", ".")
     os.makedirs(out, exist_ok=True)
     return out
 
@@ -110,7 +109,7 @@ def _return_set(cfg: dict):
         states = rs.get("states")
         if not isinstance(states, list) or not states:
             raise ConfigError("explicit return_set needs a nonempty 'states' list")
-        return [tuple(s) if isinstance(s, list) else s for s in states]
+        return states
     raise ConfigError(f"unknown return_set mode {mode!r}")
 
 
@@ -154,25 +153,23 @@ def cmd_run(cfg: dict, override: str | None) -> int:
     envelopes = _bounds_options(cfg)
     truncation, return_set = _truncation_schedule(cfg, prefer_size=True)[0], _return_set(cfg)
     model = _build(cfg)
-    outdir = _outdir(cfg, override)
     result = run_pipeline(model, truncation, envelopes=envelopes,
                           explicit_return_set=return_set)
     doc = {
         "library_version": __version__,
         "model": result.model_name,
         "truncation": result.truncation,
-        "reports": {env: run.report.to_dict() for env, run in result.runs.items()},
-        "return_sets": {env: {"k_size": run.k_size, "k_star": run.k_star}
-                        for env, run in result.runs.items()},
+        "reports": {env: rep.to_dict() for env, rep in result.reports.items()},
+        "return_sets": {env: {"k_size": len(result.certificates[env][0].return_set),
+                              "k_star": result.certificates[env][1]} for env in result.reports},
         "distribution": result.distribution,
         "timings": result.timings,
     }
-    path = os.path.join(outdir, cfg.get("output", {}).get("report", "report.json"))
+    path = os.path.join(_outdir(cfg, override), cfg.get("output", {}).get("report", "report.json"))
     with open(path, "w") as fh:
         _dump_report(doc, fh)
     print(f"report written to {path}")
-    for env, run in result.runs.items():
-        rep = run.report
+    for env, rep in result.reports.items():
         print(f"  [{env}] approx={rep.approx:.12g}  interval=[{rep.lower:.12g}, "
               f"{rep.upper:.12g}]  tv_bound={rep.tv_bound:.3e}")
     return 0
@@ -217,7 +214,6 @@ def cmd_sweep(cfg: dict, override: str | None) -> int:
     envelopes = _bounds_options(cfg)
     schedule, return_set = _truncation_schedule(cfg), _return_set(cfg)
     model = _build(cfg)
-    outdir = _outdir(cfg, override)
     rows = []
     prev_tv = {env: None for env in envelopes}
     results = run_sweep(model, schedule, envelopes=envelopes,
@@ -227,8 +223,7 @@ def cmd_sweep(cfg: dict, override: str | None) -> int:
             "truncation": trunc[SIZE_KEYS[trunc["kind"]]],
             "time_total": result.timings["total"],
         }
-        for env, run in result.runs.items():
-            rep = run.report
+        for env, rep in result.reports.items():
             for key in ("lower", "upper", "approx", "tv_bound"):
                 row[f"{env}_{key}"] = getattr(rep, key)
             for key, stage in (("censored", "censored_matrix"),
@@ -241,7 +236,7 @@ def cmd_sweep(cfg: dict, override: str | None) -> int:
                 )
             prev_tv[env] = rep.tv_bound
         rows.append(row)
-    path = os.path.join(outdir, cfg.get("output", {}).get("csv", "sweep.csv"))
+    path = os.path.join(_outdir(cfg, override), cfg.get("output", {}).get("csv", "sweep.csv"))
     with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
         writer.writeheader()
@@ -268,7 +263,7 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args.config)
         command = {"run": cmd_run, "verify": cmd_verify, "sweep": cmd_sweep}[args.command]
-        # run and sweep make the output directory once the config has parsed
+        # run and sweep make the output directory once their results are in
         return command(cfg, args.output_dir)
     except (ConfigError, ModelError, EnumerationLimitError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -67,7 +67,7 @@ class _DriftTable:
         on[self.find(states)] = True               # -1: the last, dropped
         return on[:-1]
 
-    def surplus(self, g: Callable, slack: Callable, exclude=frozenset(),
+    def surplus(self, g: Callable, slack: Callable, exclude=(),
                 x: np.ndarray | None = None) -> np.ndarray:
         """:func:`drift_excess` at the region ids ``x`` (default: the region),
         with the same floats; not checked for finiteness."""
@@ -147,7 +147,7 @@ def _table_for(model, region) -> tuple[_DriftTable, np.ndarray]:
     return table, table.src
 
 
-def drift_excess(model, g: Callable, slack: Callable, x, exclude=frozenset()) -> float:
+def drift_excess(model, g: Callable, slack: Callable, x, exclude=()) -> float:
     """One-step drift surplus at ``x``; nonpositive means the inequality holds.
 
     Discrete chains:  sum_{y not in K} P(x,y) g(y) - g(x) + slack(x).
@@ -191,9 +191,8 @@ def verify_drift(model, g: Callable, slack: Callable, K: Sequence,
 
 def _verify_on(table: _DriftTable, x: np.ndarray, g, slack, K, tolerance) -> DriftReport:
     """:func:`verify_drift` at the region ids ``x`` of ``table``."""
-    k_set = frozenset(K)
-    x = x[~table.mask(k_set)[x]]
-    s = table.surplus(g, slack, k_set, x)
+    x = x[~table.mask(K)[x]]
+    s = table.surplus(g, slack, K, x)
     table.require_finite(x, s)
     allow = tolerance * (1.0 + np.abs(_values(table.table, g, x)[x])
                          + np.abs(_values(table.table, slack, x)[x]))
@@ -256,14 +255,18 @@ class DriftCertificate:
     verified: bool = False
     reports: tuple = ()
 
+    def __post_init__(self):    # the return set: each state checked, sorted, no repeats
+        coords = _coords(self.return_set, source="the return set")
+        _, first = np.unique(_keys(coords), return_index=True)
+        object.__setattr__(self, "return_set", tuple(_objects(coords[first])))
+
     @classmethod
     def pair(cls, return_set, envelope, g_r, g_e, radius_r, radius_e, **kw):
-        return cls(tuple(return_set), envelope, g_r, g_e, int(radius_r),
-                   int(radius_e), **kw)
+        return cls(return_set, envelope, g_r, g_e, int(radius_r), int(radius_e), **kw)
 
     @classmethod
     def single(cls, return_set, envelope, g, radius, **kw):
-        return cls(tuple(return_set), envelope, g, g, int(radius), int(radius),
+        return cls(return_set, envelope, g, g, int(radius), int(radius),
                    single_pair=True, **kw)
 
 
@@ -340,7 +343,7 @@ class BoundInputs:
     h1_A: np.ndarray
     h2_A: np.ndarray
     verified: bool
-    sha256: str = ""
+    sha256: str
 
     def __post_init__(self):
         for name in ("r_A", "h1_A", "h2_A"):
@@ -350,14 +353,16 @@ class BoundInputs:
 
 
 def evaluate_certificate(cert: DriftCertificate, partition: Partition,
-                         *, envelope_id: str = "r") -> BoundInputs:
+                         *, envelope_id: str) -> BoundInputs:
     """Evaluate a verified certificate over a partition (exact h from the
     partition's exits) and fingerprint it for provenance."""
     if not cert.verified:
         raise CertificateError("certificate must be verified before evaluation")
     k_block = set(_objects(partition.space.coords[:partition.k_size]))
-    if len(cert.return_set) != partition.k_size or not k_block.issuperset(cert.return_set):
-        raise CertificateError("certificate return set does not match the partition")
+    missing = [s for s in cert.return_set if s not in k_block]
+    if missing or len(cert.return_set) != partition.k_size:
+        where = f": its state {missing[0]!r} is not in A's return-set block" if missing else ""
+        raise CertificateError(f"certificate return set does not match the partition{where}")
     r_A = partition.evaluate(cert.envelope)
     h1 = partition.boundary_overflow(cert.g_r)
     h2 = h1 if cert.single_pair else partition.boundary_overflow(cert.g_e)

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .bounds import BoundReport, compute_bounds
+from .bounds import compute_bounds
 from .censor import TruncationWorkspace
 from .ctmc import embed
 from .errors import ModelError
-from .lyapunov import DriftCertificate, drift_stage, evaluate_certificate, verify_certificate
+from .lyapunov import drift_stage, evaluate_certificate, verify_certificate
 from .models import GM1Model, ToggleSwitchModel
 from .statespace import batched, cut, explicit_k_predicate, explore, is_jump, repartition
 
@@ -36,6 +36,8 @@ def truncation_predicate(model, spec: dict):
     kind = spec.get("kind")
     if not isinstance(kind, str) or kind not in SIZE_KEYS:
         raise ModelError(f"unknown truncation kind {spec!r}")
+    if SIZE_KEYS[kind] not in spec:
+        raise ModelError(f"a {kind} truncation needs {SIZE_KEYS[kind]!r}, got {spec!r}")
     radius = int(spec[SIZE_KEYS[kind]])
     pred = batched((lambda s: (0 <= s) & (s <= radius)) if kind == "range"
                    else lambda s: s[0] + s[1] <= radius)
@@ -44,27 +46,16 @@ def truncation_predicate(model, spec: dict):
 
 
 @dataclass
-class EnvelopeRun:
-    envelope_id: str
-    certificate: DriftCertificate
-    report: BoundReport
-    k_size: int
-    k_star: float
-
-
-@dataclass
 class PipelineResult:
     model_name: str
     truncation: dict
-    runs: dict = field(default_factory=dict)           # envelope id -> EnvelopeRun
-    distribution: tuple | None = None    # (state space, masses) of the approximation
-    timings: dict = field(default_factory=dict)
-
-    def report(self, envelope_id: str) -> BoundReport:
-        return self.runs[envelope_id].report
+    reports: dict                 # envelope id -> BoundReport
+    certificates: dict            # envelope id -> (certificate, k_star), as verified
+    distribution: tuple | None    # (state space, masses) of the approximation; None in a sweep
+    timings: dict
 
 
-def run_pipeline(model, truncation: dict, *, envelopes=("r",),
+def run_pipeline(model, truncation: dict, *, envelopes,
                  explicit_return_set=None) -> PipelineResult:
     """Run the full bound pipeline for each envelope reward.
 
@@ -113,19 +104,20 @@ def run_sweep(model, truncations: list, *, envelopes, explicit_return_set,
         if level == len(truncations) - 1:
             del exploration           # and its entry stream: no level is left to cut
         timings["cut"] = time.perf_counter() - t0
-        result = PipelineResult(model_name=model.name, truncation=dict(truncation),
-                                timings=timings)
-        _bound(result, part, certs, by_return_set, with_distribution)
+        reports, distribution = _bound(part, certs, by_return_set, timings, with_distribution)
         del part                      # a level's partitions end with its bounds
+        for report in reports.values():
+            report.provenance.update(model=model.name, truncation=dict(truncation))
         timings["total"] = time.perf_counter() - t_all
-        yield result
+        yield PipelineResult(model.name, dict(truncation), reports, certs, distribution, timings)
         t_all = time.perf_counter()
         timings = {}
 
 
-def _bound(result: PipelineResult, part, certs: dict, by_return_set: dict,
-           with_distribution: bool) -> None:
-    """Bounds on ``part`` (over the first return set) and its repartitions."""
+def _bound(part, certs: dict, by_return_set: dict, timings: dict,
+           with_distribution: bool) -> tuple[dict, tuple | None]:
+    """Reports on ``part`` (over the first return set) and its repartitions,
+    by envelope id, and the distribution (or None); stages go to ``timings``."""
     last = len(by_return_set) - 1
     submitted = []                    # (envelope id, future report) on the worker
     inline = []                       # (envelope id, report) of the last return set
@@ -141,7 +133,7 @@ def _bound(result: PipelineResult, part, certs: dict, by_return_set: dict,
                     primary = ws
                 group = [(env, evaluate_certificate(certs[env][0], part, envelope_id=env))
                          for env in env_group]
-                result.timings[f"partition[{','.join(env_group)}]"] = time.perf_counter() - t0
+                timings[f"partition[{','.join(env_group)}]"] = time.perf_counter() - t0
                 for env, inputs in group:
                     if i < last:
                         submitted.append((env, worker.submit(compute_bounds, ws, inputs)))
@@ -151,19 +143,15 @@ def _bound(result: PipelineResult, part, certs: dict, by_return_set: dict,
             for _, job in submitted:    # an earlier job's error came first serially
                 job.result()
             raise
-        reports = [(env, job.result()) for env, job in submitted] + inline
+        reports = dict([(env, job.result()) for env, job in submitted] + inline)
 
-    for env, report in reports:
-        report.provenance["model"] = result.model_name
-        report.provenance["truncation"] = dict(result.truncation)
-        cert, k_star = certs[env]
-        result.runs[env] = EnvelopeRun(env, cert, report, len(cert.return_set), k_star)
-
-    if with_distribution and primary is not None:
-        t0 = time.perf_counter()
-        result.distribution = primary.partition.space, \
-            primary.approx_distribution(primary.censored().row_normalized[1])
-        result.timings["distribution"] = time.perf_counter() - t0
+    if not with_distribution:
+        return reports, None
+    t0 = time.perf_counter()
+    distribution = primary.partition.space, \
+        primary.approx_distribution(primary.censored().row_normalized[1])
+    timings["distribution"] = time.perf_counter() - t0
+    return reports, distribution
 
 
 def verified_certificates(model, envelopes, explicit_return_set) -> dict:
@@ -175,10 +163,10 @@ def verified_certificates(model, envelopes, explicit_return_set) -> dict:
     for every envelope.  Maps each envelope id to ``(certificate, k_star)``,
     where ``k_star`` is the largest norm in the certificate's return set.
     """
-    rs = tuple(explicit_return_set) if explicit_return_set is not None else None
     out = {}
     with drift_stage(model):
         for env in envelopes:
-            cert = verify_certificate(model, model.certificate_for_envelope(env, return_set=rs))
+            cert = verify_certificate(
+                model, model.certificate_for_envelope(env, explicit_return_set))
             out[env] = cert, max(model.norm(s) for s in cert.return_set)
     return out

@@ -52,9 +52,12 @@ def _coords(states, d: int | None = None, source: str = "the caller") -> np.ndar
     if type(states) is np.ndarray and states.dtype == np.int64 and states.ndim == 2 \
             and states.shape[1] == (d or states.shape[1]):
         return states
-    a = np.asarray(states if isinstance(states, np.ndarray) else list(states))
-    if a.size and a.dtype.kind not in "iu" or a.ndim > 2:
-        raise ModelError("states must be ints or int tuples of one length")
+    try:
+        a = np.asarray(states if isinstance(states, np.ndarray) else list(states))
+        if len(a) and a.dtype.kind not in "iu" or a.ndim > 2:
+            raise ValueError
+    except ValueError:          # not ints, or ragged or nested lists
+        raise ModelError(f"states from {source} must be ints or int tuples of one length")
     width = a.shape[1] if a.ndim == 2 else 1
     if a.size and width != (d or width):
         raise ModelError(f"states from {source} have {width} coordinates, not {d}")

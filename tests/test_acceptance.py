@@ -113,12 +113,12 @@ def test_criterion_2_gm1_certified_accuracy(gm1_runs):
     gm1, pair, unit = gm1_runs
     checks = {}
 
-    rep_r = pair.report("r")
-    checks["|K| = 202"] = pair.runs["r"].k_size == 202
+    rep_r = pair.reports["r"]
+    checks["|K| = 202"] = len(pair.certificates["r"][0].return_set) == 202
     checks["envelope-weighted tv <= 1e-6"] = rep_r.tv_bound <= 1e-6
 
-    rep_e = unit.report("e")
-    checks["unit K = {0..4}"] = unit.runs["e"].certificate.return_set == (0, 1, 2, 3, 4)
+    rep_e = unit.reports["e"]
+    checks["unit K = {0..4}"] = unit.certificates["e"][0].return_set == (0, 1, 2, 3, 4)
     checks["plain tv <= 1e-12"] = rep_e.tv_bound <= 1e-12
     # the upper cycle-length estimate hugs the lower one at this truncation
     # (cycle lengths are >= 1, so absolute overflow bounds the relative gap)
@@ -140,7 +140,7 @@ def test_criterion_2_gm1_certified_accuracy(gm1_runs):
                    "interval lies 1.3e-9 below the exact mean")
 def test_gm1_exact_mean_is_certified(gm1_runs):
     gm1, pair, _ = gm1_runs
-    rep = pair.report("r")
+    rep = pair.reports["r"]
     exact = float(gm1.exact_geometric().mean())     # 133.16712406432046
     assert rep.lower <= exact <= rep.upper
     assert abs(rep.approx - exact) <= rep.tv_bound
@@ -154,9 +154,9 @@ def test_criterion_3_toggle_certified_accuracy():
         r20 = run_pipeline(ToggleSwitchModel(20.0, 1.0),
                            {"kind": "simplex", "level": 200},
                            envelopes=("r", "e"))
-    checks["ts20 plain tv < 1e-12"] = r20.report("e").tv_bound < 1e-12
-    checks["ts20 weighted tv < 1e-10"] = r20.report("r").tv_bound < 1e-10
-    rep = r20.report("r")
+    checks["ts20 plain tv < 1e-12"] = r20.reports["e"].tv_bound < 1e-12
+    checks["ts20 weighted tv < 1e-10"] = r20.reports["r"].tv_bound < 1e-10
+    rep = r20.reports["r"]
     checks["ts20 interval width/mid <= 1e-9"] = \
         (rep.upper - rep.lower) <= 1e-9 * rep.approx
 
@@ -164,10 +164,10 @@ def test_criterion_3_toggle_certified_accuracy():
         r90 = run_pipeline(ToggleSwitchModel(90.0, 1.0),
                            {"kind": "simplex", "level": 200},
                            envelopes=("r", "e"))
-    checks["ts90 plain tv < 1e-11"] = r90.report("e").tv_bound < 1e-11
-    checks["ts90 weighted tv < 1e-9"] = r90.report("r").tv_bound < 1e-9
+    checks["ts90 plain tv < 1e-11"] = r90.reports["e"].tv_bound < 1e-11
+    checks["ts90 weighted tv < 1e-9"] = r90.reports["r"].tv_bound < 1e-9
     checks["ts90 r, e as benchmark recorded"] = \
-        _recorded("toggle90", {"reports": _fields({env: r90.report(env) for env in ("r", "e")})})
+        _recorded("toggle90", {"reports": _fields({env: r90.reports[env] for env in ("r", "e")})})
 
     checks["runtime < 30 min"] = time.perf_counter() - t0 < 1800
     assert _line(3, "toggle-switch certified accuracy", all(checks.values())), checks
@@ -219,7 +219,7 @@ def test_criterion_4_oracle_equivalence_suite():
         _, part = enumerate_space(model, lambda s: True, lambda s, k=k: s < k)
         ws = TruncationWorkspace(part)
         cert = exact_certificate(P, k, r, model)
-        inputs = evaluate_certificate(cert, part)
+        inputs = evaluate_certificate(cert, part, envelope_id="r")
 
         # (a) censored matrix equals the dense Schur complement
         if np.abs(ws.censored().G - censored_matrix_oracle(P, k)).max() > 1e-12:
@@ -256,7 +256,7 @@ def test_criterion_4_oracle_equivalence_suite():
             except IrreducibilityError:
                 continue
             break
-        inputs_t = evaluate_certificate(cert, part_t)
+        inputs_t = evaluate_certificate(cert, part_t, envelope_id="r")
         rep_t = compute_bounds(ws_t, inputs_t)
         if not (rep_t.lower <= pir <= rep_t.upper):
             fails.append((seed, "c-strict"))
@@ -300,7 +300,7 @@ def test_criterion_5_convergence_suite():
     for a in range(k + 2, n + 1):
         _, part = enumerate_space(model, lambda s, a=a: s < a, lambda s: s < k)
         ws = TruncationWorkspace(part)
-        rep = compute_bounds(ws, evaluate_certificate(cert, part))
+        rep = compute_bounds(ws, evaluate_certificate(cert, part, envelope_id="r"))
         lowers.append(rep.lower)
         uppers.append(rep.upper)
         widths.append(rep.upper - rep.lower)
@@ -340,7 +340,7 @@ def test_criterion_6_stability_suite(gm1_runs):
     gm1, pair, _ = gm1_runs
     _, part = enumerate_space(
         gm1, lambda s: s <= 10000,
-        lambda s: s in set(pair.runs["r"].certificate.return_set),
+        lambda s: s in set(pair.certificates["r"][0].return_set),
     )
     ws = TruncationWorkspace(part)
     ca = ws.censored()

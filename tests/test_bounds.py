@@ -39,7 +39,7 @@ def setup_host(rng, n=12, k=3, a=None, zeros=0.4):
     _, part = enumerate_space(model, lambda s: s < a, lambda s: s < k)
     ws = TruncationWorkspace(part)
     cert = exact_certificate(P, k, np.arange(float(n)), model)
-    inputs = evaluate_certificate(cert, part)
+    inputs = evaluate_certificate(cert, part, envelope_id="r")
     return P, model, ws, inputs
 
 
@@ -68,7 +68,7 @@ class TestKappaUpper:
         g2 = lambda x: 0.0 if x == 0 else float(eta_e[x - 1])
         cert = DriftCertificate.pair((0,), lambda x: float(r[x]), g1, g2, 3, 3)
         cert = verify_certificate(model, cert, tolerance=1e-9)
-        inputs = evaluate_certificate(cert, part)
+        inputs = evaluate_certificate(cert, part, envelope_id="r")
         # by hand: kl(r) = r0 + P01 (I-P11)^{-1} r1 ; h1 = P(.,2) g1(2)
         kl_r = r[0] + P[0, 1] * r[1] / (1 - P[1, 1])
         h10 = P[0, 2] * eta_r[1]
@@ -135,7 +135,7 @@ class TestSingletonBounds:
         # a modest truncation leaves a genuinely two-sided interval
         _, part = enumerate_space(gm1, lambda s: s <= 2000, lambda s: s == 0)
         rep = compute_bounds(TruncationWorkspace(part),
-                             evaluate_certificate(cert, part))
+                             evaluate_certificate(cert, part, envelope_id="r"))
         assert rep.method == "singleton"
         assert rep.lower <= truth <= rep.upper
         assert rep.upper - rep.lower < 0.01 * truth
@@ -144,7 +144,7 @@ class TestSingletonBounds:
         # point floor of the long solves; containment holds to that floor
         _, part = enumerate_space(gm1, lambda s: s <= 10000, lambda s: s == 0)
         rep = compute_bounds(TruncationWorkspace(part),
-                             evaluate_certificate(cert, part))
+                             evaluate_certificate(cert, part, envelope_id="r"))
         tol = 1e-8 * truth
         assert rep.lower - tol <= truth <= rep.upper + tol
 
@@ -348,7 +348,7 @@ class TestBoundReport:
     def test_reward_is_the_certificate_envelope(self, toggle60):
         part, inputs = toggle60
         rep = compute_bounds(TruncationWorkspace(part), inputs["e"])
-        assert (rep.reward_id, rep.envelope_id) == ("e", "e")
+        assert (rep.reward_id, rep.to_dict()["envelope"]) == ("e", "e")
 
 
 def _interval_fields(report):
@@ -364,8 +364,8 @@ class TestCycleRewardCache:
         part, inputs = toggle60
         ev = inputs["r"]
         if how == "default-sha":   # both fingerprints are ""
-            first = BoundInputs("r", ev.r_A, ev.h1_A, ev.h2_A, True)
-            second = BoundInputs("r", 0.5 * ev.r_A, ev.h1_A, ev.h2_A, True)
+            first = BoundInputs("r", ev.r_A, ev.h1_A, ev.h2_A, True, "")
+            second = BoundInputs("r", 0.5 * ev.r_A, ev.h1_A, ev.h2_A, True, "")
         else:                      # replace keeps the fingerprint
             first, second = ev, replace(ev, r_A=0.5 * ev.r_A)
         assert first.sha256 == second.sha256
@@ -380,7 +380,7 @@ class TestCycleRewardCache:
         _, inputs = toggle60
         ev = inputs["r"]
         r = ev.r_A.copy()
-        bi = BoundInputs("r", r, ev.h1_A, ev.h2_A, True)
+        bi = BoundInputs("r", r, ev.h1_A, ev.h2_A, True, "")
         r *= 0.5
         assert np.array_equal(bi.r_A, ev.r_A)
         for name in ("r_A", "h1_A", "h2_A"):

@@ -85,6 +85,12 @@ class TestRun:
         pytest.param("sweep", {"return_set": "lyapunov"}, id="return-set-not-object"),
         pytest.param("run", {"return_set": {"mode": "explicit", "states": 5}},
                      id="return-set-states-not-list"),
+        pytest.param("run", {"return_set": {"mode": "explicit", "states": [{}]}},
+                     id="return-set-state-object"),
+        pytest.param("run", {"return_set": {"mode": "explicit", "states": [[0, [1]]]}},
+                     id="return-set-state-nested"),
+        pytest.param("run", {"return_set": {"mode": "explicit", "states": [[0], [1, 2]]}},
+                     id="return-set-states-ragged"),
         pytest.param("run", {"output": {"report": 5}}, id="output-report-not-string"),
         pytest.param("run", {"output": {"dir": 5}}, id="output-dir-not-string"),
         pytest.param("sweep", {"output": {"csv": 5}}, id="output-csv-not-string"),
@@ -116,18 +122,79 @@ class TestRun:
         )
         assert main(["run", str(path)]) == 2
 
-    def test_output_dir_env_override(self, tmp_path, monkeypatch):
-        path, _ = write_config(tmp_path)
-        override = tmp_path / "elsewhere"
-        monkeypatch.setenv("TRUNCBOUND_OUTDIR", str(override))
-        assert main(["run", str(path)]) == 0
-        assert (override / "report.json").exists()
+    def test_return_set_state_outside_a_exits_2_naming_it(self, tmp_path, capsys):
+        path, _ = write_config(
+            tmp_path, truncation={"kind": "range", "max": 500},
+            return_set={"mode": "explicit", "states": [0, 1, 2, 3, 4, 900]})
+        assert main(["run", str(path)]) == 2
+        assert "state 900" in capsys.readouterr().err
+
+    def test_return_set_is_stored_sorted_without_repeats(self, tmp_path):
+        # the designed unit return set {0..4}, given unsorted and with repeats,
+        # is the same certificate as the designed one
+        docs = []
+        for return_set in ({"mode": "lyapunov"},
+                           {"mode": "explicit", "states": [4, 0, 3, 1, 2, 0, 4]}):
+            path, _ = write_config(tmp_path, return_set=return_set)
+            assert main(["run", str(path)]) == 0
+            docs.append(json.loads((tmp_path / "out" / "report.json").read_text()))
+        designed, explicit = ({k: doc[k] for k in ("reports", "return_sets")} for doc in docs)
+        for doc in (designed, explicit):
+            doc["reports"]["e"].pop("timings")
+        assert explicit == designed
+        assert explicit["return_sets"]["e"]["k_size"] == 5
+
+
+# a tiny toggle run, whose fields the type test below replaces one at a time
+TINY = {"model": {"name": "toggle", "params": {"lam": 20.0, "mu": 1.0}},
+        "truncation": {"kind": "simplex", "level": 30},
+        "return_set": {"mode": "lyapunov"}, "bounds": {"rewards": ["r"]},
+        "output": {"dir": "out", "report": "report.json", "csv": "sweep.csv"}}
+SHAPES = {"object": {}, "list-of-object": [{}], "ragged": [[0], [1, 2]], "string": "x",
+          "null": None, "bool": True, "float": 0.5}
+ALL, SIZED = ("run", "verify", "sweep"), ("run", "sweep")
+# each field of docs/config.schema.json -> the commands that read it (verify reads
+# no truncation size; run reads the size, not the schedule)
+FIELDS = {"model": ALL, "model.name": ALL, "model.params": ALL, "truncation": SIZED,
+          "truncation.kind": SIZED, "truncation.max": SIZED, "truncation.level": SIZED,
+          "truncation.schedule": ("sweep",), "return_set": ALL, "return_set.mode": ALL,
+          "return_set.states": ALL, "bounds": ALL, "bounds.rewards": ALL, "output": ALL,
+          "output.dir": ALL, "output.report": ALL, "output.csv": ALL}
+# the section a field is read in, where it is not TINY's
+SECTION = {"truncation.max": {"kind": "range"}, "return_set.states": {"mode": "explicit"}}
+# the shapes the schema allows: sections whose keys all have defaults, and file names
+ACCEPTED = {("return_set", "object"), ("bounds", "object"), ("output", "object"),
+            ("output.dir", "string"), ("output.report", "string"), ("output.csv", "string")}
+
+
+@pytest.mark.parametrize("command, field, shape", [
+    pytest.param(command, field, shape, id=f"{command}-{field}-{shape}")
+    for field, commands in FIELDS.items() for shape in SHAPES for command in commands])
+def test_config_field_of_any_shape_exits_cleanly(tmp_path, monkeypatch, capsys,
+                                                 command, field, shape):
+    """A field of the wrong type ends in a config error that writes nothing,
+    never in a traceback; a shape the schema allows runs."""
+    monkeypatch.chdir(tmp_path)         # an output section of {} writes to "."
+    section, _, key = field.partition(".")
+    cfg = json.loads(json.dumps(TINY))
+    cfg[section] = {**SECTION.get(field, cfg[section]), key: SHAPES[shape]} if key \
+        else SHAPES[shape]
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)   # rate domination
+        rc = main([command, "cfg.json"])
+    if (field, shape) in ACCEPTED:
+        assert rc == 0
+    else:
+        assert rc == 1
+        assert "config error" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["cfg.json"]
 
 
 def report_doc(result) -> dict:
     """A ``cmd_run``-shaped report doc, distribution as the writer takes it."""
     return {"model": result.model_name, "truncation": result.truncation,
-            "reports": {env: run.report.to_dict() for env, run in result.runs.items()},
+            "reports": {env: rep.to_dict() for env, rep in result.reports.items()},
             "distribution": result.distribution, "timings": result.timings}
 
 
@@ -151,7 +218,8 @@ class TestReportWriter:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)   # rate domination
                 doc = report_doc(run_pipeline(ToggleSwitchModel(20.0, 1.0),
-                                              {"kind": "simplex", "level": 40}))
+                                              {"kind": "simplex", "level": 40},
+                                              envelopes=["r"]))
         written = io.StringIO()
         cli._dump_report(doc, written)
         expected = io.StringIO()

@@ -245,7 +245,7 @@ class TestCtmcBounds:
         cert = verify_certificate(jm, cert, tolerance=1e-9)
         _, part = enumerate_space(chain, lambda s: s < a, lambda s: s < k)
         ws = TruncationWorkspace(part)
-        inputs = evaluate_certificate(cert, part)
+        inputs = evaluate_certificate(cert, part, envelope_id="r")
         return Q, jm, ws, inputs, r
 
     def test_full_space_interval_degenerates_to_rate_stationary(self, rng):

@@ -279,7 +279,7 @@ def test_toggle_pair_return_set_is_built_once(monkeypatch):
                                        {"kind": "simplex", "level": 80},
                                        envelopes=["r", "e"])
     assert len(calls) == 1
-    assert result.runs["r"].certificate.return_set == result.runs["e"].certificate.return_set
+    assert result.certificates["r"][0].return_set == result.certificates["e"][0].return_set
 
 
 # -- censored matrix and mixture family --------------------------------------

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from truncbound import TruncationWorkspace, enumerate_space, lyapunov
-from truncbound.errors import CertificateError
+from truncbound.errors import CertificateError, ModelError
 from truncbound.lyapunov import (
     DriftCertificate,
     construct_K,
@@ -215,7 +215,7 @@ class TestCertificate:
                                      lambda x: x * x, lambda x: float(x), 8, 8)
         _, part = enumerate_space(model, lambda s: True, lambda s: s == 0)
         with pytest.raises(CertificateError, match="verified"):
-            evaluate_certificate(cert, part)
+            evaluate_certificate(cert, part, envelope_id="r")
 
     def test_exactness_upper_equals_oracle(self, rng):
         P = random_stochastic(rng, 11)
@@ -225,7 +225,7 @@ class TestCertificate:
         for a in (6, 9, 11):
             _, part = enumerate_space(model, lambda s, a=a: s < a, lambda s: s < 3)
             ws = TruncationWorkspace(part)
-            inputs = evaluate_certificate(cert, part)
+            inputs = evaluate_certificate(cert, part, envelope_id="r")
             ku_r, ku_e = upper_cycle_rewards(ws, inputs)
             kap_r, _ = kappa_oracle(P, 3, r)
             kap_e, _ = kappa_oracle(P, 3, np.ones(11))
@@ -271,7 +271,7 @@ class TestCertificate:
         cert = verify_certificate(model, cert, tolerance=1e-9)
         assert cert.verified and cert.single_pair
         _, part = enumerate_space(model, lambda s: s < 7, lambda s: s < 2)
-        inputs = evaluate_certificate(cert, part)
+        inputs = evaluate_certificate(cert, part, envelope_id="r")
         assert np.array_equal(inputs.h1_A, inputs.h2_A)
 
     def test_fingerprint_is_stable_and_covers_every_input(self, rng):
@@ -279,8 +279,8 @@ class TestCertificate:
         model = host_model(P)
         cert = exact_certificate(P, 2, np.arange(10.0), model)
         _, part = enumerate_space(model, lambda s: s < 8, lambda s: s < 2)
-        inputs = evaluate_certificate(cert, part)
-        assert evaluate_certificate(cert, part).sha256 == inputs.sha256
+        inputs = evaluate_certificate(cert, part, envelope_id="r")
+        assert evaluate_certificate(cert, part, envelope_id="r").sha256 == inputs.sha256
         args = (inputs.r_A, inputs.h1_A, inputs.h2_A)
         base = lyapunov._fingerprint(cert, part, *args)
         assert base == inputs.sha256
@@ -315,10 +315,24 @@ class TestCertificate:
         assert lyapunov._fingerprint(shared, part, *args) != \
             lyapunov._fingerprint(replace(shared, single_pair=True), part, *args)
 
+    def test_return_set_is_stored_sorted_without_repeats(self):
+        g = lambda x: 1.0
+        pair = DriftCertificate.pair([(2, 1), (0, 5), (2, 1)], g, g, g, 3, 3)
+        single = DriftCertificate.single([3, 1, 3, 2], g, g, 3)
+        assert (pair.return_set, single.return_set) == (((0, 5), (2, 1)), (1, 2, 3))
+        assert type(single.return_set[0]) is int
+
+    @pytest.mark.parametrize("states", [[{}], [[0, [1]]], [[0], [1, 2]], [0.5]],
+                             ids=["object", "nested", "ragged", "float"])
+    def test_return_set_states_are_checked(self, states):
+        g = lambda x: 1.0
+        with pytest.raises(ModelError, match="ints or int tuples"):
+            DriftCertificate.single(states, g, g, 3)
+
     def test_certificate_partition_mismatch(self, rng):
         P = random_stochastic(rng, 9)
         model = host_model(P)
         cert = exact_certificate(P, 2, np.arange(9.0), model)
         _, part = enumerate_space(model, lambda s: s < 8, lambda s: s < 3)
         with pytest.raises(CertificateError, match="return set"):
-            evaluate_certificate(cert, part)
+            evaluate_certificate(cert, part, envelope_id="r")

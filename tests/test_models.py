@@ -332,13 +332,13 @@ class TestBatchHooksOnly:
         monkeypatch.setattr(GM1Model, "row", refuse)
         monkeypatch.setattr(ToggleSwitchModel, "rate_row", refuse)
         gm1 = run_pipeline(GM1Model(), {"kind": "range", "max": 600}, envelopes=["r", "e"])
-        assert gm1.report("r").lower <= gm1.report("r").upper
+        assert gm1.reports["r"].lower <= gm1.reports["r"].upper
         with pytest.warns(UserWarning, match="does not dominate"):
             levels = list(run_sweep(ToggleSwitchModel(20.0, 1.0),
                                     [{"kind": "simplex", "level": lv} for lv in (40, 60)],
                                     envelopes=["r", "e"], explicit_return_set=None,
                                     with_distribution=True))
-        assert all(r.report("e").lower <= r.report("e").upper for r in levels)
+        assert all(r.reports["e"].lower <= r.reports["e"].upper for r in levels)
 
     def test_models_defined_by_their_batch_hooks_alone(self):
         # a reflected walk (down 0.7, up 0.3) and a birth-death process (up 1,

@@ -10,6 +10,7 @@ from collections import Counter
 import pytest
 
 from truncbound import cli, lyapunov, pipeline
+from truncbound.errors import ModelError
 from truncbound.models import GM1Model, ToggleSwitchModel
 from truncbound.pipeline import run_pipeline
 
@@ -21,6 +22,13 @@ def without_timings(report) -> dict:
     doc = report.to_dict()
     doc.pop("timings")
     return doc
+
+
+@pytest.mark.parametrize("spec", [{"kind": "range"}, {"kind": "simplex", "max": 5}])
+def test_truncation_without_its_size_names_the_key(spec):
+    size = pipeline.SIZE_KEYS[spec["kind"]]
+    with pytest.raises(ModelError, match=f"needs '{size}'"):
+        pipeline.truncation_predicate(GM1Model(), spec)
 
 
 class TestSharedEnumeration:
@@ -44,7 +52,7 @@ class TestSharedEnumeration:
                                      "partition[e]", "distribution", "total"}
         for env in envelopes:
             single = run_pipeline(gm1, truncation, envelopes=[env])
-            assert without_timings(both.report(env)) == without_timings(single.report(env))
+            assert without_timings(both.reports[env]) == without_timings(single.reports[env])
             if env == envelopes[0]:   # the distribution is the first envelope's
                 (space, mass), (single_space, single_mass) = both.distribution, single.distribution
                 assert mass.tobytes() == single_mass.tobytes()
@@ -96,7 +104,7 @@ class TestOverlap:
         monkeypatch.setattr(pipeline, "compute_bounds", waiting)
         monkeypatch.setattr(pipeline, "repartition", signalling)
         result = run_pipeline(GM1Model(), GM1_2000, envelopes=["r", "e"])
-        assert list(result.runs) == ["r", "e"]
+        assert list(result.reports) == ["r", "e"]
         # the last return set's bounds have nothing to overlap with
         assert on_main == {"r": False, "e": True}
 
@@ -138,7 +146,7 @@ class TestOverlap:
     def test_repeated_runs_give_identical_reports(self, envelopes):
         runs = [run_pipeline(GM1Model(), GM1_2000, envelopes=envelopes) for _ in range(2)]
         for env in envelopes:
-            assert without_timings(runs[0].report(env)) == without_timings(runs[1].report(env))
+            assert without_timings(runs[0].reports[env]) == without_timings(runs[1].reports[env])
         assert runs[0].distribution[1].tobytes() == runs[1].distribution[1].tobytes()
 
 
@@ -210,9 +218,9 @@ class TestSweep:
         swept = pipeline.run_sweep(gm1, levels, envelopes=["r", "e"],
                                    explicit_return_set=None, with_distribution=False)
         for single, result in zip(singles, swept, strict=True):
-            assert [run.k_size for run in single.runs.values()] == [202, 5]
+            assert [len(cert.return_set) for cert, _ in single.certificates.values()] == [202, 5]
             for env in ("r", "e"):
-                assert without_timings(result.report(env)) == without_timings(single.report(env))
+                assert without_timings(result.reports[env]) == without_timings(single.reports[env])
         config = sweep_config(tmp_path, {"name": "gm1", "params": {"mu": 1.0, "b": 2.01}},
                               {"kind": "range", "schedule": [250, 400]}, ["r", "e"])
         assert cli.main(["sweep", config]) == 0
@@ -220,7 +228,7 @@ class TestSweep:
             rows = list(csv.DictReader(fh))
         for single, row in zip(singles, rows, strict=True):
             for env in ("r", "e"):
-                rep = single.report(env)
+                rep = single.reports[env]
                 for key in ("lower", "upper", "approx", "tv_bound"):
                     assert float(row[f"{env}_{key}"]) == getattr(rep, key)
 
@@ -293,5 +301,5 @@ class TestSweep:
         on_envelope = {x for fn, x in seen if fn is certs["r"].envelope}
         assert len(on_envelope) == 61 * 62 // 2
         for env in ("r", "e"):
-            assert without_timings(results[1].report(env)) \
-                == without_timings(reference.report(env))
+            assert without_timings(results[1].reports[env]) \
+                == without_timings(reference.reports[env])

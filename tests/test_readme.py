@@ -23,5 +23,6 @@ def test_library_sketch_matches_run_pipeline():
     with contextlib.redirect_stdout(out):
         exec(compile(library_sketch(), str(README), "exec"), {"__name__": "readme"})
     printed = [float(v) for v in out.getvalue().split()]
-    rep = run_pipeline(GM1Model(), {"kind": "range", "max": 10000}).report("r")
+    rep = run_pipeline(GM1Model(), {"kind": "range", "max": 10000},
+                       envelopes=["r"]).reports["r"]
     assert printed == [rep.lower, rep.approx, rep.upper, rep.tv_bound]

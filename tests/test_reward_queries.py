@@ -207,7 +207,7 @@ def _host_case(seed, n, k, a, zeros):
     model = host_model(P)
     _, part = enumerate_space(model, lambda s: s < a, lambda s: s < k)
     cert = exact_certificate(P, k, np.arange(float(n)), model)
-    inputs = evaluate_certificate(cert, part)
+    inputs = evaluate_certificate(cert, part, envelope_id="r")
     r = inputs.r_A
     rewards = [u * r for u in rng.uniform(-1.0, 1.0, size=(3, a))]
     rewards += [rng.uniform(0.0, 1.0, a) * r, -rng.uniform(0.0, 1.0, a) * r, np.zeros(a)]

@@ -460,6 +460,13 @@ class TestStateWidth:
         with pytest.raises(ModelError, match="batch row hook have 2 coordinates, not 1"):
             enumerate_space(model, lambda s: s <= 10, lambda s: s == 0)
 
+    @pytest.mark.parametrize("targets", [[[1], [1, 0]], [[1, [0]]]], ids=["ragged", "nested"])
+    def test_row_hook_targets_ragged_or_nested_rejected(self, targets):
+        model = DiscreteModel(name="ragged", seed=0,
+                              rows=lambda states: ([0, 0], targets, [0.5, 0.5]))
+        with pytest.raises(ModelError, match="batch row hook must be ints or int tuples"):
+            enumerate_space(model, lambda s: s <= 10, lambda s: s == 0)
+
     def test_ball_of_another_width_rejected(self):
         model = batch_model(lambda x: [(x, 1.0)], seed=(0, 0), states_within=lambda r: [0, 1])
         with pytest.raises(ModelError, match="states_within have 1 coordinates, not 2"):
