@@ -20,16 +20,16 @@ _EXPORTS = {
     "linalg": ("SubstochasticSolver", "is_irreducible", "stationary_small"),
     "censor": ("CensoredApprox", "TauFamily", "TruncationWorkspace"),
     "lyapunov": (
-        "BoundInputs", "DriftCertificate", "DriftReport", "construct_K", "drift_excess",
-        "evaluate_certificate", "moment_bound", "tail_mass_bound", "verify_certificate",
-        "verify_drift",
+        "BoundInputs", "DriftCertificate", "DriftData", "DriftReport", "construct_K",
+        "drift_excess", "evaluate_certificate", "moment_bound", "tail_mass_bound",
+        "verify_certificate", "verify_drift",
     ),
     "bounds": (
         "BoundReport", "combine_signed", "compute_bounds", "delta2_bound", "ell_lower_bound",
         "minorization_bounds", "reward_interval", "tv_bound_general", "tv_bound_singleton",
     ),
     "ctmc": ("JumpModel", "embed", "exit_rate"),
-    "models": ("DiscreteModel", "GM1Model", "GeometricLaw", "ToggleSwitchModel"),
+    "models": ("DiscreteModel", "GM1Model", "GeometricLaw", "Model", "ToggleSwitchModel"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

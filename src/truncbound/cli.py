@@ -64,8 +64,14 @@ def _load_config(path: str) -> dict:
 
 
 def _outdir(cfg: dict, override: str | None) -> str:
+    """The output directory, checked before the run: the nearest of it and
+    its parents that exists must be a directory."""
     out = override or cfg.get("output", {}).get("dir", ".")
-    os.makedirs(out, exist_ok=True)
+    there = os.path.abspath(out)
+    while not os.path.exists(there):
+        there = os.path.dirname(there)
+    if not os.path.isdir(there):
+        raise ConfigError(f"output directory {out!r}: {there} is not a directory")
     return out
 
 
@@ -152,7 +158,7 @@ def cmd_run(cfg: dict, override: str | None) -> int:
 
     envelopes = _bounds_options(cfg)
     truncation, return_set = _truncation_schedule(cfg, prefer_size=True)[0], _return_set(cfg)
-    model = _build(cfg)
+    model, outdir = _build(cfg), _outdir(cfg, override)
     result = run_pipeline(model, truncation, envelopes=envelopes,
                           explicit_return_set=return_set)
     doc = {
@@ -165,7 +171,8 @@ def cmd_run(cfg: dict, override: str | None) -> int:
         "distribution": result.distribution,
         "timings": result.timings,
     }
-    path = os.path.join(_outdir(cfg, override), cfg.get("output", {}).get("report", "report.json"))
+    os.makedirs(outdir, exist_ok=True)
+    path = os.path.join(outdir, cfg.get("output", {}).get("report", "report.json"))
     with open(path, "w") as fh:
         _dump_report(doc, fh)
     print(f"report written to {path}")
@@ -197,11 +204,8 @@ def cmd_verify(cfg: dict, override: str | None) -> int:
     envelopes = _bounds_options(cfg)
     return_set = _return_set(cfg)
     model = _build(cfg)
-    ly = model.lyapunov()
-    radii = {k: getattr(ly, k) for k in ("n1", "n2", "n3") if hasattr(ly, k)}
     certs = verified_certificates(model, envelopes, return_set)
-    for name, value in radii.items():
-        print(f"{name} = {value}")
+    print(f"n1 = {model.drift.n1}\nn2 = {model.drift.n2}")
     for env, (cert, k_star) in certs.items():
         print(f"[{env}] k* = {k_star:g}  |K| = {len(cert.return_set)}  verified")
     return 0
@@ -213,7 +217,7 @@ def cmd_sweep(cfg: dict, override: str | None) -> int:
 
     envelopes = _bounds_options(cfg)
     schedule, return_set = _truncation_schedule(cfg), _return_set(cfg)
-    model = _build(cfg)
+    model, outdir = _build(cfg), _outdir(cfg, override)
     rows = []
     prev_tv = {env: None for env in envelopes}
     results = run_sweep(model, schedule, envelopes=envelopes,
@@ -236,7 +240,8 @@ def cmd_sweep(cfg: dict, override: str | None) -> int:
                 )
             prev_tv[env] = rep.tv_bound
         rows.append(row)
-    path = os.path.join(_outdir(cfg, override), cfg.get("output", {}).get("csv", "sweep.csv"))
+    os.makedirs(outdir, exist_ok=True)
+    path = os.path.join(outdir, cfg.get("output", {}).get("csv", "sweep.csv"))
     with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
         writer.writeheader()

@@ -15,12 +15,13 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .models import DiscreteModel
+from .lyapunov import DriftData
+from .models import DiscreteModel, Model
 from .statespace import _rate_rows
 
 
 @dataclass(frozen=True)
-class JumpModel:
+class JumpModel(Model):
     """Conservative rate-matrix model with finite row support.
 
     ``rate_rows(states) -> (pos, targets, rates)`` gives the off-diagonal
@@ -28,6 +29,7 @@ class JumpModel:
     as :func:`~truncbound.statespace.explore` lays out rows; the diagonal is
     implied (rows of the generator sum to zero).  Rates must be finite and
     nonnegative, and every state reached must have a positive exit rate.
+    ``drift`` holds the data of its certificates, checked in generator form.
     """
 
     name: str
@@ -35,6 +37,7 @@ class JumpModel:
     rate_rows: Callable
     norm: Callable[[object], float]
     states_within: Callable[[float], Iterable]
+    drift: DriftData | None
 
 
 def exit_rate(jump, x) -> float:
@@ -62,4 +65,5 @@ def embed(jump):
         rows=rows,
         norm=jump.norm,
         states_within=jump.states_within,
+        drift=None,
     )

@@ -232,6 +232,24 @@ def construct_K(model, g1: Callable, g2: Callable, r: Callable,
 
 
 @dataclass(frozen=True)
+class DriftData:
+    """A model's drift data, from which its certificates are made: ``g1``
+    drifts against the envelope ``r`` outside the ball of radius ``n1``,
+    ``g2`` against the constant 1 outside that of radius ``n2``.
+    ``skip_rate_domination`` goes to every certificate; ``shared_return_set``
+    says whether the constant envelope reuses the pair's return set, else it
+    gets the set where g2's own drift fails."""
+
+    g1: Callable
+    g2: Callable
+    r: Callable
+    n1: int
+    n2: int
+    skip_rate_domination: bool
+    shared_return_set: bool
+
+
+@dataclass(frozen=True)
 class DriftCertificate:
     """Certificate data for one envelope reward.
 

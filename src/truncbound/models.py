@@ -10,8 +10,8 @@ Two built-in families:
   network: synthesis of each type at rate lam / (1 + other count), per
   molecule decay at rate mu.
 
-Both ship the drift functions (batched) and analytic tail radii used to
-certify the bounds, so the whole pipeline runs on them out of the box.
+Both ship their drift data (batched functions and analytic tail radii) as
+``model.drift``, so the whole pipeline runs on them out of the box.
 """
 
 from __future__ import annotations
@@ -24,21 +24,50 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .errors import ModelError
-from .lyapunov import DriftCertificate, construct_K, unit
-from .statespace import batched
+from .lyapunov import DriftCertificate, DriftData, construct_K, unit
+from .statespace import _coords, batched
 
 BETA_MASS_CUTOFF = 1e-300
 GM1_COEFFICIENTS = (300.0, 300.0, 300.0)   # c1, c2, c3 of the queue's g1, g2, g3
 TOGGLE_MOMENT_ALPHA = 4.0                  # g3 = alpha * g1 on the toggle's moment route
 
 
-def _check_envelope(envelope_id: str) -> None:
-    if envelope_id not in ("r", "e"):
-        raise ModelError(f"unknown envelope {envelope_id!r} (use 'r' or 'e')")
+class Model:
+    """A model's one certificate recipe, fed by its ``drift`` data (a
+    :class:`~truncbound.lyapunov.DriftData`, or None for a model that is only
+    explored); every model type inherits it."""
+
+    def certificate_for_envelope(self, envelope_id: str,
+                                 return_set=None) -> DriftCertificate:
+        """The count envelope ``"r"`` gets the pair (g1 against r, g2 against 1),
+        the constant envelope ``"e"`` g2 alone.  Without ``return_set``, each
+        gets its designed one, built once per model: where either drift fails
+        inside the larger radius, or for ``"e"`` without ``shared_return_set``
+        where g2's own drift fails."""
+        d = self.drift
+        if d is None:
+            raise ModelError(f"model {self.name!r} has no drift data to certify")
+        if envelope_id not in ("r", "e"):
+            raise ModelError(f"unknown envelope {envelope_id!r} (use 'r' or 'e')")
+        if return_set is None:
+            design = (d.g1, d.g2, d.r, d.n1, d.n2) \
+                if envelope_id == "r" or d.shared_return_set else (d.g2, d.g2, unit, d.n2, d.n2)
+            built = vars(self).setdefault("_return_sets", {})
+            if design not in built:
+                built[design] = construct_K(self, *design)
+            return_set = built[design]
+        else:
+            return_set = _coords(return_set, _coords([self.seed]).shape[1],
+                                 source="the return set")
+        if envelope_id == "r":
+            return DriftCertificate.pair(return_set, d.r, d.g1, d.g2, d.n1, d.n2,
+                                         skip_rate_domination=d.skip_rate_domination)
+        return DriftCertificate.single(return_set, unit, d.g2, d.n2,
+                                       skip_rate_domination=d.skip_rate_domination)
 
 
 @dataclass(frozen=True)
-class DiscreteModel:
+class DiscreteModel(Model):
     """Generic discrete-chain model.
 
     ``rows(states) -> (pos, targets, p[, unit])`` gives the exact finite-support
@@ -46,33 +75,19 @@ class DiscreteModel:
     weights (see :func:`~truncbound.statespace.explore`).  Rows are validated
     (sums within 1e-12 of one) wherever they are read.  The other hooks are
     what the pipeline needs: the seed of the enumeration, a norm for radius
-    scans, and the states within a radius (as coordinates).
+    scans, the states within a radius (as coordinates) and the drift data.
     """
 
     name: str
     seed: object
     rows: Callable
-    norm: Callable[[object], float] | None = None
-    states_within: Callable[[float], Iterable] | None = None
+    norm: Callable[[object], float] | None
+    states_within: Callable[[float], Iterable] | None
+    drift: DriftData | None
 
 
 # ---------------------------------------------------------------------------
 # single-server queue with uniform interarrivals
-
-
-@dataclass(frozen=True)
-class GM1Lyapunov:
-    """Drift data for the queue model: quadratic/linear certificate pair for
-    the envelope r(x) = x, and a quartic function for the cubic moment."""
-
-    n1: int
-    n2: int
-    n3: int
-    g1: Callable
-    g2: Callable
-    g3: Callable
-    w: Callable
-    r: Callable
 
 
 class GeometricLaw:
@@ -97,7 +112,7 @@ class GeometricLaw:
         return self.theta / (1 - self.theta)
 
 
-class GM1Model:
+class GM1Model(Model):
     """Queue-length chain observed just before arrivals.
 
     P(x, y) = beta_{x+1-y} for 1 <= y <= x+1 where beta_i is the probability
@@ -222,78 +237,58 @@ class GM1Model:
 
     # -- drift certificate data ------------------------------------------------
 
-    def lyapunov(self) -> GM1Lyapunov:
-        """Drift data, built once per model: every call returns the same
-        functions, so drift checks share their values."""
-        return self._lyapunov
-
     @cached_property
-    def _lyapunov(self) -> GM1Lyapunov:
-        c1, c2, c3 = GM1_COEFFICIENTS
+    def drift(self) -> DriftData:
+        """The quadratic/linear pair for the count envelope r(x) = x; the
+        constant envelope gets the (much smaller) set of the linear
+        function's own violations.  Built once per model, so drift checks
+        share the functions' values."""
+        c1, c2, _ = GM1_COEFFICIENTS
         ev = self.service_count_moment(1)
-        ev2 = self.service_count_moment(2)
-        ev3 = self.service_count_moment(3)
-        ev4 = self.service_count_moment(4)
-        e1m2 = 1 - 2 * ev + ev2
-        e1m3 = 1 - 3 * ev + 3 * ev2 - ev3
-        e1m4 = 1 - 4 * ev + 6 * ev2 - 4 * ev3 + ev4
         drift1 = 2 * c1 * (ev - 1) - 1
         drift2 = c2 * (ev - 1) - 1
         if drift1 <= 0 or drift2 <= 0:
             raise ModelError("certificate coefficients too small for this load")
-        n1 = math.ceil(c1 * e1m2 / drift1)
-        n2 = math.ceil(math.sqrt(c2 * ev3 / drift2))
-        # the leading drift term is negative: drift2 > 0 forces ev - 1 > 1 / c2,
-        # so with c3 = c2, a3 = 1 - 4 c3 (ev - 1) < -3
+        e1m2 = 1 - 2 * ev + self.service_count_moment(2)
+        f = batched(lambda x: 1.0 * x)     # the count as a float
+        return DriftData(
+            g1=batched(lambda x: c1 * (f(x) * f(x))),
+            g2=batched(lambda x: c2 * f(x)),
+            r=f,
+            n1=math.ceil(c1 * e1m2 / drift1),
+            n2=math.ceil(math.sqrt(c2 * self.service_count_moment(3) / drift2)),
+            skip_rate_domination=False,
+            shared_return_set=False,
+        )
+
+    def moment_data(self):
+        """Quartic moment route: g3 = c3 x^4 against w = x^3.
+
+        Returns (g3, w, n3), n3 past the largest root of g3's drift
+        polynomial, whose leading coefficient must be negative."""
+        c3 = GM1_COEFFICIENTS[2]
+        ev, ev2, ev3, ev4 = (self.service_count_moment(k) for k in (1, 2, 3, 4))
         a3 = 4 * c3 * (1 - ev) + 1
-        a2, a1, a0 = 6 * c3 * e1m2, 4 * c3 * e1m3, c3 * e1m4
-        root_bound = math.ceil(1 + max(abs(a2 / a3), abs(a1 / a3), abs(a0 / a3)))
-        n3 = root_bound
-        if (self.mu, self.b) == (1.0, 2.01) and root_bound <= 1803:
+        if a3 >= 0:
+            raise ModelError("load too low for the quartic moment route")
+        a2 = 6 * c3 * (1 - 2 * ev + ev2)
+        a1 = 4 * c3 * (1 - 3 * ev + 3 * ev2 - ev3)
+        a0 = c3 * (1 - 4 * ev + 6 * ev2 - 4 * ev3 + ev4)
+        n3 = math.ceil(1 + max(abs(a2 / a3), abs(a1 / a3), abs(a0 / a3)))
+        if (self.mu, self.b) == (1.0, 2.01) and n3 <= 1803:
             # published scan radius for the reference configuration; any
             # radius at or past the root bound certifies the tail
             n3 = 1803
-        f = batched(lambda x: 1.0 * x)     # the count as a float
-        return GM1Lyapunov(
-            n1=n1, n2=n2, n3=n3,
-            g1=batched(lambda x: c1 * (f(x) * f(x))),
-            g2=batched(lambda x: c2 * f(x)),
-            g3=batched(lambda x: c3 * ((f(x) * f(x)) * (f(x) * f(x)))),
-            w=batched(lambda x: f(x) * f(x) * f(x)),
-            r=f,
-        )
-
-    def certificate_for_envelope(self, envelope_id: str,
-                                 return_set=None) -> DriftCertificate:
-        """Benchmark protocol: the count envelope r(x) = x uses the
-        quadratic/linear pair with its return set; the constant envelope
-        (plain total variation) uses the linear function alone with the
-        (much smaller) set its violations define."""
-        _check_envelope(envelope_id)
-        ly = self.lyapunov()
-        if envelope_id == "r":
-            if return_set is None:
-                return_set = construct_K(self, ly.g1, ly.g2, ly.r, ly.n1, ly.n2)
-            return DriftCertificate.pair(return_set, ly.r, ly.g1, ly.g2, ly.n1, ly.n2)
-        if return_set is None:
-            return_set = construct_K(self, ly.g2, ly.g2, unit, ly.n2, ly.n2)
-        return DriftCertificate.single(return_set, unit, ly.g2, ly.n2)
+        f = batched(lambda x: 1.0 * x)
+        return (batched(lambda x: c3 * ((f(x) * f(x)) * (f(x) * f(x)))),
+                batched(lambda x: f(x) * f(x) * f(x)), n3)
 
 
 # ---------------------------------------------------------------------------
 # toggle switch reaction network
 
 
-@dataclass(frozen=True)
-class ToggleLyapunov:
-    n1: int
-    n2: int
-    g1: Callable
-    g2: Callable
-    r: Callable
-
-
-class ToggleSwitchModel:
+class ToggleSwitchModel(Model):
     """Mutual-repression network on pairs of molecule counts.
 
     Four channels per state: synthesis of type i at rate lam / (1 + other
@@ -346,11 +341,6 @@ class ToggleSwitchModel:
         x1 = np.arange(norm.size) - norm * (norm + 1) // 2
         return np.column_stack([x1, norm - x1])
 
-    def lyapunov(self) -> ToggleLyapunov:
-        """Drift data, built once per model: every call returns the same
-        functions, so drift checks share their values."""
-        return self._lyapunov
-
     @cached_property
     def _drift_constants(self) -> tuple:
         """c0, c1 and c2 of g1's drift bound, read by the radii n1 and n3."""
@@ -358,17 +348,24 @@ class ToggleSwitchModel:
         return 2 * lam, 1 + 2 * lam + 2 * mu * (2 * xs + 1), 2 * mu
 
     @cached_property
-    def _lyapunov(self) -> ToggleLyapunov:
+    def drift(self) -> DriftData:
+        """The quadratic/L1 pair; built once per model, so drift checks share
+        the functions' values.  Neither envelope dominates the exit rate
+        (synthesis pushes the rate above the count near the origin, decay
+        matches it beyond), so rate domination is skipped: recurrence of
+        the embedded chain is carried by the L1 drift, and the cycle
+        identity stays valid regardless.  The pair's return set holds every
+        violation of the L1 drift, so the constant envelope shares it."""
         lam, mu, xs = self.lam, self.mu, self.x_star
         c0, c1, c2 = self._drift_constants
-        n1 = math.ceil((c1 + math.sqrt(c1 * c1 + 4 * c2 * c0 / 2)) / c2)
-        n2 = math.ceil((2 * lam + 4 * mu * xs + 1) / mu)
-        return ToggleLyapunov(
-            n1=n1,
-            n2=n2,
+        return DriftData(
             g1=batched(lambda s: (s[0] - xs) * (s[0] - xs) + (s[1] - xs) * (s[1] - xs)),
             g2=batched(lambda s: abs(s[0] - xs) + abs(s[1] - xs)),
             r=batched(lambda s: 1.0 * (s[0] + s[1])),
+            n1=math.ceil((c1 + math.sqrt(c1 * c1 + 4 * c2 * c0 / 2)) / c2),
+            n2=math.ceil((2 * lam + 4 * mu * xs + 1) / mu),
+            skip_rate_domination=True,
+            shared_return_set=True,
         )
 
     def moment_data(self):
@@ -385,36 +382,7 @@ class ToggleSwitchModel:
             raise ModelError("decay rate too small for the quadratic moment route")
         n3 = math.ceil((alpha * c1 + math.sqrt((alpha * c1) ** 2
                                                + 4 * lead * alpha * c0)) / (2 * lead))
-        ly = self.lyapunov()
-        g3 = batched(lambda s: alpha * ly.g1(s))
+        g1 = self.drift.g1
+        g3 = batched(lambda s: alpha * g1(s))
         w = batched(lambda s: (1.0 * (s[0] + s[1])) * (1.0 * (s[0] + s[1])))
         return g3, w, n3
-
-    @cached_property
-    def _pair_return_set(self) -> tuple:
-        """The pair certificate's return set, constructed once per model (both
-        envelopes use it)."""
-        ly = self.lyapunov()
-        return construct_K(self, ly.g1, ly.g2, ly.r, ly.n1, ly.n2)
-
-    def certificate_for_envelope(self, envelope_id: str,
-                                 return_set=None) -> DriftCertificate:
-        """Benchmark protocol: the count envelope uses the quadratic/linear
-        pair, the constant envelope the linear-decay function alone.  Both
-        share the pair-designed return set by default (it contains every
-        violation of the linear-decay drift, so the single-function
-        certificate verifies on its complement too)."""
-        # neither envelope dominates the exit rate (synthesis pushes the rate
-        # above the count near the origin, decay matches it beyond), so the
-        # expert flag is required; recurrence of the embedded chain is
-        # carried by the linear-decay condition, and the cycle identity stays
-        # valid regardless
-        _check_envelope(envelope_id)
-        ly = self.lyapunov()
-        if return_set is None:
-            return_set = self._pair_return_set
-        if envelope_id == "r":
-            return DriftCertificate.pair(return_set, ly.r, ly.g1, ly.g2, ly.n1, ly.n2,
-                                         skip_rate_domination=True)
-        return DriftCertificate.single(return_set, unit, ly.g2, ly.n2,
-                                       skip_rate_domination=True)

@@ -136,6 +136,7 @@ def host_model(P: np.ndarray, name: str = "host"):
         rows=rows,
         norm=lambda s: float(s),
         states_within=lambda rad: range(min(n, int(rad) + 1)),
+        drift=None,
     )
 
 
@@ -167,7 +168,8 @@ def batch_model(row_fn, *, seed=0, name: str = "batch", **hooks):
                     p.append(entries[rank][1])
         return np.array(pos, dtype=np.intp), targets, np.array(p, dtype=float)
 
-    return DiscreteModel(name=name, seed=seed, rows=rows, **hooks)
+    return DiscreteModel(name=name, seed=seed, rows=rows,
+                         **{"norm": None, "states_within": None, "drift": None, **hooks})
 
 
 def row_of(model, x) -> list:

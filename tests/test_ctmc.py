@@ -31,6 +31,7 @@ def jump_from_matrix(Q: np.ndarray, name="ctmc-host"):
                                          if j != x and Q[x, j] != 0.0]).rows,
         norm=lambda s: float(s),
         states_within=lambda rad: range(min(n, int(rad) + 1)),
+        drift=None,
     )
 
 
@@ -112,13 +113,13 @@ class TestEmbedding:
         if form == "rank-major":      # the same rates, every state's first, then second, ...
             m = JumpModel(name="bad-rank-major", seed=m.seed,
                           rate_rows=batch_model(lambda x: row_of(toggle, x)).rows,
-                          norm=m.norm, states_within=m.states_within)
+                          norm=m.norm, states_within=m.states_within, drift=None)
         with pytest.raises(ModelError, match=r"state \(3, 3\)"):
             enumerate_space(embed(m), lambda s: s[0] + s[1] <= 30, lambda s: s == (0, 0))
         with pytest.raises(ModelError, match=r"state \(3, 3\)"):
             exit_rate(m, (3, 3))
         with pytest.raises(ModelError, match=r"state \(3, 3\)"):   # drift checks read them too
-            verify_drift(m, toggle.lyapunov().g2, lambda s: 1.0, (), m.states_within(10))
+            verify_drift(m, toggle.drift.g2, lambda s: 1.0, (), m.states_within(10))
 
     def test_unit_weights_are_holding_times(self):
         Q = np.array([[-1.0, 1.0], [2.0, -2.0]])
@@ -178,14 +179,14 @@ class TestRewardTransform:
 class TestCtmcDrift:
     def test_toggle20_envelope_drift_holds_beyond_design_radius(self):
         ts = ToggleSwitchModel(20.0, 1.0)
-        ly = ts.lyapunov()
+        ly = ts.drift
         region = [s for s in ts.states_within(75) if 60 <= s[0] + s[1]]
         rep = verify_drift(ts, ly.g1, ly.r, (), region)
         assert rep.verified
 
     def test_toggle90_unit_drift_holds_beyond_design_radius(self):
         ts = ToggleSwitchModel(90.0, 1.0)
-        ly = ts.lyapunov()
+        ly = ts.drift
         region = [s for s in ts.states_within(240) if 217 <= s[0] + s[1]]
         rep = verify_drift(ts, ly.g2, lambda s: 1.0, (), region)
         assert rep.verified

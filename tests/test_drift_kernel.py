@@ -198,11 +198,11 @@ def test_drift_checks_reject_invalid_rows(row_7, message):
 # -- the built-in models ------------------------------------------------------
 
 def _certificates(model):
-    # gm1's constant envelope has its own return set; toggle's shares the pair's
-    ly = model.lyapunov()
+    # the constant envelope shares the pair's return set (toggle) or has its own (gm1)
+    ly = model.drift
     pair_args = (ly.g1, ly.g2, ly.r, ly.n1, ly.n2)
-    unit_args = (ly.g2, ly.g2, lambda x: 1.0, ly.n2, ly.n2) \
-        if isinstance(model, GM1Model) else pair_args
+    unit_args = pair_args if ly.shared_return_set \
+        else (ly.g2, ly.g2, lambda x: 1.0, ly.n2, ly.n2)
     return [(model.certificate_for_envelope("r"), pair_args),
             (model.certificate_for_envelope("e"), unit_args)]
 
@@ -239,9 +239,9 @@ def test_certificates_equal_reference(model):
 
 def test_moment_bound_equals_reference():
     gm1 = GM1Model()
-    ly = gm1.lyapunov()
-    want = max([0.0] + [ref_drift_excess(gm1, ly.g3, ly.w, x) for x in range(301)])
-    assert bits(moment_bound(gm1, ly.g3, ly.w, 300)) == bits(want)
+    g3, w, _ = gm1.moment_data()
+    want = max([0.0] + [ref_drift_excess(gm1, g3, w, x) for x in range(301)])
+    assert bits(moment_bound(gm1, g3, w, 300)) == bits(want)
     ts = ToggleSwitchModel(90.0, 1.0)
     g3, w, _ = ts.moment_data()
     want = max([0.0] + [ref_drift_excess(ts, g3, w, x) for x in states_of(ts.states_within(120))])
@@ -267,19 +267,27 @@ def test_find_gives_ids_and_minus_one_for_absent_states(region):
     assert table.find(probes).tolist() == [*reversed(range(len(held))), -1, -1, -1]
 
 
-def test_toggle_pair_return_set_is_built_once(monkeypatch):
+@pytest.mark.parametrize("make, truncation, builds", [
+    (GM1Model, {"kind": "range", "max": 500}, 2),
+    (lambda: ToggleSwitchModel(20.0, 1.0), {"kind": "simplex", "level": 80}, 1),
+], ids=["gm1", "toggle20"])
+def test_each_designed_return_set_is_built_once(monkeypatch, make, truncation, builds):
     from truncbound import models, pipeline
 
     calls = []
     real = models.construct_K
     monkeypatch.setattr(models, "construct_K",
                         lambda *a: calls.append(a[1:]) or real(*a))
-    with pytest.warns(UserWarning, match="does not dominate"):
-        result = pipeline.run_pipeline(ToggleSwitchModel(20.0, 1.0),
-                                       {"kind": "simplex", "level": 80},
-                                       envelopes=["r", "e"])
-    assert len(calls) == 1
-    assert result.certificates["r"][0].return_set == result.certificates["e"][0].return_set
+    model = make()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)   # toggle: rate domination
+        result = pipeline.run_pipeline(model, truncation, envelopes=["r", "e"])
+    for env in ("r", "e"):
+        assert model.certificate_for_envelope(env).return_set \
+            == result.certificates[env][0].return_set
+    assert len(calls) == builds
+    shared = result.certificates["r"][0].return_set == result.certificates["e"][0].return_set
+    assert shared == model.drift.shared_return_set
 
 
 # -- censored matrix and mixture family --------------------------------------

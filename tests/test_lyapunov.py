@@ -31,14 +31,14 @@ from conftest import (
 class TestVerifyDrift:
     def test_gm1_quadratic_violations_end_at_designed_cutoff(self):
         gm1 = GM1Model()
-        ly = gm1.lyapunov()
+        ly = gm1.drift
         rep = verify_drift(gm1, ly.g1, ly.r, (), range(260))
         assert max(rep.violations) == 201
         assert 0 in rep.violations
 
     def test_gm1_linear_violations_are_first_five_states(self):
         gm1 = GM1Model()
-        ly = gm1.lyapunov()
+        ly = gm1.drift
         rep = verify_drift(gm1, ly.g2, lambda x: 1.0, (), range(260))
         assert rep.violations == (0, 1, 2, 3, 4)
 
@@ -60,7 +60,7 @@ class TestVerifyDrift:
         from truncbound.errors import NumericalError
 
         ts = ToggleSwitchModel(20.0, 1.0)
-        ly = ts.lyapunov()
+        ly = ts.drift
         K = construct_K(ts, ly.g1, ly.g2, ly.r, ly.n1, ly.n2)
         g = lambda s: float("nan") if s == (20, 20) else ly.g2(s)
         # (19, 20) is the first state of the region with (20, 20) in its row
@@ -71,7 +71,7 @@ class TestVerifyDrift:
         from truncbound.errors import NumericalError
 
         gm1 = GM1Model()
-        ly = gm1.lyapunov()
+        ly = gm1.drift
         slack = lambda x: float("nan") if x == 7 else 1.0
         with pytest.raises(NumericalError, match="not finite at state 7"):
             verify_drift(gm1, ly.g2, slack, (0, 1, 2, 3, 4), range(20))
@@ -92,13 +92,13 @@ class TestVerifyDrift:
 class TestConstructK:
     def test_gm1_reference_return_set(self):
         gm1 = GM1Model()
-        ly = gm1.lyapunov()
+        ly = gm1.drift
         K = construct_K(gm1, ly.g1, ly.g2, ly.r, ly.n1, ly.n2)
         assert K == tuple(range(202))
 
     def test_toggle_20_return_set(self):
         ts = ToggleSwitchModel(20.0, 1.0)
-        ly = ts.lyapunov()
+        ly = ts.drift
         assert (ly.n1, ly.n2) == (60, 57)
         K = construct_K(ts, ly.g1, ly.g2, ly.r, ly.n1, ly.n2)
         assert len(K) == len(set(K))
@@ -108,7 +108,7 @@ class TestConstructK:
         assert (0, 0) not in K
 
     def test_toggle_90_radii(self):
-        ly = ToggleSwitchModel(90.0, 1.0).lyapunov()
+        ly = ToggleSwitchModel(90.0, 1.0).drift
         assert (ly.n1, ly.n2) == (220, 217)
 
     def test_all_violations_is_an_error(self):
@@ -167,9 +167,9 @@ class TestBoundaryOverflow:
 class TestMomentBound:
     def test_gm1_published_constant(self):
         gm1 = GM1Model()
-        ly = gm1.lyapunov()
-        assert ly.n3 == 1803
-        c = moment_bound(gm1, ly.g3, ly.w, ly.n3)
+        g3, w, n3 = gm1.moment_data()
+        assert n3 == 1803
+        c = moment_bound(gm1, g3, w, n3)
         assert 0 < c <= 8.3e7
 
     def test_toggle_90_published_constant(self):

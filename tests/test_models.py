@@ -34,7 +34,7 @@ def rank_major_toggle(ts: ToggleSwitchModel):
     (every state's first channel, then every state's second, ...)."""
     jump = JumpModel(name="toggle-rank-major", seed=ts.seed,
                      rate_rows=batch_model(ts.rate_row).rows,
-                     norm=ts.norm, states_within=ts.states_within)
+                     norm=ts.norm, states_within=ts.states_within, drift=None)
     return embed(jump)
 
 
@@ -104,17 +104,19 @@ class TestGm1Exact:
 
 class TestGm1Lyapunov:
     def test_published_radii(self):
-        ly = GM1Model().lyapunov()
-        assert (ly.n1, ly.n2, ly.n3) == (202, 66, 1803)
+        gm1 = GM1Model()
+        assert (gm1.drift.n1, gm1.drift.n2, gm1.moment_data()[2]) == (202, 66, 1803)
 
     def test_nondefault_parameters_use_root_bound(self):
-        ly = GM1Model(b=2.4).lyapunov()
-        assert ly.n3 != 1803
-        assert ly.n1 >= 1 and ly.n2 >= 1
+        gm1 = GM1Model(b=2.4)
+        assert gm1.moment_data()[2] != 1803
+        assert gm1.drift.n1 >= 1 and gm1.drift.n2 >= 1
 
     def test_coefficients_must_beat_the_load(self):
         with pytest.raises(ModelError):
-            GM1Model(b=2.001).lyapunov()   # near-critical load: 2 c1 (EV-1) < 1
+            GM1Model(b=2.001).drift   # near-critical load: 2 c1 (EV-1) < 1
+        with pytest.raises(ModelError, match="quartic moment route"):
+            GM1Model(b=2.001).moment_data()   # and 4 c3 (EV-1) < 1
 
     def test_certificates_verify(self):
         from truncbound.lyapunov import verify_certificate
@@ -154,10 +156,10 @@ class TestToggleSwitch:
         assert len(targets) == 3
 
     def test_published_radii(self):
-        assert (ToggleSwitchModel(20.0, 1.0).lyapunov().n1,
-                ToggleSwitchModel(20.0, 1.0).lyapunov().n2) == (60, 57)
-        assert (ToggleSwitchModel(90.0, 1.0).lyapunov().n1,
-                ToggleSwitchModel(90.0, 1.0).lyapunov().n2) == (220, 217)
+        assert (ToggleSwitchModel(20.0, 1.0).drift.n1,
+                ToggleSwitchModel(20.0, 1.0).drift.n2) == (60, 57)
+        assert (ToggleSwitchModel(90.0, 1.0).drift.n1,
+                ToggleSwitchModel(90.0, 1.0).drift.n2) == (220, 217)
 
     def test_moment_route_radius(self):
         _, _, n3 = ToggleSwitchModel(90.0, 1.0).moment_data()
@@ -175,6 +177,16 @@ def test_certificate_functions_are_built_once(model, env):
     # one object per function, so a shared drift table evaluates each once
     a, b = model.certificate_for_envelope(env), model.certificate_for_envelope(env)
     assert a.envelope is b.envelope and a.g_r is b.g_r and a.g_e is b.g_e
+
+
+@pytest.mark.parametrize("model, env, message", [
+    (batch_model(lambda x: [(0, 1.0)], name="explored"), "r",
+     "model 'explored' has no drift data"),
+    (GM1Model(), "m", r"unknown envelope 'm' \(use 'r' or 'e'\)"),
+], ids=["no-drift-data", "unknown-envelope"])
+def test_certificate_recipe_rejects(model, env, message):
+    with pytest.raises(ModelError, match=message):
+        model.certificate_for_envelope(env)
 
 
 class TestUserModel:
@@ -269,11 +281,12 @@ class TestBatchStateFunctions:
         assert _apply(fn, coords, kind).tobytes() == np.array(per_state, dtype=kind).tobytes()
 
     def test_model_functions(self):
-        ly = GM1Model().lyapunov()
+        gm1 = GM1Model()
+        ly, (q3, v, _) = gm1.drift, gm1.moment_data()
         ts = ToggleSwitchModel(20.0, 1.0)
-        tl, (g3, w, _) = ts.lyapunov(), ts.moment_data()
+        tl, (g3, w, _) = ts.drift, ts.moment_data()
         counts = np.arange(20_001)[:, None]
-        for fn in (ly.g1, ly.g2, ly.g3, ly.w, ly.r):
+        for fn in (ly.g1, ly.g2, q3, v, ly.r):
             self.assert_batch_is_per_state(fn, counts)
         for fn in (tl.g1, tl.g2, tl.r, g3, w):
             self.assert_batch_is_per_state(fn, ts.states_within(300))
@@ -359,9 +372,10 @@ class TestBatchHooksOnly:
                     np.concatenate([np.ones(len(x)), np.full(len(down), 2.0)]))
 
         within = lambda radius: np.arange(int(radius) + 1)
-        walk = DiscreteModel(name="walk", seed=0, rows=walk_rows, states_within=within)
+        walk = DiscreteModel(name="walk", seed=0, rows=walk_rows, norm=None,
+                             states_within=within, drift=None)
         jump = JumpModel(name="birth-death", seed=0, rate_rows=birth_death_rates,
-                         norm=float, states_within=within)
+                         norm=float, states_within=within, drift=None)
         g = lambda x: 10.0 * x
         for model, chain in ((walk, walk), (jump, embed(jump))):
             space, part = enumerate_space(chain, lambda s: s <= 30, lambda s: s == 0)
