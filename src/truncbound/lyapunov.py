@@ -253,13 +253,13 @@ class DriftData:
 class DriftCertificate:
     """Certificate data for one envelope reward.
 
-    ``g_r`` drifts against the envelope, ``g_e`` against the constant reward.
-    ``single_pair`` marks the shortcut g_r = g_e verified against
-    ``max(r, 1)``.  ``skip_rate_domination`` is the expert escape hatch for
-    jump processes whose envelope does not dominate the exit rates (the
-    ratio identity still holds; positive recurrence of the embedded chain is
-    then uncertified).  Rows have finite support, so the exterior overflows
-    are computed with equality from the partition's exits.
+    ``g_r`` drifts against the envelope, ``g_e`` against the constant reward;
+    the constant envelope's certificate is the pair whose two functions are
+    one.  ``skip_rate_domination`` is the expert escape hatch for jump
+    processes whose envelope does not dominate the exit rates (the ratio
+    identity still holds; positive recurrence of the embedded chain is then
+    uncertified).  Rows have finite support, so the exterior overflows are
+    computed with equality from the partition's exits.
     """
 
     return_set: tuple
@@ -268,8 +268,7 @@ class DriftCertificate:
     g_e: Callable
     radius_r: int
     radius_e: int
-    single_pair: bool = False
-    skip_rate_domination: bool = False
+    skip_rate_domination: bool
     verified: bool = False
     reports: tuple = ()
 
@@ -277,15 +276,8 @@ class DriftCertificate:
         coords = _coords(self.return_set, source="the return set")
         _, first = np.unique(_keys(coords), return_index=True)
         object.__setattr__(self, "return_set", tuple(_objects(coords[first])))
-
-    @classmethod
-    def pair(cls, return_set, envelope, g_r, g_e, radius_r, radius_e, **kw):
-        return cls(return_set, envelope, g_r, g_e, int(radius_r), int(radius_e), **kw)
-
-    @classmethod
-    def single(cls, return_set, envelope, g, radius, **kw):
-        return cls(return_set, envelope, g, g, int(radius), int(radius),
-                   single_pair=True, **kw)
+        object.__setattr__(self, "radius_r", int(self.radius_r))
+        object.__setattr__(self, "radius_e", int(self.radius_e))
 
 
 def verify_certificate(model, cert: DriftCertificate, *,
@@ -297,31 +289,20 @@ def verify_certificate(model, cert: DriftCertificate, *,
     For jump models with a non-dominating envelope (r < exit rate somewhere)
     an error is raised unless the expert flag is set on the certificate.
     """
-    if cert.single_pair:
-        env = cert.envelope    # max(1.0, 1.0) is 1.0: the unit envelope is its own slack
-        slack_r = unit if env is unit else lambda x: np.maximum(env(x), 1.0)
-        slack_r.batched = getattr(env, "batched", False)   # batched when the envelope is
-        pairs = [(cert.g_r, slack_r, max(cert.radius_r, cert.radius_e))]
-    else:
-        pairs = [
-            (cert.g_r, cert.envelope, cert.radius_r),
-            (cert.g_e, unit, cert.radius_e),
-        ]
+    pairs = ((cert.g_r, cert.envelope, cert.radius_r), (cert.g_e, unit, cert.radius_e))
     top = max(cert.radius_r, cert.radius_e)
     table, ball = _table_for(model, model.states_within(top))
-    reports = []
-    for g, slack, radius in pairs:
+    reports = {}                        # each distinct check once: "e"'s two are one
+    for g, slack, radius in dict.fromkeys(pairs):
         x = ball if radius == top else table.find(model.states_within(radius))
-        rep = _verify_on(table, x, g, slack, cert.return_set, tolerance)
-        reports.append(rep)
+        rep = reports[g, slack, radius] = _verify_on(table, x, g, slack, cert.return_set,
+                                                     tolerance)
         if rep.violations:
             sample = list(rep.violations[:8])
             raise CertificateError(
                 f"drift inequality fails outside the return set at {len(rep.violations)} "
                 f"states, e.g. {sample}"
             )
-    if cert.single_pair:
-        reports = reports * 2
     if table.jump:
         bad = _rate_domination_violations(table, ball, cert)
         if bad.size and not cert.skip_rate_domination:
@@ -338,7 +319,7 @@ def verify_certificate(model, cert: DriftCertificate, *,
                 "certified only through the unit-drift condition",
                 stacklevel=2,
             )
-    return replace(cert, verified=True, reports=tuple(reports))
+    return replace(cert, verified=True, reports=tuple(map(reports.get, pairs)))
 
 
 def _rate_domination_violations(table: _DriftTable, x: np.ndarray,
@@ -383,7 +364,7 @@ def evaluate_certificate(cert: DriftCertificate, partition: Partition,
         raise CertificateError(f"certificate return set does not match the partition{where}")
     r_A = partition.evaluate(cert.envelope)
     h1 = partition.boundary_overflow(cert.g_r)
-    h2 = h1 if cert.single_pair else partition.boundary_overflow(cert.g_e)
+    h2 = h1 if cert.g_e is cert.g_r else partition.boundary_overflow(cert.g_e)
     return BoundInputs(
         envelope_id=envelope_id,
         r_A=r_A,
@@ -396,15 +377,15 @@ def evaluate_certificate(cert: DriftCertificate, partition: Partition,
 
 def _fingerprint(cert: DriftCertificate, partition: Partition,
                  r_A: np.ndarray, h1: np.ndarray, h2: np.ndarray) -> str:
-    """sha256 of the certificate over A: its radii, ``single_pair`` and
-    return set, the states of A in index order, and the bytes of the
-    envelope, both certificate functions and both overflows over A, each
-    array after its dtype and shape."""
+    """sha256 of the certificate over A: its radii, whether its two functions
+    are one, its return set, the states of A in index order, and the bytes
+    of the envelope, both certificate functions and both overflows over A,
+    each array after its dtype and shape."""
     g1_A = partition.evaluate(cert.g_r)
-    g2_A = g1_A if cert.single_pair else partition.evaluate(cert.g_e)
+    g2_A = g1_A if cert.g_e is cert.g_r else partition.evaluate(cert.g_e)
     # the repr of the tuple of these five, with the states' part joined once
     # per state space
-    head = repr((cert.radius_r, cert.radius_e, cert.single_pair, cert.return_set))
+    head = repr((cert.radius_r, cert.radius_e, cert.g_e is cert.g_r, cert.return_set))
     digest = hashlib.sha256(f"{head[:-1]}, {partition.space.states_repr})".encode())
     for v in (r_A, g1_A, g2_A, h1, h2):
         digest.update(f"{v.dtype.str}{v.shape}".encode())

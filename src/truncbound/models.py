@@ -40,10 +40,10 @@ class Model:
     def certificate_for_envelope(self, envelope_id: str,
                                  return_set=None) -> DriftCertificate:
         """The count envelope ``"r"`` gets the pair (g1 against r, g2 against 1),
-        the constant envelope ``"e"`` g2 alone.  Without ``return_set``, each
-        gets its designed one, built once per model: where either drift fails
-        inside the larger radius, or for ``"e"`` without ``shared_return_set``
-        where g2's own drift fails."""
+        the constant envelope ``"e"`` the pair whose two functions are both g2.
+        Without ``return_set``, each gets its designed one, built once per
+        model: where either drift fails inside the larger radius, or for
+        ``"e"`` without ``shared_return_set`` where g2's own drift fails."""
         d = self.drift
         if d is None:
             raise ModelError(f"model {self.name!r} has no drift data to certify")
@@ -59,11 +59,9 @@ class Model:
         else:
             return_set = _coords(return_set, _coords([self.seed]).shape[1],
                                  source="the return set")
-        if envelope_id == "r":
-            return DriftCertificate.pair(return_set, d.r, d.g1, d.g2, d.n1, d.n2,
-                                         skip_rate_domination=d.skip_rate_domination)
-        return DriftCertificate.single(return_set, unit, d.g2, d.n2,
-                                       skip_rate_domination=d.skip_rate_domination)
+        pair = (d.r, d.g1, d.g2, d.n1, d.n2) if envelope_id == "r" \
+            else (unit, d.g2, d.g2, d.n2, d.n2)
+        return DriftCertificate(return_set, *pair, d.skip_rate_domination)
 
 
 @dataclass(frozen=True)

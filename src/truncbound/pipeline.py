@@ -19,7 +19,8 @@ from .ctmc import embed
 from .errors import ModelError
 from .lyapunov import drift_stage, evaluate_certificate, verify_certificate
 from .models import GM1Model, ToggleSwitchModel
-from .statespace import batched, cut, explicit_k_predicate, explore, is_jump, repartition
+from .statespace import (_apply, _coords, batched, cut, explicit_k_predicate, explore, is_jump,
+                         repartition)
 
 SIZE_KEYS = {"range": "max", "simplex": "level"}    # each kind's size: its norm ball's radius
 
@@ -68,9 +69,10 @@ def run_pipeline(model, truncation: dict, *, envelopes,
     set but the last are computed on one worker thread while this thread
     partitions and factorizes the next; every quantity comes from the same
     call on the same data as a serial run, and errors surface in serial
-    order.  ``timings`` stages may therefore overlap; a ``partition[...]``
-    stage covers its return set's repartition, factorization and
-    certificate evaluations.
+    order.  ``timings`` stages may therefore overlap.  Each return set has a
+    ``factorize[...]`` stage (its workspace, with the LU of ``I - P22``) and
+    a ``certificate[...]`` stage (its certificates' evaluations), and each
+    after the first a ``repartition[...]`` stage, named by its envelope ids.
     """
     return next(run_sweep(model, [truncation], envelopes=envelopes,
                           explicit_return_set=explicit_return_set,
@@ -83,15 +85,23 @@ def run_sweep(model, truncations: list, *, envelopes, explicit_return_set,
     in order, from a generator.  It verifies the certificates and explores
     the largest set once, before the first result, whose ``timings`` carry
     both stages (``certificates`` and ``explore``); each level is cut from
-    that exploration (its ``cut``), and levels run one after the other."""
+    that exploration (its ``cut``), and levels run one after the other.  A
+    smallest set without all of a return set raises :class:`ModelError`
+    before the exploration."""
     t_all = time.perf_counter()
     timings: dict = {}
     a_preds = [truncation_predicate(model, t) for t in truncations]
     chain = embed(model) if is_jump(model) else model
 
     certs = verified_certificates(model, envelopes, explicit_return_set)
+    smallest, in_smallest = min(zip(truncations, a_preds), key=lambda t: t[1].radius)
     by_return_set: dict[tuple, list[str]] = {}
     for env, (cert, _) in certs.items():
+        inside = _apply(in_smallest, _coords(cert.return_set), bool)
+        if not inside.all():          # every level must hold every return set
+            raise ModelError(f"the truncation {smallest} does not hold the return set of "
+                             f"envelope {env!r}: its state {cert.return_set[inside.argmin()]!r} "
+                             "is outside")
         by_return_set.setdefault(cert.return_set, []).append(env)
     timings["certificates"] = time.perf_counter() - t_all
 
@@ -125,15 +135,20 @@ def _bound(part, certs: dict, by_return_set: dict, timings: dict,
     with ThreadPoolExecutor(max_workers=1) as worker:
         try:
             for i, (return_set, env_group) in enumerate(by_return_set.items()):
+                envs = ",".join(env_group)
                 t0 = time.perf_counter()
                 if i > 0:
                     _, part = repartition(part, explicit_k_predicate(return_set))
+                    timings[f"repartition[{envs}]"] = time.perf_counter() - t0
+                    t0 = time.perf_counter()
                 ws = TruncationWorkspace(part)
                 if i == 0:
                     primary = ws
+                timings[f"factorize[{envs}]"] = time.perf_counter() - t0
+                t0 = time.perf_counter()
                 group = [(env, evaluate_certificate(certs[env][0], part, envelope_id=env))
                          for env in env_group]
-                timings[f"partition[{','.join(env_group)}]"] = time.perf_counter() - t0
+                timings[f"certificate[{envs}]"] = time.perf_counter() - t0
                 for env, inputs in group:
                     if i < last:
                         submitted.append((env, worker.submit(compute_bounds, ws, inputs)))

@@ -218,7 +218,7 @@ def exact_certificate(P: np.ndarray, k: int, r: np.ndarray, model) -> "DriftCert
     _, eta_e = kappa_oracle(P, k, np.ones(n))
     g1 = lambda x: 0.0 if x < k else float(eta_r[x - k])
     g2 = lambda x: 0.0 if x < k else float(eta_e[x - k])
-    cert = DriftCertificate.pair(tuple(range(k)), lambda x: float(r[x]), g1, g2, n, n)
+    cert = DriftCertificate(tuple(range(k)), lambda x: float(r[x]), g1, g2, n, n, False)
     return verify_certificate(model, cert, tolerance=1e-9)
 
 

@@ -56,6 +56,11 @@ def _fields(reports: dict) -> dict:
             for env, rep in reports.items()}
 
 
+def _fingerprints(reports: dict) -> dict:
+    """envelope id -> the ``certificate_sha256`` of its report's provenance."""
+    return {env: rep.provenance["certificate_sha256"] for env, rep in reports.items()}
+
+
 def _recorded(workload: str, got: dict) -> bool:
     """Whether ``got`` is the benchmark's recorded full-size answer for
     ``workload`` bit for bit: ``{"reports": ...}`` for a run, ``{"rows":
@@ -132,6 +137,9 @@ def test_criterion_2_gm1_certified_accuracy(gm1_runs):
     checks["measured <= computed bound"] = measured <= rep_e.tv_bound
     checks["r, e as benchmark recorded"] = \
         _recorded("gm1-ref", {"reports": _fields({"r": rep_r, "e": rep_e})})
+    checks["r, e certificate fingerprints"] = _fingerprints({"r": rep_r, "e": rep_e}) == {
+        "r": "cff35ae6cc6b26ae4e03c5c08e256d4b56cb79606787cecf7a5505dcd82c42dd",
+        "e": "1a72564951cc38d4b53caecacf95f6ba604b54e634197f47b1bcf916426f8faf"}
 
     assert _line(2, "queue certified accuracy", all(checks.values())), checks
 
@@ -168,6 +176,9 @@ def test_criterion_3_toggle_certified_accuracy():
     checks["ts90 weighted tv < 1e-9"] = r90.reports["r"].tv_bound < 1e-9
     checks["ts90 r, e as benchmark recorded"] = \
         _recorded("toggle90", {"reports": _fields({env: r90.reports[env] for env in ("r", "e")})})
+    checks["ts90 r, e certificate fingerprints"] = _fingerprints(r90.reports) == {
+        "r": "cce9433123d4838cabc0872d402c07f659065094cf70a8890735cc48e378bc56",
+        "e": "86246a8b6039e31a91f1677e78b2d93bd962c7445be9af73555a5e0e04aa5e56"}
 
     checks["runtime < 30 min"] = time.perf_counter() - t0 < 1800
     assert _line(3, "toggle-switch certified accuracy", all(checks.values())), checks

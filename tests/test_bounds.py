@@ -66,7 +66,7 @@ class TestKappaUpper:
         _, eta_e = kappa_oracle(P, 1, np.ones(3))
         g1 = lambda x: 0.0 if x == 0 else float(eta_r[x - 1])
         g2 = lambda x: 0.0 if x == 0 else float(eta_e[x - 1])
-        cert = DriftCertificate.pair((0,), lambda x: float(r[x]), g1, g2, 3, 3)
+        cert = DriftCertificate((0,), lambda x: float(r[x]), g1, g2, 3, 3, False)
         cert = verify_certificate(model, cert, tolerance=1e-9)
         inputs = evaluate_certificate(cert, part, envelope_id="r")
         # by hand: kl(r) = r0 + P01 (I-P11)^{-1} r1 ; h1 = P(.,2) g1(2)
@@ -128,7 +128,7 @@ class TestSingletonBounds:
         g2 = lambda x: 0.0 if x < 1 else 1.2 * float(cont_e[min(x, W) - 1])
         from truncbound.lyapunov import DriftCertificate, verify_certificate
 
-        cert = DriftCertificate.pair((0,), lambda x: float(x), g1, g2, 400, 400)
+        cert = DriftCertificate((0,), lambda x: float(x), g1, g2, 400, 400, False)
         cert = verify_certificate(gm1, cert)
         truth = float(gm1.exact_geometric().mean())
 

@@ -122,12 +122,37 @@ class TestRun:
         )
         assert main(["run", str(path)]) == 2
 
-    def test_return_set_state_outside_a_exits_2_naming_it(self, tmp_path, capsys):
+    def test_return_set_state_outside_a_exits_1_naming_it(self, tmp_path, capsys):
         path, _ = write_config(
             tmp_path, truncation={"kind": "range", "max": 500},
             return_set={"mode": "explicit", "states": [0, 1, 2, 3, 4, 900]})
-        assert main(["run", str(path)]) == 2
-        assert "state 900" in capsys.readouterr().err
+        assert main(["run", str(path)]) == 1
+        assert "config error: the truncation {'kind': 'range', 'max': 500} does not hold " \
+            "the return set of envelope 'e': its state 900 is outside" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, overrides, message", [
+        pytest.param("run", {"truncation": {"kind": "range", "max": 100},
+                             "bounds": {"rewards": ["e", "r"]}},
+                     "{'kind': 'range', 'max': 100} does not hold the return set of "
+                     "envelope 'r': its state 101 is outside", id="gm1-run"),
+        pytest.param("sweep", {"model": {"name": "toggle", "params": {"lam": 20.0, "mu": 1.0}},
+                               "truncation": {"kind": "simplex", "schedule": [10, 200]},
+                               "bounds": {"rewards": ["r", "e"]}},
+                     "{'kind': 'simplex', 'level': 10} does not hold the return set of "
+                     "envelope 'r'", id="toggle20-sweep"),
+    ])
+    def test_truncation_too_small_for_the_return_set_exits_1_before_exploring(
+            self, tmp_path, monkeypatch, capsys, command, overrides, message):
+        from truncbound import pipeline
+
+        monkeypatch.setattr(pipeline, "explore", lambda *a, **k: pytest.fail("it explored"))
+        path, _ = write_config(tmp_path, **overrides)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)   # toggle: rate domination
+            assert main([command, str(path)]) == 1
+        assert f"config error: the truncation {message}" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
 
     def test_return_set_of_another_width_names_the_return_set(self, tmp_path, capsys):
         path, _ = write_config(tmp_path, return_set={"mode": "explicit", "states": [[0, 0]]})

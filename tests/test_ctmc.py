@@ -241,8 +241,8 @@ class TestCtmcBounds:
         eta_e = np.linalg.solve(np.eye(n - k) - Bm, (1.0 / lam)[Kc])
         g1 = lambda x: 0.0 if x < k else float(eta_r[x - k])
         g2 = lambda x: 0.0 if x < k else float(eta_e[x - k])
-        cert = DriftCertificate.pair(tuple(range(k)), lambda x: float(r[x]),
-                                     g1, g2, n, n)
+        cert = DriftCertificate(tuple(range(k)), lambda x: float(r[x]),
+                                g1, g2, n, n, False)
         cert = verify_certificate(jm, cert, tolerance=1e-9)
         _, part = enumerate_space(chain, lambda s: s < a, lambda s: s < k)
         ws = TruncationWorkspace(part)

@@ -184,7 +184,8 @@ def reflected_walk(row_7=None):
     ([(6, 0.9), (8, 0.3), (7, -0.2)], r"invalid transition probability -0\.2 from state 7$"),
 ], ids=["row-sum", "negative-mass"])
 def test_drift_checks_reject_invalid_rows(row_7, message):
-    cert = DriftCertificate.single((0,), unit, lambda x: 10.0 * x, 20)
+    g = lambda x: 10.0 * x
+    cert = DriftCertificate((0,), unit, g, g, 20, 20, False)
     assert verify_certificate(reflected_walk(), cert).verified
     model = reflected_walk(row_7)
     with pytest.raises(ModelError, match=message):
@@ -216,12 +217,8 @@ def test_certificates_equal_reference(model):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)   # toggle: rate domination
             verified = verify_certificate(model, cert)
-        if cert.single_pair:
-            slack = lambda x: max(float(cert.envelope(x)), 1.0)
-            pairs = [(cert.g_r, slack, max(cert.radius_r, cert.radius_e))] * 2
-        else:
-            pairs = [(cert.g_r, cert.envelope, cert.radius_r),
-                     (cert.g_e, lambda _: 1.0, cert.radius_e)]
+        pairs = [(cert.g_r, cert.envelope, cert.radius_r),
+                 (cert.g_e, lambda _: 1.0, cert.radius_e)]
         for rep, (g, slack, radius) in zip(verified.reports, pairs):
             checked, violations, worst = ref_verify(model, g, slack, cert.return_set,
                                                     states_of(model.states_within(radius)))

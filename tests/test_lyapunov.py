@@ -17,6 +17,7 @@ from truncbound.lyapunov import (
     verify_drift,
 )
 from truncbound.models import GM1Model, ToggleSwitchModel
+from truncbound.statespace import batched
 
 from conftest import (
     exact_certificate,
@@ -211,8 +212,8 @@ class TestCertificate:
     def test_unverified_certificate_refused(self, rng):
         P = random_stochastic(rng, 8)
         model = host_model(P)
-        cert = DriftCertificate.pair((0,), lambda x: float(x),
-                                     lambda x: x * x, lambda x: float(x), 8, 8)
+        cert = DriftCertificate((0,), lambda x: float(x),
+                                lambda x: x * x, lambda x: float(x), 8, 8, False)
         _, part = enumerate_space(model, lambda s: True, lambda s: s == 0)
         with pytest.raises(CertificateError, match="verified"):
             evaluate_certificate(cert, part, envelope_id="r")
@@ -238,8 +239,8 @@ class TestCertificate:
         was cached on the state space."""
         def fingerprint(cert, part, inputs):
             g1 = part.evaluate(cert.g_r)
-            g2 = g1 if cert.single_pair else part.evaluate(cert.g_e)
-            digest = hashlib.sha256(repr((cert.radius_r, cert.radius_e, cert.single_pair,
+            g2 = g1 if cert.g_e is cert.g_r else part.evaluate(cert.g_e)
+            digest = hashlib.sha256(repr((cert.radius_r, cert.radius_e, cert.g_e is cert.g_r,
                                           cert.return_set, part.space.states)).encode())
             for v in (inputs.r_A, g1, g2, inputs.h1_A, inputs.h2_A):
                 digest.update(f"{v.dtype.str}{v.shape}".encode())
@@ -262,14 +263,15 @@ class TestCertificate:
         for env, inputs in evaluated.items():
             assert inputs.sha256 == fingerprint(certs[env], part, inputs)
 
-    def test_single_pair_mode(self, rng):
+    def test_pair_of_one_function(self, rng):
+        # g drifts against max(r, 1), so against r and against 1 alike
         P = random_stochastic(rng, 9)
         model = host_model(P)
         _, eta = kappa_oracle(P, 2, np.maximum(np.arange(9.0), 1.0))
         g = lambda x: 0.0 if x < 2 else float(eta[x - 2])
-        cert = DriftCertificate.single((0, 1), lambda x: float(x), g, 9)
+        cert = DriftCertificate((0, 1), lambda x: float(x), g, g, 9, 9, False)
         cert = verify_certificate(model, cert, tolerance=1e-9)
-        assert cert.verified and cert.single_pair
+        assert cert.verified and len(cert.reports) == 2
         _, part = enumerate_space(model, lambda s: s < 7, lambda s: s < 2)
         inputs = evaluate_certificate(cert, part, envelope_id="r")
         assert np.array_equal(inputs.h1_A, inputs.h2_A)
@@ -310,24 +312,25 @@ class TestCertificate:
             sha = lyapunov._fingerprint(*variant)
             assert sha not in seen.values(), name
             seen[name] = sha
-        # single_pair alone: the same function for g_r and g_e, flag on or off
+        # whether g_e is g_r alone: one function, or two with the same values
         shared = replace(cert, g_e=g_r)
         assert lyapunov._fingerprint(shared, part, *args) != \
-            lyapunov._fingerprint(replace(shared, single_pair=True), part, *args)
+            lyapunov._fingerprint(replace(shared, g_e=lambda x: g_r(x)), part, *args)
 
     def test_return_set_is_stored_sorted_without_repeats(self):
         g = lambda x: 1.0
-        pair = DriftCertificate.pair([(2, 1), (0, 5), (2, 1)], g, g, g, 3, 3)
-        single = DriftCertificate.single([3, 1, 3, 2], g, g, 3)
-        assert (pair.return_set, single.return_set) == (((0, 5), (2, 1)), (1, 2, 3))
-        assert type(single.return_set[0]) is int
+        pairs = DriftCertificate([(2, 1), (0, 5), (2, 1)], g, g, g, 3, 3, False)
+        ints = DriftCertificate([3, 1, 3, 2], g, g, g, np.int64(3), 3.0, False)
+        assert (pairs.return_set, ints.return_set) == (((0, 5), (2, 1)), (1, 2, 3))
+        assert type(ints.return_set[0]) is int
+        assert (type(ints.radius_r), type(ints.radius_e)) == (int, int)
 
     @pytest.mark.parametrize("states", [[{}], [[0, [1]]], [[0], [1, 2]], [0.5]],
                              ids=["object", "nested", "ragged", "float"])
     def test_return_set_states_are_checked(self, states):
         g = lambda x: 1.0
         with pytest.raises(ModelError, match="ints or int tuples"):
-            DriftCertificate.single(states, g, g, 3)
+            DriftCertificate(states, g, g, g, 3, 3, False)
 
     def test_certificate_partition_mismatch(self, rng):
         P = random_stochastic(rng, 9)
@@ -336,3 +339,46 @@ class TestCertificate:
         _, part = enumerate_space(model, lambda s: s < 8, lambda s: s < 3)
         with pytest.raises(CertificateError, match="return set"):
             evaluate_certificate(cert, part, envelope_id="r")
+
+
+ENVELOPES = {"unit": lyapunov.unit, "per-state": lambda x: float(x),
+             "batched": batched(lambda x: 1.0 * x)}
+
+
+@pytest.mark.parametrize("tolerance", [0.0, 1e-9])
+@pytest.mark.parametrize("envelope", ENVELOPES.values(), ids=ENVELOPES)
+@pytest.mark.parametrize("scale", [1.0, 1.0 - 1e-6], ids=["exact", "short"])
+@pytest.mark.parametrize("seed", range(3))
+def test_pair_of_one_function_keeps_the_max_slack_verdict(seed, scale, envelope, tolerance):
+    """A pair whose two functions are one g, checked against the envelope and
+    against 1, passes exactly when g's check against max(r, 1) passes, and
+    its two checks together fail at the same states."""
+    P = random_stochastic(np.random.default_rng(seed), 9)
+    model = host_model(P)
+    K, ball = (0, 1), range(9)
+    _, eta = kappa_oracle(P, 2, np.maximum([envelope(x) for x in range(9)], 1.0))
+    g = lambda x: 0.0 if x < 2 else scale * float(eta[x - 2])
+    old = verify_drift(model, g, lambda x: max(envelope(x), 1.0), K, ball, tolerance=tolerance)
+    own = [verify_drift(model, g, slack, K, ball, tolerance=tolerance)
+           for slack in (envelope, lyapunov.unit)]
+    assert tuple(sorted(set(own[0].violations) | set(own[1].violations))) == old.violations
+    cert = DriftCertificate(K, envelope, g, g, 9, 9, False)
+    try:
+        verified = verify_certificate(model, cert, tolerance=tolerance)
+    except CertificateError:
+        verified = None
+    assert (verified is not None) == old.verified
+    if verified is not None:
+        assert verified.reports == tuple(own)
+
+
+def test_constant_envelope_is_checked_once(monkeypatch):
+    calls = []
+    verify_on = lyapunov._verify_on
+    monkeypatch.setattr(lyapunov, "_verify_on", lambda *a: calls.append(a) or verify_on(*a))
+    gm1 = GM1Model()
+    cert = verify_certificate(gm1, gm1.certificate_for_envelope("e"))
+    assert len(calls) == 1 and cert.reports[0] is cert.reports[1]
+    calls.clear()
+    verify_certificate(gm1, gm1.certificate_for_envelope("r"))
+    assert len(calls) == 2

@@ -314,9 +314,9 @@ class TestBatchStateFunctions:
                                  ([(0, 0), (4, 4), (300, 0), (-1, 0)], pairs), ([], counts)):
             self.assert_batch_is_per_state(explicit_k_predicate(k_states), coords, bool)
 
-    def test_single_pair_slack(self, rng):
-        # the single-pair check's slack max(r, 1), batched with its envelope,
-        # gives the reports a per-state envelope gives
+    def test_pair_checks_batched_or_not(self, rng):
+        # a certificate checked against a batched envelope gives the reports
+        # a per-state envelope gives
         from truncbound.lyapunov import DriftCertificate, verify_certificate
         from truncbound.statespace import batched
 
@@ -327,7 +327,7 @@ class TestBatchStateFunctions:
         g = lambda x: 0.0 if x < 2 else float(eta[x - 2])
         reports = []
         for envelope in (lambda x: float(x), batched(lambda x: 1.0 * x)):
-            cert = DriftCertificate.single((0, 1), envelope, g, 9)
+            cert = DriftCertificate((0, 1), envelope, g, g, 9, 9, False)
             reports.append(verify_certificate(host_model(P), cert, tolerance=1e-9).reports)
         assert reports[0] == reports[1]
 
@@ -380,7 +380,7 @@ class TestBatchHooksOnly:
         for model, chain in ((walk, walk), (jump, embed(jump))):
             space, part = enumerate_space(chain, lambda s: s <= 30, lambda s: s == 0)
             assert space.states == tuple(range(31))
-            cert = DriftCertificate.single((0,), unit, g, 20, skip_rate_domination=True)
+            cert = DriftCertificate((0,), unit, g, g, 20, 20, True)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)   # the exit rate passes 1
                 assert verify_certificate(model, cert).verified

@@ -48,8 +48,11 @@ class TestSharedEnumeration:
         both = run_pipeline(gm1, truncation, envelopes=envelopes)
         assert len(calls) == 1
         # r and e have different return sets (|K| = 202 and 5)
-        assert set(both.timings) == {"certificates", "explore", "cut", "partition[r]",
-                                     "partition[e]", "distribution", "total"}
+        first, second = envelopes
+        assert set(both.timings) == {
+            "certificates", "explore", "cut", f"factorize[{first}]", f"certificate[{first}]",
+            f"repartition[{second}]", f"factorize[{second}]", f"certificate[{second}]",
+            "distribution", "total"}
         for env in envelopes:
             single = run_pipeline(gm1, truncation, envelopes=[env])
             assert without_timings(both.reports[env]) == without_timings(single.reports[env])
@@ -60,15 +63,18 @@ class TestSharedEnumeration:
 
 
 def test_partition_stage_times_certificate_evaluation(monkeypatch):
-    evaluate = pipeline.evaluate_certificate
+    # the factorization and the certificate evaluation are timed apart
+    def slow(fn, pause):
+        def slowed(*args, **kwargs):
+            time.sleep(pause)
+            return fn(*args, **kwargs)
+        return slowed
 
-    def slow(*args, **kwargs):
-        time.sleep(0.2)
-        return evaluate(*args, **kwargs)
-
-    monkeypatch.setattr(pipeline, "evaluate_certificate", slow)
-    result = run_pipeline(GM1Model(), {"kind": "range", "max": 400}, envelopes=["r"])
-    assert result.timings["partition[r]"] >= 0.2
+    monkeypatch.setattr(pipeline, "evaluate_certificate",
+                        slow(pipeline.evaluate_certificate, 0.2))
+    monkeypatch.setattr(pipeline, "TruncationWorkspace", slow(pipeline.TruncationWorkspace, 0.5))
+    timings = run_pipeline(GM1Model(), {"kind": "range", "max": 400}, envelopes=["r"]).timings
+    assert 0.2 <= timings["certificate[r]"] < 0.5 <= timings["factorize[r]"]
 
 
 GM1_2000 = {"kind": "range", "max": 2000}
@@ -261,8 +267,8 @@ class TestSweep:
                 ToggleSwitchModel(20.0, 1.0), TOGGLE_LEVELS, envelopes=["r", "e"],
                 explicit_return_set=None, with_distribution=False))
         assert [set(r.timings) for r in results] == [
-            {"certificates", "explore", "cut", "partition[r,e]", "total"},
-            {"cut", "partition[r,e]", "total"}]
+            {"certificates", "explore", "cut", "factorize[r,e]", "certificate[r,e]", "total"},
+            {"cut", "factorize[r,e]", "certificate[r,e]", "total"}]
         first = results[0].timings
         assert first["total"] >= first["certificates"] + first["explore"] + first["cut"]
 

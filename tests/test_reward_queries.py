@@ -113,8 +113,9 @@ class TestSolveCounts:
         assert reports[1].approx == pytest.approx(1.0)
 
     def test_single_pair_overflow_solved_once(self, toggle60, solve_log):
-        # e's certificate is one drift function, so h2 is h1 and beta2 is
-        # beta1; with its unit envelope, kl(e) and beta1 are the only solves
+        # e's certificate is a pair of one drift function, so h2 is h1 and
+        # beta2 is beta1; with its unit envelope, kl(e) and beta1 are the
+        # only solves
         part, inputs = toggle60
         ws = TruncationWorkspace(part)
         ws.cycle_rewards(inputs["e"])
