@@ -15,6 +15,7 @@ Bound shapes (all per return-cycle):
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,14 @@ from . import __version__ as _pkg_version
 from .censor import TauFamily, TruncationWorkspace
 from .errors import CertificateError, NumericalError
 from .lyapunov import BoundInputs
+
+
+@contextmanager
+def timed(timings: dict, stage: str):
+    """Add the block's wall time to ``timings[stage]``: the one timer of a run."""
+    start = time.perf_counter()
+    yield
+    timings[stage] = timings.get(stage, 0.0) + time.perf_counter() - start
 
 
 def minorization_bounds(tau: TauFamily, kl_r: np.ndarray, ku_r: np.ndarray,
@@ -133,35 +142,28 @@ def compute_bounds(ws: TruncationWorkspace, inputs: BoundInputs) -> BoundReport:
     if not inputs.verified:
         raise CertificateError("bounds require a verified certificate")
     timings: dict[str, float] = {}
-
-    t0 = time.perf_counter()
-    kl_r, kl_e, beta1, beta2, ku_r, ku_e = ws.cycle_rewards(inputs)
-    timings["cycle_rewards"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    ca = ws.censored()
-    timings["censored_matrix"] = time.perf_counter() - t0
-
+    with timed(timings, "cycle_rewards"):
+        kl_r, kl_e, beta1, beta2, ku_r, ku_e = ws.cycle_rewards(inputs)
+    with timed(timings, "censored_matrix"):
+        ca = ws.censored()
     k = ws.partition.k_size
-    t0 = time.perf_counter()
-    tau = ca.tau        # first, so any reducible G raises IrreducibilityError (exit 2)
-    timings["mixture_family"] = time.perf_counter() - t0
+    with timed(timings, "mixture_family"):
+        tau = ca.tau    # first, so any reducible G raises IrreducibilityError (exit 2)
 
     _, pi_i = ca.row_normalized
     approx = float(pi_i @ kl_r) / float(pi_i @ kl_e)
 
-    t0 = time.perf_counter()
-    lower, upper = minorization_bounds(tau, kl_r, ku_r, kl_e, ku_e)
-    if k == 1:
-        delta_i = 0.0
-        tv = tv_bound_singleton(float(beta1[0]), float(beta2[0]), float(kl_e[0]), approx)
-        method = "singleton"
-    else:
-        delta_i = delta2_bound(tau)
-        ell = ell_lower_bound(tau, kl_e)
-        tv = tv_bound_general(pi_i, beta1, beta2, approx, delta_i, ku_r, ku_e, ell)
-        method = "minorization"
-    timings["bounds"] = time.perf_counter() - t0
+    with timed(timings, "bounds"):
+        lower, upper = minorization_bounds(tau, kl_r, ku_r, kl_e, ku_e)
+        if k == 1:
+            delta_i = 0.0
+            tv = tv_bound_singleton(float(beta1[0]), float(beta2[0]), float(kl_e[0]), approx)
+            method = "singleton"
+        else:
+            delta_i = delta2_bound(tau)
+            ell = ell_lower_bound(tau, kl_e)
+            tv = tv_bound_general(pi_i, beta1, beta2, approx, delta_i, ku_r, ku_e, ell)
+            method = "minorization"
 
     scalars = (lower, upper, approx, tv, delta_i)
     if not all(np.isfinite(s) for s in scalars):

@@ -199,6 +199,7 @@ class TruncationWorkspace:
         self.partition = partition
         self.solver = SubstochasticSolver(partition.P22)
         self._cycle_rewards: dict = {}   # BoundInputs -> its cycle rewards
+        self._kappa: dict = {}           # a reward's bytes -> its kappa_lower
         self._censored: CensoredApprox | None = None
 
     def kappa_lower(self, w_A: np.ndarray) -> np.ndarray:
@@ -211,26 +212,26 @@ class TruncationWorkspace:
         w, k = np.asarray(w_A, dtype=float), self.partition.k_size
         return w[:k] + self.partition.P12 @ self.solver.solve(w[k:])
 
-    @cached_property
-    def _unit_cycle_reward(self) -> np.ndarray:
-        """``kappa_lower`` of the unit reward, solved once per workspace."""
-        return self.kappa_lower(self.partition.unit)
+    def _cycle_reward(self, w_A: np.ndarray) -> np.ndarray:
+        """``kappa_lower`` of one reward over A, solved once per workspace and value."""
+        key = np.asarray(w_A, dtype=float).tobytes()
+        if key not in self._kappa:
+            self._kappa[key] = self.kappa_lower(w_A)
+        return self._kappa[key]
 
     def cycle_rewards(self, inputs) -> tuple[np.ndarray, ...]:
         """``(kl_r, kl_e, beta1, beta2, ku_r, ku_e)`` of a ``BoundInputs``:
         ``kappa_lower`` of the envelope, the unit reward, ``h1`` and ``h2``,
         and the upper cycle rewards ``ku = kl + beta``; solved once per
         workspace and instance, and read-only, as every query shares them.
-        An envelope that is 1 on all of A is the unit reward: its ``kl_r``
-        is ``kl_e``, as ``beta2`` is ``beta1`` when ``h2`` equals ``h1`` (one pair)."""
+        Each vector is solved once per value: an envelope that is 1 on all of
+        A shares the unit reward's solve, a pair of one function its ``h1``'s,
+        and on a shared return set ``e``'s ``h1`` is ``r``'s ``h2``."""
         cr = self._cycle_rewards.get(inputs)
         if cr is None:
-            kl_e = self._unit_cycle_reward
-            kl_r = kl_e if np.all(inputs.r_A == 1.0) \
-                else self.kappa_lower(inputs.r_A * self.partition.unit)
-            beta1 = self.kappa_lower(inputs.h1_A)
-            beta2 = beta1 if np.array_equal(inputs.h2_A, inputs.h1_A) \
-                else self.kappa_lower(inputs.h2_A)
+            unit = self.partition.unit
+            kl_r, kl_e, beta1, beta2 = (self._cycle_reward(w) for w in (
+                inputs.r_A * unit, unit, inputs.h1_A, inputs.h2_A))
             cr = self._cycle_rewards[inputs] = (
                 kl_r, kl_e, beta1, beta2, kl_r + beta1, kl_e + beta2)
             for v in cr:

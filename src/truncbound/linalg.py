@@ -37,15 +37,16 @@ class SubstochasticSolver:
             raise ValueError("square block required")
         if n == 0:
             self._mode = "empty"
-            self._A = sp.csr_matrix((0, 0))
+            self._A = sp.csc_matrix((0, 0))
             self.operator_norm = 1.0
         else:
             self._mode = "sparse"
-            self._A = sp.identity(n, format="csr") - sp.csr_matrix(M)
+            # one copy of I - M, in CSC: splu takes it as it is, and _check reads it
+            self._A = A = sp.identity(n, format="csc") - sp.csc_matrix(M)
             # set here, not on first use: concurrent solves read it in _check
-            self.operator_norm = float(np.asarray(np.abs(self._A).sum(axis=1)).ravel().max())
+            self.operator_norm = float(np.bincount(A.indices, np.abs(A.data), n).max())
             try:
-                self._lu = spla.splu(self._A.tocsc())
+                self._lu = spla.splu(A)
             except RuntimeError as exc:
                 raise NumericalError(f"sparse LU of (I - M) failed: {exc}") from exc
 

@@ -9,11 +9,10 @@ and assembles the bound reports plus the induced equilibrium approximation.
 
 from __future__ import annotations
 
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from .bounds import compute_bounds
+from .bounds import compute_bounds, timed
 from .censor import TruncationWorkspace
 from .ctmc import embed
 from .errors import ModelError
@@ -69,10 +68,14 @@ def run_pipeline(model, truncation: dict, *, envelopes,
     set but the last are computed on one worker thread while this thread
     partitions and factorizes the next; every quantity comes from the same
     call on the same data as a serial run, and errors surface in serial
-    order.  ``timings`` stages may therefore overlap.  Each return set has a
-    ``factorize[...]`` stage (its workspace, with the LU of ``I - P22``) and
-    a ``certificate[...]`` stage (its certificates' evaluations), and each
-    after the first a ``repartition[...]`` stage, named by its envelope ids.
+    order.  ``timings`` holds this thread's stages, which are disjoint and
+    add up to ``total``.  Each return set has a ``factorize[...]`` stage (its
+    workspace, with the LU of ``I - P22``) and a ``certificate[...]`` stage
+    (its certificates' evaluations), and each after the first a
+    ``repartition[...]`` stage, named by its envelope ids; the last return
+    set's bounds are ``bounds[...]``, and ``wait`` is the wait for the
+    worker's reports.  A report's own ``timings`` split its bounds, on
+    whichever thread computed them.
     """
     return next(run_sweep(model, [truncation], envelopes=envelopes,
                           explicit_return_set=explicit_return_set,
@@ -88,39 +91,33 @@ def run_sweep(model, truncations: list, *, envelopes, explicit_return_set,
     that exploration (its ``cut``), and levels run one after the other.  A
     smallest set without all of a return set raises :class:`ModelError`
     before the exploration."""
-    t_all = time.perf_counter()
     timings: dict = {}
-    a_preds = [truncation_predicate(model, t) for t in truncations]
-    chain = embed(model) if is_jump(model) else model
-
-    certs = verified_certificates(model, envelopes, explicit_return_set)
-    smallest, in_smallest = min(zip(truncations, a_preds), key=lambda t: t[1].radius)
-    by_return_set: dict[tuple, list[str]] = {}
-    for env, (cert, _) in certs.items():
-        inside = _apply(in_smallest, _coords(cert.return_set), bool)
-        if not inside.all():          # every level must hold every return set
-            raise ModelError(f"the truncation {smallest} does not hold the return set of "
-                             f"envelope {env!r}: its state {cert.return_set[inside.argmin()]!r} "
-                             "is outside")
-        by_return_set.setdefault(cert.return_set, []).append(env)
-    timings["certificates"] = time.perf_counter() - t_all
-
-    t0 = time.perf_counter()
-    exploration = explore(chain, max(a_preds, key=lambda a: a.radius))
-    timings["explore"] = time.perf_counter() - t0
+    with timed(timings, "total"), timed(timings, "certificates"):
+        a_preds = [truncation_predicate(model, t) for t in truncations]
+        chain = embed(model) if is_jump(model) else model
+        certs = verified_certificates(model, envelopes, explicit_return_set)
+        smallest, in_smallest = min(zip(truncations, a_preds), key=lambda t: t[1].radius)
+        by_return_set: dict[tuple, list[str]] = {}
+        for env, (cert, _) in certs.items():
+            inside = _apply(in_smallest, _coords(cert.return_set), bool)
+            if not inside.all():          # every level must hold every return set
+                raise ModelError(f"the truncation {smallest} does not hold the return set "
+                                 f"of envelope {env!r}: its state "
+                                 f"{cert.return_set[inside.argmin()]!r} is outside")
+            by_return_set.setdefault(cert.return_set, []).append(env)
+    with timed(timings, "total"), timed(timings, "explore"):
+        exploration = explore(chain, max(a_preds, key=lambda a: a.radius))
     for level, (truncation, a_pred) in enumerate(zip(truncations, a_preds)):
-        t0 = time.perf_counter()
-        _, part = cut(exploration, a_pred, explicit_k_predicate(next(iter(by_return_set))))
-        if level == len(truncations) - 1:
-            del exploration           # and its entry stream: no level is left to cut
-        timings["cut"] = time.perf_counter() - t0
-        reports, distribution = _bound(part, certs, by_return_set, timings, with_distribution)
-        del part                      # a level's partitions end with its bounds
-        for report in reports.values():
-            report.provenance.update(model=model.name, truncation=dict(truncation))
-        timings["total"] = time.perf_counter() - t_all
+        with timed(timings, "total"):
+            with timed(timings, "cut"):
+                _, part = cut(exploration, a_pred, explicit_k_predicate(next(iter(by_return_set))))
+                if level == len(truncations) - 1:
+                    del exploration       # and its entry stream: no level is left to cut
+            reports, distribution = _bound(part, certs, by_return_set, timings, with_distribution)
+            del part                      # a level's partitions end with its bounds
+            for report in reports.values():
+                report.provenance.update(model=model.name, truncation=dict(truncation))
         yield PipelineResult(model.name, dict(truncation), reports, certs, distribution, timings)
-        t_all = time.perf_counter()
         timings = {}
 
 
@@ -130,42 +127,37 @@ def _bound(part, certs: dict, by_return_set: dict, timings: dict,
     by envelope id, and the distribution (or None); stages go to ``timings``."""
     last = len(by_return_set) - 1
     submitted = []                    # (envelope id, future report) on the worker
-    inline = []                       # (envelope id, report) of the last return set
     primary = None                    # the first group's workspace: it holds envelopes[0]
     with ThreadPoolExecutor(max_workers=1) as worker:
         try:
             for i, (return_set, env_group) in enumerate(by_return_set.items()):
                 envs = ",".join(env_group)
-                t0 = time.perf_counter()
                 if i > 0:
-                    _, part = repartition(part, explicit_k_predicate(return_set))
-                    timings[f"repartition[{envs}]"] = time.perf_counter() - t0
-                    t0 = time.perf_counter()
-                ws = TruncationWorkspace(part)
-                if i == 0:
-                    primary = ws
-                timings[f"factorize[{envs}]"] = time.perf_counter() - t0
-                t0 = time.perf_counter()
-                group = [(env, evaluate_certificate(certs[env][0], part, envelope_id=env))
-                         for env in env_group]
-                timings[f"certificate[{envs}]"] = time.perf_counter() - t0
-                for env, inputs in group:
-                    if i < last:
-                        submitted.append((env, worker.submit(compute_bounds, ws, inputs)))
-                    else:       # nothing is left to prepare: no need for the worker
-                        inline.append((env, compute_bounds(ws, inputs)))
+                    with timed(timings, f"repartition[{envs}]"):
+                        _, part = repartition(part, explicit_k_predicate(return_set))
+                with timed(timings, f"factorize[{envs}]"):
+                    ws = TruncationWorkspace(part)
+                primary = primary or ws
+                with timed(timings, f"certificate[{envs}]"):
+                    group = [(env, evaluate_certificate(certs[env][0], part, envelope_id=env))
+                             for env in env_group]
+                if i < last:
+                    submitted += [(env, worker.submit(compute_bounds, ws, inputs))
+                                  for env, inputs in group]
+            with timed(timings, f"bounds[{envs}]"):   # nothing is left to prepare: no worker
+                inline = [(env, compute_bounds(ws, inputs)) for env, inputs in group]
         except Exception:
             for _, job in submitted:    # an earlier job's error came first serially
                 job.result()
             raise
-        reports = dict([(env, job.result()) for env, job in submitted] + inline)
+        with timed(timings, "wait"):
+            reports = dict([(env, job.result()) for env, job in submitted] + inline)
 
     if not with_distribution:
         return reports, None
-    t0 = time.perf_counter()
-    distribution = primary.partition.space, \
-        primary.approx_distribution(primary.censored().row_normalized[1])
-    timings["distribution"] = time.perf_counter() - t0
+    with timed(timings, "distribution"):
+        distribution = primary.partition.space, \
+            primary.approx_distribution(primary.censored().row_normalized[1])
     return reports, distribution
 
 

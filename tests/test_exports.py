@@ -128,7 +128,7 @@ def test_settable_values_are_the_listed_ones():
 
 
 # the tracked size of the library: lower it when src/ shrinks, never raise it unremarked
-SRC_LINES = 2473
+SRC_LINES = 2469
 
 
 def test_src_line_count_does_not_grow():

@@ -88,6 +88,22 @@ class TestResidualCheck:
             assert solver._check(X, B, transpose).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("transpose", [False, True])
+    def test_residual_norms_equal_the_csr_product(self, rng, transpose):
+        # I - M is held once, in CSC; for a block with sorted indices, as a
+        # partition's are, its residual products give the CSR product's bits
+        n, m = 300, 8
+        M = sp.random(n, n, density=0.05, random_state=rng, format="csr")
+        M = sp.diags(0.9 / np.maximum(np.asarray(M.sum(axis=1)).ravel(), 1.0)) @ M
+        M.sort_indices()
+        solver = SubstochasticSolver(M)
+        assert solver._A.format == "csc"
+        A = sp.identity(n, format="csr") - M
+        B = rng.standard_normal((n, m))
+        X = solver.solve(B, transpose=transpose)
+        want = np.max(np.abs((A.T @ X if transpose else A @ X) - B), axis=0)
+        assert solver._check(X, B, transpose).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("transpose", [False, True])
     def test_check_holds_less_than_one_more_solution(self, transpose):
         # the solve returns X in Fortran order; a product over all its columns
         # at once would copy X to C order and hold R besides: twice X

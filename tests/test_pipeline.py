@@ -10,6 +10,7 @@ from collections import Counter
 import pytest
 
 from truncbound import cli, lyapunov, pipeline
+from truncbound.bounds import timed
 from truncbound.errors import ModelError
 from truncbound.models import GM1Model, ToggleSwitchModel
 from truncbound.pipeline import run_pipeline
@@ -52,7 +53,7 @@ class TestSharedEnumeration:
         assert set(both.timings) == {
             "certificates", "explore", "cut", f"factorize[{first}]", f"certificate[{first}]",
             f"repartition[{second}]", f"factorize[{second}]", f"certificate[{second}]",
-            "distribution", "total"}
+            f"bounds[{second}]", "wait", "distribution", "total"}
         for env in envelopes:
             single = run_pipeline(gm1, truncation, envelopes=[env])
             assert without_timings(both.reports[env]) == without_timings(single.reports[env])
@@ -78,6 +79,32 @@ def test_partition_stage_times_certificate_evaluation(monkeypatch):
 
 
 GM1_2000 = {"kind": "range", "max": 2000}
+
+
+@pytest.mark.parametrize("make, truncation", [
+    (GM1Model, GM1_2000),
+    (lambda: ToggleSwitchModel(20.0, 1.0), {"kind": "simplex", "level": 100}),
+], ids=["gm1", "toggle20"])
+def test_stages_add_up_to_the_total(make, truncation):
+    # every stage but total is a disjoint stage of the main thread, the
+    # inline bounds and the wait for the worker included
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)   # toggle: rate domination
+        timings = dict(run_pipeline(make(), truncation, envelopes=["r", "e"]).timings)
+    total = timings.pop("total")
+    assert sum(timings.values()) == pytest.approx(total, rel=0.1)
+    assert sum(timings.values()) <= total
+
+
+def test_timer_adds_up_repeated_blocks():
+    timings = {}
+    for _ in range(2):
+        with timed(timings, "stage"):
+            time.sleep(0.05)
+    assert 0.1 <= timings["stage"] < 0.5
+    with pytest.raises(MainFailure), timed(timings, "failed"):
+        raise MainFailure
+    assert set(timings) == {"stage"}
 
 
 class WorkerFailure(Exception):
@@ -266,9 +293,10 @@ class TestSweep:
             results = list(pipeline.run_sweep(
                 ToggleSwitchModel(20.0, 1.0), TOGGLE_LEVELS, envelopes=["r", "e"],
                 explicit_return_set=None, with_distribution=False))
+        level_stages = {"cut", "factorize[r,e]", "certificate[r,e]", "bounds[r,e]", "wait",
+                        "total"}
         assert [set(r.timings) for r in results] == [
-            {"certificates", "explore", "cut", "factorize[r,e]", "certificate[r,e]", "total"},
-            {"cut", "factorize[r,e]", "certificate[r,e]", "total"}]
+            level_stages | {"certificates", "explore"}, level_stages]
         first = results[0].timings
         assert first["total"] >= first["certificates"] + first["explore"] + first["cut"]
 

@@ -121,7 +121,19 @@ class TestSolveCounts:
         ws.cycle_rewards(inputs["e"])
         assert len(solve_log) == 2
         ws.cycle_rewards(inputs["r"])
-        assert len(solve_log) == 5   # kl(r), beta1 and beta2 of the pair
+        assert len(solve_log) == 4   # kl(r) and beta1; r's h2 is e's h1
+
+    def test_shared_overflow_solved_once(self, toggle60, solve_log):
+        # on a shared return set both certificates' g2 overflow is one
+        # vector: r's h2 and e's h1, so e's cycle rewards solve nothing new
+        part, inputs = toggle60
+        assert inputs["e"].h1_A.tobytes() == inputs["r"].h2_A.tobytes()
+        ws = TruncationWorkspace(part)
+        r = ws.cycle_rewards(inputs["r"])
+        assert len(solve_log) == 4
+        e = ws.cycle_rewards(inputs["e"])
+        assert len(solve_log) == 4
+        assert e[2] is r[3] and e[1] is r[1]
 
     def test_repeated_bounds_reuse_cycle_rewards(self, toggle60, solve_log):
         part, inputs = toggle60

@@ -30,7 +30,8 @@ def test_run_report_follows_the_report_schema(tmp_path):
     cfg["truncation"]["level"] = 60
     path = tmp_path / "toggle20-60.json"
     path.write_text(json.dumps(cfg))
-    assert main(["run", str(path), "--output-dir", str(tmp_path)]) == 0
+    with pytest.warns(UserWarning, match="exit rate"):    # toggle: rate domination
+        assert main(["run", str(path), "--output-dir", str(tmp_path)]) == 0
     doc = json.loads((tmp_path / cfg["output"]["report"]).read_text())
     assert set(doc["reports"]) == {"r", "e"}
     validator("report.schema.json").validate(doc)
