@@ -107,8 +107,10 @@ def _bounds_options(cfg: dict) -> list:
 
 
 def _return_set(cfg: dict):
-    rs = cfg.get("return_set", {"mode": "lyapunov"})
+    rs = cfg.get("return_set", {})
     mode = rs.get("mode", "lyapunov")
+    if mode == "lyapunov" and "states" in rs:
+        raise ConfigError("return_set.states are read only with \"mode\": \"explicit\"")
     if mode == "lyapunov":
         return None
     if mode == "explicit":
@@ -119,18 +121,10 @@ def _return_set(cfg: dict):
     raise ConfigError(f"unknown return_set mode {mode!r}")
 
 
-def _size(v) -> int:
-    if isinstance(v, float) and v.is_integer():
-        v = int(v)
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ConfigError(f"truncation sizes must be integers, got {v!r}")
-    return v
-
-
 def _truncation_schedule(cfg: dict, *, prefer_size: bool = False) -> list[dict]:
     """The schedule's truncations, else the one of ``max``/``level``;
     ``prefer_size`` takes ``max``/``level`` over the schedule."""
-    from .pipeline import SIZE_KEYS
+    from .pipeline import SIZE_KEYS, truncation_size
 
     trunc = cfg["truncation"]
     kind = trunc.get("kind")
@@ -145,7 +139,7 @@ def _truncation_schedule(cfg: dict, *, prefer_size: bool = False) -> list[dict]:
             raise ConfigError("truncation.schedule must be a nonempty list")
     else:
         raise ConfigError(f"truncation needs '{size_key}' or 'schedule'")
-    sizes = [_size(v) for v in sizes]
+    sizes = [truncation_size(v) for v in sizes]
     # nested sets, each level's inside the next: a sweep cuts every level from the last
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ConfigError(f"truncation.schedule must be strictly increasing, got {sizes}")

@@ -14,8 +14,6 @@ from __future__ import annotations
 
 import hashlib
 import warnings
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -99,52 +97,27 @@ def unit(_) -> float:
     return 1.0
 
 
-class _Stage:
-    """An open certificate stage: its model and the drift table it shares."""
-
-    def __init__(self, model):
-        self.model = model
-        self.table: _DriftTable | None = None
-
-
-# a context variable, so each thread sees only the stage it opened
-_stage: ContextVar[_Stage | None] = ContextVar("truncbound_drift_stage", default=None)
-
-
-@contextmanager
-def drift_stage(model):
-    """Share one drift table among the drift checks on ``model`` made inside
-    the block, so each certificate function is evaluated once per state.
-
-    Every check still reads only the states of its own region.  The table
-    is dropped when the block exits.
-    """
-    token = _stage.set(_Stage(model))
-    try:
-        yield
-    finally:
-        _stage.reset(token)
-
-
 def _table_for(model, region) -> tuple[_DriftTable, np.ndarray]:
     """A drift table over ``region`` and the ids of the region's states in it.
 
-    Inside a :func:`drift_stage` on ``model`` this is the stage's table when
-    its rows cover the region; otherwise a table over the region, which
-    becomes the stage's table.  Outside a stage every call builds its own.
+    This is the model's table when its rows cover the region; otherwise a
+    table over the region, which becomes the model's table until
+    :func:`release_drift_table`.  So every drift check on a model shares one
+    table, and each certificate function is evaluated once per state.
     """
     region = _coords(region)
-    stage = _stage.get()
-    if stage is None or stage.model is not model:
-        table = _DriftTable(model, region)
-        return table, table.src
-    table = stage.table
+    table = vars(model).get("_drift_table")
     if table is not None:
         x = table.find(region)
         if ((x >= 0) & (x < table.m)).all():
             return table, x
-    table = stage.table = _DriftTable(model, region)
+    table = vars(model)["_drift_table"] = _DriftTable(model, region)
     return table, table.src
+
+
+def release_drift_table(model) -> None:
+    """Drop the drift table ``model`` keeps; the next drift check builds one."""
+    vars(model).pop("_drift_table", None)
 
 
 def drift_excess(model, g: Callable, slack: Callable, x, exclude=()) -> float:
@@ -186,11 +159,6 @@ def verify_drift(model, g: Callable, slack: Callable, K: Sequence,
     that is not finite raises :class:`NumericalError`.
     """
     table, x = _table_for(model, check_region)
-    return _verify_on(table, x, g, slack, K, tolerance)
-
-
-def _verify_on(table: _DriftTable, x: np.ndarray, g, slack, K, tolerance) -> DriftReport:
-    """:func:`verify_drift` at the region ids ``x`` of ``table``."""
     x = x[~table.mask(K)[x]]
     s = table.surplus(g, slack, K, x)
     table.require_finite(x, s)
@@ -294,9 +262,8 @@ def verify_certificate(model, cert: DriftCertificate, *,
     table, ball = _table_for(model, model.states_within(top))
     reports = {}                        # each distinct check once: "e"'s two are one
     for g, slack, radius in dict.fromkeys(pairs):
-        x = ball if radius == top else table.find(model.states_within(radius))
-        rep = reports[g, slack, radius] = _verify_on(table, x, g, slack, cert.return_set,
-                                                     tolerance)
+        rep = reports[g, slack, radius] = verify_drift(
+            model, g, slack, cert.return_set, model.states_within(radius), tolerance=tolerance)
         if rep.violations:
             sample = list(rep.violations[:8])
             raise CertificateError(

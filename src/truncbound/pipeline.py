@@ -16,12 +16,13 @@ from .bounds import compute_bounds, timed
 from .censor import TruncationWorkspace
 from .ctmc import embed
 from .errors import ModelError
-from .lyapunov import drift_stage, evaluate_certificate, verify_certificate
+from .lyapunov import evaluate_certificate, release_drift_table, verify_certificate
 from .models import GM1Model, ToggleSwitchModel
 from .statespace import (_apply, _coords, batched, cut, explicit_k_predicate, explore, is_jump,
                          repartition)
 
 SIZE_KEYS = {"range": "max", "simplex": "level"}    # each kind's size: its norm ball's radius
+WIDTHS = {"range": 1, "simplex": 2}                 # the coordinates of each kind's states
 
 
 def build_model(name: str, params: dict):
@@ -38,11 +39,24 @@ def truncation_predicate(model, spec: dict):
         raise ModelError(f"unknown truncation kind {spec!r}")
     if SIZE_KEYS[kind] not in spec:
         raise ModelError(f"a {kind} truncation needs {SIZE_KEYS[kind]!r}, got {spec!r}")
-    radius = int(spec[SIZE_KEYS[kind]])
+    radius = truncation_size(spec[SIZE_KEYS[kind]])
+    width = _coords([model.seed]).shape[1]
+    if width != WIDTHS[kind]:
+        raise ModelError(f"a {kind} truncation takes states of {WIDTHS[kind]} coordinate(s); "
+                         f"model {model.name!r} has states of {width}")
     pred = batched((lambda s: (0 <= s) & (s <= radius)) if kind == "range"
                    else lambda s: s[0] + s[1] <= radius)
     pred.radius = radius      # of the norm ball it describes: explore starts from that ball
     return pred
+
+
+def truncation_size(v) -> int:
+    """A truncation's size: an int, or a float with an integer value."""
+    if isinstance(v, float) and v.is_integer():
+        v = int(v)
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise ModelError(f"truncation sizes must be integers, got {v!r}")
+    return v
 
 
 @dataclass
@@ -91,6 +105,8 @@ def run_sweep(model, truncations: list, *, envelopes, explicit_return_set,
     that exploration (its ``cut``), and levels run one after the other.  A
     smallest set without all of a return set raises :class:`ModelError`
     before the exploration."""
+    if not envelopes:
+        raise ModelError("no envelopes to bound")
     timings: dict = {}
     with timed(timings, "total"), timed(timings, "certificates"):
         a_preds = [truncation_predicate(model, t) for t in truncations]
@@ -164,16 +180,18 @@ def _bound(part, certs: dict, by_return_set: dict, timings: dict,
 def verified_certificates(model, envelopes, explicit_return_set) -> dict:
     """Construct and verify each envelope's certificate, without any linear
     algebra (a jump process is checked in generator form).  All drift checks
-    share one drift table, which is released before this returns.
+    share the model's drift table, which is released before this returns.
 
     ``explicit_return_set`` (or None for each model's designed one) is used
     for every envelope.  Maps each envelope id to ``(certificate, k_star)``,
     where ``k_star`` is the largest norm in the certificate's return set.
     """
     out = {}
-    with drift_stage(model):
+    try:
         for env in envelopes:
             cert = verify_certificate(
                 model, model.certificate_for_envelope(env, explicit_return_set))
             out[env] = cert, max(model.norm(s) for s in cert.return_set)
+    finally:
+        release_drift_table(model)
     return out

@@ -96,6 +96,12 @@ class TestRun:
         pytest.param("sweep", {"output": {"csv": 5}}, id="output-csv-not-string"),
         pytest.param("sweep", {"truncation": {"kind": "range", "schedule": [400, 300]}},
                      id="schedule-decreasing"),
+        pytest.param("run", {"truncation": {"kind": "simplex", "level": 50}},
+                     id="gm1-simplex"),
+        pytest.param("run", {"model": {"name": "toggle", "params": {"lam": 20.0, "mu": 1.0}},
+                             "truncation": {"kind": "range", "max": 50}}, id="toggle-range"),
+        pytest.param("verify", {"return_set": {"states": [0]}},
+                     id="return-set-states-without-explicit-mode"),
     ])
     def test_malformed_config_exits_1_without_outputs(self, tmp_path, capsys,
                                                       command, overrides):

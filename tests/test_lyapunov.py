@@ -374,8 +374,9 @@ def test_pair_of_one_function_keeps_the_max_slack_verdict(seed, scale, envelope,
 
 def test_constant_envelope_is_checked_once(monkeypatch):
     calls = []
-    verify_on = lyapunov._verify_on
-    monkeypatch.setattr(lyapunov, "_verify_on", lambda *a: calls.append(a) or verify_on(*a))
+    verify_drift = lyapunov.verify_drift
+    monkeypatch.setattr(lyapunov, "verify_drift",
+                        lambda *a, **k: calls.append(a) or verify_drift(*a, **k))
     gm1 = GM1Model()
     cert = verify_certificate(gm1, gm1.certificate_for_envelope("e"))
     assert len(calls) == 1 and cert.reports[0] is cert.reports[1]

@@ -306,8 +306,9 @@ class TestBatchStateFunctions:
                                 [(-1, 0), (0, -3), (-2, -2)]])
         self.assert_batch_is_per_state(unit, counts)
         self.assert_batch_is_per_state(unit, pairs)
-        range_pred = truncation_predicate(None, {"kind": "range", "max": 10_000})
-        simplex_pred = truncation_predicate(None, {"kind": "simplex", "level": 200})
+        range_pred = truncation_predicate(GM1Model(), {"kind": "range", "max": 10_000})
+        simplex_pred = truncation_predicate(ToggleSwitchModel(20.0, 1.0),
+                                            {"kind": "simplex", "level": 200})
         self.assert_batch_is_per_state(range_pred, counts, bool)
         self.assert_batch_is_per_state(simplex_pred, pairs, bool)
         for k_states, coords in (([0, 3, 10_000, 20_000, -7], counts),

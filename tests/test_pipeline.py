@@ -6,6 +6,7 @@ import time
 import warnings
 import weakref
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -30,6 +31,35 @@ def test_truncation_without_its_size_names_the_key(spec):
     size = pipeline.SIZE_KEYS[spec["kind"]]
     with pytest.raises(ModelError, match=f"needs '{size}'"):
         pipeline.truncation_predicate(GM1Model(), spec)
+
+
+@pytest.mark.parametrize("size", [400.5, "10", True, None])
+def test_library_truncation_sizes_follow_the_config_rule(size):
+    # a result must not be labelled with a size it did not run
+    with pytest.raises(ModelError, match="must be integers"):
+        pipeline.truncation_predicate(GM1Model(), {"kind": "range", "max": size})
+
+
+def test_integer_valued_float_size_is_its_int():
+    assert pipeline.truncation_predicate(GM1Model(), {"kind": "range", "max": 400.0}).radius == 400
+
+
+@pytest.mark.parametrize("make, spec", [
+    (GM1Model, {"kind": "simplex", "level": 50}),
+    (lambda: ToggleSwitchModel(20.0, 1.0), {"kind": "range", "max": 50}),
+], ids=["gm1-simplex", "toggle-range"])
+def test_truncation_kind_must_fit_the_state_width(make, spec):
+    with pytest.raises(ModelError, match=f"a {spec['kind']} truncation takes states of"):
+        pipeline.truncation_predicate(make(), spec)
+
+
+def test_no_envelopes_raises_before_any_work(monkeypatch):
+    def explore(*args):
+        raise AssertionError("explored without envelopes")
+
+    monkeypatch.setattr(pipeline, "explore", explore)
+    with pytest.raises(ModelError, match="no envelopes"):
+        run_pipeline(GM1Model(), {"kind": "range", "max": 300}, envelopes=[])
 
 
 class TestSharedEnumeration:
@@ -198,14 +228,19 @@ def tables_built(monkeypatch) -> list:
 
 def certify(model, envelopes, staged: bool):
     """Each envelope's (return set, reports repr) and the warning texts, from
-    one certificate stage or from a private drift table per check."""
+    one certificate stage or from a fresh drift table per check."""
+    def fresh(check, *args):
+        lyapunov.release_drift_table(model)
+        return check(*args)
+
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         if staged:
             certs = {env: cert for env, (cert, _) in
                      pipeline.verified_certificates(model, envelopes, None).items()}
         else:
-            certs = {env: lyapunov.verify_certificate(model, model.certificate_for_envelope(env))
+            certs = {env: fresh(lyapunov.verify_certificate, model,
+                                fresh(model.certificate_for_envelope, env))
                      for env in envelopes}
     return ({env: (c.return_set, repr(c.reports)) for env, c in certs.items()},
             [str(w.message) for w in caught])
@@ -220,6 +255,33 @@ class TestSharedDriftTable:
             pipeline.verified_certificates(make(), ["r", "e"], None)
         assert len(built) == 1
         assert all(ref() is None for ref in built)
+
+    @pytest.mark.parametrize("env", ["r", "e"])
+    @pytest.mark.parametrize("make", MODELS[:2], ids=MODEL_IDS[:2])
+    def test_library_checks_share_the_models_table(self, make, env, monkeypatch):
+        # the return set's construction and its verification read one table
+        built = tables_built(monkeypatch)
+        model = make()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)   # toggle: rate domination
+            lyapunov.verify_certificate(model, model.certificate_for_envelope(env))
+        assert len(built) == 1
+        lyapunov.release_drift_table(model)
+        assert all(ref() is None for ref in built)
+
+    @pytest.mark.parametrize("make", MODELS[:2], ids=MODEL_IDS[:2])
+    def test_threads_share_the_models_table_and_its_bits(self, make):
+        def reports(model, env):
+            cert = lyapunov.verify_certificate(model, model.certificate_for_envelope(env))
+            return cert.return_set, repr(cert.reports)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)   # toggle: rate domination
+            alone = [reports(make(), env) for env in ("r", "e")]
+            model = make()
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                shared = list(pool.map(lambda env: reports(model, env), ["r", "e"] * 2))
+        assert shared == alone * 2
 
     @pytest.mark.parametrize("envelopes", [["r", "e"], ["e", "r"]])
     @pytest.mark.parametrize("make", MODELS, ids=MODEL_IDS)
