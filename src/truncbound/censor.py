@@ -13,7 +13,7 @@ it and from inexpensive solves against the same (I - P22) factorization.
 
 from __future__ import annotations
 
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -31,37 +31,26 @@ RHS_CHUNK = 8
 
 def _two_lanes(fn, items) -> list:
     """``[fn(item) for item in items]``, computed on two lanes: the caller
-    runs the even-indexed items and one helper thread the odd-indexed ones,
-    each lane in item order.  Only worth it where ``fn`` spends its time in
-    native code that releases the GIL.
-
-    Each lane stops at its own first failure; the failure with the lowest
-    item index is raised, which is the one a serial loop raises, as every
-    item before it has succeeded.  The helper is joined before this returns.
-    """
+    runs the even-indexed items, never waiting for the helper in between, and
+    one helper thread the odd-indexed ones, each lane in item order.  Only
+    worth it where ``fn`` spends its time in native code that releases the
+    GIL.  The failure raised is the one a serial loop raises; it cancels the
+    helper's pending items, and the helper is joined before this returns."""
     items = list(items)
-    out = [None] * len(items)
-    failed = {}                         # item index -> exception
-
-    def lane(first):
-        for i in range(first, len(items), 2):
+    if len(items) < 2:
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="truncbound-lane") as helper:
+        jobs = [helper.submit(fn, item) for item in items[1::2]]
+        even = []
+        try:
+            even.extend(map(fn, items[0::2]))
+        finally:        # serially, only the helper's items below the caller's failure came first
             try:
-                out[i] = fn(items[i])
-            except BaseException as exc:    # re-raised below, on the caller
-                failed[i] = exc
-                return
-
-    helper = None
-    if len(items) > 1:
-        helper = threading.Thread(target=lane, args=(1,), name="truncbound-lane")
-        helper.start()
-    try:
-        lane(0)
-    finally:
-        if helper is not None:
-            helper.join()
-    if failed:
-        raise failed[min(failed)]
+                odd = [job.result() for job in jobs[:len(even)]]
+            finally:
+                helper.shutdown(cancel_futures=True)
+    out = [None] * len(items)
+    out[0::2], out[1::2] = even, odd
     return out
 
 

@@ -83,9 +83,9 @@ def run_pipeline(model, truncation: dict, *, envelopes,
     partitions and factorizes the next; every quantity comes from the same
     call on the same data as a serial run, and errors surface in serial
     order.  ``timings`` holds this thread's stages, which are disjoint and
-    add up to ``total``.  Each return set has a ``factorize[...]`` stage (its
-    workspace, with the LU of ``I - P22``) and a ``certificate[...]`` stage
-    (its certificates' evaluations), and each after the first a
+    add up to ``total``.  Each return set has a ``certificate[...]`` stage
+    (its certificates' evaluations) and then a ``factorize[...]`` stage (its
+    workspace, with the LU of ``I - P22``), and each after the first a
     ``repartition[...]`` stage, named by its envelope ids; the last return
     set's bounds are ``bounds[...]``, and ``wait`` is the wait for the
     worker's reports.  A report's own ``timings`` split its bounds, on
@@ -105,8 +105,8 @@ def run_sweep(model, truncations: list, *, envelopes, explicit_return_set,
     that exploration (its ``cut``), and levels run one after the other.  A
     smallest set without all of a return set raises :class:`ModelError`
     before the exploration."""
-    if not envelopes:
-        raise ModelError("no envelopes to bound")
+    if not envelopes or not truncations:
+        raise ModelError(f"no {'truncations' if envelopes else 'envelopes'} to bound")
     timings: dict = {}
     with timed(timings, "total"), timed(timings, "certificates"):
         a_preds = [truncation_predicate(model, t) for t in truncations]
@@ -144,19 +144,19 @@ def _bound(part, certs: dict, by_return_set: dict, timings: dict,
     last = len(by_return_set) - 1
     submitted = []                    # (envelope id, future report) on the worker
     primary = None                    # the first group's workspace: it holds envelopes[0]
-    with ThreadPoolExecutor(max_workers=1) as worker:
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="truncbound-worker") as worker:
         try:
             for i, (return_set, env_group) in enumerate(by_return_set.items()):
                 envs = ",".join(env_group)
                 if i > 0:
                     with timed(timings, f"repartition[{envs}]"):
                         _, part = repartition(part, explicit_k_predicate(return_set))
+                with timed(timings, f"certificate[{envs}]"):   # no LU for a mismatched block
+                    group = [(env, evaluate_certificate(certs[env][0], part, envelope_id=env))
+                             for env in env_group]
                 with timed(timings, f"factorize[{envs}]"):
                     ws = TruncationWorkspace(part)
                 primary = primary or ws
-                with timed(timings, f"certificate[{envs}]"):
-                    group = [(env, evaluate_certificate(certs[env][0], part, envelope_id=env))
-                             for env in env_group]
                 if i < last:
                     submitted += [(env, worker.submit(compute_bounds, ws, inputs))
                                   for env, inputs in group]

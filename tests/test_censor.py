@@ -161,6 +161,21 @@ def test_two_lanes_returns_results_in_item_order(n):
     assert on_caller == set(range(0, n, 2))
 
 
+def test_two_lanes_caller_runs_ahead_of_the_helper():
+    # the helper's item 1 waits for the caller's item 2: a caller that waited
+    # for item 1's result before running item 2 would leave it waiting
+    reached = threading.Event()
+
+    def fn(i):
+        if i == 1:
+            return reached.wait(timeout=10)
+        if i == 2:
+            reached.set()
+        return True
+
+    assert censor._two_lanes(fn, range(4)) == [True] * 4
+
+
 def test_two_lanes_under_contention():
     # four callers at once, eight threads on fewer cores, switching often:
     # every caller still gets its own results, in order

@@ -8,12 +8,14 @@ import weakref
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
 
-from truncbound import cli, lyapunov, pipeline
+from truncbound import censor, cli, lyapunov, pipeline
 from truncbound.bounds import timed
-from truncbound.errors import ModelError
-from truncbound.models import GM1Model, ToggleSwitchModel
+from truncbound.errors import CertificateError, ModelError
+from truncbound.lyapunov import DriftData
+from truncbound.models import DiscreteModel, GM1Model, ToggleSwitchModel
 from truncbound.pipeline import run_pipeline
 
 MODELS = [GM1Model, lambda: ToggleSwitchModel(20.0, 1.0), lambda: ToggleSwitchModel(90.0, 1.0)]
@@ -60,6 +62,45 @@ def test_no_envelopes_raises_before_any_work(monkeypatch):
     monkeypatch.setattr(pipeline, "explore", explore)
     with pytest.raises(ModelError, match="no envelopes"):
         run_pipeline(GM1Model(), {"kind": "range", "max": 300}, envelopes=[])
+
+
+def test_no_truncations_raises_before_any_work(monkeypatch):
+    def verified_certificates(*args):
+        raise AssertionError("verified certificates without truncations")
+
+    monkeypatch.setattr(pipeline, "verified_certificates", verified_certificates)
+    with pytest.raises(ModelError, match="no truncations"):
+        next(pipeline.run_sweep(GM1Model(), [], envelopes=["r"], explicit_return_set=None,
+                                with_distribution=False))
+
+
+def test_return_set_state_outside_the_block_is_found_before_the_lu(monkeypatch):
+    # from the seed 0 only even states are reached, so the return set's
+    # state 1 is not in A: the certificate check fails before any factorization
+    def rows(states):
+        x = states[:, 0]
+        even, odd = np.flatnonzero(x % 2 == 0), np.flatnonzero(x % 2)
+        return (np.concatenate([even, even, odd]),
+                np.concatenate([x[even] + 2, np.maximum(x[even] - 2, 0), x[odd] - 1])[:, None],
+                np.concatenate([np.full(len(even), 0.3), np.full(len(even), 0.7),
+                                np.ones(len(odd))]))
+
+    g = lambda x: 2.0 * x
+    model = DiscreteModel(name="evens", seed=0, rows=rows, norm=float,
+                          states_within=lambda radius: np.arange(int(radius) + 1),
+                          drift=DriftData(g, g, lambda x: x, 4, 4, False, True))
+    solvers = []
+    solver = censor.SubstochasticSolver
+
+    def counted(*args):
+        solvers.append(args)
+        return solver(*args)
+
+    monkeypatch.setattr(censor, "SubstochasticSolver", counted)
+    with pytest.raises(CertificateError, match="its state 1 is not in A's return-set block"):
+        run_pipeline(model, {"kind": "range", "max": 50}, envelopes=["e"],
+                     explicit_return_set=[0, 1])
+    assert solvers == []
 
 
 class TestSharedEnumeration:

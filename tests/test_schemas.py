@@ -33,5 +33,5 @@ def test_run_report_follows_the_report_schema(tmp_path):
     with pytest.warns(UserWarning, match="exit rate"):    # toggle: rate domination
         assert main(["run", str(path), "--output-dir", str(tmp_path)]) == 0
     doc = json.loads((tmp_path / cfg["output"]["report"]).read_text())
-    assert set(doc["reports"]) == {"r", "e"}
+    assert set(doc["reports"]) == set(doc["return_sets"]) == {"r", "e"}
     validator("report.schema.json").validate(doc)
