@@ -109,7 +109,7 @@ class BoundReport:
     delta: float
     beta1: np.ndarray
     beta2: np.ndarray
-    certified: bool              # True on every report; no rule yet for False
+    certified: bool              # lower <= approx <= upper, which exact arithmetic gives
     timings: dict
     provenance: dict
 
@@ -179,7 +179,7 @@ def compute_bounds(ws: TruncationWorkspace, inputs: BoundInputs) -> BoundReport:
         delta=delta_i,
         beta1=beta1,
         beta2=beta2,
-        certified=True,
+        certified=lower <= approx <= upper,
         timings=timings,
         provenance={
             "certificate_sha256": inputs.sha256,

@@ -172,7 +172,7 @@ def cmd_run(cfg: dict, override: str | None) -> int:
     print(f"report written to {path}")
     for env, rep in result.reports.items():
         print(f"  [{env}] approx={rep.approx:.12g}  interval=[{rep.lower:.12g}, "
-              f"{rep.upper:.12g}]  tv_bound={rep.tv_bound:.3e}")
+              f"{rep.upper:.12g}]  tv_bound={rep.tv_bound:.3e}  certified={rep.certified}")
     return 0
 
 
@@ -222,7 +222,7 @@ def cmd_sweep(cfg: dict, override: str | None) -> int:
             "time_total": result.timings["total"],
         }
         for env, rep in result.reports.items():
-            for key in ("lower", "upper", "approx", "tv_bound"):
+            for key in ("lower", "upper", "approx", "tv_bound", "certified"):
                 row[f"{env}_{key}"] = getattr(rep, key)
             for key, stage in (("censored", "censored_matrix"),
                                ("mixture", "mixture_family"), ("bounds", "bounds")):

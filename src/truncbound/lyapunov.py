@@ -237,8 +237,8 @@ class DriftCertificate:
     radius_r: int
     radius_e: int
     skip_rate_domination: bool
-    verified: bool = False
-    reports: tuple = ()
+    reports: tuple = ()         # the drift reports, which only verify_certificate sets
+    verified = property(lambda self: bool(self.reports))
 
     def __post_init__(self):    # the return set: each state checked, sorted, no repeats
         coords = _coords(self.return_set, source="the return set")
@@ -286,7 +286,7 @@ def verify_certificate(model, cert: DriftCertificate, *,
                 "certified only through the unit-drift condition",
                 stacklevel=2,
             )
-    return replace(cert, verified=True, reports=tuple(map(reports.get, pairs)))
+    return replace(cert, reports=tuple(map(reports.get, pairs)))
 
 
 def _rate_domination_violations(table: _DriftTable, x: np.ndarray,

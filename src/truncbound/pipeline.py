@@ -22,7 +22,6 @@ from .statespace import (_apply, _coords, batched, cut, explicit_k_predicate, ex
                          repartition)
 
 SIZE_KEYS = {"range": "max", "simplex": "level"}    # each kind's size: its norm ball's radius
-WIDTHS = {"range": 1, "simplex": 2}                 # the coordinates of each kind's states
 
 
 def build_model(name: str, params: dict):
@@ -41,11 +40,12 @@ def truncation_predicate(model, spec: dict):
         raise ModelError(f"a {kind} truncation needs {SIZE_KEYS[kind]!r}, got {spec!r}")
     radius = truncation_size(spec[SIZE_KEYS[kind]])
     width = _coords([model.seed]).shape[1]
-    if width != WIDTHS[kind]:
-        raise ModelError(f"a {kind} truncation takes states of {WIDTHS[kind]} coordinate(s); "
+    if (width == 1) != (kind == "range"):     # range: ints; simplex: tuples of any width
+        raise ModelError(f"a {kind} truncation takes states of "
+                         f"{'1 coordinate' if kind == 'range' else '2 or more coordinates'}; "
                          f"model {model.name!r} has states of {width}")
     pred = batched((lambda s: (0 <= s) & (s <= radius)) if kind == "range"
-                   else lambda s: s[0] + s[1] <= radius)
+                   else lambda s: sum(s) <= radius)     # exact int adds, left to right
     pred.radius = radius      # of the norm ball it describes: explore starts from that ball
     return pred
 

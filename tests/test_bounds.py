@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from truncbound import TruncationWorkspace, enumerate_space
 from truncbound.bounds import (
@@ -16,7 +18,7 @@ from truncbound.bounds import (
     tv_bound_singleton,
 )
 from truncbound.censor import CensoredApprox, TauFamily
-from truncbound.errors import CertificateError, NumericalError
+from truncbound.errors import CertificateError, IrreducibilityError, NumericalError
 from truncbound.lyapunov import BoundInputs, evaluate_certificate
 from truncbound.models import GM1Model
 
@@ -193,6 +195,27 @@ class TestApproxErrorBound:
         pir = stationary_power(P) @ np.arange(11.0)
         assert rep.certified
         assert abs(rep.approx - pir) <= rep.upper - rep.lower
+
+    @given(seed=st.integers(0, 5_000))
+    @settings(max_examples=40, deadline=None)
+    def test_certified_only_with_the_approximation_inside(self, seed):
+        # the dense-oracle chains of acceptance gate 4, with the exact
+        # certificate, over the full space and over a strict truncation
+        r = np.random.default_rng(seed)
+        n, k = int(r.integers(8, 31)), int(r.integers(1, 5))
+        P = random_stochastic(r, n, zeros=float(r.uniform(0.2, 0.7)))
+        model = host_model(P)
+        cert = exact_certificate(P, k, np.arange(float(n)), model)
+        for a in (n, int(r.integers(k + 2, n))):
+            _, part = enumerate_space(model, lambda s, a=a: s < a, lambda s: s < k)
+            ws = TruncationWorkspace(part)
+            try:
+                if ws.censored().row_mass.min() <= 0.0:
+                    continue
+                rep = compute_bounds(ws, evaluate_certificate(cert, part, envelope_id="r"))
+            except IrreducibilityError:     # the bounds assume an irreducible G
+                continue
+            assert not rep.certified or rep.lower <= rep.approx <= rep.upper
 
 
 class TestTvBounds:

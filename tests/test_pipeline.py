@@ -18,6 +18,8 @@ from truncbound.lyapunov import DriftData
 from truncbound.models import DiscreteModel, GM1Model, ToggleSwitchModel
 from truncbound.pipeline import run_pipeline
 
+from immigration_death import immigration_death
+
 MODELS = [GM1Model, lambda: ToggleSwitchModel(20.0, 1.0), lambda: ToggleSwitchModel(90.0, 1.0)]
 MODEL_IDS = ["gm1", "toggle20", "toggle90"]
 
@@ -46,13 +48,21 @@ def test_integer_valued_float_size_is_its_int():
     assert pipeline.truncation_predicate(GM1Model(), {"kind": "range", "max": 400.0}).radius == 400
 
 
-@pytest.mark.parametrize("make, spec", [
-    (GM1Model, {"kind": "simplex", "level": 50}),
-    (lambda: ToggleSwitchModel(20.0, 1.0), {"kind": "range", "max": 50}),
-], ids=["gm1-simplex", "toggle-range"])
-def test_truncation_kind_must_fit_the_state_width(make, spec):
-    with pytest.raises(ModelError, match=f"a {spec['kind']} truncation takes states of"):
-        pipeline.truncation_predicate(make(), spec)
+@pytest.mark.parametrize("make, spec, fits", [
+    (GM1Model, {"kind": "simplex", "level": 50}, False),
+    (lambda: ToggleSwitchModel(20.0, 1.0), {"kind": "range", "max": 50}, False),
+    (lambda: immigration_death(5.0, d=3), {"kind": "range", "max": 40}, False),
+    (lambda: immigration_death(5.0, d=3), {"kind": "simplex", "level": 40}, True),
+], ids=["gm1-simplex", "toggle-range", "imdeath3-range", "imdeath3-simplex"])
+def test_truncation_kind_must_fit_the_state_width(make, spec, fits):
+    if not fits:
+        with pytest.raises(ModelError, match=f"a {spec['kind']} truncation takes states of"):
+            pipeline.truncation_predicate(make(), spec)
+        return
+    pred = pipeline.truncation_predicate(make(), spec)    # the coordinate sum, of any width
+    assert pred.radius == 40
+    assert [pred((13, 13, 14)), pred((13, 13, 15))] == [True, False]
+    assert pred(np.array([[13, 13], [13, 13], [14, 15]])).tolist() == [True, False]
 
 
 def test_no_envelopes_raises_before_any_work(monkeypatch):

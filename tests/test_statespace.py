@@ -314,17 +314,22 @@ class TestKeyOrder:
         assert boundary_rows(part) == tuple(tuple((y, q) for y, q in rows[x] if y not in at)
                                           for x in order)
 
-    @pytest.mark.parametrize("first, ok", [(2**30 - 1, True), (-2**30, True),
-                                           (2**30, False), (-2**30 - 1, False)])
-    def test_coordinates_past_the_keyed_range_are_rejected(self, first, ok):
+    # d coordinates get fields of 63 // d bits (31, 21, 7), each keying [-half, half)
+    @pytest.mark.parametrize("d, first, ok", [
+        pytest.param(d, first, ok, id=f"{first}-{ok}")
+        for d in (2, 3, 8) for half in [1 << (63 // d - 1)]
+        for first, ok in ((half - 1, True), (-half, True), (half, False), (-half - 1, False))])
+    def test_coordinates_past_the_keyed_range_are_rejected(self, d, first, ok):
+        # a coordinate past the range must raise, not alias another state's key
+        origin = (0,) * d
         for second in (0, first):
-            model = batch_model(lambda x, y=(first, second):
-                                [(y, 1.0)] if x == (0, 0) else [((0, 0), 1.0)], seed=(0, 0))
+            model = batch_model(lambda x, y=(first,) + (second,) * (d - 1):
+                                [(y, 1.0)] if x == origin else [(origin, 1.0)], seed=origin)
             if ok:
-                assert enumerate_space(model, lambda s: True, lambda s: s == (0, 0))[0].a_size == 2
+                assert enumerate_space(model, lambda s: True, lambda s: s == origin)[0].a_size == 2
             else:
                 with pytest.raises(ModelError, match="outside"):
-                    enumerate_space(model, lambda s: True, lambda s: s == (0, 0))
+                    enumerate_space(model, lambda s: True, lambda s: s == origin)
 
 
 class TestStatesRepr:
