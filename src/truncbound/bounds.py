@@ -109,9 +109,10 @@ class BoundReport:
     delta: float
     beta1: np.ndarray
     beta2: np.ndarray
-    certified: bool              # lower <= approx <= upper, which exact arithmetic gives
     timings: dict
     provenance: dict
+    # lower <= approx <= upper, which exact arithmetic gives
+    certified = property(lambda self: bool(self.lower <= self.approx <= self.upper))
 
     def to_dict(self) -> dict:
         return {
@@ -139,8 +140,6 @@ def compute_bounds(ws: TruncationWorkspace, inputs: BoundInputs) -> BoundReport:
     mixture family, the matching stationary-gap estimate, and the weighted
     total-variation guarantee (the sharper singleton form when |K| = 1).
     """
-    if not inputs.verified:
-        raise CertificateError("bounds require a verified certificate")
     timings: dict[str, float] = {}
     with timed(timings, "cycle_rewards"):
         kl_r, kl_e, beta1, beta2, ku_r, ku_e = ws.cycle_rewards(inputs)
@@ -179,7 +178,6 @@ def compute_bounds(ws: TruncationWorkspace, inputs: BoundInputs) -> BoundReport:
         delta=delta_i,
         beta1=beta1,
         beta2=beta2,
-        certified=lower <= approx <= upper,
         timings=timings,
         provenance={
             "certificate_sha256": inputs.sha256,
@@ -197,8 +195,6 @@ def reward_interval(ws: TruncationWorkspace, inputs: BoundInputs,
     shape ``(|A|,)`` (else ``ValueError``).  A query costs one solve: the
     positive and negative parts of ``f`` are its columns, and the part
     intervals are combined; the cycle rewards come from the workspace."""
-    if not inputs.verified:
-        raise CertificateError("reward intervals require a verified certificate")
     f_A, unit = np.asarray(f_A, dtype=float), ws.partition.unit
     if f_A.shape != unit.shape:
         raise ValueError(f"reward over A: expected shape {unit.shape}, got {f_A.shape}")

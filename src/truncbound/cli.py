@@ -3,7 +3,7 @@
 Exit codes: 0 success, 1 config error, 2 assumption violated
 (irreducibility / drift), 3 numerical failure (residual or denominator
 guards).  Two runs of the same config produce identical report JSON except
-for the timing fields.
+for the timing fields, provided the BLAS thread count is fixed (``--threads``).
 
 The config format is documented in docs/config.schema.json; reports follow
 docs/report.schema.json and sweep CSVs are plot-ready (one row per
@@ -160,8 +160,8 @@ def cmd_run(cfg: dict, override: str | None) -> int:
         "model": result.model_name,
         "truncation": result.truncation,
         "reports": {env: rep.to_dict() for env, rep in result.reports.items()},
-        "return_sets": {env: {"k_size": len(result.certificates[env][0].return_set),
-                              "k_star": result.certificates[env][1]} for env in result.reports},
+        "return_sets": {env: {"k_size": len(result.certificates[env].return_set),
+                              "k_star": result.certificates[env].k_star} for env in result.reports},
         "distribution": result.distribution,
         "timings": result.timings,
     }
@@ -200,8 +200,8 @@ def cmd_verify(cfg: dict, override: str | None) -> int:
     model = _build(cfg)
     certs = verified_certificates(model, envelopes, return_set)
     print(f"n1 = {model.drift.n1}\nn2 = {model.drift.n2}")
-    for env, (cert, k_star) in certs.items():
-        print(f"[{env}] k* = {k_star:g}  |K| = {len(cert.return_set)}  verified")
+    for env, cert in certs.items():
+        print(f"[{env}] k* = {cert.k_star:g}  |K| = {len(cert.return_set)}  verified")
     return 0
 
 

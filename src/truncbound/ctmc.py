@@ -35,7 +35,6 @@ class JumpModel(Model):
     name: str
     seed: object
     rate_rows: Callable
-    norm: Callable[[object], float]
     states_within: Callable[[float], Iterable]
     drift: DriftData | None
 
@@ -63,7 +62,6 @@ def embed(jump):
         name=f"{jump.name}-embedded",
         seed=jump.seed,
         rows=rows,
-        norm=jump.norm,
         states_within=jump.states_within,
         drift=None,
     )

@@ -67,8 +67,9 @@ class _DriftTable:
 
     def surplus(self, g: Callable, slack: Callable, exclude=(),
                 x: np.ndarray | None = None) -> np.ndarray:
-        """:func:`drift_excess` at the region ids ``x`` (default: the region),
-        with the same floats; not checked for finiteness."""
+        """The drift surplus at the region ids ``x`` (default: the region) with
+        the states ``exclude`` left out of its sum, :func:`drift_excess`'s
+        floats when none are; not checked for finiteness."""
         x = self.src if x is None else x
         off = self.mask(exclude)
         live = np.zeros(self.m, dtype=bool)
@@ -120,16 +121,16 @@ def release_drift_table(model) -> None:
     vars(model).pop("_drift_table", None)
 
 
-def drift_excess(model, g: Callable, slack: Callable, x, exclude=()) -> float:
+def drift_excess(model, g: Callable, slack: Callable, x) -> float:
     """One-step drift surplus at ``x``; nonpositive means the inequality holds.
 
-    Discrete chains:  sum_{y not in K} P(x,y) g(y) - g(x) + slack(x).
-    Jump processes:   sum_{y not in K} Q(x,y) g(y) + slack(x), diagonal included.
+    Discrete chains:  sum_y P(x,y) g(y) - g(x) + slack(x).
+    Jump processes:   sum_y Q(x,y) g(y) + slack(x), diagonal included.
 
     Raises :class:`NumericalError` when the surplus is not finite.
     """
     table, at = _table_for(model, [x])
-    s = table.surplus(g, slack, exclude, at)
+    s = table.surplus(g, slack, x=at)
     table.require_finite(at, s)
     return float(s[0])
 
@@ -239,6 +240,8 @@ class DriftCertificate:
     skip_rate_domination: bool
     reports: tuple = ()         # the drift reports, which only verify_certificate sets
     verified = property(lambda self: bool(self.reports))
+    # K's largest coordinate sum: the smallest range or simplex size that holds K
+    k_star = property(lambda self: float(_coords(self.return_set).sum(axis=1).max()))
 
     def __post_init__(self):    # the return set: each state checked, sorted, no repeats
         coords = _coords(self.return_set, source="the return set")
@@ -308,7 +311,6 @@ class BoundInputs:
     r_A: np.ndarray
     h1_A: np.ndarray
     h2_A: np.ndarray
-    verified: bool
     sha256: str
 
     def __post_init__(self):
@@ -337,7 +339,6 @@ def evaluate_certificate(cert: DriftCertificate, partition: Partition,
         r_A=r_A,
         h1_A=h1,
         h2_A=h2,
-        verified=True,
         sha256=_fingerprint(cert, partition, r_A, h1, h2),
     )
 

@@ -72,14 +72,13 @@ class DiscreteModel(Model):
     rows of the states at the coordinates ``states`` and may give their unit
     weights (see :func:`~truncbound.statespace.explore`).  Rows are validated
     (sums within 1e-12 of one) wherever they are read.  The other hooks are
-    what the pipeline needs: the seed of the enumeration, a norm for radius
-    scans, the states within a radius (as coordinates) and the drift data.
+    what the pipeline needs: the seed of the enumeration, the states within
+    a radius (as coordinates) and the drift data.
     """
 
     name: str
     seed: object
     rows: Callable
-    norm: Callable[[object], float] | None
     states_within: Callable[[float], Iterable] | None
     drift: DriftData | None
 
@@ -119,8 +118,8 @@ class GM1Model(Model):
     """
 
     def __init__(self, mu: float = 1.0, b: float = 2.01):
-        if mu <= 0 or b <= 0:
-            raise ModelError("service rate and interarrival range must be positive")
+        if not (0 < mu < math.inf and 0 < b < math.inf):     # NaN fails both
+            raise ModelError("service rate and interarrival range must be positive and finite")
         if mu * b > 700.0:
             raise ModelError("mu * b too large: service-count masses underflow")
         self.mu = float(mu)
@@ -195,9 +194,6 @@ class GM1Model(Model):
         # each entry's place in the tables: its row's table start plus its offset in the row
         e = np.arange(n.sum()) + (start[t] - (np.cumsum(n) - n)).repeat(n)
         return np.arange(len(x)).repeat(n), (x.repeat(n) * a[e] + b[e])[:, None], p[e]
-
-    def norm(self, x) -> float:
-        return float(x)
 
     def states_within(self, radius: float) -> np.ndarray:
         return np.arange(int(math.floor(radius)) + 1)
@@ -294,8 +290,8 @@ class ToggleSwitchModel(Model):
     zero counts, so the generator is conservative without clamping."""
 
     def __init__(self, lam: float, mu: float):
-        if lam <= 0 or mu <= 0:
-            raise ModelError("synthesis and decay rates must be positive")
+        if not (0 < lam < math.inf and 0 < mu < math.inf):   # NaN fails both
+            raise ModelError("synthesis and decay rates must be positive and finite")
         x_star = (-1.0 + math.sqrt(1.0 + 4.0 * lam / mu)) / 2.0
         if x_star < 0.5:
             raise ModelError(
@@ -329,15 +325,12 @@ class ToggleSwitchModel(Model):
                                 self.mu * f1[down1], self.mu * f2[down2]])
         return pos, np.column_stack([t1, t2]), rates
 
-    def norm(self, state) -> float:
-        return float(state[0] + state[1])
-
     def states_within(self, radius: float) -> np.ndarray:
-        """The states of norm at most ``radius``, by norm, then by x1."""
+        """The states whose counts sum to at most ``radius``, by that sum, then by x1."""
         top = int(math.floor(radius))
-        norm = np.repeat(np.arange(top + 1), np.arange(1, top + 2))
-        x1 = np.arange(norm.size) - norm * (norm + 1) // 2
-        return np.column_stack([x1, norm - x1])
+        total = np.repeat(np.arange(top + 1), np.arange(1, top + 2))
+        x1 = np.arange(total.size) - total * (total + 1) // 2
+        return np.column_stack([x1, total - x1])
 
     @cached_property
     def _drift_constants(self) -> tuple:

@@ -64,7 +64,7 @@ class PipelineResult:
     model_name: str
     truncation: dict
     reports: dict                 # envelope id -> BoundReport
-    certificates: dict            # envelope id -> (certificate, k_star), as verified
+    certificates: dict            # envelope id -> its verified certificate
     distribution: tuple | None    # (state space, masses) of the approximation; None in a sweep
     timings: dict
 
@@ -114,7 +114,7 @@ def run_sweep(model, truncations: list, *, envelopes, explicit_return_set,
         certs = verified_certificates(model, envelopes, explicit_return_set)
         smallest, in_smallest = min(zip(truncations, a_preds), key=lambda t: t[1].radius)
         by_return_set: dict[tuple, list[str]] = {}
-        for env, (cert, _) in certs.items():
+        for env, cert in certs.items():
             inside = _apply(in_smallest, _coords(cert.return_set), bool)
             if not inside.all():          # every level must hold every return set
                 raise ModelError(f"the truncation {smallest} does not hold the return set "
@@ -152,7 +152,7 @@ def _bound(part, certs: dict, by_return_set: dict, timings: dict,
                     with timed(timings, f"repartition[{envs}]"):
                         _, part = repartition(part, explicit_k_predicate(return_set))
                 with timed(timings, f"certificate[{envs}]"):   # no LU for a mismatched block
-                    group = [(env, evaluate_certificate(certs[env][0], part, envelope_id=env))
+                    group = [(env, evaluate_certificate(certs[env], part, envelope_id=env))
                              for env in env_group]
                 with timed(timings, f"factorize[{envs}]"):
                     ws = TruncationWorkspace(part)
@@ -183,15 +183,12 @@ def verified_certificates(model, envelopes, explicit_return_set) -> dict:
     share the model's drift table, which is released before this returns.
 
     ``explicit_return_set`` (or None for each model's designed one) is used
-    for every envelope.  Maps each envelope id to ``(certificate, k_star)``,
-    where ``k_star`` is the largest norm in the certificate's return set.
+    for every envelope.  Maps each envelope id to its verified certificate,
+    whose ``k_star`` is its return set's largest coordinate sum.
     """
-    out = {}
     try:
-        for env in envelopes:
-            cert = verify_certificate(
-                model, model.certificate_for_envelope(env, explicit_return_set))
-            out[env] = cert, max(model.norm(s) for s in cert.return_set)
+        return {env: verify_certificate(
+                    model, model.certificate_for_envelope(env, explicit_return_set))
+                for env in envelopes}
     finally:
         release_drift_table(model)
-    return out

@@ -134,7 +134,6 @@ def host_model(P: np.ndarray, name: str = "host"):
         name=name,
         seed=0,
         rows=rows,
-        norm=lambda s: float(s),
         states_within=lambda rad: range(min(n, int(rad) + 1)),
         drift=None,
     )
@@ -169,7 +168,7 @@ def batch_model(row_fn, *, seed=0, name: str = "batch", **hooks):
         return np.array(pos, dtype=np.intp), targets, np.array(p, dtype=float)
 
     return DiscreteModel(name=name, seed=seed, rows=rows,
-                         **{"norm": None, "states_within": None, "drift": None, **hooks})
+                         **{"states_within": None, "drift": None, **hooks})
 
 
 def row_of(model, x) -> list:

@@ -49,7 +49,7 @@ def immigration_death(lam: float, mu: float = 1.0, d: int = 2) -> JumpModel:
     return JumpModel(
         name=f"imdeath({lam:g},{mu:g})" if d == 2 else f"imdeath({lam:g},{mu:g},d={d})",
         seed=(0,) * d, rate_rows=rate_rows,
-        norm=lambda s: float(sum(s)), states_within=states_within,
+        states_within=states_within,
         drift=DriftData(g1=g, g2=g, r=batched(lambda s: 1.0 * sum(s)), n1=n, n2=n,
                         skip_rate_domination=True, shared_return_set=True))
 

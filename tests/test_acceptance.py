@@ -119,11 +119,11 @@ def test_criterion_2_gm1_certified_accuracy(gm1_runs):
     checks = {}
 
     rep_r = pair.reports["r"]
-    checks["|K| = 202"] = len(pair.certificates["r"][0].return_set) == 202
+    checks["|K| = 202"] = len(pair.certificates["r"].return_set) == 202
     checks["envelope-weighted tv <= 1e-6"] = rep_r.tv_bound <= 1e-6
 
     rep_e = unit.reports["e"]
-    checks["unit K = {0..4}"] = unit.certificates["e"][0].return_set == (0, 1, 2, 3, 4)
+    checks["unit K = {0..4}"] = unit.certificates["e"].return_set == (0, 1, 2, 3, 4)
     checks["plain tv <= 1e-12"] = rep_e.tv_bound <= 1e-12
     # the upper cycle-length estimate hugs the lower one at this truncation
     # (cycle lengths are >= 1, so absolute overflow bounds the relative gap)
@@ -300,6 +300,26 @@ def test_criterion_4_oracle_equivalence_suite():
     assert _line(4, "oracle equivalence, 200 seeds", not fails), fails[:10]
 
 
+def _full_space_report(seed: int):
+    """Gate 4's full-space ``r`` report of ``seed``: its chain and exact
+    certificate drawn as gate 4 draws them, A the whole chain."""
+    rng = np.random.default_rng(seed)
+    n, k = int(rng.integers(8, 31)), int(rng.integers(1, 5))
+    P = random_stochastic(rng, n, zeros=float(rng.uniform(0.2, 0.7)))
+    model = host_model(P)
+    _, part = enumerate_space(model, lambda s: True, lambda s: s < k)
+    cert = exact_certificate(P, k, np.arange(float(n)), model)
+    return compute_bounds(TruncationWorkspace(part),
+                          evaluate_certificate(cert, part, envelope_id="r"))
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the full-space r interval is "
+                   "degenerate and approx lies one ulp outside it (seed 2: lower = upper = "
+                   "13.261202117148525, approx = 13.261202117148526)")
+def test_full_space_reports_are_certified():
+    assert [seed for seed in (2, 5, 8, 14) if not _full_space_report(seed).certified] == []
+
+
 def test_criterion_5_convergence_suite():
     rng = np.random.default_rng(30303)
     n, k = 30, 3
@@ -351,7 +371,7 @@ def test_criterion_6_stability_suite(gm1_runs):
     gm1, pair, _ = gm1_runs
     _, part = enumerate_space(
         gm1, lambda s: s <= 10000,
-        lambda s: s in set(pair.certificates["r"][0].return_set),
+        lambda s: s in set(pair.certificates["r"].return_set),
     )
     ws = TruncationWorkspace(part)
     ca = ws.censored()

@@ -82,13 +82,6 @@ class TestKappaUpper:
         kap_r, _ = kappa_oracle(P, 1, r)
         assert got[0] == pytest.approx(kap_r[0], rel=1e-12)
 
-    def test_refuses_unverified(self, rng):
-        P, model, ws, inputs = setup_host(rng)
-        from dataclasses import replace
-
-        with pytest.raises(CertificateError):
-            compute_bounds(ws, replace(inputs, verified=False))
-
 
 class TestSingletonBounds:
     def test_exact_certificate_degenerates_to_truth(self, rng):
@@ -195,6 +188,15 @@ class TestApproxErrorBound:
         pir = stationary_power(P) @ np.arange(11.0)
         assert rep.certified
         assert abs(rep.approx - pir) <= rep.upper - rep.lower
+
+    def test_certified_follows_the_interval(self, rng):
+        # derived from the fields it judges, so it cannot go stale
+        P, model, ws, inputs = setup_host(rng, n=11, k=3, a=9)
+        rep = compute_bounds(ws, inputs)
+        assert rep.certified
+        rep.lower = rep.approx + 1.0
+        assert not rep.certified
+        assert rep.to_dict()["certified"] is False
 
     @given(seed=st.integers(0, 5_000))
     @settings(max_examples=40, deadline=None)
@@ -387,8 +389,8 @@ class TestCycleRewardCache:
         part, inputs = toggle60
         ev = inputs["r"]
         if how == "default-sha":   # both fingerprints are ""
-            first = BoundInputs("r", ev.r_A, ev.h1_A, ev.h2_A, True, "")
-            second = BoundInputs("r", 0.5 * ev.r_A, ev.h1_A, ev.h2_A, True, "")
+            first = BoundInputs("r", ev.r_A, ev.h1_A, ev.h2_A, "")
+            second = BoundInputs("r", 0.5 * ev.r_A, ev.h1_A, ev.h2_A, "")
         else:                      # replace keeps the fingerprint
             first, second = ev, replace(ev, r_A=0.5 * ev.r_A)
         assert first.sha256 == second.sha256
@@ -403,7 +405,7 @@ class TestCycleRewardCache:
         _, inputs = toggle60
         ev = inputs["r"]
         r = ev.r_A.copy()
-        bi = BoundInputs("r", r, ev.h1_A, ev.h2_A, True, "")
+        bi = BoundInputs("r", r, ev.h1_A, ev.h2_A, "")
         r *= 0.5
         assert np.array_equal(bi.r_A, ev.r_A)
         for name in ("r_A", "h1_A", "h2_A"):

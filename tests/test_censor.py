@@ -82,8 +82,7 @@ class TestCensoredMatrix:
             part = partition_from_matrix(P[np.ix_([0, 2, 1, 3], [0, 2, 1, 3])], 2)
             ws = TruncationWorkspace(part)
             ws.censored().G                 # the censored matrix itself is built
-            inputs = BoundInputs("e", np.ones(4), np.zeros(4), np.zeros(4), verified=True,
-                                 sha256="")
+            inputs = BoundInputs("e", np.ones(4), np.zeros(4), np.zeros(4), sha256="")
             # every read of its stationary vector or mixture family raises
             for read in (lambda: ws.censored().tau, lambda: ws.censored().row_normalized,
                          lambda: compute_bounds(ws, inputs),
@@ -224,7 +223,7 @@ class TestStochasticizations:
         with pytest.raises(ModelError, match="index 1"):
             ws.censored().row_normalized
         # with two K states an empty row is also reducible, which a bound reports
-        inputs = BoundInputs("e", np.ones(2), np.zeros(2), np.zeros(2), verified=True, sha256="")
+        inputs = BoundInputs("e", np.ones(2), np.zeros(2), np.zeros(2), sha256="")
         with pytest.raises(IrreducibilityError):
             compute_bounds(ws, inputs)
 

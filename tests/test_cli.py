@@ -311,6 +311,17 @@ class TestVerify:
         assert not override.exists()
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("model", [
+        {"name": "gm1", "params": {"mu": float("nan"), "b": 2.01}},
+        {"name": "toggle", "params": {"lam": float("nan"), "mu": 1.0}},
+        {"name": "toggle", "params": {"lam": float("inf"), "mu": 1.0}},
+    ], ids=["gm1-mu-NaN", "toggle-lam-NaN", "toggle-lam-Infinity"])
+    def test_non_finite_parameter_is_a_config_error(self, tmp_path, capsys, model):
+        # json reads NaN and Infinity, so they reach the model's constructor
+        path, _ = write_config(tmp_path, model=model)
+        assert main(["verify", str(path)]) == 1
+        assert "config error: " in capsys.readouterr().err
+
     def test_toggle_verify(self, tmp_path, capsys):
         path, _ = write_config(
             tmp_path,

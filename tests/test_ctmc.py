@@ -29,7 +29,6 @@ def jump_from_matrix(Q: np.ndarray, name="ctmc-host"):
         seed=0,
         rate_rows=batch_model(lambda x: [(j, float(Q[x, j])) for j in range(n)
                                          if j != x and Q[x, j] != 0.0]).rows,
-        norm=lambda s: float(s),
         states_within=lambda rad: range(min(n, int(rad) + 1)),
         drift=None,
     )
@@ -113,7 +112,7 @@ class TestEmbedding:
         if form == "rank-major":      # the same rates, every state's first, then second, ...
             m = JumpModel(name="bad-rank-major", seed=m.seed,
                           rate_rows=batch_model(lambda x: row_of(toggle, x)).rows,
-                          norm=m.norm, states_within=m.states_within, drift=None)
+                          states_within=m.states_within, drift=None)
         with pytest.raises(ModelError, match=r"state \(3, 3\)"):
             enumerate_space(embed(m), lambda s: s[0] + s[1] <= 30, lambda s: s == (0, 0))
         with pytest.raises(ModelError, match=r"state \(3, 3\)"):

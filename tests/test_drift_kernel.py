@@ -137,7 +137,8 @@ def test_batched_surplus_equals_per_state_reference(seed, n, jump):
     got = table.surplus(g, slack, exclude)
     want = [ref_drift_excess(model, g, slack, x, exclude) for x in region]
     assert bits(got) == bits(want)
-    assert bits([drift_excess(model, g, slack, x, exclude) for x in region]) == bits(want)
+    assert bits([drift_excess(model, g, slack, x) for x in region]) \
+        == bits([ref_drift_excess(model, g, slack, x) for x in region])
     # a function is evaluated once per state, not once per entry
     calls = []
     counted = lambda x: calls.append(x) or gv[x]
@@ -281,9 +282,9 @@ def test_each_designed_return_set_is_built_once(monkeypatch, make, truncation, b
         result = pipeline.run_pipeline(model, truncation, envelopes=["r", "e"])
     for env in ("r", "e"):
         assert model.certificate_for_envelope(env).return_set \
-            == result.certificates[env][0].return_set
+            == result.certificates[env].return_set
     assert len(calls) == builds
-    shared = result.certificates["r"][0].return_set == result.certificates["e"][0].return_set
+    shared = result.certificates["r"].return_set == result.certificates["e"].return_set
     assert shared == model.drift.shared_return_set
 
 

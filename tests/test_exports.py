@@ -78,7 +78,6 @@ LIBRARY_MODULES = ("bounds", "censor", "ctmc", "linalg", "lyapunov", "models", "
 SETTABLE_VALUES = [
     "linalg.SubstochasticSolver.solve.transpose",
     "lyapunov.DriftCertificate.reports",
-    "lyapunov.drift_excess.exclude",
     "lyapunov.verify_certificate.tolerance",
     "lyapunov.verify_drift.tolerance",
     "models.GM1Model.b",
@@ -123,7 +122,7 @@ def _settable_values(module_name: str) -> list:
 def test_settable_values_are_the_listed_ones():
     found = sorted(v for m in LIBRARY_MODULES for v in _settable_values(m))
     assert found == SETTABLE_VALUES
-    assert len(SETTABLE_VALUES) == 9
+    assert len(SETTABLE_VALUES) == 8
 
 
 def test_no_module_imports_threading():
@@ -144,7 +143,7 @@ def test_no_module_imports_threading():
 
 
 # the tracked size of the library: lower it when src/ shrinks, never raise it unremarked
-SRC_LINES = 2437
+SRC_LINES = 2422
 
 
 def test_src_line_count_does_not_grow():

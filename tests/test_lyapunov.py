@@ -27,6 +27,7 @@ from conftest import (
     stationary_power,
     upper_cycle_rewards,
 )
+from immigration_death import immigration_death
 
 
 class TestVerifyDrift:
@@ -324,6 +325,19 @@ class TestCertificate:
         assert (pairs.return_set, ints.return_set) == (((0, 5), (2, 1)), (1, 2, 3))
         assert type(ints.return_set[0]) is int
         assert (type(ints.radius_r), type(ints.radius_e)) == (int, int)
+
+    @pytest.mark.parametrize("make, env, states, k_star", [
+        (GM1Model, "r", None, 201.0),
+        (GM1Model, "e", None, 4.0),
+        (lambda: immigration_death(5.0, 1.0, 3), "r", None, 24.0),
+        (lambda: ToggleSwitchModel(20.0, 1.0), "r", [(3, 4), (10, 2), (0, 0)], 12.0),
+    ], ids=["gm1-r", "gm1-e", "imdeath-width-3", "toggle-explicit"])
+    def test_k_star_is_the_largest_coordinate_sum_of_the_return_set(
+            self, make, env, states, k_star):
+        # the smallest range or simplex size that holds K, as a float
+        cert = make().certificate_for_envelope(env, states)
+        assert type(cert.k_star) is float
+        assert cert.k_star == k_star
 
     @pytest.mark.parametrize("states", [[{}], [[0, [1]]], [[0], [1, 2]], [0.5]],
                              ids=["object", "nested", "ragged", "float"])

@@ -34,7 +34,7 @@ def rank_major_toggle(ts: ToggleSwitchModel):
     (every state's first channel, then every state's second, ...)."""
     jump = JumpModel(name="toggle-rank-major", seed=ts.seed,
                      rate_rows=batch_model(ts.rate_row).rows,
-                     norm=ts.norm, states_within=ts.states_within, drift=None)
+                     states_within=ts.states_within, drift=None)
     return embed(jump)
 
 
@@ -187,6 +187,19 @@ def test_certificate_functions_are_built_once(model, env):
 def test_certificate_recipe_rejects(model, env, message):
     with pytest.raises(ModelError, match=message):
         model.certificate_for_envelope(env)
+
+
+def toggle20(**params) -> ToggleSwitchModel:
+    return ToggleSwitchModel(**{"lam": 20.0, "mu": 1.0, **params})
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("make, param", [
+    (GM1Model, "mu"), (GM1Model, "b"), (toggle20, "lam"), (toggle20, "mu"),
+], ids=["gm1-mu", "gm1-b", "toggle-lam", "toggle-mu"])
+def test_non_finite_parameter_rejected(make, param, value):
+    with pytest.raises(ModelError, match="must be positive and finite"):
+        make(**{param: value})
 
 
 class TestUserModel:
@@ -373,10 +386,10 @@ class TestBatchHooksOnly:
                     np.concatenate([np.ones(len(x)), np.full(len(down), 2.0)]))
 
         within = lambda radius: np.arange(int(radius) + 1)
-        walk = DiscreteModel(name="walk", seed=0, rows=walk_rows, norm=None,
+        walk = DiscreteModel(name="walk", seed=0, rows=walk_rows,
                              states_within=within, drift=None)
         jump = JumpModel(name="birth-death", seed=0, rate_rows=birth_death_rates,
-                         norm=float, states_within=within, drift=None)
+                         states_within=within, drift=None)
         g = lambda x: 10.0 * x
         for model, chain in ((walk, walk), (jump, embed(jump))):
             space, part = enumerate_space(chain, lambda s: s <= 30, lambda s: s == 0)

@@ -96,7 +96,7 @@ def test_return_set_state_outside_the_block_is_found_before_the_lu(monkeypatch):
                                 np.ones(len(odd))]))
 
     g = lambda x: 2.0 * x
-    model = DiscreteModel(name="evens", seed=0, rows=rows, norm=float,
+    model = DiscreteModel(name="evens", seed=0, rows=rows,
                           states_within=lambda radius: np.arange(int(radius) + 1),
                           drift=DriftData(g, g, lambda x: x, 4, 4, False, True))
     solvers = []
@@ -287,8 +287,7 @@ def certify(model, envelopes, staged: bool):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         if staged:
-            certs = {env: cert for env, (cert, _) in
-                     pipeline.verified_certificates(model, envelopes, None).items()}
+            certs = pipeline.verified_certificates(model, envelopes, None)
         else:
             certs = {env: fresh(lyapunov.verify_certificate, model,
                                 fresh(model.certificate_for_envelope, env))
@@ -364,7 +363,7 @@ class TestSweep:
         swept = pipeline.run_sweep(gm1, levels, envelopes=["r", "e"],
                                    explicit_return_set=None, with_distribution=False)
         for single, result in zip(singles, swept, strict=True):
-            assert [len(cert.return_set) for cert, _ in single.certificates.values()] == [202, 5]
+            assert [len(cert.return_set) for cert in single.certificates.values()] == [202, 5]
             for env in ("r", "e"):
                 assert without_timings(result.reports[env]) == without_timings(single.reports[env])
         config = sweep_config(tmp_path, {"name": "gm1", "params": {"mu": 1.0, "b": 2.01}},
@@ -429,10 +428,10 @@ class TestSweep:
         certs = {}
 
         def counting_certificates(*args):
-            for env, (cert, k_star) in verified(*args).items():
+            for env, cert in verified(*args).items():
                 certs[env] = dataclasses.replace(cert, envelope=counting(cert.envelope),
                                                  g_r=counting(cert.g_r), g_e=counting(cert.g_e))
-            return {env: (cert, k_star) for env, cert in certs.items()}
+            return dict(certs)
 
         levels = TOGGLE_LEVELS[::-1]              # the largest first
         with warnings.catch_warnings():

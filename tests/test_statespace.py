@@ -27,7 +27,7 @@ def walk_row(x):
 
 
 def lattice_walk():
-    return batch_model(walk_row, name="walk", norm=lambda s: float(s))
+    return batch_model(walk_row, name="walk")
 
 
 class TestEnumerate:
@@ -131,7 +131,7 @@ class TestEnumerate:
     def test_hook_entries_must_match_its_states(self, pos):
         # two entries from the seed, the frontier's only state
         model = DiscreteModel(name="bad", seed=0, rows=lambda states: (pos, [1, 2], [0.5, 0.5]),
-                              norm=None, states_within=None, drift=None)
+                              states_within=None, drift=None)
         with pytest.raises(ModelError, match="do not match its states"):
             enumerate_space(model, lambda s: s <= 10, lambda s: s == 0)
         with pytest.raises(ModelError, match="do not match its states"):   # and drift checks
@@ -351,7 +351,7 @@ def test_rows_hook_weighs_the_set_by_coordinates():
             pos, targets, p = zip(*[(i, y, q) for i, x in enumerate(coords[:, 0].tolist())
                                     for y, q in walk_row(x)])
             return pos, targets, p, weigh(coords[:, 0])
-        return DiscreteModel(name="weighted", seed=0, rows=rows, norm=None,
+        return DiscreteModel(name="weighted", seed=0, rows=rows,
                              states_within=None, drift=None)
 
     space, part = enumerate_space(weighted(lambda x: 1.0 + x), lambda s: s <= 10, lambda s: s <= 2)
@@ -464,7 +464,7 @@ class TestStateWidth:
         # int states, but the hook gives each target as a pair
         model = DiscreteModel(name="wide", seed=0,
                               rows=lambda states: ([0], np.array([[1, 0]]), [1.0]),
-                              norm=None, states_within=None, drift=None)
+                              states_within=None, drift=None)
         with pytest.raises(ModelError, match="batch row hook have 2 coordinates, not 1"):
             enumerate_space(model, lambda s: s <= 10, lambda s: s == 0)
 
@@ -472,7 +472,7 @@ class TestStateWidth:
     def test_row_hook_targets_ragged_or_nested_rejected(self, targets):
         model = DiscreteModel(name="ragged", seed=0,
                               rows=lambda states: ([0, 0], targets, [0.5, 0.5]),
-                              norm=None, states_within=None, drift=None)
+                              states_within=None, drift=None)
         with pytest.raises(ModelError, match="batch row hook must be ints or int tuples"):
             enumerate_space(model, lambda s: s <= 10, lambda s: s == 0)
 
