@@ -120,8 +120,7 @@ def _tau_stable(G: np.ndarray, z: int) -> TauFamily:
     if D < -noise:
         raise NumericalError(
             f"deleted-state denominator {D:.3e} is negative beyond the noise "
-            f"floor {noise:.3e}; the censored matrix is super-stochastic"
-        )
+            f"floor {noise:.3e}; the censored matrix is super-stochastic")
     # a denominator inside the cancellation band is numerically zero: keeping
     # it would inject noise-level spread into the rows, so collapse to the
     # leak-free limit instead (all rows equal)
@@ -158,8 +157,7 @@ class CensoredApprox:
             raise IrreducibilityError(
                 "censored matrix is reducible: some K states cannot reach each "
                 "other through paths inside A; the bound construction requires "
-                "an irreducible censored matrix (choose K and A accordingly)"
-            )
+                "an irreducible censored matrix (choose K and A accordingly)")
         return self.G
 
     @cached_property
@@ -169,11 +167,9 @@ class CensoredApprox:
             bad = int(np.argmin(self.row_mass))
             raise ModelError(
                 f"K state at index {bad} cannot reach K again inside A "
-                "(zero censored row sum); enlarge A or shrink K"
-            )
+                "(zero censored row sum); enlarge A or shrink K")
         P2 = self._irreducible_G / self.row_mass[:, None]
-        pi2 = stationary_small(P2)
-        return P2, pi2
+        return P2, stationary_small(P2)
 
     @cached_property
     def tau(self) -> TauFamily:
@@ -247,8 +243,7 @@ class TruncationWorkspace:
         mass = G.sum(axis=1)
         if np.any(mass > 1.0 + ROW_SUM_SLACK):
             raise NumericalError(
-                f"censored row mass {mass.max()!r} exceeds 1 beyond tolerance"
-            )
+                f"censored row mass {mass.max()!r} exceeds 1 beyond tolerance")
         self._censored = CensoredApprox(G=G, row_mass=mass)
         return self._censored
 

@@ -58,10 +58,5 @@ def embed(jump):
         pos, rates = pos[keep], rates[keep]
         return pos, targets[keep], rates / lam[pos], 1.0 / lam
 
-    return DiscreteModel(
-        name=f"{jump.name}-embedded",
-        seed=jump.seed,
-        rows=rows,
-        states_within=jump.states_within,
-        drift=None,
-    )
+    return DiscreteModel(name=f"{jump.name}-embedded", seed=jump.seed, rows=rows,
+                         states_within=jump.states_within, drift=None)

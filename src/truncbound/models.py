@@ -44,7 +44,10 @@ class Model:
         Without ``return_set``, each gets its designed one, built once per
         model: where either drift fails inside the larger radius, or for
         ``"e"`` without ``shared_return_set`` where g2's own drift fails."""
-        d = self.drift
+        try:
+            d = self.drift
+        except OverflowError as exc:    # a finite parameter too large for the drift data
+            raise ModelError(f"model {self.name!r}: drift data overflow: {exc.args[-1]}") from exc
         if d is None:
             raise ModelError(f"model {self.name!r} has no drift data to certify")
         if envelope_id not in ("r", "e"):

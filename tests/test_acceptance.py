@@ -207,7 +207,7 @@ def test_toggle20_sweep_and_marginals_as_benchmark_recorded(tmp_path):
                               explicit_k_predicate(cert.return_set))
     ws = TruncationWorkspace(part)
     inputs = evaluate_certificate(cert, part, envelope_id="e")
-    counts = np.array(part.space.states)
+    counts = part.space.coords
     intervals = [list(reward_interval(ws, inputs, (counts[:, species] == j).astype(float)))
                  for species in (0, 1) for j in range(201)]
     assert _recorded("toggle20-marginals", {"indicators": intervals})

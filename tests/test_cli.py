@@ -322,6 +322,17 @@ class TestVerify:
         assert main(["verify", str(path)]) == 1
         assert "config error: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("model", [
+        {"name": "toggle", "params": {"lam": 1e200, "mu": 1.0}},
+        {"name": "gm1", "params": {"mu": 1e-150, "b": 1e152}},
+    ], ids=["toggle-lam-1e200", "gm1-b-1e152"])
+    def test_parameter_overflowing_the_drift_data_is_a_config_error(self, tmp_path, capsys,
+                                                                     model):
+        path, _ = write_config(tmp_path, model=model)
+        assert main(["verify", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "drift data overflow" in err
+
     def test_toggle_verify(self, tmp_path, capsys):
         path, _ = write_config(
             tmp_path,

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -119,6 +120,73 @@ class TestResidualCheck:
         finally:
             tracemalloc.stop()
         assert peak < X.nbytes
+
+
+def wrong_factorization(rng, n=30):
+    """A solver whose residual check reads I - 1.01 M while its LU is of I - M."""
+    M = random_substochastic(rng, n)
+    solver = SubstochasticSolver(M)
+    solver._A = sp.identity(n, format="csc") - sp.csc_matrix(1.01 * M)
+    return solver, M
+
+
+class TestScaledSolve:
+    """``solve`` scales each column by 2^k, its largest magnitude near 2^256."""
+
+    @given(seed=st.integers(0, 10_000))
+    @settings(max_examples=40, deadline=None)
+    def test_normal_range_bits_equal_the_unscaled_solve(self, seed):
+        r = np.random.default_rng(seed)
+        n, m = int(r.integers(1, 40)), int(r.integers(1, 6))
+        M = random_substochastic(r, n) * (r.random((n, n)) < 0.3)
+        solver = SubstochasticSolver(sp.csr_matrix(M))
+        B = r.standard_normal((n, m)) * 10.0 ** r.integers(-100, 100, m)
+        for transpose in (False, True):
+            want = solver._lu.solve(B, trans="T" if transpose else "N")
+            assert solver.solve(B, transpose=transpose).tobytes() == want.tobytes()
+            assert solver.solve(B[:, 0], transpose=transpose).tobytes() == want[:, 0].tobytes()
+
+    @pytest.mark.parametrize("size", [1.0, 1e-300])
+    def test_wrong_factorization_raises_at_any_scale(self, rng, size):
+        solver, _ = wrong_factorization(rng)
+        with pytest.raises(NumericalError, match="residual check failed"):
+            solver.solve(rng.random((30, 3)) * size)
+
+    def test_error_message_is_in_the_callers_units(self, rng):
+        solver, M = wrong_factorization(rng)
+        b = rng.random(30) * 1e-300
+        x = np.linalg.solve(np.eye(30) - M, b)
+        residual = np.abs(0.01 * (M @ x)).max()          # (I - 1.01 M) x - b
+        tol = 1e-9 * max(b.max(), solver.operator_norm * x.max())
+        with pytest.raises(NumericalError) as info:
+            solver.solve(b)
+        got = re.search(r"residual (\S+) > tol (\S+)$", str(info.value))
+        assert float(got[1]) == pytest.approx(residual, rel=1e-3)
+        assert float(got[2]) == pytest.approx(tol, rel=1e-3)
+
+    def test_callers_array_is_unchanged(self, rng):
+        solver = SubstochasticSolver(random_substochastic(rng, 20))
+        B = rng.random((20, 3)) * 1e-200
+        kept = B.copy()
+        solver.solve(B)
+        solver.solve(B[:, 1], transpose=True)
+        assert B.tobytes() == kept.tobytes()
+
+    def test_all_zero_column_solves_to_exact_zeros(self, rng):
+        solver = SubstochasticSolver(random_substochastic(rng, 20))
+        B = rng.random((20, 3))
+        B[:, 1] = 0.0
+        X = solver.solve(B)
+        assert np.all(X[:, 1] == 0.0) and np.all(X[:, [0, 2]] > 0.0)
+        assert np.all(solver.solve(np.zeros(20)) == 0.0)
+
+    @pytest.mark.parametrize("b", [
+        [2.0 ** 1000, 2.0 ** -1000],   # scaled down, 2^-1000 would fall below 2^-1074
+        [2.0 ** -1060, 2.0 ** -1074],  # k is capped at 1022, so 2^-k is normal, not 0
+    ], ids=["above-2^256", "subnormal"])
+    def test_identity_system_returns_its_right_hand_side(self, b):
+        b = np.array(b)
+        assert SubstochasticSolver(np.zeros((2, 2))).solve(b).tobytes() == b.tobytes()
 
 
 class TestStationarySmall:

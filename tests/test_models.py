@@ -183,7 +183,10 @@ def test_certificate_functions_are_built_once(model, env):
     (batch_model(lambda x: [(0, 1.0)], name="explored"), "r",
      "model 'explored' has no drift data"),
     (GM1Model(), "m", r"unknown envelope 'm' \(use 'r' or 'e'\)"),
-], ids=["no-drift-data", "unknown-envelope"])
+    # finite parameters whose drift radii (toggle) or service-count moments (gm1) overflow
+    (ToggleSwitchModel(1e200, 1.0), "r", r"model 'toggle\(1e\+200,1\)': drift data overflow"),
+    (GM1Model(mu=1e-150, b=1e152), "e", "drift data overflow: Numerical result out of range"),
+], ids=["no-drift-data", "unknown-envelope", "toggle-lam-1e200", "gm1-b-1e152"])
 def test_certificate_recipe_rejects(model, env, message):
     with pytest.raises(ModelError, match=message):
         model.certificate_for_envelope(env)
