@@ -44,12 +44,14 @@ class SubstochasticSolver:
             self.operator_norm = 1.0
         else:
             self._mode = "sparse"
-            # one copy of I - M, in CSC: splu takes it as it is, and _check reads it
-            self._A = A = sp.identity(n, format="csc") - sp.csc_matrix(M)
+            A = sp.identity(n, format="csc") - sp.csc_matrix(M)
             # set here, not on first use: concurrent solves read it in _check
             self.operator_norm = float(np.bincount(A.indices, np.abs(A.data), n).max())
+            # _A, the one copy: I - M in CSC, a band's columns in COLAMD's order
+            self._cols = cols = _band_order(A)
+            self._A = A = A if cols is None else A[:, cols]
             try:
-                self._lu = spla.splu(A)
+                self._lu = spla.splu(A, permc_spec="COLAMD" if cols is None else "NATURAL")
             except RuntimeError as exc:
                 raise NumericalError(f"sparse LU of (I - M) failed: {exc}") from exc
 
@@ -91,13 +93,28 @@ class SubstochasticSolver:
             raise NumericalError("non-finite right-hand side")
         # one multiply by 2^k per column: np.ldexp over all of B costs ~25 multiplies
         k = np.clip(256 - np.frexp(np.maximum(B.max(axis=0), -B.min(axis=0)))[1], 0, 1022)
-        B = B * np.ldexp(1.0, k)
+        B = (B[self._cols] if transpose and self._cols is not None else B) * np.ldexp(1.0, k)
         X = self._lu.solve(B, trans="T" if transpose else "N")
         if not np.all(np.isfinite(X)):
             raise NumericalError("singular-to-working-precision (I - M) system")
         self._check(X, B, transpose, k)
         X *= np.ldexp(1.0, -k)
+        if self._cols is not None and not transpose:   # x[cols] = y; X stays in Fortran order
+            X[self._cols] = X.copy()
         return X[:, 0] if single else X
+
+
+def _band_order(A) -> np.ndarray | None:
+    """SuperLU's COLAMD order (``A Pc = A[:, order]``) of a full band, row i holding
+    columns i+1 down to i-w: columns n-1 down to w+1, then 0 to w, while w >= 2,
+    n >= 2w + 2 and no column is dense ((w + 2)^2 <= 100 n).  Else None."""
+    n, ptr = A.shape[0], A.indptr
+    w = int(A.indices[ptr[1] - 1]) if ptr[1] else 0    # column 0's last row, in a band
+    if (w < 2 or n < 2 * w + 2 or (w + 2) ** 2 > 100 * n      # no O(nnz) work off a band
+            or A.nnz != n * (w + 2) - 1 - w * (w + 1) // 2 or not A.has_canonical_format):
+        return None
+    off = A.indices - np.repeat(np.arange(n, dtype=A.indices.dtype), np.diff(ptr))  # row - col
+    return np.r_[n - 1:w:-1, :w + 1] if off.min() >= -1 and off.max() <= w else None
 
 
 def stationary_small(P) -> np.ndarray:

@@ -32,6 +32,14 @@ GM1_COEFFICIENTS = (300.0, 300.0, 300.0)   # c1, c2, c3 of the queue's g1, g2, g
 TOGGLE_MOMENT_ALPHA = 4.0                  # g3 = alpha * g1 on the toggle's moment route
 
 
+def _ball_top(radius: float, width: int) -> int:
+    """The ball's largest coordinate sum; ModelError if numpy cannot index its states."""
+    top = int(math.floor(radius))
+    if (top + 1) ** width > np.iinfo(np.intp).max:     # at least its number of states
+        raise ModelError(f"the ball of radius {radius} has too many states to enumerate")
+    return top
+
+
 class Model:
     """A model's one certificate recipe, fed by its ``drift`` data (a
     :class:`~truncbound.lyapunov.DriftData`, or None for a model that is only
@@ -199,7 +207,7 @@ class GM1Model(Model):
         return np.arange(len(x)).repeat(n), (x.repeat(n) * a[e] + b[e])[:, None], p[e]
 
     def states_within(self, radius: float) -> np.ndarray:
-        return np.arange(int(math.floor(radius)) + 1)
+        return np.arange(_ball_top(radius, 1) + 1)
 
     # -- exact equilibrium -----------------------------------------------------
 
@@ -330,7 +338,7 @@ class ToggleSwitchModel(Model):
 
     def states_within(self, radius: float) -> np.ndarray:
         """The states whose counts sum to at most ``radius``, by that sum, then by x1."""
-        top = int(math.floor(radius))
+        top = _ball_top(radius, 2)
         total = np.repeat(np.arange(top + 1), np.arange(1, top + 2))
         x1 = np.arange(total.size) - total * (total + 1) // 2
         return np.column_stack([x1, total - x1])

@@ -9,7 +9,6 @@ and assembles the bound reports plus the induced equilibrium approximation.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .bounds import compute_bounds, timed
@@ -78,18 +77,11 @@ def run_pipeline(model, truncation: dict, *, envelopes,
     explored once and cut over the first return set; each further return
     set's partition is a K-first permutation of the first, and envelopes
     whose certificates designate the same return set share one partition,
-    the first envelope's giving the distribution.  The bounds of each return
-    set but the last are computed on one worker thread while this thread
-    partitions and factorizes the next; every quantity comes from the same
-    call on the same data as a serial run, and errors surface in serial
-    order.  ``timings`` holds this thread's stages, which are disjoint and
-    add up to ``total``.  Each return set has a ``certificate[...]`` stage
-    (its certificates' evaluations) and then a ``factorize[...]`` stage (its
-    workspace, with the LU of ``I - P22``), and each after the first a
-    ``repartition[...]`` stage, named by its envelope ids; the last return
-    set's bounds are ``bounds[...]``, and ``wait`` is the wait for the
-    worker's reports.  A report's own ``timings`` split its bounds, on
-    whichever thread computed them.
+    the first envelope's giving the distribution.  Return sets are bounded
+    in turn, each in stages named by its envelope ids: ``repartition[...]``
+    (all but the first), ``certificate[...]``, ``factorize[...]`` (workspace
+    and LU) and ``bounds[...]``; ``distribution`` follows the first one's.
+    The ``timings`` add up to ``total``; a report's own split its bounds.
     """
     return next(run_sweep(model, [truncation], envelopes=envelopes,
                           explicit_return_set=explicit_return_set,
@@ -141,39 +133,22 @@ def _bound(part, certs: dict, by_return_set: dict, timings: dict,
            with_distribution: bool) -> tuple[dict, tuple | None]:
     """Reports on ``part`` (over the first return set) and its repartitions,
     by envelope id, and the distribution (or None); stages go to ``timings``."""
-    last = len(by_return_set) - 1
-    submitted = []                    # (envelope id, future report) on the worker
-    primary = None                    # the first group's workspace: it holds envelopes[0]
-    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="truncbound-worker") as worker:
-        try:
-            for i, (return_set, env_group) in enumerate(by_return_set.items()):
-                envs = ",".join(env_group)
-                if i > 0:
-                    with timed(timings, f"repartition[{envs}]"):
-                        _, part = repartition(part, explicit_k_predicate(return_set))
-                with timed(timings, f"certificate[{envs}]"):   # no LU for a mismatched block
-                    group = [(env, evaluate_certificate(certs[env], part, envelope_id=env))
-                             for env in env_group]
-                with timed(timings, f"factorize[{envs}]"):
-                    ws = TruncationWorkspace(part)
-                primary = primary or ws
-                if i < last:
-                    submitted += [(env, worker.submit(compute_bounds, ws, inputs))
-                                  for env, inputs in group]
-            with timed(timings, f"bounds[{envs}]"):   # nothing is left to prepare: no worker
-                inline = [(env, compute_bounds(ws, inputs)) for env, inputs in group]
-        except Exception:
-            for _, job in submitted:    # an earlier job's error came first serially
-                job.result()
-            raise
-        with timed(timings, "wait"):
-            reports = dict([(env, job.result()) for env, job in submitted] + inline)
-
-    if not with_distribution:
-        return reports, None
-    with timed(timings, "distribution"):
-        distribution = primary.partition.space, \
-            primary.approx_distribution(primary.censored().row_normalized[1])
+    reports, distribution = {}, None
+    for i, (return_set, env_group) in enumerate(by_return_set.items()):
+        envs = ",".join(env_group)
+        if i > 0:
+            with timed(timings, f"repartition[{envs}]"):
+                _, part = repartition(part, explicit_k_predicate(return_set))
+        with timed(timings, f"certificate[{envs}]"):   # no LU for a mismatched block
+            group = [(e, evaluate_certificate(certs[e], part, envelope_id=e)) for e in env_group]
+        with timed(timings, f"factorize[{envs}]"):
+            ws = TruncationWorkspace(part)
+        with timed(timings, f"bounds[{envs}]"):
+            reports.update((env, compute_bounds(ws, inputs)) for env, inputs in group)
+        if i == 0 and with_distribution:    # the first group holds envelopes[0]
+            with timed(timings, "distribution"):
+                distribution = part.space, ws.approx_distribution(ws.censored().row_normalized[1])
+        del ws                        # before the next LU
     return reports, distribution
 
 

@@ -333,6 +333,16 @@ class TestVerify:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and "drift data overflow" in err
 
+    @pytest.mark.parametrize("lam", [1e20, 1e150])
+    def test_ball_too_large_to_index_is_a_config_error(self, tmp_path, capsys, lam):
+        # finite radii, but K's candidate ball has more states than numpy can index
+        path, _ = write_config(tmp_path,
+                               model={"name": "toggle", "params": {"lam": lam, "mu": 1.0}},
+                               truncation={"kind": "simplex", "level": 60})
+        assert main(["verify", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: the ball of radius ") and "too many states" in err
+
     def test_toggle_verify(self, tmp_path, capsys):
         path, _ = write_config(
             tmp_path,

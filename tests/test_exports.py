@@ -126,8 +126,8 @@ def test_settable_values_are_the_listed_ones():
 
 
 def test_no_module_imports_threading():
-    # every thread the library starts is the one worker of an executor
-    # opened in a with block (censor._two_lanes, pipeline._bound)
+    # the one thread the library starts is the helper lane of the censored
+    # solves, the worker of an executor opened in a with block (censor._two_lanes)
     importers = []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):

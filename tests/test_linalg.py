@@ -4,11 +4,17 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from truncbound import censor
+from truncbound.ctmc import embed
 from truncbound.errors import NumericalError, ReducibleMatrixError
-from truncbound.linalg import SubstochasticSolver, is_irreducible, stationary_small
+from truncbound.linalg import SubstochasticSolver, _band_order, is_irreducible, stationary_small
+from truncbound.models import GM1Model, ToggleSwitchModel
+from truncbound.pipeline import run_pipeline, truncation_predicate
+from truncbound.statespace import cut, explicit_k_predicate, explore
 
 import perron_reference
 from conftest import random_stochastic, stationary_power
@@ -187,6 +193,101 @@ class TestScaledSolve:
     def test_identity_system_returns_its_right_hand_side(self, b):
         b = np.array(b)
         assert SubstochasticSolver(np.zeros((2, 2))).solve(b).tobytes() == b.tobytes()
+
+
+def band(rng, n, w, upper=1):
+    """A substochastic M whose I - M holds the full band: row i has columns
+    i+upper down to i-w."""
+    offsets = range(-w, upper + 1)
+    M = sp.diags([rng.random(n - abs(d)) + 0.1 for d in offsets], offsets, format="csr")
+    return sp.diags(0.9 / np.asarray(M.sum(axis=1)).ravel()) @ M
+
+
+def colamd_order(M) -> np.ndarray:
+    """The columns of I - M in SuperLU's COLAMD order: I - M times Pc is (I - M)[:, order]."""
+    return np.argsort(spla.splu(sp.identity(M.shape[0], format="csc") - sp.csc_matrix(M)).perm_c)
+
+
+class TestBandOrder:
+    """A full band is factored in COLAMD's column order, given in closed form."""
+
+    @pytest.mark.parametrize("n, w", [
+        (6, 2), (7, 2), (50, 2), (1000, 2), (22, 10), (23, 10), (400, 10), (382, 190),
+        (383, 190), (1799, 190), (9799, 190), (9996, 190), (409, 200), (2000, 300),
+    ])
+    def test_rule_is_colamds_order(self, rng, n, w):
+        M = band(rng, n, w)
+        order = _band_order(sp.identity(n, format="csc") - sp.csc_matrix(M))
+        assert np.array_equal(order, colamd_order(M))
+        assert np.array_equal(order, np.r_[n - 1:w:-1, :w + 1])
+
+    @pytest.mark.parametrize("n, w", [
+        (4, 2), (5, 2), (12, 10), (21, 10), (192, 190), (381, 190),   # n < 2w + 2
+        (408, 200), (1600, 400),                                       # dense columns
+    ])
+    def test_closed_form_is_not_colamds_outside_the_rule(self, rng, n, w):
+        M = band(rng, n, w)
+        assert _band_order(sp.identity(n, format="csc") - sp.csc_matrix(M)) is None
+        assert not np.array_equal(np.r_[n - 1:w:-1, :w + 1], colamd_order(M))
+
+    def test_other_patterns_keep_colamd(self, rng):
+        missing = band(rng, 300, 5).tolil()
+        missing[200, 196] = 0.0
+        blocks = {
+            "tridiagonal": band(rng, 300, 1),
+            "missing entry": sp.csr_matrix(missing),
+            "upper bandwidth 2": band(rng, 300, 5, upper=2),
+            "toggle": toggle_block(),
+        }
+        for name, M in blocks.items():
+            solver = SubstochasticSolver(M)
+            assert solver._cols is None, name
+            assert np.array_equal(solver._lu.perm_c, spla.splu(solver._A).perm_c), name
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_solves_are_bits_of_a_colamd_lu(self, rng, transpose):
+        n = 1000
+        M = band(rng, n, 20)
+        solver = SubstochasticSolver(M)
+        assert solver._cols is not None
+        lu = spla.splu(sp.identity(n, format="csc") - sp.csc_matrix(M))
+        B = rng.standard_normal((n, 5))
+        want = lu.solve(B, trans="T" if transpose else "N")
+        X = solver.solve(B, transpose=transpose)
+        assert X.tobytes(order="A") == want.tobytes(order="A")
+        assert X.flags.f_contiguous                     # the layout of the plain solve's
+        assert solver.solve(B[:, 3], transpose=transpose).tobytes() == want[:, 3].tobytes()
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_wrong_factorization_raises_through_the_permuted_path(self, rng, transpose):
+        n = 500
+        M = band(rng, n, 10)
+        solver = SubstochasticSolver(M)
+        wrong = sp.identity(n, format="csc") - sp.csc_matrix(1.01 * M)
+        solver._A = wrong[:, solver._cols]
+        with pytest.raises(NumericalError, match="residual check failed"):
+            solver.solve(rng.random((n, 3)), transpose=transpose)
+
+    def test_gm1_blocks_take_the_rule(self, monkeypatch):
+        solvers = []
+
+        def recorded(M):
+            solvers.append(SubstochasticSolver(M))
+            return solvers[-1]
+
+        monkeypatch.setattr(censor, "SubstochasticSolver", recorded)
+        run_pipeline(GM1Model(), {"kind": "range", "max": 2000}, envelopes=["r", "e"])
+        assert [s.n for s in solvers] == [1799, 1996]
+        for s in solvers:
+            assert s._cols is not None and np.array_equal(s._lu.perm_c, np.arange(s.n))
+
+
+def toggle_block():
+    """``P22`` of toggle20 at level 40, cut over the ``r`` return set."""
+    model = ToggleSwitchModel(20.0, 1.0)
+    pred = truncation_predicate(model, {"kind": "simplex", "level": 40})
+    return_set = model.certificate_for_envelope("r").return_set
+    return cut(explore(embed(model), pred), pred, explicit_k_predicate(return_set))[1].P22
 
 
 class TestStationarySmall:

@@ -192,6 +192,17 @@ def test_certificate_recipe_rejects(model, env, message):
         model.certificate_for_envelope(env)
 
 
+@pytest.mark.parametrize("model, radius, message, states_to_3", [
+    (GM1Model(), 1e19, r"radius 1e\+19 has too many states", 4),
+    (ToggleSwitchModel(20.0, 1.0), 4e9, r"radius 4000000000.0 has too many states", 10),
+], ids=["gm1", "toggle"])
+def test_ball_numpy_cannot_index_is_a_model_error(model, radius, message, states_to_3):
+    # raised before any array of the ball is allocated
+    with pytest.raises(ModelError, match=message):
+        model.states_within(radius)
+    assert len(model.states_within(3)) == states_to_3
+
+
 def toggle20(**params) -> ToggleSwitchModel:
     return ToggleSwitchModel(**{"lam": 20.0, "mu": 1.0, **params})
 

@@ -133,8 +133,8 @@ class TestSharedEnumeration:
         first, second = envelopes
         assert set(both.timings) == {
             "certificates", "explore", "cut", f"factorize[{first}]", f"certificate[{first}]",
-            f"repartition[{second}]", f"factorize[{second}]", f"certificate[{second}]",
-            f"bounds[{second}]", "wait", "distribution", "total"}
+            f"bounds[{first}]", f"repartition[{second}]", f"factorize[{second}]",
+            f"certificate[{second}]", f"bounds[{second}]", "distribution", "total"}
         for env in envelopes:
             single = run_pipeline(gm1, truncation, envelopes=[env])
             assert without_timings(both.reports[env]) == without_timings(single.reports[env])
@@ -167,8 +167,7 @@ GM1_2000 = {"kind": "range", "max": 2000}
     (lambda: ToggleSwitchModel(20.0, 1.0), {"kind": "simplex", "level": 100}),
 ], ids=["gm1", "toggle20"])
 def test_stages_add_up_to_the_total(make, truncation):
-    # every stage but total is a disjoint stage of the main thread, the
-    # inline bounds and the wait for the worker included
+    # every stage but total is a disjoint stage, the bounds included
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)   # toggle: rate domination
         timings = dict(run_pipeline(make(), truncation, envelopes=["r", "e"]).timings)
@@ -197,30 +196,37 @@ class MainFailure(Exception):
 
 
 class TestOverlap:
-    def test_next_partition_is_built_while_bounds_run(self, monkeypatch):
-        # r's bounds wait until the main thread repartitions for e: a serial
-        # pipeline would time out here
-        repartitioned = threading.Event()
-        compute_bounds, repartition = pipeline.compute_bounds, pipeline.repartition
-        on_main = {}
+    """Return sets are bounded one after another, on the calling thread."""
 
-        def waiting(ws, inputs, **kwargs):
-            on_main[inputs.envelope_id] = threading.current_thread() is threading.main_thread()
-            if inputs.envelope_id == "r":
-                assert repartitioned.wait(timeout=60)
-            return compute_bounds(ws, inputs, **kwargs)
+    def test_two_return_sets_start_no_thread_but_the_lanes(self, monkeypatch):
+        # the censored solves' helper lane is the only thread a run starts
+        started = []
+        start = threading.Thread.start
 
-        def signalling(*args):
-            out = repartition(*args)
-            repartitioned.set()
-            return out
+        def recording(thread):
+            started.append(thread.name)
+            start(thread)
 
-        monkeypatch.setattr(pipeline, "compute_bounds", waiting)
-        monkeypatch.setattr(pipeline, "repartition", signalling)
+        monkeypatch.setattr(threading.Thread, "start", recording)
         result = run_pipeline(GM1Model(), GM1_2000, envelopes=["r", "e"])
         assert list(result.reports) == ["r", "e"]
-        # the last return set's bounds have nothing to overlap with
-        assert on_main == {"r": False, "e": True}
+        assert {name.rsplit("_", 1)[0] for name in started} <= {"truncbound-lane"}
+
+    def test_first_workspace_is_freed_before_the_second_is_built(self, monkeypatch):
+        workspaces = []
+        alive_at_build = []
+        workspace = pipeline.TruncationWorkspace
+
+        def built(part):
+            alive_at_build.append([ref() is not None for ref in workspaces])
+            ws = workspace(part)
+            workspaces.append(weakref.ref(ws))
+            return ws
+
+        monkeypatch.setattr(pipeline, "TruncationWorkspace", built)
+        result = run_pipeline(GM1Model(), GM1_2000, envelopes=["r", "e"])
+        assert alive_at_build == [[], [False]]
+        assert result.distribution is not None
 
     def test_one_return_set_starts_no_thread(self, monkeypatch):
         threads = threading.active_count()
@@ -405,8 +411,7 @@ class TestSweep:
             results = list(pipeline.run_sweep(
                 ToggleSwitchModel(20.0, 1.0), TOGGLE_LEVELS, envelopes=["r", "e"],
                 explicit_return_set=None, with_distribution=False))
-        level_stages = {"cut", "factorize[r,e]", "certificate[r,e]", "bounds[r,e]", "wait",
-                        "total"}
+        level_stages = {"cut", "factorize[r,e]", "certificate[r,e]", "bounds[r,e]", "total"}
         assert [set(r.timings) for r in results] == [
             level_stages | {"certificates", "explore"}, level_stages]
         first = results[0].timings
