@@ -208,7 +208,7 @@ def reward_interval(ws: TruncationWorkspace, inputs: BoundInputs,
     pos = np.clip(f_A, 0.0, None)
     neg = np.clip(-f_A, 0.0, None)
     parts = [w for w in (pos, neg) if w.any()] or [pos]
-    # one contiguous column per part: the solve's residual check reduces by column
+    # a contiguous column per part, in one solve: its width is in SuperLU's last bits
     kl = ws.kappa_lower((np.array(parts) * unit).T)
     intervals = [minorization_bounds(tau, kl_w, kl_w + beta1, kl_e, ku_e) for kl_w in kl.T]
     if len(parts) == 2:

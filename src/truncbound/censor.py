@@ -24,8 +24,8 @@ from .linalg import SubstochasticSolver, is_irreducible, stationary_small
 from .statespace import Partition
 
 ROW_SUM_SLACK = 1e-12
-# right-hand sides per censored solve block; narrow blocks keep each lane's
-# dense |A'| x 8 temporaries small enough for the allocator to reuse them
+# right-hand sides per censored solve: narrow blocks keep each lane's |A'| x 8 temporaries
+# reusable; SuperLU rounds 1- or 2-column calls unlike wider ones, so 8 is in recorded bits
 RHS_CHUNK = 8
 
 

@@ -8,8 +8,7 @@ for the timing fields, provided the BLAS thread count is fixed (``--threads``).
 The config format is documented in docs/config.schema.json; reports follow
 docs/report.schema.json and sweep CSVs are plot-ready (one row per
 truncation size).  A sweep certifies and explores its largest truncation
-once, cutting every level from it; errors there surface before any bounds.
-"""
+once, cutting every level from it; errors there surface before any bounds."""
 
 from __future__ import annotations
 
@@ -57,8 +56,7 @@ def _load_config(path: str) -> dict:
     for key in ("dir", "report", "csv"):
         if not isinstance(cfg.get("output", {}).get(key, ""), str):
             raise ConfigError(f"output.{key} must be a string")
-    model = cfg["model"]
-    if "name" not in model:
+    if "name" not in cfg["model"]:
         raise ConfigError("config model section needs a 'name'")
     return cfg
 
@@ -195,9 +193,7 @@ def _dump_report(doc: dict, fh) -> None:
 def cmd_verify(cfg: dict, override: str | None) -> int:
     from .pipeline import verified_certificates
 
-    envelopes = _bounds_options(cfg)
-    return_set = _return_set(cfg)
-    model = _build(cfg)
+    envelopes, return_set, model = _bounds_options(cfg), _return_set(cfg), _build(cfg)
     certs = verified_certificates(model, envelopes, return_set)
     print(f"n1 = {model.drift.n1}\nn2 = {model.drift.n2}")
     for env, cert in certs.items():
@@ -228,10 +224,8 @@ def cmd_sweep(cfg: dict, override: str | None) -> int:
                                ("mixture", "mixture_family"), ("bounds", "bounds")):
                 row[f"{env}_time_{key}"] = rep.timings.get(stage, 0.0)
             if prev_tv[env] is not None and rep.tv_bound > prev_tv[env] + MONOTONE_SLACK:
-                raise NumericalError(
-                    f"tv bound for {env!r} increased along the schedule: "
-                    f"{prev_tv[env]:.6e} -> {rep.tv_bound:.6e}"
-                )
+                raise NumericalError(f"tv bound for {env!r} increased along the schedule: "
+                                     f"{prev_tv[env]:.6e} -> {rep.tv_bound:.6e}")
             prev_tv[env] = rep.tv_bound
         rows.append(row)
     os.makedirs(outdir, exist_ok=True)
@@ -250,21 +244,15 @@ def main(argv=None) -> int:
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
             os.environ[var] = str(args.threads)
 
-    from .errors import (
-        CertificateError,
-        EnumerationLimitError,
-        IrreducibilityError,
-        ModelError,
-        NumericalError,
-        TruncboundError,
-    )
+    from .errors import (CertificateError, IrreducibilityError, ModelError, NumericalError,
+                         TruncboundError)
 
     try:
         cfg = _load_config(args.config)
         command = {"run": cmd_run, "verify": cmd_verify, "sweep": cmd_sweep}[args.command]
         # run and sweep make the output directory once their results are in
         return command(cfg, args.output_dir)
-    except (ConfigError, ModelError, EnumerationLimitError) as exc:
+    except (ConfigError, ModelError) as exc:    # EnumerationLimitError among them
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except (IrreducibilityError, CertificateError) as exc:

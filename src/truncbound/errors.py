@@ -2,8 +2,7 @@
 
 Guards in this package are part of the certification contract: when an
 assumption or a residual check fails the computation must stop rather than
-emit an uncertified number.
-"""
+emit an uncertified number."""
 
 
 class TruncboundError(Exception):
@@ -14,8 +13,8 @@ class ModelError(TruncboundError):
     """Invalid model data (bad rows, unstable parameters, ...)."""
 
 
-class EnumerationLimitError(TruncboundError):
-    """State enumeration exceeded the configured cap."""
+class EnumerationLimitError(ModelError):
+    """State enumeration (a truncation, or a ball of states) exceeded the cap."""
 
 
 class IrreducibilityError(TruncboundError):

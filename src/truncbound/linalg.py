@@ -2,8 +2,7 @@
 
 Every solve in this module double-checks its own result.  The downstream
 bounds are certificates, so a silently inaccurate factorization would void
-them; residual checks therefore raise instead of warning.
-"""
+them; residual checks therefore raise instead of warning."""
 
 from __future__ import annotations
 
@@ -31,8 +30,7 @@ class SubstochasticSolver:
     columnwise and raises :class:`NumericalError` on failure.  Each column is
     solved and checked times the ``2^k`` (``0 <= k <= 1022``) that brings its
     largest magnitude near ``2^256``, and ``x`` scaled back: exact for normal
-    numbers, it keeps tiny data (gm1's 1e-300 masses) out of subnormal arithmetic.
-    """
+    numbers, it keeps tiny data (gm1's 1e-300 masses) out of subnormal arithmetic."""
 
     def __init__(self, M):
         self.n = n = M.shape[0]
@@ -44,12 +42,24 @@ class SubstochasticSolver:
             self.operator_norm = 1.0
         else:
             self._mode = "sparse"
-            A = sp.identity(n, format="csc") - sp.csc_matrix(M)
+            M = sp.csr_matrix(M, dtype=float)
+            self._cols = cols = _band_order(M)
+            at = (np.arange(n) if cols is None else cols).astype(M.indices.dtype)
+            # _A, the one copy: I - M in CSC, column j being M's column at[j] (a band's
+            # in COLAMD's order): M transposed with its columns renumbered, then negated
+            A = sp.csr_matrix((M.data, M.indices if cols is None else np.argsort(at).astype(
+                at.dtype)[M.indices], M.indptr), shape=(n, n)).tocsc()
+            A.sum_duplicates()
+            np.negative(A.data, out=A.data)
+            diagonal = np.flatnonzero(A.indices == np.repeat(at, np.diff(A.indptr)))
+            A.data[diagonal] += 1.0                         # 1 - M_ii, as I - M rounds it
+            gap = np.flatnonzero(np.bincount(np.searchsorted(A.indptr, diagonal, "right") - 1,
+                                             minlength=n) == 0)     # columns without one
+            if gap.size:            # a diagonal entry M does not store (jump chains)
+                A = A + sp.csc_matrix((np.ones(gap.size), (at[gap], gap)), shape=(n, n))
             # set here, not on first use: concurrent solves read it in _check
-            self.operator_norm = float(np.bincount(A.indices, np.abs(A.data), n).max())
-            # _A, the one copy: I - M in CSC, a band's columns in COLAMD's order
-            self._cols = cols = _band_order(A)
-            self._A = A = A if cols is None else A[:, cols]
+            self._A, self.operator_norm = A, float((sp.csc_matrix(       # |A|'s row sums
+                (np.abs(A.data), A.indices, A.indptr), shape=(n, n)) @ np.ones(n)).max())
             try:
                 self._lu = spla.splu(A, permc_spec="COLAMD" if cols is None else "NATURAL")
             except RuntimeError as exc:
@@ -104,17 +114,20 @@ class SubstochasticSolver:
         return X[:, 0] if single else X
 
 
-def _band_order(A) -> np.ndarray | None:
-    """SuperLU's COLAMD order (``A Pc = A[:, order]``) of a full band, row i holding
-    columns i+1 down to i-w: columns n-1 down to w+1, then 0 to w, while w >= 2,
-    n >= 2w + 2 and no column is dense ((w + 2)^2 <= 100 n).  Else None."""
-    n, ptr = A.shape[0], A.indptr
-    w = int(A.indices[ptr[1] - 1]) if ptr[1] else 0    # column 0's last row, in a band
-    if (w < 2 or n < 2 * w + 2 or (w + 2) ** 2 > 100 * n      # no O(nnz) work off a band
-            or A.nnz != n * (w + 2) - 1 - w * (w + 1) // 2 or not A.has_canonical_format):
-        return None
-    off = A.indices - np.repeat(np.arange(n, dtype=A.indices.dtype), np.diff(ptr))  # row - col
-    return np.r_[n - 1:w:-1, :w + 1] if off.min() >= -1 and off.max() <= w else None
+def _band_order(M) -> np.ndarray | None:
+    """SuperLU's COLAMD order (``A Pc = A[:, order]``) of A = I - M, whose pattern is
+    M's stored entries (no repeats) and the diagonal, if that is a full band, row i
+    holding columns i+1 down to i-w: columns n-1 down to w+1, then 0 to w, while
+    w >= 2, n >= 2w + 2 and no column is dense ((w + 2)^2 <= 100 n).  Else None."""
+    M = sp.csr_matrix(M)
+    n, ptr = M.shape[0], M.indptr
+    w = n - 1 - int(M.indices[ptr[-2]:ptr[-1]].min(initial=n - 1))   # the last row's first column
+    band = n * (w + 2) - 1 - w * (w + 1) // 2                   # A's entries, in a band
+    if w < 2 or n < 2 * w + 2 or (w + 2) ** 2 > 100 * n or not band - n <= M.nnz <= band:
+        return None                                             # no O(nnz) work off a band
+    off = np.repeat(np.arange(n, dtype=M.indices.dtype), np.diff(ptr)) - M.indices  # row - col
+    full = off.min() >= -1 and off.max() <= w and M.nnz + n - np.count_nonzero(off == 0) == band
+    return np.r_[n - 1:w:-1, :w + 1] if full else None
 
 
 def stationary_small(P) -> np.ndarray:
@@ -122,8 +135,7 @@ def stationary_small(P) -> np.ndarray:
 
     Replaces one (redundant) balance equation of ``pi (I - P) = 0`` with the
     normalization ``sum(pi) = 1`` and solves the resulting nonsingular system
-    densely.
-    """
+    densely."""
     n = P.shape[0]
     if n == 1:
         return np.ones(1)

@@ -11,8 +11,7 @@ Two built-in families:
   molecule decay at rate mu.
 
 Both ship their drift data (batched functions and analytic tail radii) as
-``model.drift``, so the whole pipeline runs on them out of the box.
-"""
+``model.drift``, so the whole pipeline runs on them out of the box."""
 
 from __future__ import annotations
 
@@ -23,9 +22,9 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .errors import ModelError
+from .errors import EnumerationLimitError, ModelError
 from .lyapunov import DriftCertificate, DriftData, construct_K, unit
-from .statespace import _coords, batched
+from .statespace import DEFAULT_ENUMERATION_CAP, _coords, batched
 
 BETA_MASS_CUTOFF = 1e-300
 GM1_COEFFICIENTS = (300.0, 300.0, 300.0)   # c1, c2, c3 of the queue's g1, g2, g3
@@ -33,10 +32,11 @@ TOGGLE_MOMENT_ALPHA = 4.0                  # g3 = alpha * g1 on the toggle's mom
 
 
 def _ball_top(radius: float, width: int) -> int:
-    """The ball's largest coordinate sum; ModelError if numpy cannot index its states."""
+    """The ball's largest coordinate sum; EnumerationLimitError if its states pass the cap."""
     top = int(math.floor(radius))
-    if (top + 1) ** width > np.iinfo(np.intp).max:     # at least its number of states
-        raise ModelError(f"the ball of radius {radius} has too many states to enumerate")
+    if math.comb(max(top + width, 0), width) > DEFAULT_ENUMERATION_CAP:
+        raise EnumerationLimitError(f"the ball of radius {radius} has too many states to "
+                                    f"enumerate (cap {DEFAULT_ENUMERATION_CAP})")
     return top
 
 
@@ -84,8 +84,7 @@ class DiscreteModel(Model):
     weights (see :func:`~truncbound.statespace.explore`).  Rows are validated
     (sums within 1e-12 of one) wherever they are read.  The other hooks are
     what the pipeline needs: the seed of the enumeration, the states within
-    a radius (as coordinates) and the drift data.
-    """
+    a radius (as coordinates) and the drift data."""
 
     name: str
     seed: object
@@ -102,8 +101,7 @@ class GeometricLaw:
     """Exact equilibrium of the queue chain: pi(x) = (1 - theta) theta^x.
 
     Held in extended precision: the defining fixed point is flat near its
-    root, so double-precision root finding would cost ~4 decimal digits.
-    """
+    root, so double-precision root finding would cost ~4 decimal digits."""
 
     def __init__(self, theta, xi):
         self.theta = theta
@@ -125,8 +123,7 @@ class GM1Model(Model):
 
     P(x, y) = beta_{x+1-y} for 1 <= y <= x+1 where beta_i is the probability
     that i services complete during one interarrival time; P(x, 0) carries
-    the exact complement, so every row sums to one in exact arithmetic.
-    """
+    the exact complement, so every row sums to one in exact arithmetic."""
 
     def __init__(self, mu: float = 1.0, b: float = 2.01):
         if not (0 < mu < math.inf and 0 < b < math.inf):     # NaN fails both
@@ -216,9 +213,7 @@ class GM1Model(Model):
         defining transform fixed point.  Requires the stability condition
         (mean service opportunities per interarrival exceed one)."""
         if self.service_count_moment(1) <= 1.0:
-            raise ModelError(
-                "unstable queue: mean services per interarrival must exceed 1"
-            )
+            raise ModelError("unstable queue: mean services per interarrival must exceed 1")
         mu = np.longdouble(self.mu)
         b = np.longdouble(repr(self.b))
 
@@ -305,10 +300,8 @@ class ToggleSwitchModel(Model):
             raise ModelError("synthesis and decay rates must be positive and finite")
         x_star = (-1.0 + math.sqrt(1.0 + 4.0 * lam / mu)) / 2.0
         if x_star < 0.5:
-            raise ModelError(
-                f"balance point {x_star:.3f} below 1/2: the drift derivation "
-                "does not cover this regime (needs lam/mu >= 3/4)"
-            )
+            raise ModelError(f"balance point {x_star:.3f} below 1/2: the drift derivation "
+                             "does not cover this regime (needs lam/mu >= 3/4)")
         self.lam = float(lam)
         self.mu = float(mu)
         self.x_star = x_star

@@ -4,8 +4,7 @@ This is the programmatic core of the command-line driver and of the
 benchmark reproductions: given a model, a truncation choice and a list of
 envelope rewards, it constructs and verifies the certificates, explores the
 truncation set once (a sweep, its largest set) and cuts and repartitions it,
-and assembles the bound reports plus the induced equilibrium approximation.
-"""
+and assembles the bound reports plus the induced equilibrium approximation."""
 
 from __future__ import annotations
 
@@ -81,8 +80,7 @@ def run_pipeline(model, truncation: dict, *, envelopes,
     in turn, each in stages named by its envelope ids: ``repartition[...]``
     (all but the first), ``certificate[...]``, ``factorize[...]`` (workspace
     and LU) and ``bounds[...]``; ``distribution`` follows the first one's.
-    The ``timings`` add up to ``total``; a report's own split its bounds.
-    """
+    The ``timings`` add up to ``total``; a report's own split its bounds."""
     return next(run_sweep(model, [truncation], envelopes=envelopes,
                           explicit_return_set=explicit_return_set,
                           with_distribution=True))
@@ -118,11 +116,12 @@ def run_sweep(model, truncations: list, *, envelopes, explicit_return_set,
     for level, (truncation, a_pred) in enumerate(zip(truncations, a_preds)):
         with timed(timings, "total"):
             with timed(timings, "cut"):
-                _, part = cut(exploration, a_pred, explicit_k_predicate(next(iter(by_return_set))))
+                parts = [cut(exploration, a_pred, explicit_k_predicate(next(iter(by_return_set))))]
                 if level == len(truncations) - 1:
                     del exploration       # and its entry stream: no level is left to cut
-            reports, distribution = _bound(part, certs, by_return_set, timings, with_distribution)
-            del part                      # a level's partitions end with its bounds
+            # _bound owns the partition: each one ends before the next return set's LU
+            reports, distribution = _bound(parts.pop()[1], certs, by_return_set, timings,
+                                           with_distribution)
             for report in reports.values():
                 report.provenance.update(model=model.name, truncation=dict(truncation))
         yield PipelineResult(model.name, dict(truncation), reports, certs, distribution, timings)
@@ -159,8 +158,7 @@ def verified_certificates(model, envelopes, explicit_return_set) -> dict:
 
     ``explicit_return_set`` (or None for each model's designed one) is used
     for every envelope.  Maps each envelope id to its verified certificate,
-    whose ``k_star`` is its return set's largest coordinate sum.
-    """
+    whose ``k_star`` is its return set's largest coordinate sum."""
     try:
         return {env: verify_certificate(
                     model, model.certificate_for_envelope(env, explicit_return_set))

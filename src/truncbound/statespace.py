@@ -7,8 +7,7 @@ states are; model hooks exchange such arrays, a :func:`batched` function is
 evaluated on a whole table in one call, and Python states exist only at the
 edges (``StateSpace.states``, messages).  The dense indexing puts the return
 set K first, then A' = A - K, each sorted by state; exterior mass is kept as
-arrays of exits (owner, exterior state, mass) into a shared value table.
-"""
+arrays of exits (owner, exterior state, mass) into a shared value table."""
 
 from __future__ import annotations
 
@@ -123,13 +122,13 @@ class StateSpace:
 class Partition:
     """Block partition of the transition matrix over (K, A', exterior).
 
-    ``P11, P12, P21, P22`` are the within-A blocks in CSR form.  ``table`` is
+    ``P11, P12, P21, P22`` are the within-A blocks in canonical CSR form (int32
+    indices), each row's repeated targets added in row order.  ``table`` is
     a value table (see :func:`_values`) that holds A's states at the ids
     ``ids`` and A's exterior targets; ``exits`` lists the mass that leaves A
     as three arrays, each row's entries in row order: the owning A index,
     the exterior state's id in ``table`` and the mass.  Exterior blocks over
-    A^c are never formed.
-    """
+    A^c are never formed."""
 
     space: StateSpace
     P11: sp.csr_matrix
@@ -160,10 +159,6 @@ class Partition:
         return np.bincount(rows, weights=p * _values(self.table, fn, at)[at],
                            minlength=self.a_size)
 
-    def full_matrix(self) -> sp.csr_matrix:
-        """The within-A matrix with K-first ordering (blocks reassembled)."""
-        return sp.bmat([[self.P11, self.P12], [self.P21, self.P22]], format="csr")
-
 
 class Exploration:
     """A truncation set explored from the seed by :func:`explore`, from which
@@ -172,9 +167,8 @@ class Exploration:
     Every state the seed reaches has an id, its row of ``coords``: first the
     set's, the seed at 0 and the rest in the order met, listed in sorted state
     order by ``order`` with their unit weights ``unit``, then those outside
-    it that their rows reach.  ``src``, ``dst`` and ``p`` hold every row
-    entry of the set's states, each row's in row order.
-    """
+    it that their rows reach.  ``src``, ``dst`` (int32 ids) and ``p`` hold
+    every row entry of the set's states, each row's in row order."""
 
     def __init__(self, coords, order, unit, src, dst, p):
         self.coords, self.order, self.unit = coords, order, unit
@@ -217,13 +211,12 @@ def explore(model, a_predicate: Callable[[State], bool]) -> Exploration:
     state, the ball's too, counts against ``DEFAULT_ENUMERATION_CAP`` (else
     :class:`EnumerationLimitError`) and has its row checked as drift checks
     do (else :class:`ModelError`); the ball's states the seed cannot reach
-    are then dropped.  ``a_predicate`` is called once per state met.
-    """
+    are then dropped.  ``a_predicate`` is called once per state met."""
     seed = _coords([model.seed])
     if not _apply(a_predicate, seed, bool)[0]:
         raise ModelError("seed state does not satisfy the truncation predicate")
     # known: the sorted keys of the states met; ids: theirs, 0 .. n-1 in the set, -1 - j outside
-    known, ids, n = _keys(seed), np.zeros(1, dtype=np.intp), 1
+    known, ids, n = _keys(seed), np.zeros(1, dtype=np.int32), 1   # the cap keeps ids below 2^31
     found, outside, units, entries, done = [seed], [], [], [], 0   # found[done:]: the frontier
 
     def meet(states: np.ndarray) -> np.ndarray:     # their ids; new ones numbered by key
@@ -256,7 +249,7 @@ def explore(model, a_predicate: Callable[[State], bool]) -> Exploration:
         for lo in range(0, len(frontier), ROW_BLOCK):
             pos, targets, p, weights = _read_rows(model.rows, frontier[lo:lo + ROW_BLOCK])
             units += weights
-            entries.append((pos + (start + lo), meet(targets), p))
+            entries.append(((pos + (start + lo)).astype(np.int32), meet(targets), p))
     coords = np.concatenate(found + outside)
     columns = [list(c) for c in zip(*entries)]
     del entries                 # each column's chunks go once it is joined: a lower peak
@@ -268,7 +261,7 @@ def explore(model, a_predicate: Callable[[State], bool]) -> Exploration:
     dst[dst < 0] = n - 1 - dst[dst < 0]         # the ids after the set's
     kept = _reached(src, dst, p, len(coords))
     if not kept.all():                          # drop the ball's states the seed cannot reach
-        new, live = np.cumsum(kept) - 1, kept[src]
+        new, live = np.cumsum(kept, dtype=np.int32) - 1, kept[src]
         src, dst, p = new[src[live]], new[dst[live]], p[live]
         coords, unit, n = coords[kept], unit[kept[:n]], int(np.count_nonzero(kept[:n]))
     order = np.argsort(_keys(coords[:n]))
@@ -277,10 +270,18 @@ def explore(model, a_predicate: Callable[[State], bool]) -> Exploration:
 
 def _reached(src: np.ndarray, dst: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
     """Which of the ids ``0 .. n-1`` id 0 reaches along ``src -> dst`` (weight 0 too)."""
-    graph = sp.csr_matrix((weights, (src, dst)), shape=(n, n))
+    graph = _unsummed(weights, src, dst, n, "csr")
     reached = np.zeros(n, dtype=bool)
     reached[breadth_first_order(graph, 0, return_predecessors=False)] = True
     return reached
+
+
+def _unsummed(p: np.ndarray, s: np.ndarray, d: np.ndarray, n: int, fmt: str):
+    """The n x n matrix of the entries ``p`` at rows ``s`` and columns ``d``, in CSR or CSC,
+    by scipy's stable counting sort: repeated entries stay apart, in entry order."""
+    coo = sp.coo_matrix((p, (s, d)), shape=(n, n))
+    coo.has_canonical_format = True     # skips the conversion's sort and sum
+    return coo.asformat(fmt)
 
 
 def cut(exploration: Exploration, a_predicate: Callable[[State], bool],
@@ -288,57 +289,57 @@ def cut(exploration: Exploration, a_predicate: Callable[[State], bool],
     """The partition over the return set of ``k_predicate`` of the states the
     seed reaches without leaving ``a_predicate``, a set that must lie in the
     explored one.  Blocks, exits and unit weights equal those of a fresh
-    :func:`enumerate_space` bit for bit.
-    """
+    :func:`enumerate_space` bit for bit."""
     ex, coords = exploration, exploration.coords
     inside = _apply(a_predicate, coords, bool)
     if not inside[0]:
         raise ModelError("seed state does not satisfy the truncation predicate")
     if inside[ex.order.size:].any():
         raise ModelError("truncation set is not nested in the explored one")
-    if not inside[ex.order].all():            # keep what the seed reaches inside
-        live = inside[ex.src] & inside[ex.dst]
-        inside = _reached(ex.src[live], ex.dst[live], ex.p[live], len(coords))
+    src, dst, p = ex.src, ex.dst, ex.p
+    if not inside[ex.order].all():      # a smaller set: its rows, and what the seed reaches
+        src, dst, p = (a[inside[ex.src]] for a in (src, dst, p))       # in it (edges out: to 0)
+        inside = _reached(src, np.where(inside[dst], dst, 0), p, len(coords))
     kept = inside[ex.order]
     a_ids = ex.order[kept]
     space, k_first = _k_first_space(coords[a_ids], k_predicate)
     ids, n = a_ids[k_first], space.a_size
-    new = np.full(len(coords), -1, dtype=np.intp)
+    new = np.full(len(coords), n, dtype=np.int32)     # n: outside the level
     new[ids] = np.arange(n)
-    s, d = new[ex.src], new[ex.dst]         # -1: outside the level
-    held = (s >= 0) & (ex.p != 0.0)         # the level's entries with mass
-    out = np.flatnonzero(held & (d < 0))    # the level's exits, each state's in row order
+    s, d = new[src], new[dst]
+    live = (s < n) & (p != 0.0)             # the level's entries with mass
+    out = np.flatnonzero(live & (d == n))   # the level's exits, each state's in row order
     by_row = np.argsort(s[out], kind="stable")
-    exits = s[out][by_row], ex.dst[out][by_row], ex.p[out][by_row]
-    held &= d >= 0                          # and those of them within the level
-    P = sp.csr_matrix((ex.p[held], (s[held], d[held])), shape=(n, n))   # duplicates add
-    del s, d, held
-    return space, _partition(space, P, ex.unit[kept][k_first], ex.table, ids, exits)
+    exits = s[out][by_row], dst[out][by_row], p[out][by_row]
+    d[~live] = n                            # no entry of the level's operator
+    by_column = _unsummed(p, s, d, n + 1, "csc")
+    del s, d, live, src, dst, p
+    return space, _partition(space, by_column, ex.unit[kept][k_first], ex.table, ids, exits)
 
 
 def repartition(part: Partition, k_predicate: Callable[[State], bool],
                 ) -> tuple[StateSpace, Partition]:
     """The same truncation set partitioned over another return set.
 
-    Rows and columns of ``part``'s operator are permuted K-first and no mass
-    is recomputed, so blocks, exits and unit weights equal those of a
-    fresh :func:`enumerate_space` with ``k_predicate`` bit for bit (up to the
-    order in which a row's repeated targets were added).  The new partition
-    shares ``part``'s value table.
-    """
-    old = part.space
+    ``part``'s four blocks, stacked as rows with their columns renumbered, are
+    turned into columns and back into K-first rows; no mass is recomputed, so
+    blocks, exits and unit weights equal those of a fresh :func:`enumerate_space`
+    with ``k_predicate`` bit for bit.  The new partition shares ``part``'s value table."""
+    old, k = part.space, part.k_size
     by_state = np.argsort(_keys(old.coords))
     space, k_first = _k_first_space(old.coords[by_state], k_predicate)
     perm = by_state[k_first]
-    P = part.full_matrix()[perm]          # rows in the new order
-    new = np.empty_like(perm)
+    new = np.empty(len(perm), dtype=np.int32)
     new[perm] = np.arange(space.a_size)
-    P.indices = new[P.indices].astype(P.indices.dtype)     # and the columns
-    P.sort_indices()
+    blocks = (part.P11, 0, 0), (part.P12, 0, k), (part.P21, k, 0), (part.P22, k, k)
+    by_column = sp.vstack([sp.csr_matrix((B.data, new[c:][B.indices], B.indptr), shape=(
+        B.shape[0], space.a_size)) for B, _, c in blocks], format="csr").tocsc()
+    owner = np.concatenate([new[r:r + B.shape[0]] for B, r, _ in blocks])   # stacked row's id
+    np.take(owner, by_column.indices, out=by_column.indices, mode="clip")
     rows, at, q = part.exits
     by_row = np.argsort(new[rows], kind="stable")
     exits = new[rows][by_row], at[by_row], q[by_row]
-    return space, _partition(space, P, part.unit[perm], part.table, part.ids[perm], exits)
+    return space, _partition(space, by_column, part.unit[perm], part.table, part.ids[perm], exits)
 
 
 def _read_rows(hook: Callable, states: np.ndarray) -> tuple:
@@ -364,8 +365,7 @@ def _rate_rows(jump, states) -> tuple:
     """The jump model's rate rows at ``states``, checked, with their exit
     rates: ``(pos, targets, rates, exit_rates)`` on coordinates.  Every rate
     must be finite and nonnegative and every exit rate positive; each
-    state's rates add left to right in entry order.
-    """
+    state's rates add left to right in entry order."""
     states = _coords(states)
     pos, targets, rates, _ = _read_rows(jump.rate_rows, states)
     bad = ~((rates >= 0.0) & (rates < np.inf))
@@ -392,12 +392,9 @@ def _check_rows(states: np.ndarray, pos: np.ndarray, p: np.ndarray) -> None:
     i = int(np.argmax(bad_state))
     x, entry = _objects(states[i:i + 1])[0], np.flatnonzero(bad_entry & (pos == i))
     if entry.size:
-        raise ModelError(
-            f"invalid transition probability {float(p[entry[0]])!r} from state {x!r}"
-        )
-    raise ModelError(
-        f"row of state {x!r} sums to {float(sums[i])!r}, not 1 within {ROW_SUM_TOL}"
-    )
+        raise ModelError(f"invalid transition probability {float(p[entry[0]])!r} "
+                         f"from state {x!r}")
+    raise ModelError(f"row of state {x!r} sums to {float(sums[i])!r}, not 1 within {ROW_SUM_TOL}")
 
 
 def _k_first_space(coords: np.ndarray, k_predicate) -> tuple[StateSpace, np.ndarray]:
@@ -410,12 +407,25 @@ def _k_first_space(coords: np.ndarray, k_predicate) -> tuple[StateSpace, np.ndar
     return StateSpace(coords=coords[order], k_size=int(np.count_nonzero(in_k))), order
 
 
-def _partition(space: StateSpace, P: sp.csr_matrix, *rest) -> Partition:
-    """A Partition of the K-first operator ``P``'s blocks (canonical CSR) and ``rest``."""
-    k = space.k_size
-    k_rows, others = slice(k), slice(k, None)
-    return Partition(space, *(P[r, c].tocsr() for r in (k_rows, others) for c in (k_rows, others)),
-                     *rest)
+def _partition(space: StateSpace, by_column, *rest) -> Partition:
+    """A Partition of ``rest`` and of the K-first operator given by its columns
+    ``by_column`` (CSC; more rows and columns are ignored).  Turning K's and
+    A''s columns into rows sorts each row by column and keeps each column's
+    order among a row's repeated targets, whose masses then add in it."""
+    n, k = space.a_size, space.k_size
+    blocks = []
+    for cols in _slab(by_column, 0, k), _slab(by_column, k, n):
+        rows = cols.tocsr()
+        rows.sum_duplicates()
+        blocks += [_slab(rows, 0, k), _slab(rows, k, n)]
+    return Partition(space, blocks[0], blocks[2], blocks[1], blocks[3], *rest)
+
+
+def _slab(M, lo: int, hi: int):
+    """Rows (CSR) or columns (CSC) ``lo .. hi-1`` of ``M``, sharing its arrays."""
+    a, b = M.indptr[lo], M.indptr[hi]
+    shape = (hi - lo, M.shape[1]) if M.format == "csr" else (M.shape[0], hi - lo)
+    return type(M)((M.data[a:b], M.indices[a:b], M.indptr[lo:hi + 1] - a), shape=shape)
 
 
 def explicit_k_predicate(k_states: Sequence[State]) -> Callable[[State], bool]:

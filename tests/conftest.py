@@ -179,6 +179,12 @@ def row_of(model, x) -> list:
     return list(zip(states_of(targets), np.asarray(p, dtype=float).tolist()))
 
 
+def full_matrix(part) -> np.ndarray:
+    """A partition's within-A operator, K first, as a dense array of its blocks."""
+    return np.block([[part.P11.toarray(), part.P12.toarray()],
+                     [part.P21.toarray(), part.P22.toarray()]])
+
+
 def boundary_rows(part) -> tuple:
     """Each A index's exits as ``((exterior state, mass), ...)`` in row order."""
     owner, at, q = part.exits

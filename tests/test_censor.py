@@ -15,6 +15,7 @@ from truncbound.models import GM1Model
 from conftest import (
     censored_matrix_oracle,
     exit_oracle,
+    full_matrix,
     host_model,
     partition_from_matrix,
     random_stochastic,
@@ -324,7 +325,7 @@ class TestExitApproximation:
         _, part = enumerate_space(gm1, lambda s: s <= 500, lambda s: s == 0)
         ws = TruncationWorkspace(part)
         dist = ws.approx_distribution(np.ones(1))
-        oracle = exit_oracle(part.full_matrix().toarray())
+        oracle = exit_oracle(full_matrix(part))
         assert np.abs(dist - oracle).max() < 1e-12
 
 

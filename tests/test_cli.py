@@ -343,6 +343,16 @@ class TestVerify:
         err = capsys.readouterr().err
         assert err.startswith("config error: the ball of radius ") and "too many states" in err
 
+    @pytest.mark.parametrize("lam", [1e4, 1e5, 1e8])
+    def test_ball_past_the_enumeration_cap_is_a_config_error(self, tmp_path, capsys, lam):
+        # K's candidate ball is indexable but holds more states than the cap
+        path, _ = write_config(tmp_path,
+                               model={"name": "toggle", "params": {"lam": lam, "mu": 1.0}},
+                               truncation={"kind": "simplex", "level": 60})
+        assert main(["verify", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: the ball of radius ") and "cap 50000000" in err
+
     def test_toggle_verify(self, tmp_path, capsys):
         path, _ = write_config(
             tmp_path,

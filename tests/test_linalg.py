@@ -282,6 +282,56 @@ class TestBandOrder:
             assert s._cols is not None and np.array_equal(s._lu.perm_c, np.arange(s.n))
 
 
+def without_diagonal(M):
+    M = sp.csr_matrix(M, copy=True)
+    M.setdiag(0.0)
+    M.eliminate_zeros()
+    return M
+
+
+class TestOneCopy:
+    """``_A`` is I - M in the factor's column order, built once from M's
+    transpose: the arrays of scipy's ``(I - M)[:, order]``."""
+
+    @pytest.mark.parametrize("case, banded", [
+        ("band", True), ("band without diagonal", True), ("sparse", False),
+        ("sparse without diagonal", False), ("toggle", False), ("dense", False)])
+    def test_operator_equals_the_subtraction(self, rng, case, banded):
+        M = {"band": lambda: band(rng, 400, 12),
+             "band without diagonal": lambda: without_diagonal(band(rng, 400, 12)),
+             "sparse": lambda: sp.csr_matrix(random_substochastic(rng, 200)
+                                             * (rng.random((200, 200)) < 0.05)),
+             "sparse without diagonal": lambda: without_diagonal(
+                 random_substochastic(rng, 200) * (rng.random((200, 200)) < 0.05)),
+             "toggle": toggle_block,
+             "dense": lambda: random_substochastic(rng, 30)}[case]()
+        solver = SubstochasticSolver(M)
+        assert (solver._cols is not None) == banded
+        want = sp.identity(M.shape[0], format="csc") - sp.csc_matrix(M)
+        if banded:
+            want = want[:, solver._cols]
+        assert solver._A.format == "csc" and solver._A.has_canonical_format
+        assert solver._A.data.tobytes() == want.data.tobytes()
+        assert np.array_equal(solver._A.indices, want.indices)
+        assert np.array_equal(solver._A.indptr, want.indptr)
+        assert solver.operator_norm == pytest.approx(abs(want).sum(axis=1).max(), rel=1e-14)
+
+    @given(seed=st.integers(0, 10_000), n=st.integers(1, 40), density=st.floats(0.0, 1.0),
+           diagonal=st.floats(0.0, 1.0))
+    @settings(max_examples=60, deadline=None)
+    def test_random_blocks_with_and_without_their_diagonal(self, seed, n, density, diagonal):
+        r = np.random.default_rng(seed)
+        M = random_substochastic(r, n) * (r.random((n, n)) < density)
+        M[np.diag_indices(n)] *= r.random(n) < diagonal      # some diagonals not stored
+        solver = SubstochasticSolver(sp.csr_matrix(M))
+        want = sp.identity(n, format="csc") - sp.csc_matrix(M)
+        if solver._cols is not None:
+            want = want[:, solver._cols]
+        assert solver._A.data.tobytes() == want.data.tobytes()
+        assert np.array_equal(solver._A.indices, want.indices)
+        assert np.array_equal(solver._A.indptr, want.indptr)
+
+
 def toggle_block():
     """``P22`` of toggle20 at level 40, cut over the ``r`` return set."""
     model = ToggleSwitchModel(20.0, 1.0)

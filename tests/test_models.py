@@ -1,4 +1,6 @@
 import math
+import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -6,10 +8,12 @@ import pytest
 from scipy.integrate import quad
 
 from truncbound import JumpModel, embed, enumerate_space, exit_rate
-from truncbound.errors import ModelError
+from truncbound.errors import EnumerationLimitError, ModelError
 from truncbound.models import DiscreteModel, GM1Model, ToggleSwitchModel
+from truncbound.statespace import DEFAULT_ENUMERATION_CAP
 
-from conftest import assert_partitions_identical, batch_model, random_stochastic, states_of
+from conftest import (assert_partitions_identical, batch_model, full_matrix, random_stochastic,
+                      states_of)
 from gm1_reference import reference_distribution
 
 
@@ -203,6 +207,28 @@ def test_ball_numpy_cannot_index_is_a_model_error(model, radius, message, states
     assert len(model.states_within(3)) == states_to_3
 
 
+@pytest.mark.parametrize("lam", [1e4, 1e5, 1e8])
+def test_ball_past_the_enumeration_cap_raises_before_it_is_built(lam):
+    # the design ball of radius max(n1, n2) (about 2 lam) holds about 2 lam^2 states:
+    # past the cap at lam = 1e4, and 151 GiB of numpy arrays at 1e5
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(EnumerationLimitError, match="has too many states to enumerate"):
+            ToggleSwitchModel(lam, 1.0).certificate_for_envelope("r")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**21 and time.perf_counter() - start < 1.0
+
+
+def test_shipped_balls_stay_far_under_the_cap():
+    # a ball's states are counted exactly: gm1's n3 ball and toggle90's radius 220
+    assert len(GM1Model().states_within(1803)) == 1804
+    assert len(ToggleSwitchModel(90.0, 1.0).states_within(220)) == math.comb(222, 2)
+    assert 100 * math.comb(222, 2) < DEFAULT_ENUMERATION_CAP
+
+
 def toggle20(**params) -> ToggleSwitchModel:
     return ToggleSwitchModel(**{"lam": 20.0, "mu": 1.0, **params})
 
@@ -223,7 +249,7 @@ class TestUserModel:
                             name="user")
         space, part = enumerate_space(model, lambda s: True, lambda s: s < 3)
         assert space.a_size == 12
-        assert np.abs(part.full_matrix().toarray().sum(axis=1) - 1.0).max() < 1e-12
+        assert np.abs(full_matrix(part).sum(axis=1) - 1.0).max() < 1e-12
 
     def test_wrapping_builtin_rows_is_bitwise_identical(self):
         # the built-in batch hooks against their one-state views laid out

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import threading
 import time
+import tracemalloc
 import warnings
 import weakref
 from collections import Counter
@@ -12,11 +13,13 @@ import numpy as np
 import pytest
 
 from truncbound import censor, cli, lyapunov, pipeline
+from truncbound.linalg import SubstochasticSolver
 from truncbound.bounds import timed
 from truncbound.errors import CertificateError, ModelError
 from truncbound.lyapunov import DriftData
 from truncbound.models import DiscreteModel, GM1Model, ToggleSwitchModel
-from truncbound.pipeline import run_pipeline
+from truncbound.pipeline import run_pipeline, truncation_predicate, verified_certificates
+from truncbound.statespace import cut, explicit_k_predicate, explore, repartition
 
 from immigration_death import immigration_death
 
@@ -187,6 +190,37 @@ def test_timer_adds_up_repeated_blocks():
     assert set(timings) == {"stage"}
 
 
+def traced_peak(stage):
+    """``stage()`` and the peak of the memory it allocated, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        return stage(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_stage_memory_per_stored_entry():
+    # each stage's tracemalloc peak per stored entry of gm1 max 2,000 (367,857
+    # entries, 365,086 in e's P22), about 25 % above its value when the stages
+    # kept one copy of the operator; the copies they used to make (int64 ids,
+    # COO round trips, I - M and its permuted columns) read 60, 61, 24 and 28
+    model = GM1Model()
+    a_pred = truncation_predicate(model, GM1_2000)
+    certs = verified_certificates(model, ["r", "e"], None)
+    ex, explored = traced_peak(lambda: explore(model, a_pred))
+    entries = len(ex.p)
+    (_, part), cut_peak = traced_peak(
+        lambda: cut(ex, a_pred, explicit_k_predicate(certs["r"].return_set)))
+    del ex
+    (_, part), repartitioned = traced_peak(
+        lambda: repartition(part, explicit_k_predicate(certs["e"].return_set)))
+    _, factored = traced_peak(lambda: SubstochasticSolver(part.P22))
+    per_entry = {"explore": explored / entries, "cut": cut_peak / entries,
+                 "repartition": repartitioned / entries, "solver": factored / part.P22.nnz}
+    bounds = {"explore": 62, "cut": 33, "repartition": 31, "solver": 25}
+    assert all(per_entry[stage] <= bound for stage, bound in bounds.items()), per_entry
+
+
 class WorkerFailure(Exception):
     pass
 
@@ -213,19 +247,22 @@ class TestOverlap:
         assert {name.rsplit("_", 1)[0] for name in started} <= {"truncbound-lane"}
 
     def test_first_workspace_is_freed_before_the_second_is_built(self, monkeypatch):
-        workspaces = []
+        # and the first return set's partition with it: the pipeline keeps no
+        # reference of its own, so gm1's r blocks are gone before e's LU
+        workspaces, partitions = [], []
         alive_at_build = []
         workspace = pipeline.TruncationWorkspace
 
         def built(part):
-            alive_at_build.append([ref() is not None for ref in workspaces])
+            alive_at_build.append([ref() is not None for ref in workspaces + partitions])
             ws = workspace(part)
             workspaces.append(weakref.ref(ws))
+            partitions.append(weakref.ref(part))
             return ws
 
         monkeypatch.setattr(pipeline, "TruncationWorkspace", built)
         result = run_pipeline(GM1Model(), GM1_2000, envelopes=["r", "e"])
-        assert alive_at_build == [[], [False]]
+        assert alive_at_build == [[], [False, False]]
         assert result.distribution is not None
 
     def test_one_return_set_starts_no_thread(self, monkeypatch):

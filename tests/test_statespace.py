@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,6 +15,7 @@ from conftest import (
     assert_partitions_identical,
     batch_model,
     boundary_rows,
+    full_matrix,
     host_model,
     random_stochastic,
 )
@@ -97,7 +99,7 @@ class TestEnumerate:
         _, part = enumerate_space(
             embed(ts), lambda s: s[0] + s[1] <= 12, lambda s: s == (0, 0)
         )
-        full = part.full_matrix().toarray().sum(axis=1)
+        full = full_matrix(part).sum(axis=1)
         for i, entries in enumerate(boundary_rows(part)):
             full[i] += sum(p for _, p in entries)
         assert np.abs(full - 1.0).max() < 1e-12
@@ -168,6 +170,100 @@ class TestRepartition:
             repartition(part, lambda s: s > 99)
 
 
+def repeat_chain(seed: int, n: int, width: int) -> dict:
+    """Rows over 0..n-1 of up to ``width`` entries: a step to x + 1 (mod n), then
+    targets drawn from three states, so that rows repeat a target three or more
+    times, with masses spread over eight decades (their order of addition shows
+    in the bits) and some of them zero."""
+    rng = np.random.default_rng(seed)
+    rows = {}
+    for x in range(n):
+        m = int(rng.integers(1, width))
+        targets = [(x + 1) % n, *rng.choice(n, 3, replace=False)[rng.integers(0, 3, m)].tolist()]
+        w = np.r_[1.0, rng.random(m) * 10.0 ** rng.integers(-8, 1, m) * (rng.random(m) > 0.2)]
+        rows[x] = list(zip(targets, (w / w.sum()).tolist()))
+    return rows
+
+
+def weighted_model(rows: dict) -> DiscreteModel:
+    """The chain of ``rows`` with unit weights 1 / (1 + x)."""
+    plain = batch_model(lambda x: rows[x])
+
+    def weighted(states):
+        pos, targets, p = plain.rows(states)
+        return pos, targets, p, 1.0 / (1.0 + np.asarray(states, dtype=float).reshape(-1))
+
+    return DiscreteModel(name="weighted", seed=0, rows=weighted, states_within=None, drift=None)
+
+
+def reference_blocks(rows: dict, space) -> tuple:
+    """Blocks of a plain ``sp.csr_matrix((p, (s, d)))`` over ``space`` (K first),
+    the exits by row and the unit weights, read from ``rows`` state by state."""
+    at = {x: i for i, x in enumerate(space.states)}
+    s, d, p, exits = [], [], [], []
+    for x in space.states:
+        exits.append(tuple((y, q) for y, q in rows[x] if y not in at and q != 0.0))
+        kept = [(at[y], q) for y, q in rows[x] if y in at and q != 0.0]
+        s += [at[x]] * len(kept)
+        d += [j for j, _ in kept]
+        p += [q for _, q in kept]
+    n, k = space.a_size, space.k_size
+    P = sp.csr_matrix((np.array(p), (np.array(s, dtype=int), np.array(d, dtype=int))),
+                      shape=(n, n))
+    unit = 1.0 / (1.0 + np.array(space.states, dtype=float))
+    return (P[:k, :k], P[:k, k:], P[k:, :k], P[k:, k:]), tuple(exits), unit
+
+
+def dense_in_row_order(rows: dict, space) -> np.ndarray:
+    """The K-first operator with each row's repeated targets added in row order."""
+    at = {x: i for i, x in enumerate(space.states)}
+    P = np.zeros((space.a_size, space.a_size))
+    for x in space.states:
+        for y, q in rows[x]:
+            if y in at:
+                P[at[x], at[y]] += q
+    return P
+
+
+class TestOneCopyBlocks:
+    """``cut`` and ``repartition`` build their blocks without a COO or CSR copy
+    of the whole operator; the blocks are a plain COO-to-CSR construction's."""
+
+    @given(seed=st.integers(0, 10_000), n=st.integers(3, 14), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_blocks_equal_a_plain_construction(self, seed, n, data):
+        # rows of at most 16 entries: scipy sorts a row's repeats stably up to 16
+        rows = repeat_chain(seed, n, 16)
+        explored = data.draw(st.integers(2, n), label="explored")
+        level = data.draw(st.integers(1, explored), label="level")
+        k_sets = [{0, *data.draw(st.sets(st.integers(0, n - 1)), label="K")} for _ in range(2)]
+        ex = explore(weighted_model(rows), lambda x: x < explored)
+        space, part = cut(ex, lambda x: x < level, lambda x: x in k_sets[0])
+        space2, part2 = repartition(part, lambda x: x in k_sets[1])
+        for space, part in ((space, part), (space2, part2)):
+            blocks, exits, unit = reference_blocks(rows, space)
+            for name, got, want in zip(("P11", "P12", "P21", "P22"),
+                                       (part.P11, part.P12, part.P21, part.P22), blocks):
+                assert got.shape == want.shape, name
+                assert got.indices.dtype == np.int32 and got.has_canonical_format, name
+                assert got.data.tobytes() == want.data.tobytes(), name
+                assert np.array_equal(got.indices, want.indices), name
+                assert np.array_equal(got.indptr, want.indptr), name
+            assert boundary_rows(part) == exits
+            assert part.unit.tobytes() == unit.tobytes()
+
+    @given(seed=st.integers(0, 10_000), n=st.integers(3, 14))
+    @settings(max_examples=30, deadline=None)
+    def test_long_rows_add_their_repeats_in_row_order(self, seed, n):
+        # past 16 entries scipy's own sort is unstable; the blocks still add in row order
+        rows = repeat_chain(seed, n, 48)
+        ex = explore(batch_model(lambda x: rows[x]), lambda x: True)
+        space, part = cut(ex, lambda x: True, lambda x: x % 3 == 0)
+        space2, part2 = repartition(part, lambda x: x % 2 == 0)
+        for space, part in ((space, part), (space2, part2)):
+            assert full_matrix(part).tobytes() == dense_in_row_order(rows, space).tobytes()
+
+
 class TestBlockExtremes:
     def test_k_equals_a_gives_empty_middle(self, rng):
         P = random_stochastic(rng, 6)
@@ -233,7 +329,7 @@ class TestCut:
             for y, q in entries[x]:
                 if y in index:
                     P_A[i, index[y]] += q
-        assert np.array_equal(derived.full_matrix().toarray(), P_A)
+        assert np.array_equal(full_matrix(derived), P_A)
         assert boundary_rows(derived) == tuple(
             tuple((y, q) for y, q in entries[x] if y not in index and q != 0.0)
             for x in derived.space.states)
@@ -310,7 +406,7 @@ class TestKeyOrder:
             for y, q in rows[x]:
                 if y in at:
                     P[at[x], at[y]] += q
-        assert np.array_equal(part.full_matrix().toarray(), P)
+        assert np.array_equal(full_matrix(part), P)
         assert boundary_rows(part) == tuple(tuple((y, q) for y, q in rows[x] if y not in at)
                                           for x in order)
 
